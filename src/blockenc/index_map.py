@@ -1,4 +1,4 @@
-"""Shift, delete and insert subcircuits, individually and as fused operations.
+"""Index-map gates: shift cascades and delete/insert flips, fused per group.
 
 A left shift by 2**k increments the matrix register (adding 2**k), realized
 as a carry cascade of MCX gates over the top n-k matrix qubits; a right shift
@@ -7,33 +7,37 @@ delete qubit under controls on the item slot and the row.  Inserting is a
 delete from every row followed by a delete on the wanted rows, which cancels
 there.
 
-Fused variants collapse several items or rows into one gate when the control
-strings reduce, and otherwise wrap the gate in a coherent permutation that
-relocates the strings onto a reducible set first.
+This module is the one place that turns a group of item patterns into gates,
+for the compiler and the tests alike:
+
+- ``shift_group``: ``plan_fusion`` over the items sharing one shift, then one
+  cascade per fused subgroup;
+- ``delete_group``: a cube cover of the items' data patterns, times the
+  ``delete_rows_plan`` of their shared row set;
+- ``insert_stage``: one delete-qubit flip per cube of every insert pattern,
+  then one delete group per row set.
+
+A fusion plan collapses several patterns into one gate when they reduce, and
+otherwise wraps the gate in a coherent permutation that relocates them onto a
+reducible set first (``_emit_plan``).  ``shift_cascade`` and ``delete_flip``
+are the per-item gates, which the unfused baseline uses directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .assignment import FixedIndexPolicy, build_target_set, mode_pattern, solve_assignment
 from .errors import BadInput, BadShift
 from .ir import Circuit, Gate, RegisterLayout, embed_gates, mcx
 from .mcx import ControlSet, is_reducible
-from .permute import PermutationSpec, permute_circuit, permute_inverse, route_permutation
+from .permute import permute_circuit
 
 
-@dataclass(frozen=True)
-class ShiftOp:
-    """One power-of-two column shift conditioned on a data pattern."""
-
-    pattern: str       # data-register control pattern, may contain X
-    direction: str     # "L" | "R"
-    amount: int        # power of two, < 2**n
-
-
-def _cascade_gates(data_pattern: str, direction: str, amount: int,
-                   layout: RegisterLayout) -> list[Gate]:
+def shift_cascade(pattern: str, direction: str, amount: int,
+                  layout: RegisterLayout) -> list[Gate]:
+    """MCX cascade cyclically shifting the matrix register for matching items."""
     n = layout.n
     if amount <= 0 or amount & (amount - 1) or amount >= (1 << n):
         raise BadShift(f"shift amount {amount} invalid for n={n}")
@@ -47,23 +51,17 @@ def _cascade_gates(data_pattern: str, direction: str, amount: int,
         for lower in range(k, b):
             matrix[n - 1 - lower] = t
         target = layout.matrix_qubits[n - 1 - b]
-        gates.append(mcx(layout.full_pattern(data=data_pattern,
-                                             matrix="".join(matrix)), target))
+        gates.append(mcx(layout.full_pattern(data=pattern, matrix="".join(matrix)), target))
     return gates
 
 
-def shift_gates(op: ShiftOp, layout: RegisterLayout) -> Circuit:
-    """MCX cascade cyclically shifting the matrix register for matching items."""
-    if len(op.pattern) != layout.m:
-        raise BadInput("data pattern length must equal the data register size")
-    return Circuit(layout.total, tuple(_cascade_gates(op.pattern, op.direction,
-                                                      op.amount, layout)))
+def delete_flip(layout: RegisterLayout, data: str, matrix: str | None = None) -> Gate:
+    """Flip the delete qubit under data (and optionally matrix) controls."""
+    return mcx(layout.full_pattern(data=data, matrix=matrix), layout.del_qubit)
 
 
 def _greedy_cubes(strings: list[str]) -> list[str]:
     """Disjoint cover of the strings by sub-cube patterns, largest cube first."""
-    from itertools import combinations
-
     remaining = set(strings)
     width = len(strings[0])
     out = []
@@ -96,7 +94,6 @@ class SubFusion:
 
     control_pattern: str                 # register-local, X on free positions
     permute: Circuit | None = None       # register-local forward permutation
-    permute_swaps: int = 0
 
 
 @dataclass
@@ -108,15 +105,10 @@ class FusionPlan:
     pads: tuple[str, ...] = ()
     register: str = "data"
 
-    @property
-    def permute_gate_count(self) -> int:
-        return 2 * sum(g.permute_swaps for g in self.subgroups)
-
-    def core_count(self, core_cost: int) -> int:
-        return core_cost * len(self.subgroups)
-
     def total_count(self, core_cost: int) -> int:
-        return self.core_count(core_cost) + self.permute_gate_count
+        """Gates when every subgroup's core is restored after its permutation."""
+        permute = sum(len(g.permute) for g in self.subgroups if g.permute is not None)
+        return core_cost * len(self.subgroups) + 2 * permute
 
 
 def _permute_subgroup(patterns: list[str], P: int,
@@ -126,16 +118,12 @@ def _permute_subgroup(patterns: list[str], P: int,
     tilde = mode_pattern(s2, fixed)
     s3 = build_target_set(tilde, fixed, P)
     phi = solve_assignment(s2, s3)
-    fused = is_reducible(s3).to_pattern()
-    plan = route_permutation(phi)
-    circ = permute_circuit(PermutationSpec(phi))
-    return SubFusion(fused, circ, plan.gate_count)
+    return SubFusion(is_reducible(s3).to_pattern(), permute_circuit(phi))
 
 
 def plan_fusion(patterns: list[str], P: int, *, zero_slots: tuple[str, ...] = (),
                 policy: FixedIndexPolicy | None = None, allow_pad: bool = True,
-                allow_permute: bool = True, core_cost: int = 1,
-                register: str = "data") -> FusionPlan:
+                core_cost: int = 1, register: str = "data") -> FusionPlan:
     """Decide how to realize one gate over several control patterns.
 
     Reducible sets fuse directly.  Irreducible power-of-two sets get a
@@ -151,15 +139,10 @@ def plan_fusion(patterns: list[str], P: int, *, zero_slots: tuple[str, ...] = ()
         red = is_reducible(ControlSet(P, frozenset(pats)))
         if red is not None:
             return FusionPlan(mode_direct, [SubFusion(red.to_pattern())], register=register)
-        sub = _permute_subgroup(pats, P, policy)
-        return FusionPlan(mode_perm, [sub], register=register)
+        return FusionPlan(mode_perm, [_permute_subgroup(pats, P, policy)], register=register)
 
     if size & (size - 1) == 0:
-        plan = direct_or_permute(patterns, "direct", "permute")
-        if plan.mode == "permute" and not allow_permute:
-            cubes = _greedy_cubes(patterns)
-            return FusionPlan("partition", [SubFusion(c) for c in cubes], register=register)
-        return plan
+        return direct_or_permute(patterns, "direct", "permute")
 
     partition = FusionPlan("partition",
                            [SubFusion(c) for c in _greedy_cubes(patterns)],
@@ -169,43 +152,46 @@ def plan_fusion(patterns: list[str], P: int, *, zero_slots: tuple[str, ...] = ()
         pads = tuple(sorted(zero_slots)[:need])
         padded = direct_or_permute(sorted(patterns + list(pads)), "padded", "padded-permute")
         padded.pads = pads
-        if padded.mode == "padded-permute" and not allow_permute:
-            padded = None
-        if padded is not None and padded.total_count(core_cost) <= partition.total_count(core_cost):
+        if padded.total_count(core_cost) <= partition.total_count(core_cost):
             return padded
     return partition
 
 
-def _wrap(core: list[Gate], sub: SubFusion, layout: RegisterLayout,
-          register: str) -> list[Gate]:
-    if sub.permute is None or not sub.permute.gates:
-        return core
-    qmap = layout.data_qubits if register == "data" else layout.matrix_qubits
-    fwd = embed_gates(sub.permute.gates, layout.total, list(qmap))
-    inv = embed_gates(permute_inverse(sub.permute).gates, layout.total, list(qmap))
-    return fwd + core + inv
+def _emit_plan(plan: FusionPlan, core, layout: RegisterLayout, *,
+              defer_restore: bool = False) -> list[Gate]:
+    """Gates of a fusion plan: per subgroup, permutation, core, inverse.
 
-
-def combined_shift(items: ControlSet, direction: str, amount: int,
-                   layout: RegisterLayout, *, zero_slots: tuple[str, ...] = (),
-                   policy: FixedIndexPolicy | None = None,
-                   allow_pad: bool = True) -> Circuit:
-    """Shift several items at once with one fused cascade where possible.
-
-    The unitary equals the ordered product of the per-item shifts over every
-    member, including any borrowed zero slots.
+    ``core(control_pattern)`` builds a subgroup's fused gates.  The inverse
+    permutation is the forward swaps in reverse order; with ``defer_restore``
+    it is left out and the caller tracks where the permutation moved the data
+    states.
     """
-    if items.P != layout.m:
-        raise BadInput("item patterns must cover the data register")
-    plan = plan_fusion(items.sorted(), layout.m, zero_slots=zero_slots,
-                       policy=policy or FixedIndexPolicy.right_ended(),
-                       allow_pad=allow_pad,
-                       core_cost=layout.n - (amount.bit_length() - 1))
+    qmap = list(layout.data_qubits if plan.register == "data" else layout.matrix_qubits)
     gates: list[Gate] = []
     for sub in plan.subgroups:
-        core = _cascade_gates(sub.control_pattern, direction, amount, layout)
-        gates.extend(_wrap(core, sub, layout, "data"))
-    return Circuit(layout.total, tuple(gates))
+        fwd = [] if sub.permute is None else embed_gates(sub.permute.gates, layout.total, qmap)
+        gates += fwd
+        gates += core(sub.control_pattern)
+        if not defer_restore:
+            gates += fwd[::-1]
+    return gates
+
+
+def shift_group(patterns: list[str], direction: str, amount: int, layout: RegisterLayout,
+                *, zero_slots: tuple[str, ...] = (), policy: FixedIndexPolicy | None = None,
+                allow_pad: bool = True,
+                defer_restore: bool = False) -> tuple[FusionPlan, list[Gate]]:
+    """Shift several items at once with as few fused cascades as possible.
+
+    The unitary equals the ordered product of the per-item cascades over every
+    member, including the borrowed zero slots in ``plan.pads`` (unless the
+    restore is deferred, which leaves the data register permuted).
+    """
+    plan = plan_fusion(patterns, layout.m, zero_slots=zero_slots, policy=policy,
+                       allow_pad=allow_pad,
+                       core_cost=layout.n - (amount.bit_length() - 1))
+    core = lambda pat: shift_cascade(pat, direction, amount, layout)
+    return plan, _emit_plan(plan, core, layout, defer_restore=defer_restore)
 
 
 def delete_rows_plan(rows, layout: RegisterLayout,
@@ -223,33 +209,36 @@ def delete_rows_plan(rows, layout: RegisterLayout,
                        core_cost=1, register="matrix")
 
 
-def delete_gates(data_pattern: str, rows, layout: RegisterLayout,
-                 policy: FixedIndexPolicy | None = None) -> Circuit:
-    """Flip the delete qubit for one data pattern on each listed row.
+def delete_group(patterns: list[str], rows, layout: RegisterLayout,
+                 policy: FixedIndexPolicy | None = None) -> tuple[FusionPlan, list[Gate]]:
+    """Flip the delete qubit for every data pattern on each listed row.
 
-    Reducible row sets collapse to a single gate; irreducible power-of-two
-    sets are wrapped in a row permutation; other sizes use a cube cover.
+    The data patterns are covered by disjoint cubes; each cube gets one copy
+    of the row set's plan, which collapses reducible row sets to one gate,
+    wraps irreducible power-of-two sets in a row permutation and covers other
+    sizes by cubes.
     """
-    if not rows:
-        return Circuit(layout.total)
     plan = delete_rows_plan(rows, layout, policy)
     gates: list[Gate] = []
-    for sub in plan.subgroups:
-        core = [mcx(layout.full_pattern(data=data_pattern, matrix=sub.control_pattern),
-                    layout.del_qubit)]
-        gates.extend(_wrap(core, sub, layout, "matrix"))
-    return Circuit(layout.total, tuple(gates))
+    for cube in _greedy_cubes(sorted(patterns)):
+        gates += _emit_plan(plan, lambda pat, c=cube: [delete_flip(layout, c, pat)], layout)
+    return plan, gates
 
 
-def insert_gates(data_pattern: str, rows, layout: RegisterLayout,
-                 policy: FixedIndexPolicy | None = None) -> Circuit:
-    """Insert one item into the listed rows: delete everywhere, then un-delete.
+def insert_stage(row_groups: list[tuple[tuple[int, ...], list[str]]],
+                 layout: RegisterLayout,
+                 policy: FixedIndexPolicy | None = None) -> list[Gate]:
+    """Insert items into their rows: delete everywhere, then un-delete.
 
-    The leading gate flips the delete qubit with no matrix controls; the
-    trailing deletes flip it back on the wanted rows.
+    ``row_groups`` pairs each row set with the data patterns inserted there.
+    The leading gates flip the delete qubit with no matrix controls, one per
+    cube of all the patterns; each row group's delete flips it back on its
+    rows.
     """
-    if not rows:
-        return Circuit(layout.total)
-    all_rows = mcx(layout.full_pattern(data=data_pattern), layout.del_qubit)
-    tail = delete_gates(data_pattern, rows, layout, policy)
-    return Circuit(layout.total, (all_rows,) + tail.gates)
+    if not row_groups:
+        return []
+    patterns = sorted(p for _, pats in row_groups for p in pats)
+    gates = [delete_flip(layout, cube) for cube in _greedy_cubes(patterns)]
+    for rows, pats in row_groups:
+        gates += delete_group(pats, rows, layout, policy)[1]
+    return gates

@@ -108,11 +108,6 @@ class SignVector:
 
 
 @dataclass(frozen=True)
-class Subnormalization:
-    alpha: float
-
-
-@dataclass(frozen=True)
 class PlanItem:
     """Shift / delete / insert schedule for one data item."""
 
@@ -290,13 +285,6 @@ def plan_operations(matrix: SparseMatrix, data: DataVector | None = None,
     if data is not None and extracted.items != data.items:
         raise BadInput("data vector does not match this matrix")
     return plan
-
-
-def subnormalization(data: DataVector) -> Subnormalization:
-    """Scaling factor: the plain sum of the item magnitudes."""
-    if data.s == 0:
-        raise BadInput("empty data vector")
-    return Subnormalization(data.alpha)
 
 
 def reconstruct(plan: OperationPlan) -> np.ndarray:

@@ -31,65 +31,60 @@ from .errors import BadGate, BadInput, TooLarge
 
 MAX_SIM_QUBITS = 12
 
-GATE_KINDS = ("x", "mcx", "ry", "phase", "swap")
+GATE_KINDS = ("x", "mcx", "ry", "phase")
 
 
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Register split: m data qubits, del_count delete qubits, n matrix qubits."""
+    """Register split: m data qubits, one delete qubit, n matrix qubits."""
 
     m: int
     n: int
-    del_count: int = 1
 
     def __post_init__(self):
-        if self.m < 0 or self.n < 0 or self.del_count not in (0, 1):
-            raise BadInput(f"invalid layout m={self.m} n={self.n} del={self.del_count}")
+        if self.m < 0 or self.n < 0:
+            raise BadInput(f"invalid layout m={self.m} n={self.n}")
 
     @property
     def total(self) -> int:
-        return self.m + self.del_count + self.n
-
-    @property
-    def flag_count(self) -> int:
-        return self.m + self.del_count
+        return self.m + 1 + self.n
 
     @property
     def data_qubits(self) -> tuple[int, ...]:
         return tuple(range(self.m))
 
     @property
-    def del_qubit(self) -> int | None:
-        return self.m if self.del_count else None
+    def del_qubit(self) -> int:
+        return self.m
 
     @property
     def matrix_qubits(self) -> tuple[int, ...]:
-        return tuple(range(self.m + self.del_count, self.total))
+        return tuple(range(self.m + 1, self.total))
 
     @property
     def block_dim(self) -> int:
         return 1 << self.n
 
-    def full_pattern(self, data: str | None = None, matrix: str | None = None,
-                     del_: str | None = None) -> str:
-        """Assemble a full-width pattern from per-register pieces (None -> all X)."""
+    def full_pattern(self, data: str | None = None, matrix: str | None = None) -> str:
+        """Full-width pattern from the data and matrix pieces (None -> all X).
+
+        The delete qubit is never a control.
+        """
         d = data if data is not None else "X" * self.m
-        e = del_ if del_ is not None else "X" * self.del_count
         j = matrix if matrix is not None else "X" * self.n
-        if len(d) != self.m or len(e) != self.del_count or len(j) != self.n:
+        if len(d) != self.m or len(j) != self.n:
             raise BadInput("register pattern length mismatch")
-        return d + e + j
+        return d + "X" + j
 
 
 @dataclass(frozen=True)
 class Gate:
-    """One primitive gate; construct via the mcx/x/ry/phase/swap helpers."""
+    """One primitive gate; construct via the mcx/x/ry/phase helpers."""
 
     kind: str
     target: int = -1
     pattern: str | None = None
     angle: float = 0.0
-    pair: tuple[int, int] | None = None
 
 
 def mcx(pattern: str, target: int) -> Gate:
@@ -108,10 +103,6 @@ def phase(angle: float, target: int, pattern: str | None = None) -> Gate:
     return Gate("phase", target=target, pattern=pattern, angle=float(angle))
 
 
-def swap(qa: int, qb: int, pattern: str | None = None) -> Gate:
-    return Gate("swap", pattern=pattern, pair=(qa, qb))
-
-
 def validate_gate(gate: Gate, width: int) -> None:
     """Raise BadGate if the gate cannot act on a width-qubit circuit."""
     if gate.kind not in GATE_KINDS:
@@ -119,13 +110,6 @@ def validate_gate(gate: Gate, width: int) -> None:
     if gate.pattern is not None:
         if len(gate.pattern) != width or any(c not in "01X" for c in gate.pattern):
             raise BadGate(f"bad pattern {gate.pattern!r} for width {width}")
-    if gate.kind == "swap":
-        qa, qb = gate.pair
-        if not (0 <= qa < width and 0 <= qb < width) or qa == qb:
-            raise BadGate(f"bad swap qubits {gate.pair}")
-        if gate.pattern is not None and (gate.pattern[qa] != "X" or gate.pattern[qb] != "X"):
-            raise BadGate("swap qubits must be free in the pattern")
-        return
     if not 0 <= gate.target < width:
         raise BadGate(f"target {gate.target} out of range for width {width}")
     if gate.pattern is not None and gate.pattern[gate.target] != "X":
@@ -193,15 +177,6 @@ def apply_gate(state: np.ndarray, gate: Gate, width: int) -> None:
         tbit = 1 << (width - 1 - gate.target)
         i1 = idx[matched & ((idx & tbit) != 0)]
         state[i1] = state[i1] * np.exp(1j * gate.angle)
-    elif gate.kind == "swap":
-        qa, qb = gate.pair
-        abit = 1 << (width - 1 - qa)
-        bbit = 1 << (width - 1 - qb)
-        sel = idx[matched & ((idx & abit) != 0) & ((idx & bbit) == 0)]
-        if len(sel) == 0:
-            return
-        other = (sel ^ abit) | bbit
-        state[np.concatenate([sel, other])] = state[np.concatenate([other, sel])]
     else:  # pragma: no cover - guarded by validate_gate
         raise BadGate(gate.kind)
 
@@ -235,7 +210,7 @@ def unitarity_residual(u: np.ndarray) -> float:
 def inverse_gate(gate: Gate) -> Gate:
     if gate.kind in ("ry", "phase"):
         return replace(gate, angle=-gate.angle)
-    return gate  # x / mcx / swap are self-inverse
+    return gate  # x / mcx are self-inverse
 
 
 def inverse_circuit(circuit: Circuit) -> Circuit:
@@ -243,13 +218,11 @@ def inverse_circuit(circuit: Circuit) -> Circuit:
     return Circuit(circuit.n_qubits, gates, circuit.layout, -circuit.global_phase)
 
 
-def embed_gates(gates, width: int, qubit_map: dict[int, int] | list[int]):
+def embed_gates(gates, width: int, qubit_map: list[int]):
     """Remap gates from a subregister into a wider circuit.
 
-    qubit_map maps local qubit index -> global qubit index.
+    qubit_map[i] is the global qubit index of local qubit i.
     """
-    if not isinstance(qubit_map, dict):
-        qubit_map = {i: q for i, q in enumerate(qubit_map)}
     out = []
     for g in gates:
         pattern = None
@@ -259,12 +232,7 @@ def embed_gates(gates, width: int, qubit_map: dict[int, int] | list[int]):
                 if ch != "X":
                     chars[qubit_map[pos]] = ch
             pattern = "".join(chars)
-        if g.kind == "swap":
-            out.append(Gate("swap", pattern=pattern,
-                            pair=(qubit_map[g.pair[0]], qubit_map[g.pair[1]])))
-        else:
-            out.append(Gate(g.kind, target=qubit_map[g.target], pattern=pattern,
-                            angle=g.angle))
+        out.append(Gate(g.kind, target=qubit_map[g.target], pattern=pattern, angle=g.angle))
     return out
 
 
@@ -291,8 +259,6 @@ def _gate_line(g: Gate) -> str:
     if g.kind in ("ry", "phase"):
         head = f"{g.kind}({g.angle!r})"
         return " ".join(p for p in (head, ctrl, f"q{g.target}") if p)
-    if g.kind == "swap":
-        return " ".join(p for p in ("swap", ctrl, f"q{g.pair[0]}", f"q{g.pair[1]}") if p)
     raise BadGate(g.kind)  # pragma: no cover
 
 
@@ -373,8 +339,6 @@ def _parse_gate_line(toks: list[str], width: int) -> Gate:
         kind = head[:head.index("(")]
         angle = float(head[head.index("(") + 1:-1])
         return Gate(kind, target=int(rest[0][1:]), pattern=pattern, angle=angle)
-    if head == "swap":
-        return swap(int(rest[0][1:]), int(rest[1][1:]), pattern)
     raise BadInput(f"cannot parse gate line {' '.join(toks)!r}")
 
 
@@ -393,11 +357,7 @@ def export_json(circuit: Circuit, metadata: dict | None = None) -> str:
 
 
 def _gate_dict(g: Gate) -> dict:
-    d: dict = {"kind": g.kind}
-    if g.kind == "swap":
-        d["qubits"] = list(g.pair)
-    else:
-        d["target"] = g.target
+    d: dict = {"kind": g.kind, "target": g.target}
     if g.pattern is not None:
         d["pattern"] = g.pattern
     if g.kind in ("ry", "phase"):
@@ -414,10 +374,9 @@ def import_json(text: str) -> tuple[Circuit, dict]:
         layout = RegisterLayout(doc["layout"]["m"], doc["layout"]["n"])
     gates = []
     for d in doc["gates"]:
-        if d["kind"] == "swap":
-            gates.append(swap(d["qubits"][0], d["qubits"][1], d.get("pattern")))
-        else:
-            gates.append(Gate(d["kind"], target=d["target"], pattern=d.get("pattern"),
-                              angle=d.get("angle", 0.0)))
+        if d.get("kind") not in GATE_KINDS:
+            raise BadInput(f"unknown gate kind {d.get('kind')!r}")
+        gates.append(Gate(d["kind"], target=d["target"], pattern=d.get("pattern"),
+                          angle=d.get("angle", 0.0)))
     circ = Circuit(doc["qubits"], tuple(gates), layout, doc.get("global_phase", 0.0))
     return circ, doc.get("metadata", {})

@@ -25,19 +25,6 @@ def basis_swap(a: str, b: str) -> Gate:
     return mcx(pattern, target)
 
 
-@dataclass(frozen=True)
-class PermutationSpec:
-    """A bijection to realize on one register's basis states."""
-
-    phi: Bijection
-    register: str = "data"  # bookkeeping tag only
-
-    @property
-    def settled(self) -> frozenset[str]:
-        """States already in their target position before any swap."""
-        return frozenset(s for s, t in self.phi.pairs if s == t)
-
-
 @dataclass
 class RoutingPlan:
     """Swap schedule realizing a bijection, with bookkeeping for stats."""
@@ -155,13 +142,13 @@ def route_permutation(phi: Bijection) -> RoutingPlan:
     return plan
 
 
-def permute_circuit(spec: PermutationSpec) -> Circuit:
+def permute_circuit(phi: Bijection) -> Circuit:
     """Circuit whose unitary is a permutation matrix agreeing with phi.
 
     Every source column carries its amplitude to the mapped target; states
     outside the sources are permuted among the leftover positions.
     """
-    plan = route_permutation(spec.phi)
+    plan = route_permutation(phi)
     gates = tuple(basis_swap(a, b) for a, b in plan.swaps)
     return Circuit(plan.width, gates)
 

@@ -5,6 +5,13 @@ direction and power of two), then deletions, then insertions, then the
 adjoint loader.  Gates within the shift stage commute, as do all gates
 targeting the delete qubit, so the grouping never changes the unitary; it
 only changes how many gates realize it.
+
+Every index-map gate comes from ``index_map``: ``shift_group`` per shift,
+``delete_group`` per delete row set and ``insert_stage`` for all inserts.
+The assembler here groups the plan items, tracks the data permutation a
+deferred restore leaves behind, and records per-group statistics.  The
+unfused per-item gates of ``--naive`` are built only under that flag; the
+naive MCX count every compile reports is summed from the group statistics.
 """
 
 from __future__ import annotations
@@ -14,10 +21,10 @@ from dataclasses import dataclass, field, replace
 
 from .assignment import Bijection, FixedIndexPolicy, hamming
 from .errors import BadInput
-from .index_map import FusionPlan, _cascade_gates, _greedy_cubes, _wrap, delete_rows_plan, plan_fusion
+from .index_map import delete_flip, delete_group, insert_stage, shift_cascade, shift_group
 from .ingest import DataVector, OperationPlan, SignVector, SparseMatrix, analyze
-from .ir import Circuit, Gate, RegisterLayout, embed_gates, mcx
-from .permute import PermutationSpec, permute_circuit
+from .ir import Circuit, Gate, RegisterLayout, embed_gates
+from .permute import permute_circuit
 from .state_prep import synthesize_prep, synthesize_unprep
 
 log = logging.getLogger("blockenc.pipeline")
@@ -66,22 +73,27 @@ def _shift_group_order(plan: OperationPlan) -> list[tuple[str, int, list]]:
     return [(d, p, groups[(d, p)]) for d, p in ordered]
 
 
-def _delete_groups(items) -> list[tuple[tuple[int, ...], list]]:
-    """Items sharing an identical deletion row set fuse into one group."""
+def _row_groups(items, rows_field: str) -> list[tuple[tuple[int, ...], list]]:
+    """Items sharing an identical delete or insert row set fuse into one group."""
     groups: dict[tuple[int, ...], list] = {}
     for it in items:
-        groups.setdefault(it.delete_rows, []).append(it)
+        groups.setdefault(getattr(it, rows_field), []).append(it)
     return sorted(groups.items(), key=lambda kv: min(i.index for i in kv[1]))
 
 
-def _cube_patterns(items, width: int) -> list[str]:
-    if width == 0:
-        return [""]
-    return _greedy_cubes(sorted(it.pattern for it in items))
+def _unfused_flips(patterns: list[str], rows, layout: RegisterLayout) -> list[Gate]:
+    """One delete-qubit flip per (pattern, row): the naive baseline of a row group."""
+    return [delete_flip(layout, p, format(r, f"0{layout.n}b"))
+            for p in patterns for r in sorted(rows)]
 
 
 class _Assembler:
-    """Builds the index-mapping gates plus per-group statistics."""
+    """Collects the index-map stages' gates and per-group statistics.
+
+    The gates come from ``index_map``; this class tracks where unrestored
+    permutations left the data states (deferred restore) and, under
+    ``config.naive``, also builds the unfused per-item gates.
+    """
 
     def __init__(self, plan: OperationPlan, data: DataVector, layout: RegisterLayout,
                  config: CompileConfig):
@@ -119,27 +131,10 @@ class _Assembler:
                 self.cur[ob] = sa
                 inv[sa] = ob
 
-    def _emit_fused(self, fp: FusionPlan, core_builder) -> tuple[int, list[int]]:
-        """Append a fusion plan's gates; returns (mcx_count, core data widths)."""
-        count = 0
-        widths = []
-        for sub in fp.subgroups:
-            core = core_builder(sub.control_pattern)
-            widths.append(sum(c != "X" for c in sub.control_pattern))
-            if self.config.defer_restore and sub.permute is not None and fp.register == "data":
-                fwd = embed_gates(sub.permute.gates, self.layout.total,
-                                  list(self.layout.data_qubits))
-                self.gates.extend(fwd)
-                self.gates.extend(core)
-                self._apply_permute(sub.permute)
-                count += len(fwd) + len(core)
-                self.permute_count += len(fwd)
-            else:
-                wrapped = _wrap(core, sub, self.layout, fp.register)
-                self.gates.extend(wrapped)
-                count += len(wrapped)
-                self.permute_count += len(wrapped) - len(core)
-        return count, widths
+    def _add_row_gates(self, gates: list[Gate]) -> None:
+        """Append delete/insert gates; all but the delete-qubit flips permute rows."""
+        self.gates += gates
+        self.permute_count += sum(g.target != self.layout.del_qubit for g in gates)
 
     # -- stages --------------------------------------------------------------
 
@@ -149,24 +144,31 @@ class _Assembler:
             k = power.bit_length() - 1
             patterns = sorted(self.cur[it.pattern] for it in members)
             slots_now = tuple(sorted(self.cur[s] for s in self.slots))
-            fp = plan_fusion(patterns, m, zero_slots=slots_now,
-                             policy=self.config.data_policy,
-                             allow_pad=self.config.zero_pad, core_cost=n - k)
-            builder = lambda pat, d=direction, p=power: _cascade_gates(pat, d, p, self.layout)
-            fused_count, widths = self._emit_fused(fp, builder)
+            fp, gates = shift_group(patterns, direction, power, self.layout,
+                                    zero_slots=slots_now, policy=self.config.data_policy,
+                                    allow_pad=self.config.zero_pad,
+                                    defer_restore=self.config.defer_restore)
+            self.gates += gates
+            self.permute_count += len(gates) - len(fp.subgroups) * (n - k)
+            if self.config.defer_restore:
+                for sub in fp.subgroups:
+                    if sub.permute is not None:
+                        self._apply_permute(sub.permute)
             log.debug("shift %s%d: %d members, %s, %d gates",
-                      direction, power, len(patterns) + len(fp.pads), fp.mode, fused_count)
+                      direction, power, len(patterns) + len(fp.pads), fp.mode, len(gates))
             naive_members = patterns + list(fp.pads)
-            for pat in naive_members:
-                self.naive_gates.extend(_cascade_gates(pat, direction, power, self.layout))
+            if self.config.naive:
+                for pat in naive_members:
+                    self.naive_gates += shift_cascade(pat, direction, power, self.layout)
             self.shift_groups.append({
                 "op": f"{direction}{power}",
                 "items": [it.index for it in sorted(members, key=lambda i: i.index)],
                 "pads": [self._slot_index(p) for p in fp.pads],
                 "mode": fp.mode,
-                "fused_mcx": fused_count,
+                "fused_mcx": len(gates),
                 "naive_mcx": len(naive_members) * (n - k),
-                "fused_data_width": max(widths) if widths else 0,
+                "fused_data_width": max(sum(c != "X" for c in sub.control_pattern)
+                                        for sub in fp.subgroups),
                 "naive_data_width": m,
             })
 
@@ -178,27 +180,18 @@ class _Assembler:
 
     def deletes(self) -> None:
         items = [it for it in self.plan.items if it.mode == "delete" and it.delete_rows]
-        for rows, members in _delete_groups(items):
-            row_plan = delete_rows_plan(rows, self.layout, self.config.matrix_policy)
-            fused_count = 0
-            for cube in _cube_patterns([replace(it, pattern=self.cur[it.pattern])
-                                        for it in members], self.layout.m):
-                builder = lambda pat, c=cube: [
-                    mcx(self.layout.full_pattern(data=c, matrix=pat),
-                        self.layout.del_qubit)]
-                count, _ = self._emit_fused(row_plan, builder)
-                fused_count += count
-            for it in members:
-                for r in sorted(rows):
-                    self.naive_gates.append(
-                        mcx(self.layout.full_pattern(data=self.cur[it.pattern],
-                                                     matrix=format(r, f"0{self.layout.n}b")),
-                            self.layout.del_qubit))
+        for rows, members in _row_groups(items, "delete_rows"):
+            patterns = [self.cur[it.pattern] for it in members]
+            row_plan, gates = delete_group(patterns, rows, self.layout,
+                                           self.config.matrix_policy)
+            self._add_row_gates(gates)
+            if self.config.naive:
+                self.naive_gates += _unfused_flips(patterns, rows, self.layout)
             self.delete_groups.append({
                 "rows": list(rows),
                 "items": [it.index for it in members],
                 "mode": row_plan.mode,
-                "fused_mcx": fused_count,
+                "fused_mcx": len(gates),
                 "naive_mcx": len(members) * len(rows),
             })
 
@@ -206,37 +199,21 @@ class _Assembler:
         items = [it for it in self.plan.items if it.mode == "insert" and it.insert_rows]
         if not items:
             return
-        fused_count = 0
-        current = [replace(it, pattern=self.cur[it.pattern]) for it in items]
-        for cube in _cube_patterns(current, self.layout.m):
-            self.gates.append(mcx(self.layout.full_pattern(data=cube),
-                                  self.layout.del_qubit))
-            fused_count += 1
-        for it in current:
-            self.naive_gates.append(mcx(self.layout.full_pattern(data=it.pattern),
-                                        self.layout.del_qubit))
-        row_stats = []
-        for rows, members in _delete_groups(
-                [replace(it, delete_rows=it.insert_rows) for it in current]):
-            row_plan = delete_rows_plan(rows, self.layout, self.config.matrix_policy)
-            for cube in _cube_patterns(members, self.layout.m):
-                builder = lambda pat, c=cube: [
-                    mcx(self.layout.full_pattern(data=c, matrix=pat),
-                        self.layout.del_qubit)]
-                count, _ = self._emit_fused(row_plan, builder)
-                fused_count += count
-            for it in members:
-                for r in sorted(rows):
-                    self.naive_gates.append(
-                        mcx(self.layout.full_pattern(data=it.pattern,
-                                                     matrix=format(r, f"0{self.layout.n}b")),
-                            self.layout.del_qubit))
-            row_stats.append({"rows": list(rows), "count": len(members)})
+        row_groups = [(rows, [self.cur[it.pattern] for it in members])
+                      for rows, members in _row_groups(items, "insert_rows")]
+        gates = insert_stage(row_groups, self.layout, self.config.matrix_policy)
+        self._add_row_gates(gates)
+        if self.config.naive:
+            self.naive_gates += [delete_flip(self.layout, self.cur[it.pattern])
+                                 for it in items]
+            for rows, patterns in row_groups:
+                self.naive_gates += _unfused_flips(patterns, rows, self.layout)
         self.insert_stats = {
             "items": [it.index for it in items],
-            "fused_mcx": fused_count,
+            "fused_mcx": len(gates),
             "naive_mcx": len(items) + sum(len(it.insert_rows) for it in items),
-            "row_groups": row_stats,
+            "row_groups": [{"rows": list(rows), "count": len(patterns)}
+                           for rows, patterns in row_groups],
         }
 
     def restore(self) -> None:
@@ -250,7 +227,7 @@ class _Assembler:
         if all(a == b for a, b in pairs):
             return
         cost = sum(hamming(a, b) for a, b in pairs)
-        circ = permute_circuit(PermutationSpec(Bijection(pairs, cost)))
+        circ = permute_circuit(Bijection(pairs, cost))
         emitted = embed_gates(circ.gates, self.layout.total, list(self.layout.data_qubits))
         self.gates.extend(emitted)
         self.permute_count += len(emitted)
@@ -298,7 +275,8 @@ def _build_stats(circuit: Circuit, asm: _Assembler, data: DataVector,
             widths[w] = widths.get(w, 0) + 1
     prep_gates = len(circuit.gates) - len(asm.naive_gates if config.naive else asm.gates)
     fused_mcx = len(asm.gates)
-    naive_mcx = len(asm.naive_gates)
+    naive_mcx = (sum(g["naive_mcx"] for g in asm.shift_groups + asm.delete_groups)
+                 + asm.insert_stats.get("naive_mcx", 0))
     return {
         "alpha": data.alpha,
         "qubits": circuit.n_qubits,

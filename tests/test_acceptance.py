@@ -16,7 +16,7 @@ from blockenc.demo import random_tridiagonal, structured32, tridiagonal
 from blockenc.ingest import SparseMatrix
 from blockenc.ir import Circuit, circuit_unitary, unitarity_residual
 from blockenc.mcx import ControlSet, is_reducible, reduce_composition
-from blockenc.permute import PermutationSpec, permute_circuit, permute_inverse
+from blockenc.permute import permute_circuit, permute_inverse
 from blockenc.pipeline import CompileConfig, compile_matrix
 from blockenc.state_prep import prep_target, synthesize_prep
 from blockenc.verify import extract_block, verify
@@ -189,7 +189,7 @@ def test_criterion_5_permutation_contract():
         rt = [rt[i] for i in rng.permutation(len(rt))]
         pairs = tuple(sorted([(c, c) for c in common] + list(zip(rs, rt))))
         phi = Bijection(pairs, sum(hamming(a, b) for a, b in pairs))
-        circ = permute_circuit(PermutationSpec(phi))
+        circ = permute_circuit(phi)
         u = circuit_unitary(circ)
         assert_permutation_matrix(u.real)
         for a, b in pairs:
@@ -242,7 +242,7 @@ def test_criterion_7_diagonal_form():
 
 def test_criterion_8_property_suites():
     rng = np.random.default_rng(8)
-    from blockenc.index_map import ShiftOp, delete_gates, shift_gates
+    from blockenc.index_map import delete_group, shift_cascade
     from blockenc.ir import RegisterLayout
 
     # opposite shifts cancel
@@ -251,9 +251,9 @@ def test_criterion_8_property_suites():
         lay = RegisterLayout(m_q, n_q)
         pattern = format(int(rng.integers(0, 1 << m_q)), f"0{m_q}b")
         amount = 1 << int(rng.integers(0, n_q))
-        left = shift_gates(ShiftOp(pattern, "L", amount), lay)
-        right = shift_gates(ShiftOp(pattern, "R", amount), lay)
-        u = circuit_unitary(Circuit(lay.total, left.gates + right.gates))
+        left = shift_cascade(pattern, "L", amount, lay)
+        right = shift_cascade(pattern, "R", amount, lay)
+        u = circuit_unitary(Circuit(lay.total, tuple(left + right)))
         assert np.array_equal(u, np.eye(1 << lay.total))
 
     # deleting twice restores the delete qubit
@@ -261,8 +261,8 @@ def test_criterion_8_property_suites():
         lay = RegisterLayout(1, 3)
         rows = set(int(v) for v in rng.choice(8, size=int(rng.integers(1, 9)),
                                               replace=False))
-        circ = delete_gates(str(rng.integers(0, 2)), rows, lay)
-        u = circuit_unitary(Circuit(lay.total, circ.gates + circ.gates))
+        _, gates = delete_group([str(rng.integers(0, 2))], rows, lay)
+        u = circuit_unitary(Circuit(lay.total, tuple(gates + gates)))
         assert np.array_equal(u, np.eye(1 << lay.total))
 
     # loader amplitudes match the target componentwise

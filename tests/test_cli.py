@@ -4,7 +4,9 @@ import pytest
 
 from blockenc.cli import main
 from blockenc.demo import tridiagonal
+from blockenc.errors import BlockencError
 from blockenc.ingest import save_matrix
+from blockenc.ir import import_json, import_text
 
 
 @pytest.fixture
@@ -111,3 +113,16 @@ def test_bad_matrix_file_errors(tmp_path, capsys):
     code = main(["compile", "--in", str(bad), "--out", str(tmp_path / "c.ir")])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_export_rejects_swap_gates(tmp_path, capsys):
+    text = "blockenc-ir v1\nqubits 2\nswap q0 q1\n"
+    doc = json.dumps({"format": "blockenc-ir", "version": 1, "qubits": 2,
+                      "gates": [{"kind": "swap", "qubits": [0, 1]}]})
+    for importer, body, suffix in ((import_text, text, ".ir"), (import_json, doc, ".json")):
+        with pytest.raises(BlockencError):
+            importer(body)
+        src = tmp_path / f"swap{suffix}"
+        src.write_text(body)
+        assert main(["export", "--in", str(src), "--out", str(tmp_path / "out.ir")]) == 2
+        assert "error" in capsys.readouterr().err

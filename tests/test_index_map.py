@@ -2,32 +2,40 @@ import numpy as np
 import pytest
 
 from blockenc.errors import BadShift
-from blockenc.index_map import (ShiftOp, combined_shift, delete_gates,
-                                insert_gates, plan_fusion, shift_gates)
+from blockenc.index_map import (delete_group, insert_stage, shift_cascade,
+                                shift_group)
 from blockenc.ir import Circuit, RegisterLayout, circuit_unitary
-from blockenc.mcx import ControlSet
 
 from conftest import assert_permutation_matrix
 
 
-def _matrix_action(circuit, layout, data_value):
-    """Permutation the circuit applies to the matrix register for one item."""
-    u = circuit_unitary(circuit)
+def _unitary(gates, layout):
+    return circuit_unitary(Circuit(layout.total, tuple(gates)))
+
+
+def _separate(patterns, direction, amount, layout):
+    """Per-item cascades, one after another."""
+    return [g for pat in patterns for g in shift_cascade(pat, direction, amount, layout)]
+
+
+def _matrix_action(gates, layout, data_value):
+    """Permutation the gates apply to the matrix register for one item."""
+    u = _unitary(gates, layout)
     dim = layout.block_dim
-    base = data_value << (layout.n + layout.del_count)
+    base = data_value << (layout.n + 1)
     out = {}
     for j in range(dim):
         col = u[:, base + j]
         row = int(np.argmax(np.abs(col)))
         assert np.isclose(abs(col[row]), 1)
-        assert row >> (layout.n + layout.del_count) == data_value
+        assert row >> (layout.n + 1) == data_value
         out[j] = row & (dim - 1)
     return out
 
 
 def test_left_shift_by_one_increments_rows():
     lay = RegisterLayout(1, 3)
-    circ = shift_gates(ShiftOp("0", "L", 1), lay)
+    circ = shift_cascade("0", "L", 1, lay)
     act = _matrix_action(circ, lay, 0)
     assert act == {j: (j + 1) % 8 for j in range(8)}
     # unselected item untouched
@@ -36,32 +44,28 @@ def test_left_shift_by_one_increments_rows():
 
 def test_right_shift_by_one_decrements_rows():
     lay = RegisterLayout(1, 3)
-    act = _matrix_action(shift_gates(ShiftOp("1", "R", 1), lay), lay, 1)
+    act = _matrix_action(shift_cascade("1", "R", 1, lay), lay, 1)
     assert act == {j: (j - 1) % 8 for j in range(8)}
 
 
 def test_shift_amounts_compose_cyclically():
     lay = RegisterLayout(0, 3)
-    c1 = shift_gates(ShiftOp("", "L", 1), lay)
-    c2 = shift_gates(ShiftOp("", "L", 2), lay)
-    both = Circuit(lay.total, c1.gates + c2.gates)
+    both = shift_cascade("", "L", 1, lay) + shift_cascade("", "L", 2, lay)
     act = _matrix_action(both, lay, 0)
     assert act == {j: (j + 3) % 8 for j in range(8)}
 
 
 def test_left_then_right_is_identity():
     lay = RegisterLayout(2, 3)
-    left = shift_gates(ShiftOp("01", "L", 2), lay)
-    right = shift_gates(ShiftOp("01", "R", 2), lay)
-    u = circuit_unitary(Circuit(lay.total, left.gates + right.gates))
+    u = _unitary(shift_cascade("01", "L", 2, lay) + shift_cascade("01", "R", 2, lay), lay)
     assert np.array_equal(u, np.eye(1 << lay.total))
 
 
 def test_half_dimension_shift_single_gate():
     lay = RegisterLayout(1, 3)
-    circ = shift_gates(ShiftOp("1", "L", 4), lay)
+    circ = shift_cascade("1", "L", 4, lay)
     assert len(circ) == 1
-    gate = circ.gates[0]
+    gate = circ[0]
     assert gate.target == lay.matrix_qubits[0]
     assert gate.pattern[lay.matrix_qubits[1]] == "X"
     act = _matrix_action(circ, lay, 1)
@@ -71,14 +75,14 @@ def test_half_dimension_shift_single_gate():
 def test_shift_amount_out_of_range():
     lay = RegisterLayout(1, 2)
     with pytest.raises(BadShift):
-        shift_gates(ShiftOp("0", "L", 4), lay)
+        shift_cascade("0", "L", 4, lay)
     with pytest.raises(BadShift):
-        shift_gates(ShiftOp("0", "L", 3), lay)  # not a power of two
+        shift_cascade("0", "L", 3, lay)  # not a power of two
 
 
-def _del_flips(circuit, layout):
+def _del_flips(gates, layout):
     """(data, row) pairs whose delete flag ends up set."""
-    u = circuit_unitary(circuit)
+    u = _unitary(gates, layout)
     flips = set()
     for d in range(1 << layout.m):
         for j in range(layout.block_dim):
@@ -92,118 +96,114 @@ def _del_flips(circuit, layout):
 
 def test_delete_single_row():
     lay = RegisterLayout(2, 3)
-    circ = delete_gates("01", {0}, lay)
+    _, circ = delete_group(["01"], {0}, lay)
     assert len(circ) == 1
     assert _del_flips(circ, lay) == {(1, 0)}
 
 
 def test_delete_reducible_rows_single_gate():
     lay = RegisterLayout(2, 3)
-    circ = delete_gates("01", {0, 1}, lay)
+    _, circ = delete_group(["01"], {0, 1}, lay)
     assert len(circ) == 1
     assert _del_flips(circ, lay) == {(1, 0), (1, 1)}
 
 
 def test_delete_all_rows_data_controls_only():
     lay = RegisterLayout(2, 2)
-    circ = delete_gates("10", range(4), lay)
+    _, circ = delete_group(["10"], range(4), lay)
     assert len(circ) == 1
-    gate = circ.gates[0]
+    gate = circ[0]
     assert all(gate.pattern[q] == "X" for q in lay.matrix_qubits)
     assert _del_flips(circ, lay) == {(2, j) for j in range(4)}
 
 
 def test_delete_irreducible_rows_permute_wrapped():
     lay = RegisterLayout(1, 3)
-    circ = delete_gates("1", {0, 1, 4, 7}, lay)
+    plan, circ = delete_group(["1"], {0, 1, 4, 7}, lay)
+    assert plan.mode == "permute"
     flips = _del_flips(circ, lay)
     assert flips == {(1, 0), (1, 1), (1, 4), (1, 7)}
     # one fused delete plus permutation and restore
-    kinds = [g.target for g in circ.gates]
+    kinds = [g.target for g in circ]
     assert kinds.count(lay.del_qubit) == 1
     assert len(circ) > 1
 
 
 def test_delete_involution():
     lay = RegisterLayout(1, 3)
-    circ = delete_gates("1", {0, 2, 3, 6, 7}, lay)
-    u = circuit_unitary(Circuit(lay.total, circ.gates + circ.gates))
+    _, circ = delete_group(["1"], {0, 2, 3, 6, 7}, lay)
+    u = _unitary(circ + circ, lay)
     assert np.array_equal(u, np.eye(1 << lay.total))
 
 
 def test_delete_cube_cover_for_ragged_rows():
     lay = RegisterLayout(1, 5)
-    circ = delete_gates("0", range(10), lay)
+    _, circ = delete_group(["0"], range(10), lay)
     assert len(circ) == 2  # one 8-row cube plus one 2-row cube
     assert _del_flips(circ, lay) == {(0, j) for j in range(10)}
 
 
 def test_insert_is_complement_of_delete():
     lay = RegisterLayout(2, 3)
-    circ = insert_gates("11", {5}, lay)
+    circ = insert_stage([((5,), ["11"])], lay)
     assert _del_flips(circ, lay) == {(3, j) for j in range(8) if j != 5}
 
 
 def test_insert_all_rows_two_cancelling_gates():
     lay = RegisterLayout(1, 2)
-    circ = insert_gates("0", range(4), lay)
+    circ = insert_stage([(tuple(range(4)), ["0"])], lay)
     assert len(circ) == 2
-    assert np.array_equal(circuit_unitary(circ), np.eye(1 << lay.total))
+    assert np.array_equal(_unitary(circ, lay), np.eye(1 << lay.total))
 
 
 def test_combined_shift_adjacent_pair_fuses_directly():
     lay = RegisterLayout(2, 3)
-    circ = combined_shift(ControlSet(2, {"00", "01"}), "L", 1, lay)
+    plan, circ = shift_group(["00", "01"], "L", 1, lay)
+    assert plan.mode == "direct"
     assert len(circ) == 3  # one cascade, no permutation
-    fused = circ.gates[0].pattern
+    fused = circ[0].pattern
     assert fused[0] == "0" and fused[1] == "X"
-    separate = (shift_gates(ShiftOp("00", "L", 1), lay).gates
-                + shift_gates(ShiftOp("01", "L", 1), lay).gates)
-    assert np.array_equal(circuit_unitary(circ),
-                          circuit_unitary(Circuit(lay.total, separate)))
+    assert np.array_equal(_unitary(circ, lay),
+                          _unitary(_separate(["00", "01"], "L", 1, lay), lay))
 
 
 def test_combined_shift_antipodal_pair_needs_permute():
     lay = RegisterLayout(2, 3)
-    circ = combined_shift(ControlSet(2, {"01", "10"}), "L", 1, lay)
+    plan, circ = shift_group(["01", "10"], "L", 1, lay)
+    assert plan.mode == "permute"
     # swap, fused cascade on the even slots, swap back
     assert len(circ) == 5
-    first, last = circ.gates[0], circ.gates[-1]
+    first, last = circ[0], circ[-1]
     assert first == last and first.target == 1 and first.pattern == "0XXXXX"
-    fused = circ.gates[1].pattern
+    fused = circ[1].pattern
     assert fused[0] == "X" and fused[1] == "0"
-    separate = (shift_gates(ShiftOp("01", "L", 1), lay).gates
-                + shift_gates(ShiftOp("10", "L", 1), lay).gates)
-    assert np.array_equal(circuit_unitary(circ),
-                          circuit_unitary(Circuit(lay.total, separate)))
+    assert np.array_equal(_unitary(circ, lay),
+                          _unitary(_separate(["01", "10"], "L", 1, lay), lay))
+    # a deferred restore leaves out the trailing swap
+    _, deferred = shift_group(["01", "10"], "L", 1, lay, defer_restore=True)
+    assert deferred == circ[:-1]
 
 
 def test_combined_shift_pads_with_zero_slot():
     lay = RegisterLayout(3, 3)
-    items = ControlSet(3, {"000", "101", "110"})
-    circ = combined_shift(items, "L", 1, lay, zero_slots=("111",))
+    plan, circ = shift_group(["000", "101", "110"], "L", 1, lay, zero_slots=("111",))
+    assert plan.pads == ("111",)
     # padded to four members: permute + one fused cascade + restore
-    cascades = [g for g in circ.gates
+    cascades = [g for g in circ
                 if any(g.pattern[q] != "X" for q in lay.matrix_qubits)
                 or g.target in lay.matrix_qubits]
     data_widths = {sum(g.pattern[q] != "X" for q in lay.data_qubits) for g in cascades}
     assert data_widths == {1}
-    separate = []
-    for pat in ("000", "101", "110", "111"):
-        separate += shift_gates(ShiftOp(pat, "L", 1), lay).gates
-    assert np.array_equal(circuit_unitary(circ),
-                          circuit_unitary(Circuit(lay.total, separate)))
+    separate = _separate(["000", "101", "110", "111"], "L", 1, lay)
+    assert np.array_equal(_unitary(circ, lay), _unitary(separate, lay))
 
 
 def test_combined_shift_partition_without_slots():
     lay = RegisterLayout(3, 3)
-    items = ControlSet(3, {"000", "101", "110"})
-    circ = combined_shift(items, "L", 1, lay, zero_slots=())
-    separate = []
-    for pat in ("000", "101", "110"):
-        separate += shift_gates(ShiftOp(pat, "L", 1), lay).gates
-    assert np.array_equal(circuit_unitary(circ),
-                          circuit_unitary(Circuit(lay.total, separate)))
+    plan, circ = shift_group(["000", "101", "110"], "L", 1, lay, zero_slots=())
+    assert plan.mode == "partition" and plan.pads == ()
+    separate = _separate(["000", "101", "110"], "L", 1, lay)
+    assert np.array_equal(_unitary(circ, lay), _unitary(separate, lay))
 
 
 def test_combined_shift_equals_product_random(rng):
@@ -213,19 +213,13 @@ def test_combined_shift_equals_product_random(rng):
         lay = RegisterLayout(m_q, n_q)
         size = int(rng.integers(1, (1 << m_q) + 1))
         picks = rng.choice(1 << m_q, size=size, replace=False)
-        items = ControlSet(m_q, frozenset(format(int(v), f"0{m_q}b") for v in picks))
+        items = sorted(format(int(v), f"0{m_q}b") for v in picks)
         direction = str(rng.choice(["L", "R"]))
         amount = 1 << int(rng.integers(0, n_q))
-        spare = sorted(set(format(v, f"0{m_q}b") for v in range(1 << m_q))
-                       - set(items.strings))
-        circ = combined_shift(items, direction, amount, lay,
-                              zero_slots=tuple(spare))
-        u = circuit_unitary(circ)
+        spare = sorted(set(format(v, f"0{m_q}b") for v in range(1 << m_q)) - set(items))
+        plan, circ = shift_group(items, direction, amount, lay, zero_slots=tuple(spare))
+        u = _unitary(circ, lay)
         assert_permutation_matrix(np.abs(u))
         # fused action on the member slots matches the unfused product
-        plan = plan_fusion(items.sorted(), m_q, zero_slots=tuple(spare),
-                           core_cost=n_q - (amount.bit_length() - 1))
-        separate = []
-        for pat in items.sorted() + sorted(plan.pads):
-            separate += shift_gates(ShiftOp(pat, direction, amount), lay).gates
-        assert np.array_equal(u, circuit_unitary(Circuit(lay.total, separate)))
+        separate = _separate(items + sorted(plan.pads), direction, amount, lay)
+        assert np.array_equal(u, _unitary(separate, lay))

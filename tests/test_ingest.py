@@ -7,7 +7,7 @@ from blockenc.demo import structured32, tridiagonal
 from blockenc.errors import BadDimension, BadInput, EmptyMatrix
 from blockenc.ingest import (SparseMatrix, analyze, extract_data_vectors,
                              load_matrix, matrix_from_dict, plan_operations,
-                             reconstruct, save_matrix, subnormalization)
+                             reconstruct, save_matrix)
 
 
 def test_tridiagonal_extraction_order_and_phases():
@@ -179,11 +179,11 @@ def test_reconstruction_exact(rng):
 
 def test_subnormalization_values():
     from blockenc.ingest import DataVector
-    assert subnormalization(DataVector((1.0, 2.0, 3.0))).alpha == 6.0
-    assert subnormalization(DataVector((0.5,))).alpha == 0.5
+    assert DataVector((1.0, 2.0, 3.0)).alpha == 6.0
+    assert DataVector((0.5,)).alpha == 0.5
     m = tridiagonal(3, complex(0.3, -0.2), complex(-0.5, 0.4), complex(0.7, 0.6))
     data, _ = extract_data_vectors(m)
-    assert np.isclose(subnormalization(data).alpha, 0.3 + 0.2 + 0.5 + 0.4 + 0.7 + 0.6)
+    assert np.isclose(data.alpha, 0.3 + 0.2 + 0.5 + 0.4 + 0.7 + 0.6)
 
 
 def test_alpha_bounds_row_and_column_sums(rng):

@@ -6,7 +6,7 @@ import pytest
 from blockenc.errors import BadGate, BadInput, TooLarge
 from blockenc.ir import (Circuit, RegisterLayout, circuit_unitary, export_json,
                          export_text, gate_unitary, import_json, import_text,
-                         inverse_circuit, mcx, phase, ry, swap, unitarity_residual, x)
+                         inverse_circuit, mcx, phase, ry, unitarity_residual, x)
 
 
 def test_x_single_qubit():
@@ -50,27 +50,18 @@ def test_gate_order_first_gate_applied_first():
     assert np.allclose(state, [-math.sin(math.pi / 4), math.cos(math.pi / 4)])
 
 
-def test_ry_phase_swap_unitaries():
+def test_ry_phase_unitaries():
     theta = 0.7
     u = gate_unitary(ry(theta, 0), 1)
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     assert np.allclose(u, [[c, -s], [s, c]])
     u = gate_unitary(phase(theta, 0), 1)
     assert np.allclose(u, [[1, 0], [0, np.exp(1j * theta)]])
-    u = gate_unitary(swap(0, 1), 2)
-    assert np.array_equal(u[:, [0, 2, 1, 3]], np.eye(4))
-
-
-def test_controlled_swap_touches_only_matching_states():
-    u = gate_unitary(swap(1, 2, "1XX"), 3)
-    expected = np.eye(8)
-    expected[[5, 6]] = expected[[6, 5]]
-    assert np.array_equal(u, expected)
 
 
 def test_every_gate_kind_unitary(rng):
     gates = [mcx("1X0X", 1), ry(1.1, 2, "0XXX"), phase(-2.2, 3, "X1XX"),
-             swap(0, 3, "X10X"), x(2)]
+             mcx("X10X", 0), x(2)]
     c = Circuit(4, tuple(gates))
     assert unitarity_residual(circuit_unitary(c)) <= 1e-12
 
@@ -118,7 +109,7 @@ def test_export_text_exact_lines():
 def test_text_round_trip_identity():
     lay = RegisterLayout(1, 2)
     c = Circuit(4, (mcx("0X1X", 1), ry(0.25, 0, "X0XX"), phase(-1.5, 2),
-                    swap(2, 3, "1XXX"), x(3), mcx("XXXX", 0)), lay, 0.75)
+                    mcx("1XX0", 2), x(3), mcx("XXXX", 0)), lay, 0.75)
     text = export_text(c, {"alpha": 2.5})
     back, meta = import_text(text)
     assert back == c

@@ -5,8 +5,8 @@ from blockenc.assignment import Bijection, hamming, solve_assignment, build_targ
 from blockenc.errors import NotAdjacent
 from blockenc.ir import Circuit, circuit_unitary, gate_unitary
 from blockenc.mcx import ControlSet
-from blockenc.permute import (PermutationSpec, basis_swap, permute_circuit,
-                              permute_inverse, route_permutation)
+from blockenc.permute import (basis_swap, permute_circuit, permute_inverse,
+                              route_permutation)
 
 from conftest import assert_permutation_matrix
 
@@ -54,14 +54,14 @@ def test_basis_swap_rejects_distant_states():
 
 def test_identity_bijection_empty_circuit():
     phi = _bijection([("01", "01"), ("10", "10")])
-    assert len(permute_circuit(PermutationSpec(phi))) == 0
+    assert len(permute_circuit(phi)) == 0
 
 
 def test_reference_permutation_mapping():
     s2 = ControlSet(3, {"000", "001", "100", "111"})
     s3 = build_target_set(mode_pattern(s2, {2}), {2}, 3)
     phi = solve_assignment(s2, s3)
-    u = circuit_unitary(permute_circuit(PermutationSpec(phi)))
+    u = circuit_unitary(permute_circuit(phi))
     assert_permutation_matrix(u.real)
     for src, dst in phi.pairs:
         assert u[int(dst, 2), int(src, 2)] == 1
@@ -77,7 +77,7 @@ def test_structured_unit_shift_routing_steps():
     expected_tail = [("1111", "0111"), ("0111", "0101"), ("0101", "0100")]
     assert plan.swaps[-3:] == expected_tail
     assert ("0001", "0011") in plan.swaps and ("0011", "0010") in plan.swaps
-    u = circuit_unitary(permute_circuit(PermutationSpec(phi)))
+    u = circuit_unitary(permute_circuit(phi))
     for src, dst in phi.pairs:
         assert u[int(dst, 2), int(src, 2)] == 1
 
@@ -96,7 +96,7 @@ def test_random_bijections_realized_exactly(rng):
         P = int(rng.integers(1, 6))
         size = int(rng.integers(1, (1 << P) + 1))
         phi = _random_bijection(rng, P, size)
-        circ = permute_circuit(PermutationSpec(phi))
+        circ = permute_circuit(phi)
         u = circuit_unitary(circ)
         assert_permutation_matrix(u.real)
         for src, dst in phi.pairs:
@@ -113,14 +113,14 @@ def test_inverse_of_single_swap_is_same_gate():
 
 
 def test_controlled_swap_lowers_to_three_mcx():
-    from blockenc.ir import swap as swap_gate
     from blockenc.permute import controlled_swap
 
     gates = controlled_swap("100", "010")
     assert len(gates) == 3 and all(g.kind == "mcx" for g in gates)
     u = circuit_unitary(Circuit(3, tuple(gates)))
-    # equivalent to a swap of the two top qubits controlled on the last being 0
-    ref = circuit_unitary(Circuit(3, (swap_gate(0, 1, "XX0"),)))
+    # a swap of the two top qubits controlled on the last being 0: |100> <-> |010>
+    ref = np.eye(8)
+    ref[[2, 4]] = ref[[4, 2]]
     assert np.array_equal(u, ref)
     with pytest.raises(NotAdjacent):
         controlled_swap("000", "001")
@@ -131,7 +131,7 @@ def test_inverse_composes_to_identity(rng):
         P = int(rng.integers(2, 6))
         size = int(rng.integers(1, (1 << P) + 1))
         phi = _random_bijection(rng, P, size)
-        circ = permute_circuit(PermutationSpec(phi))
+        circ = permute_circuit(phi)
         inv = permute_inverse(circ)
         u = circuit_unitary(Circuit(P, circ.gates + inv.gates))
         assert np.array_equal(u, np.eye(1 << P))

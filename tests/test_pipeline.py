@@ -4,6 +4,7 @@ from blockenc.demo import random_tridiagonal, structured32, tridiagonal
 from blockenc.ingest import SparseMatrix
 from blockenc.ir import circuit_unitary, unitarity_residual
 from blockenc.pipeline import CompileConfig, compile_matrix, format_stats, stats_report
+from blockenc.state_prep import synthesize_prep
 from blockenc.verify import extract_block, verify
 
 
@@ -59,13 +60,28 @@ def test_fused_and_naive_unitaries_identical(rng):
         assert np.abs(uf - un).max() <= 1e-12
 
 
+def _random_sparse(seed: int, n: int, count: int) -> SparseMatrix:
+    """count distinct cells of a 2**n matrix with distinct complex values."""
+    r = np.random.default_rng(seed)
+    dim = 1 << n
+    cells = r.choice(dim * dim, size=count, replace=False)
+    return SparseMatrix(n, tuple((int(c) // dim, int(c) % dim,
+                                  complex(r.uniform(0.1, 1), r.uniform(-1, -0.1)))
+                                 for c in cells))
+
+
 def test_fused_never_more_mcx_than_naive(rng):
     matrices = [tridiagonal(3, 0.2 + 0.1j, -0.4 + 0j, 0.3 - 0.2j),
                 structured32(np.random.default_rng(5)),
-                random_tridiagonal(2, np.random.default_rng(8))]
+                random_tridiagonal(2, np.random.default_rng(8)),
+                _random_sparse(0, 2, 6)]
     for m in matrices:
         enc = compile_matrix(m)
         assert enc.stats["fused_mcx"] <= enc.stats["naive_mcx"]
+        # the naive count derived from the per-group stats is the index-map
+        # length of the circuit a naive compile builds
+        naive = compile_matrix(m, CompileConfig(naive=True)).stats
+        assert enc.stats["naive_mcx"] == naive["total_gates"] - naive["state_prep_gates"]
 
 
 def test_structured32_plan_and_groups(rng):
@@ -126,13 +142,28 @@ def test_defer_restore_structured(rng):
 def test_every_compiled_circuit_is_unitary(rng):
     matrices = [tridiagonal(2, 0.2 + 0.1j, -0.4 + 0.3j, 0.3 - 0.2j),
                 SparseMatrix(2, ((3, 0, 1j), (0, 0, 0.5 + 0j))),
-                random_tridiagonal(3, np.random.default_rng(1))]
+                random_tridiagonal(3, np.random.default_rng(1)),
+                _random_sparse(0, 2, 6)]  # permute-wrapped shifts, deferred restore
     for m in matrices:
         for cfg in (CompileConfig(), CompileConfig(naive=True),
                     CompileConfig(defer_restore=True),
                     CompileConfig(skip_index_map=True)):
             enc = compile_matrix(m, cfg)
             assert unitarity_residual(circuit_unitary(enc.circuit)) <= 1e-12
+            # fused_mcx is the sum of the per-group gate counts, plus the
+            # final restore under defer_restore: data-register swaps that
+            # follow the groups
+            s = enc.stats
+            groups = (sum(g["fused_mcx"] for g in s["shift_groups"] + s["delete_groups"])
+                      + s["insert"].get("fused_mcx", 0))
+            restore = s["fused_mcx"] - groups
+            if cfg.defer_restore:
+                start = len(synthesize_prep(enc.data, enc.signs).gates) + groups
+                assert restore >= 0
+                assert all(g.kind == "mcx" and g.target in enc.layout.data_qubits
+                           for g in enc.circuit.gates[start:start + restore])
+            else:
+                assert restore == 0
 
 
 def test_isolated_cells_only(rng):

@@ -88,7 +88,7 @@ def test_real_positive_data_unprep_equals_reversed_prep(rng):
     signs = SignVector(tuple(1 + 0j for _ in items))
     prep = synthesize_prep(data, signs)
     unprep = synthesize_unprep(data)
-    reversed_prep = tuple(g.__class__(g.kind, g.target, g.pattern, -g.angle, g.pair)
+    reversed_prep = tuple(g.__class__(g.kind, g.target, g.pattern, -g.angle)
                           for g in reversed(prep.gates))
     assert unprep.gates == reversed_prep
 

@@ -16,12 +16,6 @@ def test_extract_block_identity():
     assert np.array_equal(extract_block(np.eye(16), lay), np.eye(4))
 
 
-def test_extract_block_degenerate_layout_whole_matrix():
-    lay = RegisterLayout(0, 2, del_count=0)
-    u = np.arange(16, dtype=complex).reshape(4, 4)
-    assert np.array_equal(extract_block(u, lay), u)
-
-
 def test_extract_block_dimension_mismatch():
     with pytest.raises(BadLayout):
         extract_block(np.eye(4), RegisterLayout(1, 2))
