@@ -5,6 +5,15 @@ positions, build the reducible target set that shares the most frequent
 sub-pattern on those positions, and match the leftover sources to leftover
 targets with minimum total Hamming distance (a linear assignment problem).
 All tie-breaking is deterministic and lexicographic.
+
+Strings stay strings at the API.  Internally the Hamming cost matrix is the
+popcount of the XOR of their integer values (``ir.pattern_select``).  The
+lexicographic tie-break fixes one source at a time to the first target that
+still allows an optimal completion.  Under the dual potentials of the first
+solve, such completions use only tight (source, target) pairs, so the
+feasible targets are found by a path search in that tight graph.  It returns
+the same bijection as trying every target with one LSAP each, and solves one
+LSAP in all.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import BadInput
+from .ir import pattern_select
 from .mcx import ControlSet
 
 
@@ -113,11 +123,83 @@ class Bijection:
         return tuple(p[0] for p in self.pairs)
 
 
-def _optimal_cost(cost: np.ndarray) -> int:
-    if cost.size == 0:
-        return 0
-    rows, cols = linear_sum_assignment(cost)
-    return int(cost[rows, cols].sum())
+def _hamming_matrix(sources: list[str], targets: list[str], width: int) -> np.ndarray:
+    """Pairwise Hamming distances: XOR of the integer strings, then popcount."""
+    a = np.array([pattern_select(s, width)[1] for s in sources], dtype=np.int64)
+    b = np.array([pattern_select(t, width)[1] for t in targets], dtype=np.int64)
+    diff = a[:, None] ^ b[None, :]
+    cost = np.zeros(diff.shape, dtype=np.int64)
+    for _ in range(width):
+        cost += diff & 1
+        diff >>= 1
+    return cost
+
+
+def _dual_potentials(cost: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal LP duals (u, v) for the optimal assignment row j -> cols[j].
+
+    Column potentials are shortest-path distances (Bellman-Ford, integer) in
+    the graph with an edge cols[j] -> k of weight cost[j, k] - cost[j, cols[j]],
+    which has no negative cycle because the assignment is optimal; then
+    u_j + v_k <= cost[j, k] everywhere, with equality on the assignment.
+    """
+    n = cost.shape[0]
+    assigned = cost[np.arange(n), cols]
+    weight = cost - assigned[:, None]
+    v = np.zeros(n, dtype=cost.dtype)
+    for _ in range(n):
+        relaxed = np.minimum(v, (v[cols][:, None] + weight).min(axis=0))
+        if np.array_equal(relaxed, v):
+            break
+        v = relaxed
+    return assigned - v[cols], v
+
+
+def _tie_break(cost: np.ndarray) -> tuple[list[int], int]:
+    """Lexicographically smallest optimal assignment of a square cost matrix.
+
+    Row by row, the first free column from which the remaining rows can still
+    be completed at the optimum is taken.  An optimal completion uses only
+    columns tight under the first solve's duals (u_j + v_k == cost[j, k]), so
+    a perfect matching of the tight graph (rows >= j onto the free columns)
+    is kept, starting from the first solve.  Row j can take a tight column k
+    exactly when k leads back to j's own column t: the row holding k moves to
+    another tight column, whose row moves on, and so on until one takes t.
+    When a tight column comes before t, one breadth-first pass from t finds
+    every such k; the matching is then shifted along the path from the
+    smallest one.  Returns the columns per row and the cost.
+    """
+    n = cost.shape[0]
+    rows, match = linear_sum_assignment(cost)
+    base = int(cost[rows, match].sum())
+    u, v = _dual_potentials(cost, match)
+    tight = u[:, None] + v[None, :] == cost
+    owner = np.empty(n, dtype=np.intp)  # row matched to each column
+    owner[match] = rows
+    free = np.ones(n, dtype=bool)
+    for j in range(n):
+        t = match[j]
+        if np.flatnonzero(tight[j] & free)[0] != t:
+            moves = tight[owner] & free  # moves[x, y]: the row holding x may take y
+            level = np.full(n, -1)  # steps from column t, -1 if it cannot reach t
+            level[t] = 0
+            while True:
+                d = level.max()
+                reached = free & (level < 0) & moves[:, level == d].any(axis=1)
+                if not reached.any():
+                    break
+                level[reached] = d + 1
+            path = [int(np.flatnonzero(tight[j] & (level >= 0))[0])]
+            while path[-1] != t:
+                x = path[-1]
+                path.append(int(np.flatnonzero(moves[x] & (level == level[x] - 1))[0]))
+            movers = owner[path[:-1]]
+            match[movers] = path[1:]
+            owner[path[1:]] = movers
+            match[j] = path[0]
+            owner[path[0]] = j
+        free[match[j]] = False
+    return [int(k) for k in match], base
 
 
 def solve_assignment(s2: ControlSet, s3: ControlSet) -> Bijection:
@@ -133,22 +215,8 @@ def solve_assignment(s2: ControlSet, s3: ControlSet) -> Bijection:
     residual_s = sorted(s2.strings - common)
     residual_t = sorted(s3.strings - common)
     pairs = [(s, s) for s in sorted(common)]
+    total = 0
     if residual_s:
-        cost = np.array([[hamming(a, b) for b in residual_t] for a in residual_s])
-        base = _optimal_cost(cost)
-        free = list(range(len(residual_t)))
-        spent = 0
-        for j, src in enumerate(residual_s):
-            for k in free:
-                rest_rows = list(range(j + 1, len(residual_s)))
-                rest_cols = [c for c in free if c != k]
-                tail = _optimal_cost(cost[np.ix_(rest_rows, rest_cols)])
-                if spent + cost[j, k] + tail == base:
-                    pairs.append((src, residual_t[k]))
-                    spent += int(cost[j, k])
-                    free.remove(k)
-                    break
-        total = base
-    else:
-        total = 0
+        cols, total = _tie_break(_hamming_matrix(residual_s, residual_t, s2.P))
+        pairs += [(src, residual_t[k]) for src, k in zip(residual_s, cols)]
     return Bijection(tuple(sorted(pairs)), total)

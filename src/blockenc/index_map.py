@@ -21,16 +21,21 @@ A fusion plan collapses several patterns into one gate when they reduce, and
 otherwise wraps the gate in a coherent permutation that relocates them onto a
 reducible set first (``_emit_plan``).  ``shift_cascade`` and ``delete_flip``
 are the per-item gates, which the unfused baseline uses directly.
+
+Patterns are strings in every plan, gate and statistic.  The disjoint cube
+cover (``_greedy_cubes``) works on integer ``(free mask, value)`` cubes,
+converted by ``ir.pattern_select`` and ``ir.select_pattern``.  It builds
+strings only for the cubes it picks.  ``plan_fusion`` builds the cover only
+when zero padding could lose to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .assignment import FixedIndexPolicy, build_target_set, mode_pattern, solve_assignment
 from .errors import BadInput, BadShift
-from .ir import Circuit, Gate, RegisterLayout, embed_gates, mcx
+from .ir import Circuit, Gate, RegisterLayout, embed_gates, mcx, pattern_select, select_pattern
 from .mcx import ControlSet, is_reducible
 from .permute import permute_circuit
 
@@ -61,31 +66,40 @@ def delete_flip(layout: RegisterLayout, data: str, matrix: str | None = None) ->
 
 
 def _greedy_cubes(strings: list[str]) -> list[str]:
-    """Disjoint cover of the strings by sub-cube patterns, largest cube first."""
-    remaining = set(strings)
+    """Disjoint cover of the strings by sub-cube patterns, largest cube first.
+
+    Every cube inside the set is listed once as a (free mask, value) pair,
+    packed into one int: a level-f cube extends only along bits above its
+    highest free bit.  Then, from the top level down, the cube whose pattern
+    is smallest as a string ('0' < '1' < 'X') is taken and every cube meeting
+    it is dropped.  The cost grows with the number of cubes inside the set.
+    """
     width = len(strings[0])
-    out = []
-    while remaining:
-        found = None
-        max_f = len(remaining).bit_length() - 1
-        for f in range(min(max_f, width), -1, -1):
-            cands = []
-            for free in combinations(range(width), f):
-                groups: dict[str, int] = {}
-                for s in remaining:
-                    key = "".join("X" if i in free else c for i, c in enumerate(s))
-                    groups[key] = groups.get(key, 0) + 1
-                cands.extend(k for k, cnt in groups.items() if cnt == (1 << f))
-            if cands:
-                found = min(cands)
-                break
-        out.append(found)
-        remaining -= {s for s in remaining if _matches(s, found)}
-    return out
-
-
-def _matches(s: str, pattern: str) -> bool:
-    return all(p in ("X", c) for c, p in zip(s, pattern))
+    full = (1 << width) - 1
+    digit = [3 ** b for b in range(width)]  # order key: one base-3 digit per position
+    level = {}  # cube (free << width | value) -> order key
+    for s in set(strings):
+        value = pattern_select(s, width)[1]
+        level[value] = sum(digit[b] for b in range(width) if value >> b & 1)
+    levels = []
+    while level:
+        levels.append(level)
+        grown = {}
+        for cube, key in level.items():
+            for b in range((cube >> width).bit_length(), width):
+                bit = 1 << b
+                if not cube & bit and cube | bit in level:
+                    grown[cube | bit << width] = key + 2 * digit[b]
+        level = grown
+    chosen: list[tuple[int, int]] = []
+    for level in reversed(levels):
+        alive = [(key, cube >> width, cube & full) for cube, key in level.items()]
+        alive = sorted(c for c in alive if all((c[2] ^ v) & ~(c[1] | f) for f, v in chosen))
+        while alive:
+            _, free, value = alive[0]
+            chosen.append((free, value))
+            alive = [c for c in alive[1:] if (value ^ c[2]) & ~(free | c[1])]
+    return [select_pattern(full ^ free, value, width) for free, value in chosen]
 
 
 @dataclass
@@ -129,7 +143,8 @@ def plan_fusion(patterns: list[str], P: int, *, zero_slots: tuple[str, ...] = ()
     Reducible sets fuse directly.  Irreducible power-of-two sets get a
     permutation wrap.  Other sizes either borrow zero-amplitude slots up to
     the next power of two or fall back to a disjoint cube cover, whichever
-    costs fewer gates (ties prefer padding).
+    costs fewer gates (ties prefer padding).  The cover is not built when
+    padding already costs no more than the cover's lower bound.
     """
     policy = policy or FixedIndexPolicy.right_ended()
     patterns = sorted(patterns)
@@ -144,16 +159,20 @@ def plan_fusion(patterns: list[str], P: int, *, zero_slots: tuple[str, ...] = ()
     if size & (size - 1) == 0:
         return direct_or_permute(patterns, "direct", "permute")
 
-    partition = FusionPlan("partition",
-                           [SubFusion(c) for c in _greedy_cubes(patterns)],
-                           register=register)
+    padded = None
     need = (1 << size.bit_length()) - size
     if allow_pad and len(zero_slots) >= need:
         pads = tuple(sorted(zero_slots)[:need])
         padded = direct_or_permute(sorted(patterns + list(pads)), "padded", "padded-permute")
         padded.pads = pads
-        if padded.total_count(core_cost) <= partition.total_count(core_cost):
+        # a disjoint cube cover of `size` patterns has at least popcount(size) cubes
+        if padded.total_count(core_cost) <= core_cost * size.bit_count():
             return padded
+    partition = FusionPlan("partition",
+                           [SubFusion(c) for c in _greedy_cubes(patterns)],
+                           register=register)
+    if padded is not None and padded.total_count(core_cost) <= partition.total_count(core_cost):
+        return padded
     return partition
 
 

@@ -138,7 +138,7 @@ class Circuit:
         return len(self.gates)
 
 
-def _pattern_select(pattern: str | None, width: int) -> tuple[int, int]:
+def pattern_select(pattern: str | None, width: int) -> tuple[int, int]:
     """Return (mask, value) such that index i matches iff i & mask == value."""
     mask = value = 0
     if pattern:
@@ -152,11 +152,17 @@ def _pattern_select(pattern: str | None, width: int) -> tuple[int, int]:
     return mask, value
 
 
+def select_pattern(mask: int, value: int, width: int) -> str:
+    """Inverse of ``pattern_select``: the width-character pattern of (mask, value)."""
+    return "".join("X" if not mask >> b & 1 else "1" if value >> b & 1 else "0"
+                   for b in range(width - 1, -1, -1))
+
+
 def apply_gate(state: np.ndarray, gate: Gate, width: int) -> None:
     """Apply a gate in place to a statevector or to the rows of a matrix."""
     dim = 1 << width
     idx = np.arange(dim)
-    mask, value = _pattern_select(gate.pattern, width)
+    mask, value = pattern_select(gate.pattern, width)
     matched = (idx & mask) == value
     if gate.kind in ("x", "mcx"):
         tbit = 1 << (width - 1 - gate.target)
@@ -365,18 +371,59 @@ def _gate_dict(g: Gate) -> dict:
     return d
 
 
+def _json_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise BadInput(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise BadInput(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _json_gate(d) -> Gate:
+    """One gate dict of the JSON form, every field checked for presence and type."""
+    if not isinstance(d, dict):
+        raise BadInput(f"gate entry must be an object, got {d!r}")
+    kind = d.get("kind")
+    if kind not in GATE_KINDS:
+        raise BadInput(f"unknown gate kind {kind!r}")
+    if "target" not in d:
+        raise BadInput(f"{kind} gate without a target")
+    target = _json_int(d["target"], f"{kind} gate target")
+    pattern = d.get("pattern")
+    if kind == "mcx" and pattern is None:
+        raise BadInput("mcx gate without a pattern")
+    if pattern is not None and not isinstance(pattern, str):
+        raise BadInput(f"{kind} gate pattern must be a string, got {pattern!r}")
+    if kind in ("ry", "phase") and "angle" not in d:
+        raise BadInput(f"{kind} gate without an angle")
+    angle = _json_number(d.get("angle", 0.0), f"{kind} gate angle")
+    return Gate(kind, target=target, pattern=pattern, angle=angle)
+
+
 def import_json(text: str) -> tuple[Circuit, dict]:
-    doc = json.loads(text)
-    if doc.get("format") != "blockenc-ir" or doc.get("version") != 1:
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise BadInput(f"invalid circuit JSON: {exc}") from None
+    if not isinstance(doc, dict) or (doc.get("format"), doc.get("version")) != ("blockenc-ir", 1):
         raise BadInput("unrecognized circuit JSON")
     layout = None
     if doc.get("layout"):
-        layout = RegisterLayout(doc["layout"]["m"], doc["layout"]["n"])
-    gates = []
-    for d in doc["gates"]:
-        if d.get("kind") not in GATE_KINDS:
-            raise BadInput(f"unknown gate kind {d.get('kind')!r}")
-        gates.append(Gate(d["kind"], target=d["target"], pattern=d.get("pattern"),
-                          angle=d.get("angle", 0.0)))
-    circ = Circuit(doc["qubits"], tuple(gates), layout, doc.get("global_phase", 0.0))
-    return circ, doc.get("metadata", {})
+        lay = doc["layout"]
+        if not isinstance(lay, dict):
+            raise BadInput(f"layout must be an object, got {lay!r}")
+        layout = RegisterLayout(_json_int(lay.get("m"), "layout m"),
+                                _json_int(lay.get("n"), "layout n"))
+    if not isinstance(doc.get("gates"), list):
+        raise BadInput("circuit JSON needs a gates list")
+    gates = [_json_gate(d) for d in doc["gates"]]
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise BadInput(f"metadata must be an object, got {metadata!r}")
+    circ = Circuit(_json_int(doc.get("qubits"), "qubits"), tuple(gates), layout,
+                   _json_number(doc.get("global_phase", 0.0), "global_phase"))
+    return circ, metadata

@@ -150,6 +150,7 @@ class _Assembler:
                                     defer_restore=self.config.defer_restore)
             self.gates += gates
             self.permute_count += len(gates) - len(fp.subgroups) * (n - k)
+            pads = [self._slot_index(p) for p in fp.pads]  # before this group's permutation
             if self.config.defer_restore:
                 for sub in fp.subgroups:
                     if sub.permute is not None:
@@ -163,7 +164,7 @@ class _Assembler:
             self.shift_groups.append({
                 "op": f"{direction}{power}",
                 "items": [it.index for it in sorted(members, key=lambda i: i.index)],
-                "pads": [self._slot_index(p) for p in fp.pads],
+                "pads": pads,
                 "mode": fp.mode,
                 "fused_mcx": len(gates),
                 "naive_mcx": len(naive_members) * (n - k),

@@ -1,9 +1,10 @@
 """Shared fixtures and independent oracles for the test suite."""
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from blockenc.ir import circuit_unitary
 from blockenc.mcx import ControlSet
@@ -57,6 +58,79 @@ def brute_force_reducible(strings: set[str]) -> bool:
             if gen == strings:
                 return True
     return False
+
+
+def reference_greedy_cubes(strings: list[str]) -> list[str]:
+    """Disjoint cube cover on strings, largest cube first.
+
+    For each free-position combination the remaining strings are grouped by
+    their pattern with X on those positions.  The smallest pattern of a full
+    group (2**f strings) at the largest f is taken and its strings dropped.
+    """
+    remaining = set(strings)
+    width = len(strings[0])
+    out = []
+    while remaining:
+        found = None
+        for f in range(min(len(remaining).bit_length() - 1, width), -1, -1):
+            cands = []
+            for free in combinations(range(width), f):
+                groups: dict[str, int] = {}
+                for s in remaining:
+                    key = "".join("X" if i in free else c for i, c in enumerate(s))
+                    groups[key] = groups.get(key, 0) + 1
+                cands.extend(k for k, cnt in groups.items() if cnt == (1 << f))
+            if cands:
+                found = min(cands)
+                break
+        out.append(found)
+        remaining -= {s for s in remaining
+                      if all(p in ("X", c) for c, p in zip(s, found))}
+    return out
+
+
+def reference_tie_break(cost: np.ndarray) -> list[int]:
+    """Lexicographically smallest optimal assignment, one LSAP per candidate.
+
+    Row j takes the first free column k for which an optimal completion of
+    the remaining rows and columns still reaches the overall optimum.
+    """
+    def optimal(sub):
+        if sub.size == 0:
+            return 0
+        r, c = linear_sum_assignment(sub)
+        return int(sub[r, c].sum())
+
+    n = cost.shape[0]
+    base = optimal(cost)
+    free = list(range(n))
+    spent = 0
+    out = []
+    for j in range(n):
+        for k in free:
+            rest = cost[np.ix_(range(j + 1, n), [c for c in free if c != k])]
+            if spent + cost[j, k] + optimal(rest) == base:
+                out.append(k)
+                spent += int(cost[j, k])
+                free.remove(k)
+                break
+    return out
+
+
+def reference_assignment(sources, targets) -> tuple[tuple[str, str], ...]:
+    """Sorted (source, target) pairs, identity on the overlap.
+
+    The rest are matched by ``reference_tie_break`` over string Hamming
+    distances.
+    """
+    common = set(sources) & set(targets)
+    rs = sorted(set(sources) - common)
+    rt = sorted(set(targets) - common)
+    pairs = [(s, s) for s in common]
+    if rs:
+        cost = np.array([[sum(a != b for a, b in zip(s, t)) for t in rt] for s in rs])
+        pairs += [(s, rt[k]) for s, k in zip(rs, reference_tie_break(cost))]
+    return tuple(sorted(pairs))
 
 
 def composition_unitary(s2: ControlSet, target: int) -> np.ndarray:

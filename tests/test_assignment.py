@@ -2,13 +2,16 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from blockenc.assignment import (FixedIndexPolicy, build_target_set,
+from blockenc.assignment import (FixedIndexPolicy, _tie_break, build_target_set,
                                  hamming, mode_pattern, solve_assignment)
 from blockenc.errors import BadInput
 from blockenc.mcx import ControlSet, is_reducible
 
-from conftest import brute_force_assignment, brute_force_unrestricted, random_control_set
+from conftest import (brute_force_assignment, brute_force_unrestricted, random_control_set,
+                      reference_assignment, reference_tie_break)
 
 
 def test_hamming_examples():
@@ -149,3 +152,38 @@ def test_identity_restriction_never_costs_more(rng):
 def test_size_mismatch_rejected():
     with pytest.raises(BadInput):
         solve_assignment(ControlSet(2, {"00"}), ControlSet(2, {"01", "10"}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_bijection_matches_reference_on_random_sets(P, data):
+    size = data.draw(st.integers(1, min(8, 1 << P)))
+    space = st.integers(0, (1 << P) - 1)
+    src = data.draw(st.sets(space, min_size=size, max_size=size))
+    dst = data.draw(st.sets(space, min_size=size, max_size=size))
+    s2 = ControlSet(P, {format(v, f"0{P}b") for v in src})
+    s3 = ControlSet(P, {format(v, f"0{P}b") for v in dst})
+    assert solve_assignment(s2, s3).pairs == reference_assignment(s2.strings, s3.strings)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 3), st.data())
+def test_tie_break_matches_reference_on_tied_costs(n, spread, data):
+    # costs drawn from {0, .., spread - 1}: many optimal assignments tie
+    cells = data.draw(st.lists(st.integers(0, spread - 1), min_size=n * n, max_size=n * n))
+    cost = np.array(cells, dtype=np.int64).reshape(n, n)
+    cols, total = _tie_break(cost.copy())
+    assert cols == reference_tie_break(cost)
+    assert total == int(cost[np.arange(n), cols].sum())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.data())
+def test_bijection_matches_reference_onto_reducible_targets(P, data):
+    # the compiler's case: an irreducible set onto a reducible target set
+    n = data.draw(st.integers(1, P - 1))
+    src = data.draw(st.sets(st.integers(0, (1 << P) - 1), min_size=1 << n, max_size=1 << n))
+    s2 = ControlSet(P, {format(v, f"0{P}b") for v in src})
+    fixed = FixedIndexPolicy.right_ended().resolve(P, 1 << n)
+    s3 = build_target_set(mode_pattern(s2, fixed), fixed, P)
+    assert solve_assignment(s2, s3).pairs == reference_assignment(s2.strings, s3.strings)

@@ -126,3 +126,33 @@ def test_export_rejects_swap_gates(tmp_path, capsys):
         src.write_text(body)
         assert main(["export", "--in", str(src), "--out", str(tmp_path / "out.ir")]) == 2
         assert "error" in capsys.readouterr().err
+
+
+def _ir_json(**fields) -> str:
+    doc = {"format": "blockenc-ir", "version": 1, "qubits": 2, "gates": []}
+    doc.update(fields)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("body", [
+    _ir_json(gates=[{"kind": "mcx", "pattern": "1X"}]),                  # no target
+    _ir_json(gates=[{"kind": "mcx", "target": "1", "pattern": "0X"}]),   # target not an int
+    _ir_json(gates=[{"kind": "mcx", "target": 1}]),                      # no pattern
+    _ir_json(gates=[{"kind": "mcx", "target": 1, "pattern": 10}]),       # pattern not a string
+    _ir_json(gates=[{"kind": "ry", "target": 0}]),                       # no angle
+    _ir_json(gates=[{"kind": "phase", "target": 0, "angle": "0.5"}]),    # angle not a number
+    _ir_json(gates=[5]),                                                 # gate not an object
+    _ir_json(gates={}),
+    _ir_json(qubits="2"),
+    _ir_json(layout={"m": 1}),
+    _ir_json(global_phase="0"),
+    _ir_json(metadata=[]),
+    '{"format": "blockenc-ir",',                                         # not JSON
+])
+def test_export_rejects_malformed_json_ir(tmp_path, capsys, body):
+    with pytest.raises(BlockencError):
+        import_json(body)
+    src = tmp_path / "bad.json"
+    src.write_text(body)
+    assert main(["export", "--in", str(src), "--out", str(tmp_path / "out.ir")]) == 2
+    assert "error" in capsys.readouterr().err

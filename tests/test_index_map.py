@@ -1,12 +1,16 @@
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockenc.errors import BadShift
-from blockenc.index_map import (delete_group, insert_stage, shift_cascade,
+from blockenc.index_map import (_greedy_cubes, delete_group, insert_stage, shift_cascade,
                                 shift_group)
 from blockenc.ir import Circuit, RegisterLayout, circuit_unitary
 
-from conftest import assert_permutation_matrix
+from conftest import assert_permutation_matrix, reference_greedy_cubes
 
 
 def _unitary(gates, layout):
@@ -223,3 +227,35 @@ def test_combined_shift_equals_product_random(rng):
         # fused action on the member slots matches the unfused product
         separate = _separate(items + sorted(plan.pads), direction, amount, lay)
         assert np.array_equal(u, _unitary(separate, lay))
+
+
+@st.composite
+def _string_sets(draw, max_width=6):
+    width = draw(st.integers(1, max_width))
+    values = draw(st.sets(st.integers(0, (1 << width) - 1), min_size=1))
+    return [format(v, f"0{width}b") for v in sorted(values)]
+
+
+def _cube_points(pattern):
+    return {"".join(bits) for bits in product(*("01" if c == "X" else c for c in pattern))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_string_sets())
+def test_cube_cover_matches_string_reference(strings):
+    cover = _greedy_cubes(strings)
+    assert cover == reference_greedy_cubes(strings)
+    # a disjoint exact cover: every string in exactly one cube
+    points = [p for cube in cover for p in _cube_points(cube)]
+    assert len(points) == len(set(points)) == len(strings)
+    assert set(points) == set(strings)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_cube_cover_dense_sets_match_reference(width, data):
+    # nearly full sets hold the most cubes and the largest ones
+    full = 1 << width
+    missing = data.draw(st.sets(st.integers(0, full - 1), max_size=min(3, full - 1)))
+    strings = [format(v, f"0{width}b") for v in range(full) if v not in missing]
+    assert _greedy_cubes(strings) == reference_greedy_cubes(strings)

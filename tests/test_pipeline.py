@@ -256,3 +256,17 @@ def test_single_cell_matrix():
     m = SparseMatrix(1, ((1, 0, -0.25 + 0.5j),))
     enc = compile_matrix(m)
     assert verify(m, enc).passed
+
+
+def test_defer_restore_pads_name_zero_slots():
+    # pads are the zero-amplitude slots borrowed to reach a power of two; a
+    # deferred restore must report them by their own index, never an item's
+    for seed in range(3):
+        m = structured32(np.random.default_rng(seed))
+        for strategy in ("auto", 2):
+            for cfg in (CompileConfig(strategy=strategy),
+                        CompileConfig(strategy=strategy, defer_restore=True)):
+                enc = compile_matrix(m, cfg)
+                pads = [p for g in enc.stats["shift_groups"] for p in g["pads"]]
+                assert pads == [14, 15]
+                assert all(p >= enc.data.s for p in pads)
