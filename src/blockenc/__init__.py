@@ -11,7 +11,7 @@ from .index_map import (delete_flip, delete_group, insert_stage, shift_cascade,
 from .ir import (Circuit, Gate, RegisterLayout, circuit_unitary, export_json,
                  export_text, gate_unitary, import_json, import_text, mcx,
                  phase, ry, x)
-from .mcx import ControlSet, Reduction, expand_mcx, is_reducible, reduce_composition
+from .mcx import ControlSet, expand_mcx, is_reducible, reduce_composition
 from .permute import basis_swap, permute_circuit, permute_inverse, route_permutation
 from .pipeline import (CompileConfig, EncodedCircuit, compile_matrix,
                        format_stats, stats_report)

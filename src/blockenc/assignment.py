@@ -1,39 +1,34 @@
 """Cost-minimal mapping of an arbitrary control set onto a reducible one.
 
-Given control strings that do not collapse to a single gate, pick fixed bit
-positions, build the reducible target set that shares the most frequent
-sub-pattern on those positions, and match the leftover sources to leftover
+Given control labels that do not collapse to a single gate, pick fixed bit
+positions (a mask), build the reducible target set that shares the most
+frequent value on that mask, and match the leftover sources to leftover
 targets with minimum total Hamming distance (a linear assignment problem).
 All tie-breaking is deterministic and lexicographic.
 
-Strings stay strings at the API.  Internally the Hamming cost matrix is the
-popcount of the XOR of their integer values (``ir.pattern_select``).  The
-lexicographic tie-break fixes one source at a time to the first target that
-still allows an optimal completion.  Under the dual potentials of the first
-solve, such completions use only tight (source, target) pairs, so the
-feasible targets are found by a path search in that tight graph.  It returns
-the same bijection as trying every target with one LSAP each, and solves one
-LSAP in all.
+Labels are ints throughout; the Hamming cost matrix is the popcount of their
+XOR.  The lexicographic tie-break fixes one source at a time to the first
+target that still allows an optimal completion.  Under the dual potentials
+of the first solve, such completions use only tight (source, target) pairs,
+so the feasible targets are found by a path search in that tight graph.  It
+returns the same bijection as trying every target with one LSAP each, and
+solves one LSAP in all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import BadInput
-from .ir import pattern_select
-from .mcx import ControlSet
+from .mcx import ControlSet, submasks
 
 
-def hamming(a: str, b: str) -> int:
-    """Number of differing positions between two equal-length strings."""
-    if len(a) != len(b):
-        raise BadInput(f"length mismatch: {a!r} vs {b!r}")
-    return sum(ca != cb for ca, cb in zip(a, b))
+def hamming(a: int, b: int) -> int:
+    """Number of differing bits between two basis labels."""
+    return (a ^ b).bit_count()
 
 
 @dataclass(frozen=True)
@@ -55,8 +50,8 @@ class FixedIndexPolicy:
     def explicit(cls, bits) -> "FixedIndexPolicy":
         return cls("explicit", frozenset(bits))
 
-    def resolve(self, P: int, set_size: int) -> frozenset[int]:
-        """Bit indices to hold fixed for a size-2^n set over P bits."""
+    def resolve(self, P: int, set_size: int) -> int:
+        """Mask of the bits to hold fixed for a size-2^n set over P bits."""
         if set_size & (set_size - 1) or set_size == 0:
             raise BadInput(f"set size {set_size} is not a power of two")
         n_free = set_size.bit_length() - 1
@@ -64,70 +59,48 @@ class FixedIndexPolicy:
         if count < 0:
             raise BadInput("set larger than the full space")
         if self.kind == "right_ended":
-            return frozenset(range(count))
+            return (1 << count) - 1
         if self.kind == "left_ended":
-            return frozenset(range(P - count, P))
+            return ((1 << count) - 1) << n_free
         bits = frozenset(self.bits or ())
         if len(bits) != count or any(not 0 <= b < P for b in bits):
             raise BadInput(f"explicit fixed bits {sorted(bits)} do not fit P={P}, size={set_size}")
-        return bits
+        return sum(1 << b for b in bits)
 
 
-def _substring(s: str, fixed: frozenset[int]) -> str:
-    P = len(s)
-    return "".join(s[P - 1 - b] for b in sorted(fixed, reverse=True))
-
-
-def mode_pattern(s2: ControlSet, fixed: frozenset[int] | set[int]) -> str:
-    """Most frequent sub-string of s2 on the fixed positions, smallest on ties."""
-    fixed = frozenset(fixed)
-    counts: dict[str, int] = {}
-    for s in s2.sorted():
-        key = _substring(s, fixed)
-        counts[key] = counts.get(key, 0) + 1
+def mode_pattern(s2: ControlSet, mask: int) -> int:
+    """Most frequent value of ``label & mask`` over s2, smallest on ties."""
+    counts: dict[int, int] = {}
+    for v in s2.labels:
+        counts[v & mask] = counts.get(v & mask, 0) + 1
     best = max(counts.values())
-    return min(k for k, v in counts.items() if v == best)
+    return min(k for k, c in counts.items() if c == best)
 
 
-def build_target_set(pattern: str, fixed: frozenset[int] | set[int], P: int) -> ControlSet:
-    """All strings matching the pattern on the fixed positions; always reducible."""
-    fixed = frozenset(fixed)
-    if len(pattern) != len(fixed):
-        raise BadInput("pattern length must equal the fixed-position count")
-    free = sorted(set(range(P)) - fixed, reverse=True)
-    base = ["0"] * P
-    for c, b in zip(pattern, sorted(fixed, reverse=True)):
-        base[P - 1 - b] = c
-    out = set()
-    for bits in product("01", repeat=len(free)):
-        chars = base[:]
-        for c, b in zip(bits, free):
-            chars[P - 1 - b] = c
-        out.add("".join(chars))
-    return ControlSet(P, frozenset(out))
+def build_target_set(mask: int, value: int, P: int) -> ControlSet:
+    """The cube (mask, value) as a set of P-bit labels; always reducible."""
+    full = (1 << P) - 1
+    if mask & ~full or value & ~mask:
+        raise BadInput(f"value {value} must lie inside the mask {mask} of {P} bits")
+    return ControlSet(P, frozenset(value | sub for sub in submasks(full ^ mask)))
 
 
 @dataclass(frozen=True)
 class Bijection:
-    """Source-to-target matching, identity on the shared strings."""
+    """Source-to-target matching of width-bit labels, identity on shared ones."""
 
-    pairs: tuple[tuple[str, str], ...]  # sorted by source
+    pairs: tuple[tuple[int, int], ...]  # sorted by source
     cost: int
+    width: int
 
     @property
-    def mapping(self) -> dict[str, str]:
+    def mapping(self) -> dict[int, int]:
         return dict(self.pairs)
 
-    @property
-    def sources(self) -> tuple[str, ...]:
-        return tuple(p[0] for p in self.pairs)
 
-
-def _hamming_matrix(sources: list[str], targets: list[str], width: int) -> np.ndarray:
-    """Pairwise Hamming distances: XOR of the integer strings, then popcount."""
-    a = np.array([pattern_select(s, width)[1] for s in sources], dtype=np.int64)
-    b = np.array([pattern_select(t, width)[1] for t in targets], dtype=np.int64)
-    diff = a[:, None] ^ b[None, :]
+def _hamming_matrix(sources: list[int], targets: list[int], width: int) -> np.ndarray:
+    """Pairwise Hamming distances: XOR of the labels, then popcount."""
+    diff = np.array(sources, dtype=np.int64)[:, None] ^ np.array(targets, dtype=np.int64)
     cost = np.zeros(diff.shape, dtype=np.int64)
     for _ in range(width):
         cost += diff & 1
@@ -205,18 +178,18 @@ def _tie_break(cost: np.ndarray) -> tuple[list[int], int]:
 def solve_assignment(s2: ControlSet, s3: ControlSet) -> Bijection:
     """Minimum-Hamming-cost bijection from s2 onto s3.
 
-    Shared strings map to themselves; the rest is solved as a linear
+    Shared labels map to themselves; the rest is solved as a linear
     assignment problem.  Among cost-optimal solutions the one minimal under
     lexicographic ordering of (source, target) pairs is returned.
     """
-    if s2.P != s3.P or len(s2.strings) != len(s3.strings):
+    if s2.P != s3.P or len(s2.labels) != len(s3.labels):
         raise BadInput("source and target sets must have equal size and width")
-    common = s2.strings & s3.strings
-    residual_s = sorted(s2.strings - common)
-    residual_t = sorted(s3.strings - common)
+    common = s2.labels & s3.labels
+    residual_s = sorted(s2.labels - common)
+    residual_t = sorted(s3.labels - common)
     pairs = [(s, s) for s in sorted(common)]
     total = 0
     if residual_s:
         cols, total = _tie_break(_hamming_matrix(residual_s, residual_t, s2.P))
         pairs += [(src, residual_t[k]) for src, k in zip(residual_s, cols)]
-    return Bijection(tuple(sorted(pairs)), total)
+    return Bijection(tuple(sorted(pairs)), total, s2.P)

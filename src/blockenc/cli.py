@@ -35,7 +35,10 @@ def _config_from_args(args) -> CompileConfig:
         elif fixed == "left":
             policy = FixedIndexPolicy.left_ended()
         elif fixed.startswith("explicit:"):
-            bits = [int(b) for b in fixed[len("explicit:"):].split(",") if b != ""]
+            try:
+                bits = [int(b) for b in fixed[len("explicit:"):].split(",") if b != ""]
+            except ValueError:
+                raise BlockencError(f"bad --fixed-index value {fixed!r}") from None
             policy = FixedIndexPolicy.explicit(bits)
         else:
             raise BlockencError(f"bad --fixed-index value {fixed!r}")
@@ -113,7 +116,10 @@ def cmd_demo(args) -> int:
     rng = np.random.default_rng(args.seed)
     if args.case == "tridiagonal":
         if args.coeffs:
-            vals = [float(v) for v in args.coeffs.split(",")]
+            try:
+                vals = [float(v) for v in args.coeffs.split(",")]
+            except ValueError:
+                raise BlockencError(f"bad --coeffs value {args.coeffs!r}") from None
             if len(vals) != 6:
                 raise BlockencError("--coeffs needs six comma-separated values")
             matrix = demo_matrices.tridiagonal(

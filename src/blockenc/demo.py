@@ -25,6 +25,8 @@ def random_tridiagonal(n: int, rng: np.random.Generator) -> SparseMatrix:
 
 
 def tridiagonal(n: int, z1: complex, z2: complex, z3: complex) -> SparseMatrix:
+    if n < 0:
+        raise BadInput(f"matrix qubit count must be non-negative, got {n}")
     dim = 1 << n
     entries = [(i, i, z2) for i in range(dim)]
     entries += [(i, i - 1, z1) for i in range(1, dim)]

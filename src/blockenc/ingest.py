@@ -10,8 +10,11 @@ must be deleted or inserted afterwards.
 
 from __future__ import annotations
 
+import cmath
 import json
+import numbers
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -27,19 +30,28 @@ class SparseMatrix:
     entries: tuple[tuple[int, int, complex], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries",
-                           tuple(sorted(((r, c, complex(v)) for r, c, v in self.entries),
-                                        key=lambda e: (e[0], e[1]))))
-        if not self.entries:
-            raise BadInput("matrix needs at least one entry")
         dim = 1 << self.n
-        seen = set()
-        for r, c, _ in self.entries:
+        entries = []
+        for e in self.entries:
+            r, c, v = e
+            if type(r) is not int or type(c) is not int or type(v) is not complex:
+                if not (_is_index(r) and _is_index(c)):
+                    raise BadInput(f"entry coordinates ({r!r}, {c!r}) must be integers")
+                if not isinstance(v, numbers.Number):
+                    raise BadInput(f"entry ({r}, {c}) value {v!r} is not a number")
+                e = r, c, v = int(r), int(c), complex(v)
             if not (0 <= r < dim and 0 <= c < dim):
                 raise BadInput(f"entry ({r}, {c}) outside a {dim}x{dim} matrix")
-            if (r, c) in seen:
-                raise BadInput(f"duplicate entry at ({r}, {c})")
-            seen.add((r, c))
+            if not cmath.isfinite(v):
+                raise BadInput(f"entry ({r}, {c}) value {v} is not finite")
+            entries.append(e)
+        if not entries:
+            raise BadInput("matrix needs at least one entry")
+        entries.sort(key=itemgetter(0, 1))
+        for a, b in zip(entries, entries[1:]):
+            if a[0] == b[0] and a[1] == b[1]:
+                raise BadInput(f"duplicate entry at ({a[0]}, {a[1]})")
+        object.__setattr__(self, "entries", tuple(entries))
 
     @property
     def dim(self) -> int:
@@ -52,12 +64,31 @@ class SparseMatrix:
         return a
 
 
+def _is_index(i) -> bool:
+    return isinstance(i, numbers.Integral) and not isinstance(i, bool)
+
+
 def matrix_from_dict(doc: dict) -> SparseMatrix:
+    """Matrix from its JSON document; any malformed field raises BadInput."""
+    if not isinstance(doc, dict):
+        raise BadInput(f"matrix document must be an object, got {type(doc).__name__}")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1 or dim & (dim - 1):
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1 or dim & (dim - 1):
         raise BadDimension(f"dimension {dim!r} is not a power of two")
-    entries = [(e["row"], e["col"], complex(e.get("re", 0.0), e.get("im", 0.0)))
-               for e in doc.get("entries", [])]
+    raw = doc.get("entries", [])
+    if not isinstance(raw, list):
+        raise BadInput("matrix entries must be a list")
+    entries = []
+    try:
+        for e in raw:
+            re, im = e.get("re", 0.0), e.get("im", 0.0)
+            if type(re) not in (int, float) or type(im) not in (int, float):
+                raise BadInput(f"matrix entry {e!r} needs numeric re and im")
+            entries.append((e["row"], e["col"], complex(re, im)))
+    except (AttributeError, KeyError):
+        raise BadInput(f"matrix entry {e!r} needs a row and a col") from None
+    except OverflowError:
+        raise BadInput(f"matrix entry value out of range: {re!r}, {im!r}") from None
     return SparseMatrix((dim - 1).bit_length(), tuple(entries))
 
 
@@ -72,7 +103,7 @@ def matrix_to_dict(matrix: SparseMatrix) -> dict:
 def load_matrix(path: str | Path) -> SparseMatrix:
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError
         raise BadInput(f"cannot read matrix file {path}: {exc}") from exc
     return matrix_from_dict(doc)
 
@@ -111,8 +142,7 @@ class SignVector:
 class PlanItem:
     """Shift / delete / insert schedule for one data item."""
 
-    index: int
-    pattern: str               # m-bit label of the item slot
+    index: int                 # also the m-bit label of the item slot
     magnitude: float
     phase: complex
     offset: int                # signed column offset the shift realizes
@@ -253,7 +283,6 @@ def analyze(matrix: SparseMatrix, strategy: str | int = "auto"
             present, delete_rows, insert_rows) in enumerate(records):
         items.append(PlanItem(
             index=p,
-            pattern=format(p, f"0{m}b") if m else "",
             magnitude=magnitude,
             phase=ph,
             offset=key[0],

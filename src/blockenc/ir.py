@@ -6,11 +6,15 @@ Conventions (used everywhere in the package, documented only here):
   bit of a basis index.  A k-qubit basis state ``|j>`` therefore reads as the
   string ``format(j, f"0{k}b")`` whose character at position ``i`` is the value
   of qubit ``q_i``.
-- "Bit index" means significance: bit ``b`` of a width-``k`` string sits at
-  string position ``k - 1 - b``.
-- Control patterns are strings over ``{"0", "1", "X"}`` of the circuit width;
-  ``X`` means no control on that qubit.  A gate's target position must be
-  ``X`` in its own pattern.
+- Basis labels are ints.  "Bit index" means significance: bit ``b`` of a
+  width-``k`` label sits at string position ``k - 1 - b``.
+- A control set or cube is the ``(mask, value)`` pair of ``pattern_select``:
+  label ``i`` matches iff ``i & mask == value``.  The compiler works on
+  labels and cubes; ``select_pattern`` turns a cube into the string that a
+  ``Gate`` carries.
+- Gate control patterns are strings over ``{"0", "1", "X"}`` of the circuit
+  width; ``X`` means no control on that qubit.  A gate's target position
+  must be ``X`` in its own pattern.
 - ``Circuit.gates`` is ordered with the leftmost (first-applied) gate first,
   so the circuit unitary is ``G_last @ ... @ G_first``.
 
@@ -65,16 +69,20 @@ class RegisterLayout:
     def block_dim(self) -> int:
         return 1 << self.n
 
-    def full_pattern(self, data: str | None = None, matrix: str | None = None) -> str:
-        """Full-width pattern from the data and matrix pieces (None -> all X).
+    def full_pattern(self, data: tuple[int, int] | None = None,
+                     matrix: tuple[int, int] | None = None) -> str:
+        """Full-width gate pattern from register cubes.
 
-        The delete qubit is never a control.
+        ``data`` and ``matrix`` are (mask, value) cubes on those registers;
+        None leaves a register uncontrolled.  The delete qubit is never a
+        control.
         """
-        d = data if data is not None else "X" * self.m
-        j = matrix if matrix is not None else "X" * self.n
-        if len(d) != self.m or len(j) != self.n:
-            raise BadInput("register pattern length mismatch")
-        return d + "X" + j
+        dm, dv = data or (0, 0)
+        jm, jv = matrix or (0, 0)
+        if (dm | dv) >> self.m or (jm | jv) >> self.n:
+            raise BadInput("register cube wider than its register")
+        shift = self.n + 1
+        return select_pattern(dm << shift | jm, dv << shift | jv, self.total)
 
 
 @dataclass(frozen=True)
@@ -290,12 +298,18 @@ def _parse_ctrl(tok: str, width: int) -> str:
     chars = ["X"] * width
     for part in tok[len("ctrl="):].split(","):
         q, v = part.split(":")
-        chars[int(q[1:])] = v
+        qubit = int(q[1:])
+        if not 0 <= qubit < width:
+            raise BadInput(f"control qubit {q} outside {width} qubits")
+        chars[qubit] = v
     return "".join(chars)
 
 
 def import_text(text: str) -> tuple[Circuit, dict]:
-    """Parse the text form back into (Circuit, metadata)."""
+    """Parse the text form back into (Circuit, metadata).
+
+    A line that does not parse raises BadInput naming it.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != FORMAT_HEADER:
         raise BadInput("missing format header")
@@ -304,23 +318,26 @@ def import_text(text: str) -> tuple[Circuit, dict]:
     meta: dict = {}
     gphase = 0.0
     gates: list[Gate] = []
-    for ln in lines[1:]:
-        toks = ln.split()
-        head = toks[0]
-        if head == "layout":
-            kv = dict(t.split("=") for t in toks[1:])
-            layout = RegisterLayout(int(kv["m"]), int(kv["n"]))
-            width = layout.total
-        elif head == "qubits":
-            width = int(toks[1])
-        elif head in _META_KEYS:
-            meta[head] = float(toks[1])
-        elif head.startswith("gphase("):
-            gphase = float(head[len("gphase("):-1])
-        else:
-            if width is None:
-                raise BadInput("gate line before qubit count")
-            gates.append(_parse_gate_line(toks, width))
+    try:
+        for ln in lines[1:]:
+            toks = ln.split()
+            head = toks[0]
+            if head == "layout":
+                kv = dict(t.split("=") for t in toks[1:])
+                layout = RegisterLayout(int(kv["m"]), int(kv["n"]))
+                width = layout.total
+            elif head == "qubits":
+                width = int(toks[1])
+            elif head in _META_KEYS:
+                meta[head] = float(toks[1])
+            elif head.startswith("gphase("):
+                gphase = float(head[len("gphase("):-1])
+            else:
+                if width is None:
+                    raise BadInput("gate line before qubit count")
+                gates.append(_parse_gate_line(toks, width))
+    except (IndexError, KeyError, ValueError, StopIteration):
+        raise BadInput(f"cannot parse IR line {ln!r}") from None
     if width is None:
         raise BadInput("missing qubit count")
     return Circuit(width, tuple(gates), layout, gphase), meta

@@ -1,6 +1,6 @@
 """Unitary amplitude reordering among computational basis states.
 
-A single fully-controlled X exchanges exactly two basis states that differ in
+A single fully-controlled X exchanges exactly two basis labels that differ in
 one bit.  Chaining such swaps realizes an arbitrary bijection between two
 sets of basis states while leaving every amplitude a pure relocation: the
 resulting circuit is always a 0/1 permutation matrix.
@@ -12,17 +12,15 @@ from dataclasses import dataclass, field
 
 from .errors import NotAdjacent
 from .assignment import Bijection, hamming
-from .ir import Circuit, Gate, mcx
+from .ir import Circuit, Gate, mcx, select_pattern
 
 
-def basis_swap(a: str, b: str) -> Gate:
-    """Gate exchanging the amplitudes of two states that differ in one bit."""
-    diff = [i for i in range(len(a)) if a[i] != b[i]]
-    if len(a) != len(b) or len(diff) != 1:
-        raise NotAdjacent(f"{a!r} and {b!r} do not differ in exactly one position")
-    target = diff[0]
-    pattern = a[:target] + "X" + a[target + 1:]
-    return mcx(pattern, target)
+def basis_swap(a: int, b: int, width: int) -> Gate:
+    """Gate exchanging the amplitudes of two width-bit labels one bit apart."""
+    diff = a ^ b
+    if diff.bit_count() != 1 or (a | b) >> width:
+        raise NotAdjacent(f"{a} and {b} do not differ in exactly one of {width} bits")
+    return mcx(select_pattern(((1 << width) - 1) ^ diff, a, width), width - diff.bit_length())
 
 
 @dataclass
@@ -30,7 +28,7 @@ class RoutingPlan:
     """Swap schedule realizing a bijection, with bookkeeping for stats."""
 
     width: int
-    swaps: list[tuple[str, str]] = field(default_factory=list)
+    swaps: list[tuple[int, int]] = field(default_factory=list)
     hamming_bound: int = 0
     detour_steps: int = 0
 
@@ -39,21 +37,20 @@ class RoutingPlan:
         return len(self.swaps)
 
 
-def _flip(s: str, pos: int) -> str:
-    return s[:pos] + ("1" if s[pos] == "0" else "0") + s[pos + 1:]
+def _bfs_path(start: int, goal: int, blocked: set[int], bits: list[int]) -> list[int] | None:
+    """Shortest hypercube path avoiding blocked labels (endpoints exempt).
 
-
-def _bfs_path(start: str, goal: str, blocked: set[str]) -> list[str] | None:
-    """Shortest hypercube path avoiding blocked states (endpoints exempt)."""
+    ``bits`` lists the single-bit flips in the order they are tried.
+    """
     if start == goal:
         return [start]
     frontier = {start: None}
-    parents: dict[str, str | None] = {start: None}
+    parents: dict[int, int | None] = {start: None}
     while frontier:
         nxt = {}
         for s in sorted(frontier):
-            for pos in range(len(s)):
-                t = _flip(s, pos)
+            for bit in bits:
+                t = s ^ bit
                 if t in parents or (t in blocked and t != goal):
                     continue
                 parents[t] = s
@@ -74,17 +71,17 @@ def route_permutation(phi: Bijection) -> RoutingPlan:
     default path flips differing bits from most to least significant,
     detouring around states whose amplitudes are already settled.
     """
+    plan = RoutingPlan(width=phi.width)
     moves = {s: t for s, t in phi.pairs if s != t}
     if not moves:
-        return RoutingPlan(width=len(phi.pairs[0][0]) if phi.pairs else 0)
-    width = len(next(iter(moves)))
-    plan = RoutingPlan(width=width)
+        return plan
+    bits = [1 << b for b in range(phi.width - 1, -1, -1)]  # most significant first
     plan.hamming_bound = sum(hamming(s, t) for s, t in moves.items())
     settled = {s for s, t in phi.pairs if s == t}
     pos = {s: s for s in moves}
     order = sorted(moves, key=lambda s: (hamming(s, moves[s]), s))
 
-    def emit(a: str, b: str) -> None:
+    def emit(a: int, b: int) -> None:
         plan.swaps.append((a, b))
         displaced = [q for q, p in pos.items() if p == b]
         for q in displaced:
@@ -97,12 +94,12 @@ def route_permutation(phi: Bijection) -> RoutingPlan:
         cur = pos[src]
         del pos[src]  # own position tracked locally while routing
         while cur != goal:
-            diffs = [p for p in range(width) if cur[p] != goal[p]]
+            diffs = [bit for bit in bits if (cur ^ goal) & bit]
             occupied = set(pos.values())
             step = None
             for prefer_free in (True, False):
-                for p in diffs:
-                    cand = _flip(cur, p)
+                for bit in diffs:
+                    cand = cur ^ bit
                     if cand in settled and cand != goal:
                         continue
                     if prefer_free and cand in occupied and cand != goal:
@@ -112,7 +109,7 @@ def route_permutation(phi: Bijection) -> RoutingPlan:
                 if step is not None:
                     break
             if step is None:
-                path = _bfs_path(cur, goal, settled)
+                path = _bfs_path(cur, goal, settled, bits)
                 if path is not None:
                     plan.detour_steps += (len(path) - 1 - len(diffs)) // 2
                     for nxt in path[1:]:
@@ -122,8 +119,8 @@ def route_permutation(phi: Bijection) -> RoutingPlan:
                 # settled states disconnect the route: conjugate swaps along
                 # the direct path restore every intermediate state
                 path = [cur]
-                for p in diffs:
-                    path.append(_flip(path[-1], p))
+                for bit in diffs:
+                    path.append(path[-1] ^ bit)
                 seq = list(zip(path, path[1:]))
                 for a, b in seq[:-1]:
                     plan.swaps.append((a, b))
@@ -149,8 +146,7 @@ def permute_circuit(phi: Bijection) -> Circuit:
     outside the sources are permuted among the leftover positions.
     """
     plan = route_permutation(phi)
-    gates = tuple(basis_swap(a, b) for a, b in plan.swaps)
-    return Circuit(plan.width, gates)
+    return Circuit(plan.width, tuple(basis_swap(a, b, plan.width) for a, b in plan.swaps))
 
 
 def permute_inverse(circuit: Circuit) -> Circuit:
@@ -159,16 +155,16 @@ def permute_inverse(circuit: Circuit) -> Circuit:
                    circuit.layout, -circuit.global_phase)
 
 
-def controlled_swap(a: str, b: str) -> list[Gate]:
-    """Exchange two states differing in exactly two bits, as three MCX gates.
+def controlled_swap(a: int, b: int, width: int) -> list[Gate]:
+    """Exchange two labels differing in exactly two bits, as three MCX gates.
 
     Convenience equivalent of a fully controlled SWAP gate, kept in the MCX
     family: route through the intermediate that flips the higher differing
     bit first, then undo the first step.
     """
-    diff = [i for i in range(len(a)) if a[i] != b[i]]
-    if len(a) != len(b) or len(diff) != 2:
-        raise NotAdjacent(f"{a!r} and {b!r} must differ in exactly two positions")
-    mid = a[:diff[0]] + b[diff[0]] + a[diff[0] + 1:]
-    first = basis_swap(a, mid)
-    return [first, basis_swap(mid, b), first]
+    diff = a ^ b
+    if diff.bit_count() != 2 or (a | b) >> width:
+        raise NotAdjacent(f"{a} and {b} must differ in exactly two of {width} bits")
+    mid = a ^ (1 << (diff.bit_length() - 1))
+    first = basis_swap(a, mid, width)
+    return [first, basis_swap(mid, b, width), first]

@@ -20,7 +20,6 @@ import logging
 from dataclasses import dataclass, field, replace
 
 from .assignment import Bijection, FixedIndexPolicy, hamming
-from .errors import BadInput
 from .index_map import delete_flip, delete_group, insert_stage, shift_cascade, shift_group
 from .ingest import DataVector, OperationPlan, SignVector, SparseMatrix, analyze
 from .ir import Circuit, Gate, RegisterLayout, embed_gates
@@ -54,10 +53,6 @@ class EncodedCircuit:
     config: CompileConfig
 
 
-def _bits(value: int, width: int) -> str:
-    return format(value, f"0{width}b") if width else ""
-
-
 def _shift_group_order(plan: OperationPlan) -> list[tuple[str, int, list]]:
     """(direction, power) groups: direction blocks by first item, powers ascending."""
     groups: dict[tuple[str, int], list] = {}
@@ -81,10 +76,10 @@ def _row_groups(items, rows_field: str) -> list[tuple[tuple[int, ...], list]]:
     return sorted(groups.items(), key=lambda kv: min(i.index for i in kv[1]))
 
 
-def _unfused_flips(patterns: list[str], rows, layout: RegisterLayout) -> list[Gate]:
-    """One delete-qubit flip per (pattern, row): the naive baseline of a row group."""
-    return [delete_flip(layout, p, format(r, f"0{layout.n}b"))
-            for p in patterns for r in sorted(rows)]
+def _unfused_flips(labels: list[int], rows, layout: RegisterLayout) -> list[Gate]:
+    """One delete-qubit flip per (label, row): the naive baseline of a row group."""
+    data, matrix = (1 << layout.m) - 1, (1 << layout.n) - 1
+    return [delete_flip(layout, (data, v), (matrix, r)) for v in labels for r in sorted(rows)]
 
 
 class _Assembler:
@@ -100,10 +95,9 @@ class _Assembler:
         self.plan = plan
         self.layout = layout
         self.config = config
-        self.cur = {_bits(v, layout.m): _bits(v, layout.m)
-                    for v in range(1 << layout.m)}
-        self.slots = tuple(_bits(v, layout.m)
-                           for v in range(data.s, 1 << layout.m))
+        self.cur = list(range(1 << layout.m))  # item slot -> current data label
+        self.inv = list(range(1 << layout.m))  # current data label -> item slot
+        self.slots = range(data.s, 1 << layout.m)
         self.gates: list[Gate] = []
         self.naive_gates: list[Gate] = []
         self.permute_count = 0
@@ -113,23 +107,13 @@ class _Assembler:
 
     # -- deferred-restore bookkeeping ---------------------------------------
 
-    def _apply_permute(self, circuit: Circuit) -> None:
-        """Track where every data basis state ends up after unrestored swaps."""
-        inv = {v: k for k, v in self.cur.items()}
-        for g in circuit.gates:
-            pos = g.target
-            a = list(g.pattern)
-            a[pos] = "0"
-            b = list(g.pattern)
-            b[pos] = "1"
-            sa, sb = "".join(a), "".join(b)
-            oa, ob = inv.get(sa), inv.get(sb)
-            if oa is not None:
-                self.cur[oa] = sb
-                inv[sb] = oa
-            if ob is not None:
-                self.cur[ob] = sa
-                inv[sa] = ob
+    def _apply_swaps(self, swaps) -> None:
+        """Track where every data label ends up after unrestored swaps."""
+        cur, inv = self.cur, self.inv
+        for a, b in swaps:
+            oa, ob = inv[a], inv[b]
+            inv[a], inv[b] = ob, oa
+            cur[oa], cur[ob] = b, a
 
     def _add_row_gates(self, gates: list[Gate]) -> None:
         """Append delete/insert gates; all but the delete-qubit flips permute rows."""
@@ -142,25 +126,25 @@ class _Assembler:
         m, n = self.layout.m, self.layout.n
         for direction, power, members in _shift_group_order(self.plan):
             k = power.bit_length() - 1
-            patterns = sorted(self.cur[it.pattern] for it in members)
+            labels = sorted(self.cur[it.index] for it in members)
             slots_now = tuple(sorted(self.cur[s] for s in self.slots))
-            fp, gates = shift_group(patterns, direction, power, self.layout,
+            fp, gates = shift_group(labels, direction, power, self.layout,
                                     zero_slots=slots_now, policy=self.config.data_policy,
                                     allow_pad=self.config.zero_pad,
                                     defer_restore=self.config.defer_restore)
             self.gates += gates
             self.permute_count += len(gates) - len(fp.subgroups) * (n - k)
-            pads = [self._slot_index(p) for p in fp.pads]  # before this group's permutation
+            pads = [self.inv[p] for p in fp.pads]  # before this group's permutation
             if self.config.defer_restore:
                 for sub in fp.subgroups:
-                    if sub.permute is not None:
-                        self._apply_permute(sub.permute)
+                    self._apply_swaps(sub.swaps)
             log.debug("shift %s%d: %d members, %s, %d gates",
-                      direction, power, len(patterns) + len(fp.pads), fp.mode, len(gates))
-            naive_members = patterns + list(fp.pads)
+                      direction, power, len(labels) + len(fp.pads), fp.mode, len(gates))
+            naive_members = labels + list(fp.pads)
             if self.config.naive:
-                for pat in naive_members:
-                    self.naive_gates += shift_cascade(pat, direction, power, self.layout)
+                for v in naive_members:
+                    self.naive_gates += shift_cascade(((1 << m) - 1, v), direction, power,
+                                                      self.layout)
             self.shift_groups.append({
                 "op": f"{direction}{power}",
                 "items": [it.index for it in sorted(members, key=lambda i: i.index)],
@@ -168,26 +152,19 @@ class _Assembler:
                 "mode": fp.mode,
                 "fused_mcx": len(gates),
                 "naive_mcx": len(naive_members) * (n - k),
-                "fused_data_width": max(sum(c != "X" for c in sub.control_pattern)
-                                        for sub in fp.subgroups),
+                "fused_data_width": max(sub.cube[0].bit_count() for sub in fp.subgroups),
                 "naive_data_width": m,
             })
-
-    def _slot_index(self, current_pattern: str) -> int:
-        for orig, cur in self.cur.items():
-            if cur == current_pattern:
-                return int(orig, 2)
-        raise BadInput("unknown pad slot")  # pragma: no cover
 
     def deletes(self) -> None:
         items = [it for it in self.plan.items if it.mode == "delete" and it.delete_rows]
         for rows, members in _row_groups(items, "delete_rows"):
-            patterns = [self.cur[it.pattern] for it in members]
-            row_plan, gates = delete_group(patterns, rows, self.layout,
+            labels = [self.cur[it.index] for it in members]
+            row_plan, gates = delete_group(labels, rows, self.layout,
                                            self.config.matrix_policy)
             self._add_row_gates(gates)
             if self.config.naive:
-                self.naive_gates += _unfused_flips(patterns, rows, self.layout)
+                self.naive_gates += _unfused_flips(labels, rows, self.layout)
             self.delete_groups.append({
                 "rows": list(rows),
                 "items": [it.index for it in members],
@@ -200,21 +177,22 @@ class _Assembler:
         items = [it for it in self.plan.items if it.mode == "insert" and it.insert_rows]
         if not items:
             return
-        row_groups = [(rows, [self.cur[it.pattern] for it in members])
+        row_groups = [(rows, [self.cur[it.index] for it in members])
                       for rows, members in _row_groups(items, "insert_rows")]
         gates = insert_stage(row_groups, self.layout, self.config.matrix_policy)
         self._add_row_gates(gates)
         if self.config.naive:
-            self.naive_gates += [delete_flip(self.layout, self.cur[it.pattern])
+            full = (1 << self.layout.m) - 1
+            self.naive_gates += [delete_flip(self.layout, (full, self.cur[it.index]))
                                  for it in items]
-            for rows, patterns in row_groups:
-                self.naive_gates += _unfused_flips(patterns, rows, self.layout)
+            for rows, labels in row_groups:
+                self.naive_gates += _unfused_flips(labels, rows, self.layout)
         self.insert_stats = {
             "items": [it.index for it in items],
             "fused_mcx": len(gates),
             "naive_mcx": len(items) + sum(len(it.insert_rows) for it in items),
-            "row_groups": [{"rows": list(rows), "count": len(patterns)}
-                           for rows, patterns in row_groups],
+            "row_groups": [{"rows": list(rows), "count": len(labels)}
+                           for rows, labels in row_groups],
         }
 
     def restore(self) -> None:
@@ -223,12 +201,11 @@ class _Assembler:
         Items already home enter as identity pairs so the router treats their
         slots as settled and never borrows them as intermediate states.
         """
-        pairs = tuple(sorted((self.cur[it.pattern], it.pattern)
-                             for it in self.plan.items))
+        pairs = tuple(sorted((self.cur[it.index], it.index) for it in self.plan.items))
         if all(a == b for a, b in pairs):
             return
         cost = sum(hamming(a, b) for a, b in pairs)
-        circ = permute_circuit(Bijection(pairs, cost))
+        circ = permute_circuit(Bijection(pairs, cost, self.layout.m))
         emitted = embed_gates(circ.gates, self.layout.total, list(self.layout.data_qubits))
         self.gates.extend(emitted)
         self.permute_count += len(emitted)
@@ -249,7 +226,7 @@ def compile_matrix(matrix: SparseMatrix, config: CompileConfig | None = None) ->
         asm.shifts()
         asm.deletes()
         asm.inserts()
-        if config.defer_restore and not config.naive:
+        if config.defer_restore:
             asm.restore()
     body = asm.naive_gates if config.naive else asm.gates
 

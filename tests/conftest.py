@@ -133,18 +133,23 @@ def reference_assignment(sources, targets) -> tuple[tuple[str, str], ...]:
     return tuple(sorted(pairs))
 
 
+def as_strings(labels, width: int) -> set[str]:
+    """Integer labels as width-character binary strings, the oracles' form."""
+    return {format(v, f"0{width}b") for v in labels}
+
+
 def composition_unitary(s2: ControlSet, target: int) -> np.ndarray:
     """Ordered product of the individual fully-controlled X unitaries."""
     from blockenc.ir import Circuit
     from blockenc.mcx import control_gate
 
-    gates = tuple(control_gate(s, target) for s in s2.sorted())
+    gates = tuple(control_gate(v, s2.P, target) for v in sorted(s2.labels))
     return circuit_unitary(Circuit(s2.P + 1, gates))
 
 
 def random_control_set(rng: np.random.Generator, P: int, size: int) -> ControlSet:
     picks = rng.choice(1 << P, size=size, replace=False)
-    return ControlSet(P, frozenset(format(int(v), f"0{P}b") for v in picks))
+    return ControlSet(P, frozenset(int(v) for v in picks))
 
 
 def assert_permutation_matrix(u: np.ndarray):

@@ -21,7 +21,7 @@ from blockenc.pipeline import CompileConfig, compile_matrix
 from blockenc.state_prep import prep_target, synthesize_prep
 from blockenc.verify import extract_block, verify
 
-from conftest import (assert_permutation_matrix, brute_force_assignment,
+from conftest import (as_strings, assert_permutation_matrix, brute_force_assignment,
                       brute_force_reducible, composition_unitary,
                       random_control_set)
 
@@ -105,7 +105,7 @@ def test_criterion_3_fusion_round_trip():
                         for i, c in zip(free, fb):
                             chars[i] = c
                         strings.add("".join(chars))
-                    s2 = ControlSet(P, frozenset(strings))
+                    s2 = ControlSet(P, frozenset(int(s, 2) for s in strings))
                     red = is_reducible(s2)
                     assert red is not None
                     target = int(rng.integers(0, P + 1))
@@ -120,7 +120,7 @@ def test_criterion_3_fusion_round_trip():
         P = int(rng.integers(2, 5))
         n = int(rng.integers(1, P))
         s2 = random_control_set(rng, P, 1 << n)
-        reducible = brute_force_reducible(set(s2.strings))
+        reducible = brute_force_reducible(as_strings(s2.labels, P))
         mine = is_reducible(s2) is not None
         assert mine == reducible
         if not reducible:
@@ -129,10 +129,10 @@ def test_criterion_3_fusion_round_trip():
             f"{checked} exhaustive reducible sets exact, {rejected} irreducible rejected")
 
 
-_UNIT_SHIFT_GROUP = ["0000", "0001", "0111", "1000", "1011", "1100", "1110", "1111"]
-_UNIT_SHIFT_REFERENCE = {"0000": "0000", "0001": "0010", "0111": "0110",
-                         "1000": "1000", "1011": "1010", "1100": "1100",
-                         "1110": "1110", "1111": "0100"}
+_UNIT_SHIFT_GROUP = [0b0000, 0b0001, 0b0111, 0b1000, 0b1011, 0b1100, 0b1110, 0b1111]
+_UNIT_SHIFT_REFERENCE = {0b0000: 0b0000, 0b0001: 0b0010, 0b0111: 0b0110,
+                         0b1000: 0b1000, 0b1011: 0b1010, 0b1100: 0b1100,
+                         0b1110: 0b1110, 0b1111: 0b0100}
 _ROW_GROUP = [0, 5, 10, 15, 20, 25, 30, 31]
 _ROW_GROUP_REFERENCE = {0: 24, 5: 29, 10: 26, 15: 27, 20: 28, 25: 25, 30: 30, 31: 31}
 
@@ -145,32 +145,34 @@ def test_criterion_4_assignment_optimality():
         src = random_control_set(rng, P, size)
         dst = random_control_set(rng, P, size)
         phi = solve_assignment(src, dst)
-        expect = brute_force_assignment(src.strings, dst.strings)
+        expect = brute_force_assignment(as_strings(src.labels, P), as_strings(dst.labels, P))
         if phi.cost != expect:
             _report(4, "assignment optimality", False,
                     f"trial {trial}: {phi.cost} != {expect}")
 
     # reference instance: sources 0,1,4,7 onto the reducible set 0..3
-    s2 = ControlSet(3, {"000", "001", "100", "111"})
-    s3 = build_target_set(mode_pattern(s2, {2}), {2}, 3)
+    s2 = ControlSet(3, {0b000, 0b001, 0b100, 0b111})
+    s3 = build_target_set(0b100, mode_pattern(s2, 0b100), 3)
     phi = solve_assignment(s2, s3)
-    ok = phi.mapping == {"000": "000", "001": "001", "100": "010", "111": "011"}
-    ok &= phi.cost == 3 == brute_force_assignment(s2.strings, s3.strings)
+    ok = phi.mapping == {0b000: 0b000, 0b001: 0b001, 0b100: 0b010, 0b111: 0b011}
+    ok &= phi.cost == 3 == brute_force_assignment(as_strings(s2.labels, 3),
+                                                  as_strings(s3.labels, 3))
 
     # data-register instance: cost equals the reference mapping's cost
     s2 = ControlSet(4, frozenset(_UNIT_SHIFT_GROUP))
-    s3 = build_target_set(mode_pattern(s2, {0}), {0}, 4)
+    s3 = build_target_set(0b0001, mode_pattern(s2, 0b0001), 4)
     phi = solve_assignment(s2, s3)
     reference = sum(hamming(a, b) for a, b in _UNIT_SHIFT_REFERENCE.items())
-    ok &= phi.cost == reference == brute_force_assignment(s2.strings, s3.strings)
+    ok &= phi.cost == reference == brute_force_assignment(as_strings(s2.labels, 4),
+                                                          as_strings(s3.labels, 4))
 
     # matrix-register instance over five bits
-    rows = ControlSet(5, frozenset(format(r, "05b") for r in _ROW_GROUP))
-    s3 = build_target_set(mode_pattern(rows, {3, 4}), {3, 4}, 5)
+    rows = ControlSet(5, frozenset(_ROW_GROUP))
+    s3 = build_target_set(0b11000, mode_pattern(rows, 0b11000), 5)
     phi = solve_assignment(rows, s3)
-    reference = sum(hamming(format(a, "05b"), format(b, "05b"))
-                    for a, b in _ROW_GROUP_REFERENCE.items())
-    ok &= phi.cost == reference == brute_force_assignment(rows.strings, s3.strings)
+    reference = sum(hamming(a, b) for a, b in _ROW_GROUP_REFERENCE.items())
+    ok &= phi.cost == reference == brute_force_assignment(as_strings(rows.labels, 5),
+                                                          as_strings(s3.labels, 5))
     _report(4, "assignment optimality", ok,
             "1000 random == brute force; reference mappings' costs matched")
 
@@ -182,18 +184,18 @@ def test_criterion_5_permutation_contract():
         size = int(rng.integers(1, (1 << P) + 1))
         src = rng.choice(1 << P, size=size, replace=False)
         dst = rng.choice(1 << P, size=size, replace=False)
-        s = {format(int(v), f"0{P}b") for v in src}
-        t = {format(int(v), f"0{P}b") for v in dst}
+        s = {int(v) for v in src}
+        t = {int(v) for v in dst}
         common = s & t
         rs, rt = sorted(s - common), sorted(t - common)
         rt = [rt[i] for i in rng.permutation(len(rt))]
         pairs = tuple(sorted([(c, c) for c in common] + list(zip(rs, rt))))
-        phi = Bijection(pairs, sum(hamming(a, b) for a, b in pairs))
+        phi = Bijection(pairs, sum(hamming(a, b) for a, b in pairs), P)
         circ = permute_circuit(phi)
         u = circuit_unitary(circ)
         assert_permutation_matrix(u.real)
         for a, b in pairs:
-            if u[int(b, 2), int(a, 2)] != 1:
+            if u[b, a] != 1:
                 _report(5, "coherent permutation", False, f"trial {trial}")
         inv = permute_inverse(circ)
         comp = circuit_unitary(Circuit(P, circ.gates + inv.gates))
@@ -249,10 +251,10 @@ def test_criterion_8_property_suites():
     for _ in range(20):
         m_q, n_q = int(rng.integers(1, 3)), int(rng.integers(1, 4))
         lay = RegisterLayout(m_q, n_q)
-        pattern = format(int(rng.integers(0, 1 << m_q)), f"0{m_q}b")
+        cube = ((1 << m_q) - 1, int(rng.integers(0, 1 << m_q)))
         amount = 1 << int(rng.integers(0, n_q))
-        left = shift_cascade(pattern, "L", amount, lay)
-        right = shift_cascade(pattern, "R", amount, lay)
+        left = shift_cascade(cube, "L", amount, lay)
+        right = shift_cascade(cube, "R", amount, lay)
         u = circuit_unitary(Circuit(lay.total, tuple(left + right)))
         assert np.array_equal(u, np.eye(1 << lay.total))
 
@@ -261,7 +263,7 @@ def test_criterion_8_property_suites():
         lay = RegisterLayout(1, 3)
         rows = set(int(v) for v in rng.choice(8, size=int(rng.integers(1, 9)),
                                               replace=False))
-        _, gates = delete_group([str(rng.integers(0, 2))], rows, lay)
+        _, gates = delete_group([int(rng.integers(0, 2))], rows, lay)
         u = circuit_unitary(Circuit(lay.total, tuple(gates + gates)))
         assert np.array_equal(u, np.eye(1 << lay.total))
 

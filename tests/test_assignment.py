@@ -1,4 +1,4 @@
-from itertools import permutations, product
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -10,54 +10,57 @@ from blockenc.assignment import (FixedIndexPolicy, _tie_break, build_target_set,
 from blockenc.errors import BadInput
 from blockenc.mcx import ControlSet, is_reducible
 
-from conftest import (brute_force_assignment, brute_force_unrestricted, random_control_set,
-                      reference_assignment, reference_tie_break)
+from conftest import (as_strings, brute_force_assignment, brute_force_unrestricted,
+                      random_control_set, reference_assignment, reference_tie_break)
+
+
+def _string_pairs(phi):
+    """The bijection's pairs as binary strings, the oracles' form."""
+    return tuple((format(a, f"0{phi.width}b"), format(b, f"0{phi.width}b")) for a, b in phi.pairs)
 
 
 def test_hamming_examples():
-    assert hamming("010", "001") == 2
-    assert hamming("0110", "0110") == 0
-    assert hamming("0000", "1111") == 4
-    with pytest.raises(BadInput):
-        hamming("01", "011")
+    assert hamming(0b010, 0b001) == 2
+    assert hamming(0b0110, 0b0110) == 0
+    assert hamming(0b0000, 0b1111) == 4
 
 
 def test_fixed_index_policies():
-    assert FixedIndexPolicy.right_ended().resolve(4, 8) == frozenset({0})
-    assert FixedIndexPolicy.left_ended().resolve(5, 8) == frozenset({3, 4})
-    assert FixedIndexPolicy.explicit([1, 3]).resolve(4, 4) == frozenset({1, 3})
+    assert FixedIndexPolicy.right_ended().resolve(4, 8) == 0b1
+    assert FixedIndexPolicy.left_ended().resolve(5, 8) == 0b11000
+    assert FixedIndexPolicy.explicit([1, 3]).resolve(4, 4) == 0b1010
     with pytest.raises(BadInput):
         FixedIndexPolicy.explicit([1]).resolve(4, 4)  # needs two bits
 
 
 def test_mode_pattern_tie_breaks_low():
-    s2 = ControlSet(3, {"000", "001", "100", "111"})
-    assert mode_pattern(s2, {2}) == "0"
+    s2 = ControlSet(3, {0b000, 0b001, 0b100, 0b111})
+    assert mode_pattern(s2, 0b100) == 0
 
 
 def test_mode_pattern_unanimous():
-    assert mode_pattern(ControlSet(2, {"00", "01"}), {1}) == "0"
+    assert mode_pattern(ControlSet(2, {0b00, 0b01}), 0b10) == 0
 
 
 def test_mode_pattern_structured_unit_shift_group():
-    members = {"0000", "0001", "0111", "1000", "1011", "1100", "1110", "1111"}
-    assert mode_pattern(ControlSet(4, members), {0}) == "0"
+    members = {0b0000, 0b0001, 0b0111, 0b1000, 0b1011, 0b1100, 0b1110, 0b1111}
+    assert mode_pattern(ControlSet(4, members), 0b0001) == 0
 
 
 def test_build_target_set_top_bit():
-    out = build_target_set("0", {2}, 3)
-    assert out.strings == frozenset({"000", "001", "010", "011"})
+    out = build_target_set(0b100, 0, 3)
+    assert out.labels == frozenset({0b000, 0b001, 0b010, 0b011})
     assert is_reducible(out) is not None
 
 
 def test_build_target_set_empty_fixed():
-    out = build_target_set("", frozenset(), 2)
-    assert out.strings == frozenset({"00", "01", "10", "11"})
+    out = build_target_set(0, 0, 2)
+    assert out.labels == frozenset({0b00, 0b01, 0b10, 0b11})
 
 
 def test_build_target_set_low_bit_even_states():
-    out = build_target_set("0", {0}, 4)
-    assert out.strings == frozenset(format(v, "04b") for v in range(0, 16, 2))
+    out = build_target_set(0b0001, 0, 4)
+    assert out.labels == frozenset(range(0, 16, 2))
 
 
 def test_mode_pattern_maximizes_overlap(rng):
@@ -65,26 +68,28 @@ def test_mode_pattern_maximizes_overlap(rng):
         P = int(rng.integers(2, 6))
         n = int(rng.integers(1, P))
         s2 = random_control_set(rng, P, 1 << n)
-        fixed = frozenset(int(b) for b in rng.choice(P, size=P - n, replace=False))
+        fixed = sum(1 << int(b) for b in rng.choice(P, size=P - n, replace=False))
         chosen = mode_pattern(s2, fixed)
-        chosen_overlap = len(s2.strings & build_target_set(chosen, fixed, P).strings)
-        for bits in product("01", repeat=len(fixed)):
-            other = "".join(bits)
-            overlap = len(s2.strings & build_target_set(other, fixed, P).strings)
+        chosen_overlap = len(s2.labels & build_target_set(fixed, chosen, P).labels)
+        for other in range(1 << P):
+            if other & ~fixed:
+                continue
+            overlap = len(s2.labels & build_target_set(fixed, other, P).labels)
             assert overlap <= chosen_overlap
 
 
 def test_reference_mapping_and_cost():
-    s2 = ControlSet(3, {"000", "001", "100", "111"})
-    s3 = build_target_set(mode_pattern(s2, {2}), {2}, 3)
-    assert s3.strings == frozenset({"000", "001", "010", "011"})
+    s2 = ControlSet(3, {0b000, 0b001, 0b100, 0b111})
+    s3 = build_target_set(0b100, mode_pattern(s2, 0b100), 3)
+    assert s3.labels == frozenset({0b000, 0b001, 0b010, 0b011})
     phi = solve_assignment(s2, s3)
-    assert phi.mapping == {"000": "000", "001": "001", "100": "010", "111": "011"}
-    assert phi.cost == brute_force_assignment(s2.strings, s3.strings) == 3
+    assert phi.mapping == {0b000: 0b000, 0b001: 0b001, 0b100: 0b010, 0b111: 0b011}
+    assert phi.cost == brute_force_assignment(as_strings(s2.labels, 3),
+                                              as_strings(s3.labels, 3)) == 3
 
 
 def test_identity_assignment():
-    s = ControlSet(2, {"01", "10"})
+    s = ControlSet(2, {0b01, 0b10})
     phi = solve_assignment(s, s)
     assert phi.cost == 0
     assert all(a == b for a, b in phi.pairs)
@@ -97,10 +102,11 @@ def test_random_assignment_matches_brute_force(rng):
         src = random_control_set(rng, P, size)
         dst = random_control_set(rng, P, size)
         phi = solve_assignment(src, dst)
-        assert phi.cost == brute_force_assignment(src.strings, dst.strings)
+        assert phi.cost == brute_force_assignment(as_strings(src.labels, P),
+                                                  as_strings(dst.labels, P))
         # result is a bijection onto the target set, identity on the overlap
-        assert set(phi.mapping.values()) == set(dst.strings)
-        for s in src.strings & dst.strings:
+        assert set(phi.mapping.values()) == set(dst.labels)
+        for s in src.labels & dst.labels:
             assert phi.mapping[s] == s
 
 
@@ -111,9 +117,9 @@ def test_lexicographic_tie_break(rng):
         src = random_control_set(rng, P, size)
         dst = random_control_set(rng, P, size)
         phi = solve_assignment(src, dst)
-        common = src.strings & dst.strings
-        rs = sorted(src.strings - common)
-        rt = sorted(dst.strings - common)
+        common = src.labels & dst.labels
+        rs = sorted(src.labels - common)
+        rt = sorted(dst.labels - common)
         best = None
         for perm in permutations(rt):
             cost = sum(hamming(s, t) for s, t in zip(rs, perm))
@@ -132,9 +138,9 @@ def test_optimal_not_above_any_random_bijection(rng):
         src = random_control_set(rng, P, size)
         dst = random_control_set(rng, P, size)
         phi = solve_assignment(src, dst)
-        targets = list(dst.strings)
+        targets = list(dst.labels)
         rng.shuffle(targets)
-        random_cost = sum(hamming(s, t) for s, t in zip(sorted(src.strings), targets))
+        random_cost = sum(hamming(s, t) for s, t in zip(sorted(src.labels), targets))
         assert phi.cost <= random_cost
 
 
@@ -146,12 +152,13 @@ def test_identity_restriction_never_costs_more(rng):
         src = random_control_set(rng, P, size)
         dst = random_control_set(rng, P, size)
         phi = solve_assignment(src, dst)
-        assert phi.cost == brute_force_unrestricted(src.strings, dst.strings)
+        assert phi.cost == brute_force_unrestricted(as_strings(src.labels, P),
+                                                    as_strings(dst.labels, P))
 
 
 def test_size_mismatch_rejected():
     with pytest.raises(BadInput):
-        solve_assignment(ControlSet(2, {"00"}), ControlSet(2, {"01", "10"}))
+        solve_assignment(ControlSet(2, {0b00}), ControlSet(2, {0b01, 0b10}))
 
 
 @settings(max_examples=60, deadline=None)
@@ -161,9 +168,10 @@ def test_bijection_matches_reference_on_random_sets(P, data):
     space = st.integers(0, (1 << P) - 1)
     src = data.draw(st.sets(space, min_size=size, max_size=size))
     dst = data.draw(st.sets(space, min_size=size, max_size=size))
-    s2 = ControlSet(P, {format(v, f"0{P}b") for v in src})
-    s3 = ControlSet(P, {format(v, f"0{P}b") for v in dst})
-    assert solve_assignment(s2, s3).pairs == reference_assignment(s2.strings, s3.strings)
+    s2 = ControlSet(P, src)
+    s3 = ControlSet(P, dst)
+    assert _string_pairs(solve_assignment(s2, s3)) == reference_assignment(
+        as_strings(src, P), as_strings(dst, P))
 
 
 @settings(max_examples=80, deadline=None)
@@ -183,7 +191,8 @@ def test_bijection_matches_reference_onto_reducible_targets(P, data):
     # the compiler's case: an irreducible set onto a reducible target set
     n = data.draw(st.integers(1, P - 1))
     src = data.draw(st.sets(st.integers(0, (1 << P) - 1), min_size=1 << n, max_size=1 << n))
-    s2 = ControlSet(P, {format(v, f"0{P}b") for v in src})
+    s2 = ControlSet(P, src)
     fixed = FixedIndexPolicy.right_ended().resolve(P, 1 << n)
-    s3 = build_target_set(mode_pattern(s2, fixed), fixed, P)
-    assert solve_assignment(s2, s3).pairs == reference_assignment(s2.strings, s3.strings)
+    s3 = build_target_set(fixed, mode_pattern(s2, fixed), P)
+    assert _string_pairs(solve_assignment(s2, s3)) == reference_assignment(
+        as_strings(s2.labels, P), as_strings(s3.labels, P))

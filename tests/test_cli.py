@@ -156,3 +156,64 @@ def test_export_rejects_malformed_json_ir(tmp_path, capsys, body):
     src.write_text(body)
     assert main(["export", "--in", str(src), "--out", str(tmp_path / "out.ir")]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def _ir_text(*lines) -> str:
+    return "\n".join(["blockenc-ir v1", "qubits 2", *lines]) + "\n"
+
+
+@pytest.mark.parametrize("body", [
+    _ir_text("x"),                               # no target
+    "blockenc-ir v1\nlayout m=x n=1\n",          # m not an int
+    "blockenc-ir v1\nlayout m=1\n",              # no n
+    _ir_text("mcx ctrl=q0 target=q1"),           # control without a value
+    _ir_text("mcx ctrl=q0:1"),                   # no target
+    _ir_text("mcx ctrl=q-1:1 target=q0"),        # control qubit out of range
+    _ir_text("ry(abc) q1"),                      # angle not a number
+    "blockenc-ir v1\nqubits two\n",
+    _ir_text("alpha x"),
+    _ir_text("gphase(x)"),
+], ids=["bare-x", "layout-m-word", "layout-no-n", "ctrl-no-value", "mcx-no-target",
+        "ctrl-negative-qubit", "ry-angle-word", "qubits-word", "alpha-word", "gphase-word"])
+def test_export_rejects_malformed_text_ir(tmp_path, capsys, body):
+    with pytest.raises(BlockencError):
+        import_text(body)
+    src = tmp_path / "bad.ir"
+    src.write_text(body)
+    assert main(["export", "--in", str(src), "--out", str(tmp_path / "out.json")]) == 2
+    assert "error" in capsys.readouterr().err
+
+
+def _matrix_json(*entries, **fields) -> str:
+    doc = {"dim": 2, "entries": list(entries)}
+    doc.update(fields)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("body", [
+    _matrix_json({"row": 0, "col": 0, "re": float("nan")}),     # NaN value
+    _matrix_json({"row": 0.5, "col": 0, "re": 1.0}),            # fractional row
+    _matrix_json({"row": True, "col": 0, "re": 1.0}),           # bool row
+    _matrix_json({"col": 0, "re": 1.0}),                        # no row
+    _matrix_json({"row": 0, "col": 0, "re": "1"}),              # re not a number
+    _matrix_json({"row": 0, "col": 0, "re": 10 ** 400}),        # re beyond float range
+    _matrix_json(entries={"row": 0, "col": 0}),                 # entries not a list
+    _matrix_json(5),                                            # entry not an object
+    "[1, 2]",                                                   # document not an object
+], ids=["nan", "fractional-row", "bool-row", "no-row", "string-re", "huge-re",
+        "entries-object", "entry-int", "list-document"])
+def test_stats_rejects_malformed_matrix(tmp_path, capsys, body):
+    src = tmp_path / "bad.json"
+    src.write_text(body)
+    assert main(["stats", "--in", str(src)]) == 2
+    assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["demo", "tridiagonal", "--fixed-index", "explicit:a"],
+    ["demo", "tridiagonal", "--coeffs", "1,2,3,4,5,x"],
+    ["demo", "tridiagonal", "--n", "-1"],
+], ids=["fixed-index-word", "coeffs-word", "negative-n"])
+def test_bad_argument_values_exit_2(capsys, argv):
+    assert main(argv) == 2
+    assert "error" in capsys.readouterr().err

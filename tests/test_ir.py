@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockenc.errors import BadGate, BadInput, TooLarge
 from blockenc.ir import (Circuit, RegisterLayout, circuit_unitary, export_json,
                          export_text, gate_unitary, import_json, import_text,
-                         inverse_circuit, mcx, phase, ry, unitarity_residual, x)
+                         inverse_circuit, mcx, pattern_select, phase, ry, select_pattern,
+                         unitarity_residual, x)
 
 
 def test_x_single_qubit():
@@ -92,7 +95,7 @@ def test_layout_basis_convention():
     assert lay.data_qubits == (0, 1)
     assert lay.del_qubit == 2
     assert lay.matrix_qubits == (3, 4, 5)
-    assert lay.full_pattern(data="01", matrix="XX1") == "01XXX1"
+    assert lay.full_pattern(data=(0b11, 0b01), matrix=(0b001, 0b001)) == "01XXX1"
 
 
 def test_export_text_exact_lines():
@@ -128,3 +131,18 @@ def test_json_round_trip_identity():
 def test_import_rejects_garbage():
     with pytest.raises(BadInput):
         import_text("not a circuit\n")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text(alphabet="01X", max_size=12))
+def test_pattern_select_round_trip(pattern):
+    width = len(pattern)
+    assert select_pattern(*pattern_select(pattern, width), width) == pattern
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda w: st.tuples(
+    st.just(w), st.integers(0, (1 << w) - 1), st.integers(0, (1 << w) - 1))))
+def test_select_pattern_round_trip(cube):
+    width, mask, value = cube
+    assert pattern_select(select_pattern(mask, value, width), width) == (mask, value & mask)
