@@ -262,12 +262,14 @@ def analyze(matrix: SparseMatrix, strategy: str | int = "auto"
     for g in groups:
         direction, amount = _shift_for(g, dim, matrix.n)
         present = tuple(g.rows)
-        absent = tuple(sorted(set(range(dim)) - set(g.rows)))
-        if not absent:
+        n_absent = dim - len(present)
+        if not n_absent:
             mode, delete_rows, insert_rows = "none", (), ()
-        elif len(present) <= len(absent):
+        elif len(present) <= n_absent:
             mode, delete_rows, insert_rows = "insert", (), present
-        else:
+        else:  # fewer absent rows than present ones, so this is O(nnz)
+            rows = set(present)
+            absent = tuple(r for r in range(dim) if r not in rows)
             mode, delete_rows, insert_rows = "delete", absent, ()
         for magnitude, ph, rank in _components(g.value):
             key = (_signed_offset(g.offset, dim), g.first_row, rank)

@@ -21,6 +21,14 @@ Conventions (used everywhere in the package, documented only here):
 For a register layout of m data qubits, one delete qubit and n matrix qubits,
 the basis index of ``|0>_data |0>_del |j>`` equals ``j``, which places the
 encoded block in the top-left corner of the full unitary.
+
+The dense oracle (``circuit_unitary``, ``gate_unitary``) rebuilds the full
+unitary by acting on the rows of the identity.  A run of x/mcx gates is
+folded into one row-index map and applied as one row gather; ry and phase
+rotate in place on basic-slicing views of the rows.  ``unitarity_residual``
+takes u^H u once as a Hermitian product (BLAS ``zherk``, one triangle) and
+reduces |u^H u - I| over that triangle in row blocks.  Two dim x dim complex
+buffers are alive at peak, 512 MiB at 12 qubits.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg.blas import zherk
 
 from .errors import BadGate, BadInput, TooLarge
 
@@ -137,6 +146,8 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
+        if self.n_qubits < 0:
+            raise BadGate(f"negative qubit count {self.n_qubits}")
         if self.layout is not None and self.layout.total != self.n_qubits:
             raise BadGate("layout does not match qubit count")
         for g in self.gates:
@@ -166,59 +177,104 @@ def select_pattern(mask: int, value: int, width: int) -> str:
                    for b in range(width - 1, -1, -1))
 
 
-def apply_gate(state: np.ndarray, gate: Gate, width: int) -> None:
-    """Apply a gate in place to a statevector or to the rows of a matrix."""
-    dim = 1 << width
-    idx = np.arange(dim)
-    mask, value = pattern_select(gate.pattern, width)
-    matched = (idx & mask) == value
-    if gate.kind in ("x", "mcx"):
-        tbit = 1 << (width - 1 - gate.target)
-        i0 = idx[matched & ((idx & tbit) == 0)]
-        if len(i0) == 0:
-            return
-        i1 = i0 | tbit
-        state[np.concatenate([i0, i1])] = state[np.concatenate([i1, i0])]
-    elif gate.kind == "ry":
-        tbit = 1 << (width - 1 - gate.target)
-        i0 = idx[matched & ((idx & tbit) == 0)]
-        i1 = i0 | tbit
-        c, s = math.cos(gate.angle / 2), math.sin(gate.angle / 2)
-        r0 = state[i0].copy()
-        state[i0] = c * r0 - s * state[i1]
-        state[i1] = s * r0 + c * state[i1]
-    elif gate.kind == "phase":
-        tbit = 1 << (width - 1 - gate.target)
-        i1 = idx[matched & ((idx & tbit) != 0)]
-        state[i1] = state[i1] * np.exp(1j * gate.angle)
-    else:  # pragma: no cover - guarded by validate_gate
-        raise BadGate(gate.kind)
+def _rows_where(gate: Gate, width: int, bit: int) -> tuple:
+    """Basic-slicing index, into a ``(2,) * width + (cols,)`` view of rows, of
+    the rows where every control of ``gate`` holds and its target reads ``bit``."""
+    idx = [slice(None)] * width
+    for q, ch in enumerate(gate.pattern or ""):
+        if ch != "X":
+            idx[q] = int(ch)
+    idx[gate.target] = bit
+    return tuple(idx)
+
+
+_ROTATION_BLOCK = 1 << 14  # complex entries per cache-sized slice of a rotation
+
+
+def _unitary(gates, width: int) -> np.ndarray:
+    """Apply gates, first gate first, to the rows of the identity.
+
+    A run of x/mcx gates is composed into one row-index map, O(2**width) per
+    gate, and applied as one row gather before the next rotation and once at
+    the end.  The gather writes a second buffer of the matrix's size, so two
+    are alive at peak.  ry and phase act in place on basic-slicing views of
+    the rows; ry goes slice by slice so that both rows of a pair stay in cache.
+    """
+    u = np.eye(1 << width, dtype=complex)
+    spare = np.empty_like(u)
+    scratch = np.empty((2, _ROTATION_BLOCK), dtype=complex)
+    rows = (2,) * width + (-1,)
+    perm = None
+    for g in gates:
+        if g.kind in ("x", "mcx"):
+            if perm is None:
+                perm = np.arange(1 << width)
+            p = perm.reshape(rows)
+            lo, hi = p[_rows_where(g, width, 0)], p[_rows_where(g, width, 1)]
+            lo[...], hi[...] = hi.copy(), lo.copy()
+            continue
+        if perm is not None:
+            np.take(u, perm, axis=0, out=spare, mode="clip")
+            u, spare, perm = spare, u, None
+        t = u.reshape(rows)
+        hi = t[_rows_where(g, width, 1)]
+        if g.kind == "phase":
+            hi *= np.exp(1j * g.angle)
+            continue
+        lo = t[_rows_where(g, width, 0)]
+        c, s = math.cos(g.angle / 2), math.sin(g.angle / 2)
+        k = 0
+        while lo[(0,) * k].size > _ROTATION_BLOCK:
+            k += 1
+        for ix in np.ndindex(lo.shape[:k]):
+            a, b = lo[ix], hi[ix]
+            sa = np.multiply(a, s, out=scratch[0, :a.size].reshape(a.shape))
+            sb = np.multiply(b, s, out=scratch[1, :a.size].reshape(a.shape))
+            a *= c
+            a -= sb
+            b *= c
+            b += sa
+    if perm is not None:
+        np.take(u, perm, axis=0, out=spare, mode="clip")
+        u = spare
+    return u
 
 
 def gate_unitary(gate: Gate, layout: RegisterLayout | int) -> np.ndarray:
     """Exact unitary of one gate over the full layout."""
     width = layout.total if isinstance(layout, RegisterLayout) else int(layout)
     validate_gate(gate, width)
-    u = np.eye(1 << width, dtype=complex)
-    apply_gate(u, gate, width)
-    return u
+    return _unitary((gate,), width)
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Full unitary, first gate applied first (rightmost in the matrix product)."""
     if circuit.n_qubits > MAX_SIM_QUBITS:
         raise TooLarge(f"{circuit.n_qubits} qubits exceeds the {MAX_SIM_QUBITS}-qubit budget")
-    u = np.eye(1 << circuit.n_qubits, dtype=complex)
-    for g in circuit.gates:
-        apply_gate(u, g, circuit.n_qubits)
+    u = _unitary(circuit.gates, circuit.n_qubits)
     if circuit.global_phase:
-        u = u * np.exp(1j * circuit.global_phase)
+        u *= np.exp(1j * circuit.global_phase)
     return u
 
 
+_RESIDUAL_ROWS = 256  # rows of the u^H u triangle reduced at a time
+
+
 def unitarity_residual(u: np.ndarray) -> float:
-    d = u.conj().T @ u - np.eye(u.shape[0])
-    return float(np.abs(d).max())
+    """max |u^H u - I| over every entry.
+
+    ``zherk`` on the Fortran-ordered view ``u.T`` writes one triangle of the
+    Hermitian product (the transpose of u^H u, which has the same entry
+    magnitudes); the maximum is taken over that triangle in row blocks.
+    """
+    dim = u.shape[0]
+    h = zherk(1.0, u.T).T  # C-ordered; rows hold the lower triangle
+    h.reshape(-1)[::dim + 1] -= 1
+    worst = 0.0
+    for r0 in range(0, dim, _RESIDUAL_ROWS):
+        r1 = min(r0 + _RESIDUAL_ROWS, dim)
+        worst = max(worst, float(np.abs(np.tril(h[r0:r1, :r1], r0)).max()))
+    return worst
 
 
 def inverse_gate(gate: Gate) -> Gate:

@@ -1,13 +1,54 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import math
 from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from blockenc.ir import circuit_unitary
+from blockenc.ir import Circuit, Gate, circuit_unitary, pattern_select
 from blockenc.mcx import ControlSet
+
+
+def reference_apply_gate(state: np.ndarray, gate: Gate, width: int) -> None:
+    """Apply a gate in place to the rows of a matrix by fancy-index row swaps."""
+    dim = 1 << width
+    idx = np.arange(dim)
+    mask, value = pattern_select(gate.pattern, width)
+    matched = (idx & mask) == value
+    tbit = 1 << (width - 1 - gate.target)
+    if gate.kind in ("x", "mcx"):
+        i0 = idx[matched & ((idx & tbit) == 0)]
+        if len(i0) == 0:
+            return
+        i1 = i0 | tbit
+        state[np.concatenate([i0, i1])] = state[np.concatenate([i1, i0])]
+    elif gate.kind == "ry":
+        i0 = idx[matched & ((idx & tbit) == 0)]
+        i1 = i0 | tbit
+        c, s = math.cos(gate.angle / 2), math.sin(gate.angle / 2)
+        r0 = state[i0].copy()
+        state[i0] = c * r0 - s * state[i1]
+        state[i1] = s * r0 + c * state[i1]
+    else:
+        i1 = idx[matched & ((idx & tbit) != 0)]
+        state[i1] = state[i1] * np.exp(1j * gate.angle)
+
+
+def reference_circuit_unitary(circuit: Circuit) -> np.ndarray:
+    """Gate-by-gate dense unitary with one fancy-index update per gate."""
+    u = np.eye(1 << circuit.n_qubits, dtype=complex)
+    for g in circuit.gates:
+        reference_apply_gate(u, g, circuit.n_qubits)
+    if circuit.global_phase:
+        u = u * np.exp(1j * circuit.global_phase)
+    return u
+
+
+def reference_unitarity_residual(u: np.ndarray) -> float:
+    """max |u^H u - I| from the full dense product."""
+    return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
 
 
 def brute_force_assignment(sources, targets):

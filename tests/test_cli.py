@@ -148,6 +148,7 @@ def _ir_json(**fields) -> str:
     _ir_json(global_phase="0"),
     _ir_json(metadata=[]),
     '{"format": "blockenc-ir",',                                         # not JSON
+    _ir_json(qubits=-1),
 ])
 def test_export_rejects_malformed_json_ir(tmp_path, capsys, body):
     with pytest.raises(BlockencError):
@@ -171,10 +172,12 @@ def _ir_text(*lines) -> str:
     _ir_text("mcx ctrl=q-1:1 target=q0"),        # control qubit out of range
     _ir_text("ry(abc) q1"),                      # angle not a number
     "blockenc-ir v1\nqubits two\n",
+    "blockenc-ir v1\nqubits -1\n",
     _ir_text("alpha x"),
     _ir_text("gphase(x)"),
 ], ids=["bare-x", "layout-m-word", "layout-no-n", "ctrl-no-value", "mcx-no-target",
-        "ctrl-negative-qubit", "ry-angle-word", "qubits-word", "alpha-word", "gphase-word"])
+        "ctrl-negative-qubit", "ry-angle-word", "qubits-word", "qubits-negative",
+        "alpha-word", "gphase-word"])
 def test_export_rejects_malformed_text_ir(tmp_path, capsys, body):
     with pytest.raises(BlockencError):
         import_text(body)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from blockenc.errors import BadDimension, BadInput, EmptyMatrix
 from blockenc.ingest import (SparseMatrix, analyze, extract_data_vectors,
                              load_matrix, matrix_from_dict, plan_operations,
                              reconstruct, save_matrix)
+from blockenc.pipeline import compile_matrix
 
 
 def test_tridiagonal_extraction_order_and_phases():
@@ -88,6 +90,16 @@ def test_plan_insert_vs_delete_threshold():
     plan = plan_operations(SparseMatrix(2, entries))
     item = plan.items[0]
     assert item.mode == "insert" and item.insert_rows == (0, 1)
+
+
+def test_single_entry_plan_costs_nnz_not_dim():
+    # n = 40: a row set of the matrix dimension could not even be allocated
+    start = time.perf_counter()
+    enc = compile_matrix(SparseMatrix(40, ((3, 5, 0.5 + 0j),)))
+    assert time.perf_counter() - start < 1.0
+    (item,) = enc.plan.items
+    assert item.mode == "insert" and item.insert_rows == (3,) and not item.delete_rows
+    assert enc.circuit.n_qubits == 41
 
 
 def test_diagonal_strategy_difference_encoding():

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockenc import ir
 from blockenc.errors import BadGate, BadInput, TooLarge
-from blockenc.ir import (Circuit, RegisterLayout, circuit_unitary, export_json,
+from blockenc.ir import (Circuit, Gate, RegisterLayout, circuit_unitary, export_json,
                          export_text, gate_unitary, import_json, import_text,
                          inverse_circuit, mcx, pattern_select, phase, ry, select_pattern,
                          unitarity_residual, x)
+from conftest import reference_circuit_unitary, reference_unitarity_residual
 
 
 def test_x_single_qubit():
@@ -146,3 +148,58 @@ def test_pattern_select_round_trip(pattern):
 def test_select_pattern_round_trip(cube):
     width, mask, value = cube
     assert pattern_select(select_pattern(mask, value, width), width) == (mask, value & mask)
+
+
+@st.composite
+def _random_circuits(draw):
+    width = draw(st.integers(1, 7))
+    gates = []
+    for _ in range(draw(st.integers(0, 24))):
+        kind = draw(st.sampled_from(["x", "mcx", "ry", "phase"]))
+        target = draw(st.integers(0, width - 1))
+        pattern = None
+        if kind == "mcx" or (kind != "x" and draw(st.booleans())):
+            chars = draw(st.lists(st.sampled_from("01X"), min_size=width, max_size=width))
+            chars[target] = "X"
+            pattern = "".join(chars)
+        angle = draw(st.floats(-7.0, 7.0)) if kind in ("ry", "phase") else 0.0
+        gates.append(Gate(kind, target=target, pattern=pattern, angle=angle))
+    gphase = draw(st.floats(0.01, 6.0))
+    return Circuit(width, tuple(gates), global_phase=gphase)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_circuits())
+def test_simulation_matches_reference(circ):
+    u = circuit_unitary(circ)
+    assert np.array_equal(u, reference_circuit_unitary(circ))
+    assert abs(unitarity_residual(u) - reference_unitarity_residual(u)) <= 1e-15
+    for g in circ.gates:
+        one = Circuit(circ.n_qubits, (g,))
+        assert np.array_equal(gate_unitary(g, circ.n_qubits), reference_circuit_unitary(one))
+
+
+def _perturbed_unitary(dim: int, where: str, rng) -> np.ndarray:
+    """Random unitary with one column changed so that u^H u - I peaks at one cell:
+    on the diagonal, in the last row, or below the diagonal in the middle."""
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    if where == "diagonal":
+        q[:, dim // 2] *= 1 + 1e-6
+    elif where == "last":
+        q[:, 0] += 1e-6 * q[:, dim - 1]
+    else:
+        q[:, dim // 3] += 1e-6j * q[:, (2 * dim) // 3]
+    return q
+
+
+@pytest.mark.parametrize("rows", [None, 3, 5])
+@pytest.mark.parametrize("where", ["diagonal", "last", "below"])
+@pytest.mark.parametrize("dim", [2, 8, 128, 300])
+def test_residual_finds_the_worst_cell(monkeypatch, rng, rows, where, dim):
+    # row blocks larger than, smaller than and not dividing the dimension
+    if rows is not None:
+        monkeypatch.setattr(ir, "_RESIDUAL_ROWS", rows)
+    u = _perturbed_unitary(dim, where, rng)
+    expected = reference_unitarity_residual(u)
+    assert expected > 1e-7
+    assert abs(unitarity_residual(u) - expected) <= 1e-15
