@@ -6,13 +6,15 @@ frequent value on that mask, and match the leftover sources to leftover
 targets with minimum total Hamming distance (a linear assignment problem).
 All tie-breaking is deterministic and lexicographic.
 
-Labels are ints throughout; the Hamming cost matrix is the popcount of their
-XOR.  The lexicographic tie-break fixes one source at a time to the first
-target that still allows an optimal completion.  Under the dual potentials
-of the first solve, such completions use only tight (source, target) pairs,
-so the feasible targets are found by a path search in that tight graph.  It
-returns the same bijection as trying every target with one LSAP each, and
-solves one LSAP in all.
+Labels are ints and a label set is any iterable of distinct ints with its
+width P passed alongside; a matching is a sorted tuple of (source, target)
+pairs.  The Hamming cost matrix is the popcount of their XOR.  The
+lexicographic tie-break fixes one source at a time to the first target that
+still allows an optimal completion.  Under the dual potentials of the first
+solve, such completions use only tight (source, target) pairs, so the
+feasible targets are found by a path search in that tight graph.  It returns
+the same matching as trying every target with one LSAP each, and solves one
+LSAP in all.
 """
 
 from __future__ import annotations
@@ -23,7 +25,18 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import BadInput
-from .mcx import ControlSet, submasks
+
+Pairs = tuple[tuple[int, int], ...]  # (source, target), sorted by source
+
+
+def submasks(mask: int):
+    """Every submask of ``mask``, ascending."""
+    sub = 0
+    while True:
+        yield sub
+        if sub == mask:
+            return
+        sub = (sub - mask) & mask
 
 
 def hamming(a: int, b: int) -> int:
@@ -68,34 +81,21 @@ class FixedIndexPolicy:
         return sum(1 << b for b in bits)
 
 
-def mode_pattern(s2: ControlSet, mask: int) -> int:
-    """Most frequent value of ``label & mask`` over s2, smallest on ties."""
+def mode_pattern(labels, mask: int) -> int:
+    """Most frequent value of ``label & mask`` over the labels, smallest on ties."""
     counts: dict[int, int] = {}
-    for v in s2.labels:
+    for v in labels:
         counts[v & mask] = counts.get(v & mask, 0) + 1
     best = max(counts.values())
     return min(k for k, c in counts.items() if c == best)
 
 
-def build_target_set(mask: int, value: int, P: int) -> ControlSet:
-    """The cube (mask, value) as a set of P-bit labels; always reducible."""
+def build_target_set(mask: int, value: int, P: int) -> list[int]:
+    """The P-bit labels of the cube (mask, value), ascending; always reducible."""
     full = (1 << P) - 1
     if mask & ~full or value & ~mask:
         raise BadInput(f"value {value} must lie inside the mask {mask} of {P} bits")
-    return ControlSet(P, frozenset(value | sub for sub in submasks(full ^ mask)))
-
-
-@dataclass(frozen=True)
-class Bijection:
-    """Source-to-target matching of width-bit labels, identity on shared ones."""
-
-    pairs: tuple[tuple[int, int], ...]  # sorted by source
-    cost: int
-    width: int
-
-    @property
-    def mapping(self) -> dict[int, int]:
-        return dict(self.pairs)
+    return [value | sub for sub in submasks(full ^ mask)]
 
 
 def _hamming_matrix(sources: list[int], targets: list[int], width: int) -> np.ndarray:
@@ -128,7 +128,7 @@ def _dual_potentials(cost: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np
     return assigned - v[cols], v
 
 
-def _tie_break(cost: np.ndarray) -> tuple[list[int], int]:
+def _tie_break(cost: np.ndarray) -> list[int]:
     """Lexicographically smallest optimal assignment of a square cost matrix.
 
     Row by row, the first free column from which the remaining rows can still
@@ -140,11 +140,10 @@ def _tie_break(cost: np.ndarray) -> tuple[list[int], int]:
     another tight column, whose row moves on, and so on until one takes t.
     When a tight column comes before t, one breadth-first pass from t finds
     every such k; the matching is then shifted along the path from the
-    smallest one.  Returns the columns per row and the cost.
+    smallest one.  Returns the column of each row.
     """
     n = cost.shape[0]
     rows, match = linear_sum_assignment(cost)
-    base = int(cost[rows, match].sum())
     u, v = _dual_potentials(cost, match)
     tight = u[:, None] + v[None, :] == cost
     owner = np.empty(n, dtype=np.intp)  # row matched to each column
@@ -172,24 +171,24 @@ def _tie_break(cost: np.ndarray) -> tuple[list[int], int]:
             match[j] = path[0]
             owner[path[0]] = j
         free[match[j]] = False
-    return [int(k) for k in match], base
+    return [int(k) for k in match]
 
 
-def solve_assignment(s2: ControlSet, s3: ControlSet) -> Bijection:
-    """Minimum-Hamming-cost bijection from s2 onto s3.
+def solve_assignment(sources, targets, P: int) -> Pairs:
+    """Minimum-Hamming-cost matching of the P-bit sources onto the targets.
 
     Shared labels map to themselves; the rest is solved as a linear
     assignment problem.  Among cost-optimal solutions the one minimal under
     lexicographic ordering of (source, target) pairs is returned.
     """
-    if s2.P != s3.P or len(s2.labels) != len(s3.labels):
-        raise BadInput("source and target sets must have equal size and width")
-    common = s2.labels & s3.labels
-    residual_s = sorted(s2.labels - common)
-    residual_t = sorted(s3.labels - common)
-    pairs = [(s, s) for s in sorted(common)]
-    total = 0
+    sources, targets = set(sources), set(targets)
+    if len(sources) != len(targets) or any(v >> P for v in sources | targets):
+        raise BadInput(f"source and target sets must have equal size and {P}-bit labels")
+    common = sources & targets
+    residual_s = sorted(sources - common)
+    residual_t = sorted(targets - common)
+    pairs = [(s, s) for s in common]
     if residual_s:
-        cols, total = _tie_break(_hamming_matrix(residual_s, residual_t, s2.P))
+        cols = _tie_break(_hamming_matrix(residual_s, residual_t, P))
         pairs += [(src, residual_t[k]) for src, k in zip(residual_s, cols)]
-    return Bijection(tuple(sorted(pairs)), total, s2.P)
+    return tuple(sorted(pairs))

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import demo as demo_matrices
 from .assignment import FixedIndexPolicy
-from .errors import BlockencError
+from .errors import BadInput, BlockencError
 from .ingest import load_matrix, save_matrix
 from .ir import export_json, export_text, import_json, import_text
 from .pipeline import CompileConfig, compile_matrix, format_stats, stats_report
@@ -80,12 +80,9 @@ def cmd_compile(args) -> int:
 def cmd_verify(args) -> int:
     matrix = load_matrix(args.matrix)
     circuit, meta = _read_ir(Path(args.circuit))
-    alpha = meta.get("alpha")
-    if alpha is None:
-        from .ingest import extract_data_vectors
-        data, _ = extract_data_vectors(matrix)
-        alpha = data.alpha
-    report = verify_circuit(matrix, circuit, alpha, args.tol)
+    if "alpha" not in meta:
+        raise BadInput(f"{args.circuit} records no alpha to verify against")
+    report = verify_circuit(matrix, circuit, meta["alpha"], args.tol)
     print(report)
     if args.out:
         Path(args.out).write_text(report.to_json())

@@ -33,14 +33,6 @@ class NotPowerOfTwo(BlockencError):
     """Control-set size must be a power of two."""
 
 
-class NotReducible(BlockencError):
-    """Control set does not collapse to a single gate."""
-
-
-class BadExpansion(BlockencError):
-    """Invalid qubit choice when expanding a gate into a composition."""
-
-
 class NotAdjacent(BlockencError):
     """Basis states differ in more than one bit."""
 

@@ -17,14 +17,18 @@ for the compiler and the tests alike:
 - ``insert_stage``: one delete-qubit flip per cube of every inserted label,
   then one delete group per row set.
 
-A fusion plan collapses several labels into one gate when they reduce, and
-otherwise wraps the gate in a coherent permutation that relocates them onto a
-reducible set first (``_emit_plan``).  ``shift_cascade`` and ``delete_flip``
-are the per-item gates, which the unfused baseline uses directly.
+A set of control labels sharing a target collapses to one gate exactly when
+it is a ``(mask, value)`` cube: the labels agree on the mask bits and
+enumerate every combination of the others (``is_reducible``).  A fusion plan
+fuses such a set directly, and otherwise wraps the gate in a coherent
+permutation that relocates the labels onto a cube first (``_emit_plan``).
+``shift_cascade`` and ``delete_flip`` are the per-item gates, which the
+unfused baseline uses directly.
 
-Item labels and row indices are ints, and every control set in a plan is a
-``(mask, value)`` cube (see ``ir``).  Strings appear only in the gates, made
-by ``RegisterLayout.full_pattern`` and ``permute.basis_swap``.  The disjoint
+Item labels and row indices are ints, a label set is a list of distinct ints
+with its width alongside, and every control set in a plan is a cube (see
+``ir``).  Strings appear only in the gates, made by
+``RegisterLayout.full_pattern`` and ``permute.basis_swap``.  The disjoint
 cube cover (``_greedy_cubes``) works on the labels directly, and
 ``plan_fusion`` builds it only when zero padding could lose to it.
 """
@@ -34,12 +38,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .assignment import FixedIndexPolicy, build_target_set, mode_pattern, solve_assignment
-from .errors import BadInput, BadShift
+from .errors import BadInput, BadShift, NotPowerOfTwo
 from .ir import Gate, RegisterLayout, embed_gates, mcx
-from .mcx import ControlSet, is_reducible
 from .permute import basis_swap, route_permutation
 
 Cube = tuple[int, int]  # (mask, value): labels i with i & mask == value
+
+
+def is_reducible(labels, P: int) -> Cube | None:
+    """The cube equal to a set of distinct P-bit labels, or None if there is none.
+
+    The mask holds the bits on which every label agrees (AND equals OR).  The
+    set size must be a power of two; the full set of 2^P labels reduces to
+    the empty cube (0, 0), an unconditional X.
+    """
+    size = len(labels)
+    if size & (size - 1):
+        raise NotPowerOfTwo(f"control set size {size} is not a power of two")
+    common, either = (1 << P) - 1, 0
+    for v in labels:
+        common &= v
+        either |= v
+    mask = ((1 << P) - 1) & ~(common ^ either)
+    # distinct labels agreeing on P - n fixed bits enumerate the other n
+    if mask.bit_count() != P - (size.bit_length() - 1):
+        return None
+    return mask, common
 
 
 def shift_cascade(data: Cube, direction: str, amount: int,
@@ -123,11 +147,10 @@ class FusionPlan:
 def _permute_subgroup(labels: list[int], P: int,
                       policy: FixedIndexPolicy) -> SubFusion:
     """Route the labels onto the cube sharing their most frequent fixed value."""
-    s2 = ControlSet(P, frozenset(labels))
     mask = policy.resolve(P, len(labels))
-    value = mode_pattern(s2, mask)
-    phi = solve_assignment(s2, build_target_set(mask, value, P))
-    return SubFusion((mask, value), tuple(route_permutation(phi).swaps))
+    value = mode_pattern(labels, mask)
+    pairs = solve_assignment(labels, build_target_set(mask, value, P), P)
+    return SubFusion((mask, value), tuple(route_permutation(pairs, P).swaps))
 
 
 def plan_fusion(labels: list[int], P: int, *, zero_slots: tuple[int, ...] = (),
@@ -146,7 +169,7 @@ def plan_fusion(labels: list[int], P: int, *, zero_slots: tuple[int, ...] = (),
     size = len(labels)
 
     def direct_or_permute(members: list[int], mode_direct: str, mode_perm: str) -> FusionPlan:
-        cube = is_reducible(ControlSet(P, frozenset(members)))
+        cube = is_reducible(members, P)
         if cube is not None:
             return FusionPlan(mode_direct, [SubFusion(cube)], register=register)
         return FusionPlan(mode_perm, [_permute_subgroup(members, P, policy)], register=register)

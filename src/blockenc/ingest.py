@@ -150,7 +150,6 @@ class PlanItem:
     amount: int
     powers: tuple[int, ...]    # binary decomposition of amount, ascending
     mode: str                  # "delete" | "insert" | "none"
-    present_rows: tuple[int, ...]
     delete_rows: tuple[int, ...]
     insert_rows: tuple[int, ...]
 
@@ -273,16 +272,14 @@ def analyze(matrix: SparseMatrix, strategy: str | int = "auto"
             mode, delete_rows, insert_rows = "delete", absent, ()
         for magnitude, ph, rank in _components(g.value):
             key = (_signed_offset(g.offset, dim), g.first_row, rank)
-            records.append((key, magnitude, ph, g, direction, amount, mode,
-                            present, delete_rows, insert_rows))
+            records.append((key, magnitude, ph, direction, amount, mode,
+                            delete_rows, insert_rows))
     records.sort(key=lambda rec: rec[0])
     if not records:
         raise EmptyMatrix("matrix has no nonzero entries")
-    s = len(records)
-    m = max(s - 1, 0).bit_length()
     items = []
-    for p, (key, magnitude, ph, g, direction, amount, mode,
-            present, delete_rows, insert_rows) in enumerate(records):
+    for p, (key, magnitude, ph, direction, amount, mode,
+            delete_rows, insert_rows) in enumerate(records):
         items.append(PlanItem(
             index=p,
             magnitude=magnitude,
@@ -292,7 +289,6 @@ def analyze(matrix: SparseMatrix, strategy: str | int = "auto"
             amount=amount,
             powers=_powers(amount),
             mode=mode,
-            present_rows=present,
             delete_rows=delete_rows,
             insert_rows=insert_rows,
         ))
@@ -300,35 +296,3 @@ def analyze(matrix: SparseMatrix, strategy: str | int = "auto"
     signs = SignVector(tuple(it.phase for it in items))
     plan = OperationPlan(matrix.n, tuple(items), chosen)
     return data, signs, plan
-
-
-def extract_data_vectors(matrix: SparseMatrix,
-                         strategy: str | int = "auto") -> tuple[DataVector, SignVector]:
-    """Positive magnitudes and separated unit phases of the matrix dictionary."""
-    data, signs, _ = analyze(matrix, strategy)
-    return data, signs
-
-
-def plan_operations(matrix: SparseMatrix, data: DataVector | None = None,
-                    strategy: str | int = "auto") -> OperationPlan:
-    """Tabulate shift, delete and insert operations for every data item."""
-    extracted, _, plan = analyze(matrix, strategy)
-    if data is not None and extracted.items != data.items:
-        raise BadInput("data vector does not match this matrix")
-    return plan
-
-
-def reconstruct(plan: OperationPlan) -> np.ndarray:
-    """Dense matrix implied by the plan; equals the input matrix exactly."""
-    dim = 1 << plan.n
-    out = np.zeros((dim, dim), dtype=complex)
-    for item in plan.items:
-        for r in item.present_rows:
-            if item.direction == "L":
-                c = (r - item.amount) % dim
-            elif item.direction == "R":
-                c = (r + item.amount) % dim
-            else:
-                c = r
-            out[r, c] += item.phase * item.magnitude
-    return out

@@ -385,9 +385,9 @@ def import_text(text: str) -> tuple[Circuit, dict]:
             elif head == "qubits":
                 width = int(toks[1])
             elif head in _META_KEYS:
-                meta[head] = float(toks[1])
+                meta[head] = _finite_number(float(toks[1]), head)
             elif head.startswith("gphase("):
-                gphase = float(head[len("gphase("):-1])
+                gphase = _finite_number(float(head[len("gphase("):-1]), "gphase")
             else:
                 if width is None:
                     raise BadInput("gate line before qubit count")
@@ -450,7 +450,7 @@ def _json_int(value, what: str) -> int:
     return value
 
 
-def _json_number(value, what: str) -> float:
+def _finite_number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise BadInput(f"{what} must be a finite number, got {value!r}")
     return float(value)
@@ -473,7 +473,7 @@ def _json_gate(d) -> Gate:
         raise BadInput(f"{kind} gate pattern must be a string, got {pattern!r}")
     if kind in ("ry", "phase") and "angle" not in d:
         raise BadInput(f"{kind} gate without an angle")
-    angle = _json_number(d.get("angle", 0.0), f"{kind} gate angle")
+    angle = _finite_number(d.get("angle", 0.0), f"{kind} gate angle")
     return Gate(kind, target=target, pattern=pattern, angle=angle)
 
 
@@ -497,6 +497,9 @@ def import_json(text: str) -> tuple[Circuit, dict]:
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise BadInput(f"metadata must be an object, got {metadata!r}")
+    for key in _META_KEYS:
+        if key in metadata:
+            _finite_number(metadata[key], f"metadata {key}")
     circ = Circuit(_json_int(doc.get("qubits"), "qubits"), tuple(gates), layout,
-                   _json_number(doc.get("global_phase", 0.0), "global_phase"))
+                   _finite_number(doc.get("global_phase", 0.0), "global_phase"))
     return circ, metadata

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import NotAdjacent
-from .assignment import Bijection, hamming
+from .assignment import Pairs, hamming
 from .ir import Circuit, Gate, mcx, select_pattern
 
 
@@ -25,7 +25,7 @@ def basis_swap(a: int, b: int, width: int) -> Gate:
 
 @dataclass
 class RoutingPlan:
-    """Swap schedule realizing a bijection, with bookkeeping for stats."""
+    """Swap schedule realizing a matching, with bookkeeping for stats."""
 
     width: int
     swaps: list[tuple[int, int]] = field(default_factory=list)
@@ -64,20 +64,21 @@ def _bfs_path(start: int, goal: int, blocked: set[int], bits: list[int]) -> list
     return None
 
 
-def route_permutation(phi: Bijection) -> RoutingPlan:
-    """Plan adjacent-state swaps realizing phi on every source state.
+def route_permutation(pairs: Pairs, width: int) -> RoutingPlan:
+    """Plan adjacent-state swaps carrying every source label to its target.
 
-    Sources are processed in ascending order of distance to target; the
-    default path flips differing bits from most to least significant,
-    detouring around states whose amplitudes are already settled.
+    ``pairs`` is a matching of width-bit labels; pairs with equal ends are
+    settled states the route never borrows.  Sources are processed in
+    ascending order of distance to target; the default path flips differing
+    bits from most to least significant, detouring around settled states.
     """
-    plan = RoutingPlan(width=phi.width)
-    moves = {s: t for s, t in phi.pairs if s != t}
+    plan = RoutingPlan(width=width)
+    moves = {s: t for s, t in pairs if s != t}
     if not moves:
         return plan
-    bits = [1 << b for b in range(phi.width - 1, -1, -1)]  # most significant first
+    bits = [1 << b for b in range(width - 1, -1, -1)]  # most significant first
     plan.hamming_bound = sum(hamming(s, t) for s, t in moves.items())
-    settled = {s for s, t in phi.pairs if s == t}
+    settled = {s for s, t in pairs if s == t}
     pos = {s: s for s in moves}
     order = sorted(moves, key=lambda s: (hamming(s, moves[s]), s))
 
@@ -139,32 +140,11 @@ def route_permutation(phi: Bijection) -> RoutingPlan:
     return plan
 
 
-def permute_circuit(phi: Bijection) -> Circuit:
-    """Circuit whose unitary is a permutation matrix agreeing with phi.
+def permute_circuit(pairs: Pairs, width: int) -> Circuit:
+    """Circuit whose unitary is a permutation matrix agreeing with the pairs.
 
     Every source column carries its amplitude to the mapped target; states
     outside the sources are permuted among the leftover positions.
     """
-    plan = route_permutation(phi)
-    return Circuit(plan.width, tuple(basis_swap(a, b, plan.width) for a, b in plan.swaps))
-
-
-def permute_inverse(circuit: Circuit) -> Circuit:
-    """Same swaps in reverse order; composition with the original is identity."""
-    return Circuit(circuit.n_qubits, tuple(reversed(circuit.gates)),
-                   circuit.layout, -circuit.global_phase)
-
-
-def controlled_swap(a: int, b: int, width: int) -> list[Gate]:
-    """Exchange two labels differing in exactly two bits, as three MCX gates.
-
-    Convenience equivalent of a fully controlled SWAP gate, kept in the MCX
-    family: route through the intermediate that flips the higher differing
-    bit first, then undo the first step.
-    """
-    diff = a ^ b
-    if diff.bit_count() != 2 or (a | b) >> width:
-        raise NotAdjacent(f"{a} and {b} must differ in exactly two of {width} bits")
-    mid = a ^ (1 << (diff.bit_length() - 1))
-    first = basis_swap(a, mid, width)
-    return [first, basis_swap(mid, b, width), first]
+    plan = route_permutation(pairs, width)
+    return Circuit(width, tuple(basis_swap(a, b, width) for a, b in plan.swaps))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field, replace
 
-from .assignment import Bijection, FixedIndexPolicy, hamming
+from .assignment import FixedIndexPolicy
 from .index_map import delete_flip, delete_group, insert_stage, shift_cascade, shift_group
 from .ingest import DataVector, OperationPlan, SignVector, SparseMatrix, analyze
 from .ir import Circuit, Gate, RegisterLayout, embed_gates
@@ -204,8 +204,7 @@ class _Assembler:
         pairs = tuple(sorted((self.cur[it.index], it.index) for it in self.plan.items))
         if all(a == b for a, b in pairs):
             return
-        cost = sum(hamming(a, b) for a, b in pairs)
-        circ = permute_circuit(Bijection(pairs, cost, self.layout.m))
+        circ = permute_circuit(pairs, self.layout.m)
         emitted = embed_gates(circ.gates, self.layout.total, list(self.layout.data_qubits))
         self.gates.extend(emitted)
         self.permute_count += len(emitted)

@@ -85,10 +85,3 @@ def synthesize_unprep(data: DataVector) -> Circuit:
         return Circuit(0, ())
     forward = Circuit(data.m, tuple(_magnitude_tree(mags, data.m)))
     return inverse_circuit(forward)
-
-
-def prep_target(data: DataVector, signs: SignVector) -> np.ndarray:
-    """Reference statevector the forward oracle must produce."""
-    amps = _padded_magnitudes(data).astype(complex)
-    amps[: data.s] *= np.asarray(signs.phases)
-    return amps

@@ -8,11 +8,12 @@ top-left corner of the full unitary.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import BadLayout
+from .errors import BadInput, BadLayout
 from .ingest import SparseMatrix
 from .ir import Circuit, RegisterLayout, circuit_unitary, unitarity_residual
 from .pipeline import EncodedCircuit
@@ -53,6 +54,8 @@ class VerificationReport:
 def verify_circuit(matrix: SparseMatrix, circuit: Circuit, alpha: float,
                    tol: float = 1e-9) -> VerificationReport:
     """Compare alpha times the extracted block against the matrix entrywise."""
+    if not math.isfinite(tol) or tol < 0:
+        raise BadInput(f"tolerance must be a finite non-negative number, got {tol}")
     layout = circuit.layout
     if layout is None or layout.n != matrix.n:
         raise BadLayout("circuit layout does not match the matrix dimension")

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from blockenc.ir import Circuit, Gate, circuit_unitary, pattern_select
-from blockenc.mcx import ControlSet
+from blockenc.assignment import submasks
+from blockenc.errors import BadInput, BlockencError
+from blockenc.index_map import is_reducible
+from blockenc.ingest import DataVector, OperationPlan, SignVector
+from blockenc.ir import Circuit, Gate, circuit_unitary, mcx, pattern_select, select_pattern, x
 
 
 def reference_apply_gate(state: np.ndarray, gate: Gate, width: int) -> None:
@@ -179,18 +182,120 @@ def as_strings(labels, width: int) -> set[str]:
     return {format(v, f"0{width}b") for v in labels}
 
 
-def composition_unitary(s2: ControlSet, target: int) -> np.ndarray:
+class NotReducible(BlockencError):
+    """Control set does not collapse to a single gate."""
+
+
+class BadExpansion(BlockencError):
+    """Invalid qubit choice when expanding a gate into a composition."""
+
+
+def _place_controls(control_pattern: str, target: int) -> str:
+    """Insert an X at the target position of a control-only pattern."""
+    return control_pattern[:target] + "X" + control_pattern[target:]
+
+
+def control_gate(label: int, P: int, target: int) -> Gate:
+    """MCX fully controlled on one P-bit label, over P + 1 qubits."""
+    return mcx(_place_controls(select_pattern((1 << P) - 1, label, P), target), target)
+
+
+def reduce_composition(labels, P: int, target: int) -> Gate:
+    """Single gate equal to the product of MCX(a, target) over the P-bit labels.
+
+    The ambient circuit has P + 1 qubits; ``target`` is its qubit index and
+    the control labels map onto the remaining qubits in order.  The cube
+    comes from the compiler's ``is_reducible``.
+    """
+    cube = is_reducible(labels, P)
+    if cube is None:
+        raise NotReducible("control labels do not share a fixed sub-pattern")
+    if not 0 <= target <= P:
+        raise BadInput(f"target {target} outside the {P + 1}-qubit span")
+    if not cube[0]:
+        return x(target)
+    return mcx(_place_controls(select_pattern(*cube, P), target), target)
+
+
+def expand_mcx(pattern: str, target: int, grow) -> frozenset[int]:
+    """Expand a single gate into the composition over the grown positions.
+
+    ``pattern`` is a full-width gate pattern (don't-care at the target);
+    ``grow`` lists bit indices that are currently don't-care and get
+    enumerated.  Together with the target they must cover every don't-care,
+    so the result is a set of full control labels over the len(pattern) - 1
+    non-target qubits whose MCX product equals the original gate exactly.
+    """
+    width = len(pattern)
+    mask, value = pattern_select(pattern, width)
+    target_bit = width - 1 - target
+    if mask >> target_bit & 1:
+        raise BadExpansion("target position must be don't-care in the pattern")
+    if target_bit in grow:
+        raise BadExpansion("cannot grow over the target qubit")
+    grown = 0
+    for b in grow:
+        if not 0 <= b < width:
+            raise BadExpansion(f"bit index {b} outside the pattern")
+        if mask >> b & 1:
+            raise BadExpansion(f"bit {b} is already constrained")
+        grown |= 1 << b
+    if ((1 << width) - 1) & ~(mask | grown | 1 << target_bit):
+        raise BadExpansion("pattern still has don't-care positions outside grow")
+    low = (1 << target_bit) - 1
+    labels = set()
+    for sub in submasks(grown):
+        v = value | sub
+        labels.add(v >> (target_bit + 1) << target_bit | v & low)  # target bit dropped
+    return frozenset(labels)
+
+
+def composition_unitary(labels, P: int, target: int) -> np.ndarray:
     """Ordered product of the individual fully-controlled X unitaries."""
-    from blockenc.ir import Circuit
-    from blockenc.mcx import control_gate
-
-    gates = tuple(control_gate(v, s2.P, target) for v in sorted(s2.labels))
-    return circuit_unitary(Circuit(s2.P + 1, gates))
+    gates = tuple(control_gate(v, P, target) for v in sorted(labels))
+    return circuit_unitary(Circuit(P + 1, gates))
 
 
-def random_control_set(rng: np.random.Generator, P: int, size: int) -> ControlSet:
-    picks = rng.choice(1 << P, size=size, replace=False)
-    return ControlSet(P, frozenset(int(v) for v in picks))
+def random_labels(rng: np.random.Generator, P: int, size: int) -> frozenset[int]:
+    """``size`` distinct P-bit labels."""
+    return frozenset(int(v) for v in rng.choice(1 << P, size=size, replace=False))
+
+
+def permute_inverse(circuit: Circuit) -> Circuit:
+    """Same gates in reverse order; composed with a swap circuit it is the identity."""
+    return Circuit(circuit.n_qubits, tuple(reversed(circuit.gates)),
+                   circuit.layout, -circuit.global_phase)
+
+
+def reconstruct(plan: OperationPlan) -> np.ndarray:
+    """Dense matrix implied by the plan, on the rows the circuit acts on.
+
+    An item covers every row in mode "none", every row but its delete rows
+    in mode "delete", and its insert rows in mode "insert".
+    """
+    dim = 1 << plan.n
+    out = np.zeros((dim, dim), dtype=complex)
+    for item in plan.items:
+        if item.mode == "insert":
+            rows = item.insert_rows
+        else:
+            rows = sorted(set(range(dim)) - set(item.delete_rows))
+        for r in rows:
+            if item.direction == "L":
+                c = (r - item.amount) % dim
+            elif item.direction == "R":
+                c = (r + item.amount) % dim
+            else:
+                c = r
+            out[r, c] += item.phase * item.magnitude
+    return out
+
+
+def prep_target(data: DataVector, signs: SignVector) -> np.ndarray:
+    """Reference statevector the forward oracle must produce."""
+    amps = np.zeros(1 << data.m, dtype=complex)
+    amps[: data.s] = np.sqrt(np.asarray(data.items) / data.alpha) * np.asarray(signs.phases)
+    return amps
 
 
 def assert_permutation_matrix(u: np.ndarray):

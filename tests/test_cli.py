@@ -44,6 +44,23 @@ def test_verify_detects_tampering(tri_path, tmp_path):
     out.write_text("\n".join(lines[:drop] + lines[drop + 1:]) + "\n")
     code = main(["verify", "--matrix", str(tri_path), "--circuit", str(out)])
     assert code == 1
+    # an infinite tolerance would pass it
+    assert main(["verify", "--matrix", str(tri_path), "--circuit", str(out),
+                 "--tol", "inf"]) == 2
+
+
+@pytest.mark.parametrize("alpha", ["x", [1], None, "missing"])
+def test_verify_rejects_missing_or_non_numeric_alpha(tri_path, tmp_path, capsys, alpha):
+    out = tmp_path / "c.json"
+    main(["compile", "--in", str(tri_path), "--out", str(out)])
+    doc = json.loads(out.read_text())
+    if alpha == "missing":
+        del doc["metadata"]["alpha"]
+    else:
+        doc["metadata"]["alpha"] = alpha
+    out.write_text(json.dumps(doc))
+    assert main(["verify", "--matrix", str(tri_path), "--circuit", str(out)]) == 2
+    assert "alpha" in capsys.readouterr().err
 
 
 def test_compile_deterministic_bytes(tri_path, tmp_path):
@@ -149,6 +166,9 @@ def _ir_json(**fields) -> str:
     _ir_json(metadata=[]),
     '{"format": "blockenc-ir",',                                         # not JSON
     _ir_json(qubits=-1),
+    _ir_json(metadata={"alpha": "x"}),
+    _ir_json(metadata={"alpha": [1]}),
+    _ir_json(metadata={"alpha": float("nan")}),
 ])
 def test_export_rejects_malformed_json_ir(tmp_path, capsys, body):
     with pytest.raises(BlockencError):
@@ -175,9 +195,12 @@ def _ir_text(*lines) -> str:
     "blockenc-ir v1\nqubits -1\n",
     _ir_text("alpha x"),
     _ir_text("gphase(x)"),
+    _ir_text("alpha inf"),
+    _ir_text("alpha nan"),
+    _ir_text("gphase(nan)"),
 ], ids=["bare-x", "layout-m-word", "layout-no-n", "ctrl-no-value", "mcx-no-target",
         "ctrl-negative-qubit", "ry-angle-word", "qubits-word", "qubits-negative",
-        "alpha-word", "gphase-word"])
+        "alpha-word", "gphase-word", "alpha-inf", "alpha-nan", "gphase-nan"])
 def test_export_rejects_malformed_text_ir(tmp_path, capsys, body):
     with pytest.raises(BlockencError):
         import_text(body)
@@ -216,7 +239,11 @@ def test_stats_rejects_malformed_matrix(tmp_path, capsys, body):
     ["demo", "tridiagonal", "--fixed-index", "explicit:a"],
     ["demo", "tridiagonal", "--coeffs", "1,2,3,4,5,x"],
     ["demo", "tridiagonal", "--n", "-1"],
-], ids=["fixed-index-word", "coeffs-word", "negative-n"])
+    ["demo", "tridiagonal", "--tol", "inf"],
+    ["demo", "tridiagonal", "--tol", "nan"],
+    ["demo", "tridiagonal", "--tol", "-1"],
+], ids=["fixed-index-word", "coeffs-word", "negative-n", "tol-inf", "tol-nan",
+        "tol-negative"])
 def test_bad_argument_values_exit_2(capsys, argv):
     assert main(argv) == 2
     assert "error" in capsys.readouterr().err

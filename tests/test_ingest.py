@@ -6,15 +6,15 @@ import pytest
 
 from blockenc.demo import structured32, tridiagonal
 from blockenc.errors import BadDimension, BadInput, EmptyMatrix
-from blockenc.ingest import (SparseMatrix, analyze, extract_data_vectors,
-                             load_matrix, matrix_from_dict, plan_operations,
-                             reconstruct, save_matrix)
+from blockenc.ingest import SparseMatrix, analyze, load_matrix, matrix_from_dict, save_matrix
 from blockenc.pipeline import compile_matrix
+
+from conftest import reconstruct
 
 
 def test_tridiagonal_extraction_order_and_phases():
     m = tridiagonal(3, complex(0.3, -0.2), complex(-0.5, 0.4), complex(0.7, 0.6))
-    data, signs = extract_data_vectors(m)
+    data, signs, _ = analyze(m)
     assert data.items == (0.3, 0.2, 0.5, 0.4, 0.7, 0.6)
     assert signs.phases == (1, -1j, -1, 1j, 1, 1j)
     assert data.s == 6 and data.m == 3
@@ -22,13 +22,13 @@ def test_tridiagonal_extraction_order_and_phases():
 
 def test_identity_matrix_single_item():
     m = SparseMatrix(3, tuple((i, i, 1 + 0j) for i in range(8)))
-    data, signs = extract_data_vectors(m)
+    data, signs, _ = analyze(m)
     assert data.items == (1.0,) and signs.phases == (1,)
     assert data.s == 1 and data.m == 0
 
 
 def test_structured32_has_fourteen_items(rng):
-    data, signs = extract_data_vectors(structured32(rng))
+    data, signs, _ = analyze(structured32(rng))
     assert data.s == 14 and data.m == 4
     assert all(p == 1 for p in signs.phases)
     assert all(v > 0 for v in data.items)
@@ -37,7 +37,7 @@ def test_structured32_has_fourteen_items(rng):
 def test_zero_valued_entries_rejected_as_empty():
     m = SparseMatrix(1, ((0, 0, 0j),))
     with pytest.raises(EmptyMatrix):
-        extract_data_vectors(m)
+        analyze(m)
 
 
 def test_bad_dimension_rejected():
@@ -55,7 +55,7 @@ def test_plan_band_shift_decomposition():
     entries = tuple((r, r - 5, 0.9 + 0j) for r in range(10, 32))
     entries += tuple((i, i, 0.4 + 0j) for i in range(32))
     m = SparseMatrix(5, entries)
-    plan = plan_operations(m)
+    _, _, plan = analyze(m)
     band = next(it for it in plan.items if it.direction == "L")
     assert band.amount == 5 and band.powers == (1, 4)
     assert band.mode == "delete" and band.delete_rows == tuple(range(10))
@@ -64,7 +64,7 @@ def test_plan_band_shift_decomposition():
 def test_plan_single_value_cyclic_subdiagonal():
     dim = 8
     entries = tuple(((i + 1) % dim, i, 0.6 + 0j) for i in range(dim))
-    plan = plan_operations(SparseMatrix(3, entries))
+    _, _, plan = analyze(SparseMatrix(3, entries))
     item = plan.items[0]
     assert item.direction == "L" and item.amount == 1
     assert item.mode == "none" and not item.delete_rows and not item.insert_rows
@@ -74,7 +74,7 @@ def test_plan_isolated_entry_below_diagonal_prefers_left():
     # an isolated cell far below the diagonal keeps the left shift even though
     # the cyclic right distance is shorter
     entries = ((28, 4, 0.5 + 0j),) + tuple((i, i, 0.3 + 0j) for i in range(32))
-    plan = plan_operations(SparseMatrix(5, entries))
+    _, _, plan = analyze(SparseMatrix(5, entries))
     cell = next(it for it in plan.items if it.mode == "insert")
     assert cell.direction == "L" and cell.amount == 24 and cell.powers == (8, 16)
     assert cell.insert_rows == (28,)
@@ -83,11 +83,11 @@ def test_plan_isolated_entry_below_diagonal_prefers_left():
 def test_plan_insert_vs_delete_threshold():
     # present rows <= absent rows switches the item to insert mode
     entries = tuple((r, r, 1 + 0j) for r in range(3))
-    plan = plan_operations(SparseMatrix(2, entries))
+    _, _, plan = analyze(SparseMatrix(2, entries))
     item = plan.items[0]
     assert item.mode == "delete" and item.delete_rows == (3,)
     entries = tuple((r, r, 1 + 0j) for r in range(2))
-    plan = plan_operations(SparseMatrix(2, entries))
+    _, _, plan = analyze(SparseMatrix(2, entries))
     item = plan.items[0]
     assert item.mode == "insert" and item.insert_rows == (0, 1)
 
@@ -155,7 +155,7 @@ def test_strategy_requires_two_values():
 
 def test_shared_shift_for_real_and_imaginary_parts():
     m = tridiagonal(3, complex(0.3, -0.2), complex(-0.5, 0.4), complex(0.7, 0.6))
-    plan = plan_operations(m)
+    _, _, plan = analyze(m)
     by_offset = {}
     for it in plan.items:
         by_offset.setdefault(it.offset, []).append(it)
@@ -170,7 +170,7 @@ def test_powers_are_binary_expansion(rng):
         dim = 1 << n
         r, c = int(rng.integers(dim)), int(rng.integers(dim))
         entries = ((r, c, 1 + 0j),)
-        plan = plan_operations(SparseMatrix(n, entries))
+        _, _, plan = analyze(SparseMatrix(n, entries))
         item = plan.items[0]
         assert sum(item.powers) == item.amount
         assert all(p & (p - 1) == 0 for p in item.powers)
@@ -185,7 +185,7 @@ def test_reconstruction_exact(rng):
         cells = {(int(r.integers(dim)), int(r.integers(dim))) for _ in range(dim)}
         entries = tuple((a, b, complex(r.normal(), r.normal())) for a, b in cells)
         m = SparseMatrix(n, entries)
-        plan = plan_operations(m, strategy=1)
+        _, _, plan = analyze(m, strategy=1)
         assert np.array_equal(reconstruct(plan), m.dense())
 
 
@@ -194,7 +194,7 @@ def test_subnormalization_values():
     assert DataVector((1.0, 2.0, 3.0)).alpha == 6.0
     assert DataVector((0.5,)).alpha == 0.5
     m = tridiagonal(3, complex(0.3, -0.2), complex(-0.5, 0.4), complex(0.7, 0.6))
-    data, _ = extract_data_vectors(m)
+    data, _, _ = analyze(m)
     assert np.isclose(data.alpha, 0.3 + 0.2 + 0.5 + 0.4 + 0.7 + 0.6)
 
 
@@ -206,7 +206,7 @@ def test_alpha_bounds_row_and_column_sums(rng):
         cells = {(int(r.integers(dim)), int(r.integers(dim))) for _ in range(2 * dim)}
         m = SparseMatrix(n, tuple((a, b, complex(r.normal(), r.normal()))
                                   for a, b in cells))
-        data, _ = extract_data_vectors(m)
+        data, _, _ = analyze(m)
         dense = np.abs(m.dense())
         assert data.alpha >= dense.sum(axis=0).max() - 1e-12
         assert data.alpha >= dense.sum(axis=1).max() - 1e-12

@@ -1,12 +1,18 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockenc import ir
-from blockenc.errors import BadGate, BadInput, TooLarge
+from blockenc.cli import main
+from blockenc.demo import tridiagonal
+from blockenc.errors import BadGate, BadInput, BlockencError, TooLarge
+from blockenc.ingest import save_matrix
+from blockenc.pipeline import compile_matrix
 from blockenc.ir import (Circuit, Gate, RegisterLayout, circuit_unitary, export_json,
                          export_text, gate_unitary, import_json, import_text,
                          inverse_circuit, mcx, pattern_select, phase, ry, select_pattern,
@@ -177,6 +183,97 @@ def test_simulation_matches_reference(circ):
     for g in circ.gates:
         one = Circuit(circ.n_qubits, (g,))
         assert np.array_equal(gate_unitary(g, circ.n_qubits), reference_circuit_unitary(one))
+
+
+@st.composite
+def _random_documents(draw):
+    """A random circuit with an optional register layout, and its metadata."""
+    circ = draw(_random_circuits())
+    layout = None
+    if draw(st.booleans()):
+        m = draw(st.integers(0, circ.n_qubits - 1))
+        layout = RegisterLayout(m, circ.n_qubits - 1 - m)
+    meta = {}
+    if draw(st.booleans()):
+        meta["alpha"] = draw(st.floats(allow_nan=False, allow_infinity=False))
+    return replace(circ, layout=layout), meta
+
+
+def _text_form(circ: Circuit) -> Circuit:
+    """The text form writes a rotation whose pattern is all X as one without a pattern."""
+    return replace(circ, gates=tuple(
+        replace(g, pattern=None) if g.kind in ("ry", "phase") and set(g.pattern or "0") == {"X"}
+        else g for g in circ.gates))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_random_documents())
+def test_ir_round_trips(doc):
+    circ, meta = doc
+    assert import_text(export_text(circ, meta)) == (_text_form(circ), meta)
+    assert import_json(export_json(circ, meta)) == (circ, meta)
+
+
+_FUZZ_MATRIX = tridiagonal(2, 0.3 - 0.2j, -0.5 + 0.4j, 0.7 + 0.6j)
+_FUZZ_ENCODED = compile_matrix(_FUZZ_MATRIX)
+_FUZZ_TEXT = export_text(_FUZZ_ENCODED.circuit, {"alpha": _FUZZ_ENCODED.alpha}).splitlines()
+_FUZZ_JSON = json.loads(export_json(_FUZZ_ENCODED.circuit, {"alpha": _FUZZ_ENCODED.alpha}))
+_TEXT_TOKENS = [(i, j) for i, line in enumerate(_FUZZ_TEXT) for j in range(len(line.split()))]
+_ALPHA_LINE = next(i for i, line in enumerate(_FUZZ_TEXT) if line.startswith("alpha "))
+_TEXT_WORDS = [None, "foo", "x", "alpha", "nan", "inf", "-1", "99", "q-1", "q99",
+               "target=q-1", "target=q99", "ctrl=q-1:1", "ctrl=q99:0", "ctrl=q0:2"]
+_JSON_FIELDS = ([(key,) for key in _FUZZ_JSON] + [("layout", "m"), ("layout", "n"),
+                ("metadata", "alpha")]
+                + [("gates", i, key) for i, g in enumerate(_FUZZ_JSON["gates"]) for key in g])
+_JSON_VALUES = [None, "x", [1], {}, True, -1, 99, 1.5, float("nan"), float("inf")]
+_DROP = object()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    save_matrix(_FUZZ_MATRIX, path / "m.json")
+    return path
+
+
+def _imports_or_fails_cleanly(fuzz_dir, importer, body: str, suffix: str) -> None:
+    """Only a BlockencError may escape the importer and ``blockenc verify``."""
+    try:
+        importer(body)
+    except BlockencError:
+        pass
+    src = fuzz_dir / f"ir{suffix}"
+    src.write_text(body)
+    code = main(["verify", "--matrix", str(fuzz_dir / "m.json"), "--circuit", str(src)])
+    assert code in (0, 1, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_TEXT_TOKENS), st.sampled_from(_TEXT_WORDS))
+@example((_ALPHA_LINE, 1), "nan")
+def test_text_ir_fuzz_raises_only_blockenc_errors(fuzz_dir, token, word):
+    i, j = token
+    toks = _FUZZ_TEXT[i].split()
+    toks[j:j + 1] = [] if word is None else [word]
+    body = "\n".join(_FUZZ_TEXT[:i] + [" ".join(toks)] + _FUZZ_TEXT[i + 1:]) + "\n"
+    _imports_or_fails_cleanly(fuzz_dir, import_text, body, ".ir")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_JSON_FIELDS), st.sampled_from(_JSON_VALUES + [_DROP]))
+@example(("metadata", "alpha"), "x")
+@example(("metadata", "alpha"), [1])
+def test_json_ir_fuzz_raises_only_blockenc_errors(fuzz_dir, field, value):
+    doc = json.loads(json.dumps(_FUZZ_JSON))
+    *parents, key = field
+    node = doc
+    for k in parents:
+        node = node[k]
+    if value is _DROP:
+        del node[key]
+    else:
+        node[key] = value
+    _imports_or_fails_cleanly(fuzz_dir, import_json, json.dumps(doc), ".json")
 
 
 def _perturbed_unitary(dim: int, where: str, rng) -> np.ndarray:

@@ -1,22 +1,16 @@
 import numpy as np
 import pytest
 
-from blockenc.assignment import Bijection, hamming, solve_assignment, build_target_set, mode_pattern
+from blockenc.assignment import solve_assignment, build_target_set, mode_pattern
 from blockenc.errors import NotAdjacent
 from blockenc.ir import Circuit, circuit_unitary, gate_unitary
-from blockenc.mcx import ControlSet
-from blockenc.permute import (basis_swap, permute_circuit, permute_inverse,
-                              route_permutation)
+from blockenc.permute import basis_swap, permute_circuit, route_permutation
 
-from conftest import assert_permutation_matrix
+from conftest import assert_permutation_matrix, permute_inverse
 
 
-def _bijection(pairs, width) -> Bijection:
-    pairs = tuple(sorted(pairs))
-    return Bijection(pairs, sum(hamming(a, b) for a, b in pairs), width)
-
-
-def _random_bijection(rng, P, size) -> Bijection:
+def _random_bijection(rng, P, size):
+    """Sorted (source, target) pairs of a random matching, identity on the overlap."""
     src = rng.choice(1 << P, size=size, replace=False)
     dst = rng.choice(1 << P, size=size, replace=False)
     s = {int(v) for v in src}
@@ -24,7 +18,7 @@ def _random_bijection(rng, P, size) -> Bijection:
     common = s & t
     rs, rt = sorted(s - common), sorted(t - common)
     rt = [rt[i] for i in rng.permutation(len(rt))]
-    return _bijection([(c, c) for c in common] + list(zip(rs, rt)), P)
+    return tuple(sorted([(c, c) for c in common] + list(zip(rs, rt))))
 
 
 def test_basis_swap_high_pair():
@@ -53,32 +47,31 @@ def test_basis_swap_rejects_distant_states():
 
 
 def test_identity_bijection_empty_circuit():
-    phi = _bijection([(0b01, 0b01), (0b10, 0b10)], 2)
-    assert len(permute_circuit(phi)) == 0
+    assert len(permute_circuit(((0b01, 0b01), (0b10, 0b10)), 2)) == 0
 
 
 def test_reference_permutation_mapping():
-    s2 = ControlSet(3, {0b000, 0b001, 0b100, 0b111})
+    s2 = {0b000, 0b001, 0b100, 0b111}
     s3 = build_target_set(0b100, mode_pattern(s2, 0b100), 3)
-    phi = solve_assignment(s2, s3)
-    u = circuit_unitary(permute_circuit(phi))
+    pairs = solve_assignment(s2, s3, 3)
+    u = circuit_unitary(permute_circuit(pairs, 3))
     assert_permutation_matrix(u.real)
-    for src, dst in phi.pairs:
+    for src, dst in pairs:
         assert u[dst, src] == 1
 
 
 def test_structured_unit_shift_routing_steps():
     # reference optimal mapping for the unit-shift group of the structured
     # example; the distance-3 source routes stepwise, most significant bit first
-    phi = _bijection([(0b0000, 0b0000), (0b0001, 0b0010), (0b0111, 0b0110),
-                      (0b1000, 0b1000), (0b1011, 0b1010), (0b1100, 0b1100),
-                      (0b1110, 0b1110), (0b1111, 0b0100)], 4)
-    plan = route_permutation(phi)
+    pairs = ((0b0000, 0b0000), (0b0001, 0b0010), (0b0111, 0b0110),
+             (0b1000, 0b1000), (0b1011, 0b1010), (0b1100, 0b1100),
+             (0b1110, 0b1110), (0b1111, 0b0100))
+    plan = route_permutation(pairs, 4)
     expected_tail = [(0b1111, 0b0111), (0b0111, 0b0101), (0b0101, 0b0100)]
     assert plan.swaps[-3:] == expected_tail
     assert (0b0001, 0b0011) in plan.swaps and (0b0011, 0b0010) in plan.swaps
-    u = circuit_unitary(permute_circuit(phi))
-    for src, dst in phi.pairs:
+    u = circuit_unitary(permute_circuit(pairs, 4))
+    for src, dst in pairs:
         assert u[dst, src] == 1
 
 
@@ -86,8 +79,8 @@ def test_gate_count_meets_hamming_bound(rng):
     for _ in range(200):
         P = int(rng.integers(2, 6))
         size = int(rng.integers(1, (1 << P) + 1))
-        phi = _random_bijection(rng, P, size)
-        plan = route_permutation(phi)
+        pairs = _random_bijection(rng, P, size)
+        plan = route_permutation(pairs, P)
         assert plan.gate_count <= plan.hamming_bound + 2 * plan.detour_steps
 
 
@@ -95,11 +88,11 @@ def test_random_bijections_realized_exactly(rng):
     for _ in range(200):
         P = int(rng.integers(1, 6))
         size = int(rng.integers(1, (1 << P) + 1))
-        phi = _random_bijection(rng, P, size)
-        circ = permute_circuit(phi)
+        pairs = _random_bijection(rng, P, size)
+        circ = permute_circuit(pairs, P)
         u = circuit_unitary(circ)
         assert_permutation_matrix(u.real)
-        for src, dst in phi.pairs:
+        for src, dst in pairs:
             assert u[dst, src] == 1
 
 
@@ -112,26 +105,11 @@ def test_inverse_of_single_swap_is_same_gate():
     assert permute_inverse(c).gates == c.gates
 
 
-def test_controlled_swap_lowers_to_three_mcx():
-    from blockenc.permute import controlled_swap
-
-    gates = controlled_swap(0b100, 0b010, 3)
-    assert len(gates) == 3 and all(g.kind == "mcx" for g in gates)
-    u = circuit_unitary(Circuit(3, tuple(gates)))
-    # a swap of the two top qubits controlled on the last being 0: |100> <-> |010>
-    ref = np.eye(8)
-    ref[[2, 4]] = ref[[4, 2]]
-    assert np.array_equal(u, ref)
-    with pytest.raises(NotAdjacent):
-        controlled_swap(0b000, 0b001, 3)
-
-
 def test_inverse_composes_to_identity(rng):
     for _ in range(50):
         P = int(rng.integers(2, 6))
         size = int(rng.integers(1, (1 << P) + 1))
-        phi = _random_bijection(rng, P, size)
-        circ = permute_circuit(phi)
+        circ = permute_circuit(_random_bijection(rng, P, size), P)
         inv = permute_inverse(circ)
         u = circuit_unitary(Circuit(P, circ.gates + inv.gates))
         assert np.array_equal(u, np.eye(1 << P))

@@ -6,7 +6,9 @@ import pytest
 from blockenc.errors import EmptyData
 from blockenc.ingest import DataVector, SignVector
 from blockenc.ir import circuit_unitary, unitarity_residual
-from blockenc.state_prep import prep_target, synthesize_prep, synthesize_unprep
+from blockenc.state_prep import synthesize_prep, synthesize_unprep
+
+from conftest import prep_target
 
 
 def _state(circuit):
