@@ -26,9 +26,9 @@ permutation that relocates the labels onto a cube first (``_emit_plan``).
 unfused baseline uses directly.
 
 Item labels and row indices are ints, a label set is a list of distinct ints
-with its width alongside, and every control set in a plan is a cube (see
-``ir``).  Strings appear only in the gates, made by
-``RegisterLayout.full_pattern`` and ``permute.basis_swap``.  The disjoint
+with its width alongside, and every control set, in a plan or on a gate, is
+a cube (see ``ir``).  ``RegisterLayout.controls`` lifts register cubes to a
+gate's full width.  The disjoint
 cube cover (``_greedy_cubes``) works on the labels directly, and
 ``plan_fusion`` builds it only when zero padding could lose to it.
 """
@@ -39,10 +39,8 @@ from dataclasses import dataclass
 
 from .assignment import FixedIndexPolicy, build_target_set, mode_pattern, solve_assignment
 from .errors import BadInput, BadShift, NotPowerOfTwo
-from .ir import Gate, RegisterLayout, embed_gates, mcx
+from .ir import Cube, Gate, RegisterLayout, embed_gates, mcx
 from .permute import basis_swap, route_permutation
-
-Cube = tuple[int, int]  # (mask, value): labels i with i & mask == value
 
 
 def is_reducible(labels, P: int) -> Cube | None:
@@ -80,13 +78,13 @@ def shift_cascade(data: Cube, direction: str, amount: int,
         carry = (1 << b) - (1 << k)  # controls on bits k .. b-1
         matrix = (carry, carry if direction == "L" else 0)
         target = layout.matrix_qubits[n - 1 - b]
-        gates.append(mcx(layout.full_pattern(data, matrix), target))
+        gates.append(mcx(layout.controls(data, matrix), target))
     return gates
 
 
-def delete_flip(layout: RegisterLayout, data: Cube, matrix: Cube | None = None) -> Gate:
+def delete_flip(layout: RegisterLayout, data: Cube, matrix: Cube = (0, 0)) -> Gate:
     """Flip the delete qubit under data (and optionally matrix) cube controls."""
-    return mcx(layout.full_pattern(data, matrix), layout.del_qubit)
+    return mcx(layout.controls(data, matrix), layout.del_qubit)
 
 
 def _greedy_cubes(labels, width: int) -> list[Cube]:
@@ -202,11 +200,11 @@ def _emit_plan(plan: FusionPlan, core, layout: RegisterLayout, *,
     is the forward swaps in reverse order; with ``defer_restore`` it is left
     out and the caller tracks where the swaps moved the data labels.
     """
-    qmap = list(layout.data_qubits if plan.register == "data" else layout.matrix_qubits)
+    qubits = layout.data_qubits if plan.register == "data" else layout.matrix_qubits
     gates: list[Gate] = []
     for sub in plan.subgroups:
         fwd = [] if not sub.swaps else embed_gates(
-            [basis_swap(a, b, len(qmap)) for a, b in sub.swaps], layout.total, qmap)
+            [basis_swap(a, b, len(qubits)) for a, b in sub.swaps], layout.total, qubits)
         gates += fwd
         gates += core(sub.cube)
         if not defer_restore:

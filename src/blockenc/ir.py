@@ -8,13 +8,13 @@ Conventions (used everywhere in the package, documented only here):
   of qubit ``q_i``.
 - Basis labels are ints.  "Bit index" means significance: bit ``b`` of a
   width-``k`` label sits at string position ``k - 1 - b``.
-- A control set or cube is the ``(mask, value)`` pair of ``pattern_select``:
-  label ``i`` matches iff ``i & mask == value``.  The compiler works on
-  labels and cubes; ``select_pattern`` turns a cube into the string that a
-  ``Gate`` carries.
-- Gate control patterns are strings over ``{"0", "1", "X"}`` of the circuit
-  width; ``X`` means no control on that qubit.  A gate's target position
-  must be ``X`` in its own pattern.
+- A control set or cube is a ``(mask, value)`` pair of ints with
+  ``value & ~mask == 0``: label ``i`` matches iff ``i & mask == value``.
+  ``(0, 0)`` is the empty cube, no controls.  A gate's controls are a cube
+  over the circuit width, and its target bit must be outside the mask.
+- ``"01X"`` strings (``X`` for no control on that qubit) exist only in the
+  JSON form's ``pattern`` field, written by ``select_pattern`` and read by
+  ``pattern_select``.
 - ``Circuit.gates`` is ordered with the leftmost (first-applied) gate first,
   so the circuit unitary is ``G_last @ ... @ G_first``.
 
@@ -43,6 +43,8 @@ from scipy.linalg.blas import zherk
 from .errors import BadGate, BadInput, TooLarge
 
 MAX_SIM_QUBITS = 12
+
+Cube = tuple[int, int]  # (mask, value): labels i with i & mask == value
 
 GATE_KINDS = ("x", "mcx", "ry", "phase")
 
@@ -78,20 +80,16 @@ class RegisterLayout:
     def block_dim(self) -> int:
         return 1 << self.n
 
-    def full_pattern(self, data: tuple[int, int] | None = None,
-                     matrix: tuple[int, int] | None = None) -> str:
-        """Full-width gate pattern from register cubes.
+    def controls(self, data: Cube = (0, 0), matrix: Cube = (0, 0)) -> Cube:
+        """Full-width gate controls from cubes on the data and matrix registers.
 
-        ``data`` and ``matrix`` are (mask, value) cubes on those registers;
-        None leaves a register uncontrolled.  The delete qubit is never a
-        control.
+        The delete qubit is never a control.
         """
-        dm, dv = data or (0, 0)
-        jm, jv = matrix or (0, 0)
+        (dm, dv), (jm, jv) = data, matrix
         if (dm | dv) >> self.m or (jm | jv) >> self.n:
             raise BadInput("register cube wider than its register")
         shift = self.n + 1
-        return select_pattern(dm << shift | jm, dv << shift | jv, self.total)
+        return dm << shift | jm, dv << shift | jv
 
 
 @dataclass(frozen=True)
@@ -100,37 +98,39 @@ class Gate:
 
     kind: str
     target: int = -1
-    pattern: str | None = None
+    controls: Cube = (0, 0)
     angle: float = 0.0
 
 
-def mcx(pattern: str, target: int) -> Gate:
-    return Gate("mcx", target=target, pattern=pattern)
+def mcx(controls: Cube, target: int) -> Gate:
+    return Gate("mcx", target=target, controls=controls)
 
 
 def x(target: int) -> Gate:
     return Gate("x", target=target)
 
 
-def ry(angle: float, target: int, pattern: str | None = None) -> Gate:
-    return Gate("ry", target=target, pattern=pattern, angle=float(angle))
+def ry(angle: float, target: int, controls: Cube = (0, 0)) -> Gate:
+    return Gate("ry", target=target, controls=controls, angle=float(angle))
 
 
-def phase(angle: float, target: int, pattern: str | None = None) -> Gate:
-    return Gate("phase", target=target, pattern=pattern, angle=float(angle))
+def phase(angle: float, target: int, controls: Cube = (0, 0)) -> Gate:
+    return Gate("phase", target=target, controls=controls, angle=float(angle))
 
 
 def validate_gate(gate: Gate, width: int) -> None:
     """Raise BadGate if the gate cannot act on a width-qubit circuit."""
     if gate.kind not in GATE_KINDS:
         raise BadGate(f"unknown gate kind {gate.kind!r}")
-    if gate.pattern is not None:
-        if len(gate.pattern) != width or any(c not in "01X" for c in gate.pattern):
-            raise BadGate(f"bad pattern {gate.pattern!r} for width {width}")
     if not 0 <= gate.target < width:
         raise BadGate(f"target {gate.target} out of range for width {width}")
-    if gate.pattern is not None and gate.pattern[gate.target] != "X":
-        raise BadGate("target qubit must be free in the control pattern")
+    mask, value = gate.controls
+    if mask >> width or value & ~mask:
+        raise BadGate(f"bad controls {gate.controls} for width {width}")
+    if mask >> (width - 1 - gate.target) & 1:
+        raise BadGate("target qubit must be free of controls")
+    if gate.kind == "x" and mask:
+        raise BadGate("an x gate takes no controls")
     if gate.kind in ("ry", "phase") and not math.isfinite(gate.angle):
         raise BadGate(f"non-finite angle {gate.angle}")
 
@@ -157,18 +157,12 @@ class Circuit:
         return len(self.gates)
 
 
-def pattern_select(pattern: str | None, width: int) -> tuple[int, int]:
-    """Return (mask, value) such that index i matches iff i & mask == value."""
-    mask = value = 0
-    if pattern:
-        for pos, ch in enumerate(pattern):
-            if ch == "X":
-                continue
-            bit = 1 << (width - 1 - pos)
-            mask |= bit
-            if ch == "1":
-                value |= bit
-    return mask, value
+def pattern_select(pattern: str, width: int) -> Cube:
+    """The cube of a width-character ``"01X"`` pattern."""
+    if len(pattern) != width or not set(pattern) <= set("01X"):
+        raise BadInput(f"bad pattern {pattern!r} for width {width}")
+    mask = int(pattern.replace("0", "1").replace("X", "0") or "0", 2)
+    return mask, int(pattern.replace("X", "0") or "0", 2)
 
 
 def select_pattern(mask: int, value: int, width: int) -> str:
@@ -177,13 +171,21 @@ def select_pattern(mask: int, value: int, width: int) -> str:
                    for b in range(width - 1, -1, -1))
 
 
+def _controlled_qubits(controls: Cube, width: int):
+    """(qubit, value) of each control, lowest qubit first; one step per control."""
+    mask, value = controls
+    while mask:
+        b = mask.bit_length() - 1
+        yield width - 1 - b, value >> b & 1
+        mask ^= 1 << b
+
+
 def _rows_where(gate: Gate, width: int, bit: int) -> tuple:
     """Basic-slicing index, into a ``(2,) * width + (cols,)`` view of rows, of
     the rows where every control of ``gate`` holds and its target reads ``bit``."""
     idx = [slice(None)] * width
-    for q, ch in enumerate(gate.pattern or ""):
-        if ch != "X":
-            idx[q] = int(ch)
+    for q, v in _controlled_qubits(gate.controls, width):
+        idx[q] = v
     idx[gate.target] = bit
     return tuple(idx)
 
@@ -288,21 +290,17 @@ def inverse_circuit(circuit: Circuit) -> Circuit:
     return Circuit(circuit.n_qubits, gates, circuit.layout, -circuit.global_phase)
 
 
-def embed_gates(gates, width: int, qubit_map: list[int]):
-    """Remap gates from a subregister into a wider circuit.
+def embed_gates(gates, width: int, qubits: tuple[int, ...]) -> list[Gate]:
+    """Move gates from a contiguous subregister into a wider circuit.
 
-    qubit_map[i] is the global qubit index of local qubit i.
+    ``qubits`` are the ascending global indices of the subregister's qubits,
+    so local qubit i is global qubit ``qubits[0] + i``.
     """
     out = []
     for g in gates:
-        pattern = None
-        if g.pattern is not None:
-            chars = ["X"] * width
-            for pos, ch in enumerate(g.pattern):
-                if ch != "X":
-                    chars[qubit_map[pos]] = ch
-            pattern = "".join(chars)
-        out.append(Gate(g.kind, target=qubit_map[g.target], pattern=pattern, angle=g.angle))
+        shift = width - qubits[0] - len(qubits)
+        mask, value = g.controls
+        out.append(Gate(g.kind, g.target + qubits[0], (mask << shift, value << shift), g.angle))
     return out
 
 
@@ -311,17 +309,13 @@ def embed_gates(gates, width: int, qubit_map: list[int]):
 FORMAT_HEADER = "blockenc-ir v1"
 
 
-def _ctrl_field(pattern: str | None) -> str:
-    if pattern is None:
-        return ""
-    parts = [f"q{i}:{c}" for i, c in enumerate(pattern) if c != "X"]
-    if not parts:
-        return ""
-    return "ctrl=" + ",".join(parts)
+def _ctrl_field(controls: Cube, width: int) -> str:
+    parts = [f"q{q}:{v}" for q, v in _controlled_qubits(controls, width)]
+    return "ctrl=" + ",".join(parts) if parts else ""
 
 
-def _gate_line(g: Gate) -> str:
-    ctrl = _ctrl_field(g.pattern)
+def _gate_line(g: Gate, width: int) -> str:
+    ctrl = _ctrl_field(g.controls, width)
     if g.kind == "x":
         return f"x q{g.target}"
     if g.kind == "mcx":
@@ -334,31 +328,49 @@ def _gate_line(g: Gate) -> str:
 
 def export_text(circuit: Circuit, metadata: dict | None = None) -> str:
     """Deterministic line-per-gate text form; round-trips through import_text."""
+    metadata = _checked_metadata(metadata or {})
     lines = [FORMAT_HEADER]
     if circuit.layout is not None:
         lines.append(f"layout m={circuit.layout.m} n={circuit.layout.n}")
     else:
         lines.append(f"qubits {circuit.n_qubits}")
-    for key in sorted(metadata or {}):
+    for key in sorted(metadata):
         lines.append(f"{key} {metadata[key]!r}")
     if circuit.global_phase:
         lines.append(f"gphase({circuit.global_phase!r})")
-    lines.extend(_gate_line(g) for g in circuit.gates)
+    lines.extend(_gate_line(g, circuit.n_qubits) for g in circuit.gates)
     return "\n".join(lines) + "\n"
 
 
 _META_KEYS = ("alpha",)
 
 
-def _parse_ctrl(tok: str, width: int) -> str:
-    chars = ["X"] * width
+def _checked_metadata(metadata) -> dict:
+    """The metadata itself, if every key is one the text form carries."""
+    if not isinstance(metadata, dict):
+        raise BadInput(f"metadata must be an object, got {metadata!r}")
+    for key, val in metadata.items():
+        if key not in _META_KEYS:
+            raise BadInput(f"unknown metadata key {key!r}")
+        _finite_number(val, f"metadata {key}")
+    return metadata
+
+
+def _parse_ctrl(tok: str, width: int) -> Cube:
+    mask = value = 0
     for part in tok[len("ctrl="):].split(","):
         q, v = part.split(":")
         qubit = int(q[1:])
         if not 0 <= qubit < width:
             raise BadInput(f"control qubit {q} outside {width} qubits")
-        chars[qubit] = v
-    return "".join(chars)
+        if v not in ("0", "1"):
+            raise BadInput(f"control value {v!r} on {q} is not 0 or 1")
+        bit = 1 << (width - 1 - qubit)
+        if mask & bit:
+            raise BadInput(f"control qubit {q} repeated")
+        mask |= bit
+        value |= bit if v == "1" else 0
+    return mask, value
 
 
 def import_text(text: str) -> tuple[Circuit, dict]:
@@ -402,26 +414,24 @@ def import_text(text: str) -> tuple[Circuit, dict]:
 def _parse_gate_line(toks: list[str], width: int) -> Gate:
     head = toks[0]
     rest = toks[1:]
-    pattern = None
+    controls = (0, 0)
     if rest and rest[0].startswith("ctrl="):
-        pattern = _parse_ctrl(rest[0], width)
+        controls = _parse_ctrl(rest[0], width)
         rest = rest[1:]
     if head == "x":
-        return x(int(rest[0][1:]))
+        return Gate("x", target=int(rest[0][1:]), controls=controls)
     if head == "mcx":
         tgt = next(t for t in rest if t.startswith("target="))
-        target = int(tgt[len("target=q"):])
-        if pattern is None:
-            pattern = "X" * width
-        return mcx(pattern, target)
+        return mcx(controls, int(tgt[len("target=q"):]))
     if head.startswith(("ry(", "phase(")):
         kind = head[:head.index("(")]
         angle = float(head[head.index("(") + 1:-1])
-        return Gate(kind, target=int(rest[0][1:]), pattern=pattern, angle=angle)
+        return Gate(kind, target=int(rest[0][1:]), controls=controls, angle=angle)
     raise BadInput(f"cannot parse gate line {' '.join(toks)!r}")
 
 
 def export_json(circuit: Circuit, metadata: dict | None = None) -> str:
+    metadata = _checked_metadata(metadata or {})
     doc = {
         "format": "blockenc-ir",
         "version": 1,
@@ -429,16 +439,16 @@ def export_json(circuit: Circuit, metadata: dict | None = None) -> str:
         "layout": None if circuit.layout is None else
             {"m": circuit.layout.m, "n": circuit.layout.n},
         "global_phase": circuit.global_phase,
-        "metadata": metadata or {},
-        "gates": [_gate_dict(g) for g in circuit.gates],
+        "metadata": metadata,
+        "gates": [_gate_dict(g, circuit.n_qubits) for g in circuit.gates],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _gate_dict(g: Gate) -> dict:
+def _gate_dict(g: Gate, width: int) -> dict:
     d: dict = {"kind": g.kind, "target": g.target}
-    if g.pattern is not None:
-        d["pattern"] = g.pattern
+    if g.kind == "mcx" or g.controls[0]:
+        d["pattern"] = select_pattern(*g.controls, width)
     if g.kind in ("ry", "phase"):
         d["angle"] = g.angle
     return d
@@ -456,7 +466,7 @@ def _finite_number(value, what: str) -> float:
     return float(value)
 
 
-def _json_gate(d) -> Gate:
+def _json_gate(d, width: int) -> Gate:
     """One gate dict of the JSON form, every field checked for presence and type."""
     if not isinstance(d, dict):
         raise BadInput(f"gate entry must be an object, got {d!r}")
@@ -474,7 +484,8 @@ def _json_gate(d) -> Gate:
     if kind in ("ry", "phase") and "angle" not in d:
         raise BadInput(f"{kind} gate without an angle")
     angle = _finite_number(d.get("angle", 0.0), f"{kind} gate angle")
-    return Gate(kind, target=target, pattern=pattern, angle=angle)
+    controls = (0, 0) if pattern is None else pattern_select(pattern, width)
+    return Gate(kind, target=target, controls=controls, angle=angle)
 
 
 def import_json(text: str) -> tuple[Circuit, dict]:
@@ -493,13 +504,9 @@ def import_json(text: str) -> tuple[Circuit, dict]:
                                 _json_int(lay.get("n"), "layout n"))
     if not isinstance(doc.get("gates"), list):
         raise BadInput("circuit JSON needs a gates list")
-    gates = [_json_gate(d) for d in doc["gates"]]
-    metadata = doc.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise BadInput(f"metadata must be an object, got {metadata!r}")
-    for key in _META_KEYS:
-        if key in metadata:
-            _finite_number(metadata[key], f"metadata {key}")
-    circ = Circuit(_json_int(doc.get("qubits"), "qubits"), tuple(gates), layout,
+    width = _json_int(doc.get("qubits"), "qubits")
+    gates = [_json_gate(d, width) for d in doc["gates"]]
+    metadata = _checked_metadata(doc.get("metadata", {}))
+    circ = Circuit(width, tuple(gates), layout,
                    _finite_number(doc.get("global_phase", 0.0), "global_phase"))
     return circ, metadata

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .errors import NotAdjacent
 from .assignment import Pairs, hamming
-from .ir import Circuit, Gate, mcx, select_pattern
+from .ir import Circuit, Gate, mcx
 
 
 def basis_swap(a: int, b: int, width: int) -> Gate:
@@ -20,7 +20,7 @@ def basis_swap(a: int, b: int, width: int) -> Gate:
     diff = a ^ b
     if diff.bit_count() != 1 or (a | b) >> width:
         raise NotAdjacent(f"{a} and {b} do not differ in exactly one of {width} bits")
-    return mcx(select_pattern(((1 << width) - 1) ^ diff, a, width), width - diff.bit_length())
+    return mcx((((1 << width) - 1) ^ diff, a & ~diff), width - diff.bit_length())
 
 
 @dataclass

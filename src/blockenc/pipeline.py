@@ -205,7 +205,7 @@ class _Assembler:
         if all(a == b for a, b in pairs):
             return
         circ = permute_circuit(pairs, self.layout.m)
-        emitted = embed_gates(circ.gates, self.layout.total, list(self.layout.data_qubits))
+        emitted = embed_gates(circ.gates, self.layout.total, self.layout.data_qubits)
         self.gates.extend(emitted)
         self.permute_count += len(emitted)
 
@@ -230,9 +230,9 @@ def compile_matrix(matrix: SparseMatrix, config: CompileConfig | None = None) ->
     body = asm.naive_gates if config.naive else asm.gates
 
     gates: list[Gate] = []
-    gates += embed_gates(prep.gates, layout.total, list(layout.data_qubits))
+    gates += embed_gates(prep.gates, layout.total, layout.data_qubits)
     gates += body
-    gates += embed_gates(unprep.gates, layout.total, list(layout.data_qubits))
+    gates += embed_gates(unprep.gates, layout.total, layout.data_qubits)
     circuit = Circuit(layout.total, tuple(gates), layout, prep.global_phase)
 
     stats = _build_stats(circuit, asm, data, plan, config)
@@ -248,7 +248,7 @@ def _build_stats(circuit: Circuit, asm: _Assembler, data: DataVector,
     for g in circuit.gates:
         counts[g.kind] = counts.get(g.kind, 0) + 1
         if g.kind == "mcx":
-            w = sum(c != "X" for c in g.pattern)
+            w = g.controls[0].bit_count()
             widths[w] = widths.get(w, 0) + 1
     prep_gates = len(circuit.gates) - len(asm.naive_gates if config.naive else asm.gates)
     fused_mcx = len(asm.gates)

@@ -31,31 +31,26 @@ def _magnitude_tree(mags: np.ndarray, m: int) -> list[Gate]:
             angle = 2.0 * math.atan2(right, left)
             if angle == 0.0:
                 continue
-            pattern = None
-            if level:
-                bits = format(node, f"0{level}b")
-                pattern = bits + "X" * (m - level)
-            gates.append(ry(angle, level, pattern))
+            # controlled on the node's path: qubits 0 .. level-1
+            free = m - level
+            gates.append(ry(angle, level, (((1 << level) - 1) << free, node << free)))
     return gates
 
 
 def _phase_layer(phases, m: int) -> list[Gate]:
     gates: list[Gate] = []
+    full = (1 << m) - 1
     for p, ph in enumerate(phases):
         angle = cmath.phase(complex(ph))
         if abs(angle) < 1e-15:
             continue
-        bits = format(p, f"0{m}b")
         if p == 0:
             # phase on the all-zero state: flip, phase, flip back
-            pattern = "0" * (m - 1) + "X"
-            gates.append(x(m - 1))
-            gates.append(phase(angle, m - 1, pattern if m > 1 else None))
-            gates.append(x(m - 1))
+            gates += [x(m - 1), phase(angle, m - 1, (full ^ 1, 0)), x(m - 1)]
         else:
-            target = bits.rindex("1")
-            pattern = "".join("X" if i == target else c for i, c in enumerate(bits))
-            gates.append(phase(angle, target, pattern if m > 1 else None))
+            # target the lowest set bit of p, controlled on every other bit
+            low = p & -p
+            gates.append(phase(angle, m - low.bit_length(), (full ^ low, p ^ low)))
     return gates
 
 

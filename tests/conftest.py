@@ -11,14 +11,14 @@ from blockenc.assignment import submasks
 from blockenc.errors import BadInput, BlockencError
 from blockenc.index_map import is_reducible
 from blockenc.ingest import DataVector, OperationPlan, SignVector
-from blockenc.ir import Circuit, Gate, circuit_unitary, mcx, pattern_select, select_pattern, x
+from blockenc.ir import Circuit, Cube, Gate, circuit_unitary, mcx, x
 
 
 def reference_apply_gate(state: np.ndarray, gate: Gate, width: int) -> None:
     """Apply a gate in place to the rows of a matrix by fancy-index row swaps."""
     dim = 1 << width
     idx = np.arange(dim)
-    mask, value = pattern_select(gate.pattern, width)
+    mask, value = gate.controls
     matched = (idx & mask) == value
     tbit = 1 << (width - 1 - gate.target)
     if gate.kind in ("x", "mcx"):
@@ -190,14 +190,20 @@ class BadExpansion(BlockencError):
     """Invalid qubit choice when expanding a gate into a composition."""
 
 
-def _place_controls(control_pattern: str, target: int) -> str:
-    """Insert an X at the target position of a control-only pattern."""
-    return control_pattern[:target] + "X" + control_pattern[target:]
+def _place_controls(cube: Cube, P: int, target: int) -> Cube:
+    """Lift a P-bit cube onto the P + 1 qubits around ``target``.
+
+    The control labels map onto the non-target qubits in order, so a zero
+    bit is inserted at the target's bit index ``P - target``.
+    """
+    tb = P - target
+    low = (1 << tb) - 1
+    return tuple(v >> tb << (tb + 1) | v & low for v in cube)
 
 
 def control_gate(label: int, P: int, target: int) -> Gate:
     """MCX fully controlled on one P-bit label, over P + 1 qubits."""
-    return mcx(_place_controls(select_pattern((1 << P) - 1, label, P), target), target)
+    return mcx(_place_controls(((1 << P) - 1, label), P, target), target)
 
 
 def reduce_composition(labels, P: int, target: int) -> Gate:
@@ -214,34 +220,33 @@ def reduce_composition(labels, P: int, target: int) -> Gate:
         raise BadInput(f"target {target} outside the {P + 1}-qubit span")
     if not cube[0]:
         return x(target)
-    return mcx(_place_controls(select_pattern(*cube, P), target), target)
+    return mcx(_place_controls(cube, P, target), target)
 
 
-def expand_mcx(pattern: str, target: int, grow) -> frozenset[int]:
+def expand_mcx(gate: Gate, width: int, grow) -> frozenset[int]:
     """Expand a single gate into the composition over the grown positions.
 
-    ``pattern`` is a full-width gate pattern (don't-care at the target);
-    ``grow`` lists bit indices that are currently don't-care and get
-    enumerated.  Together with the target they must cover every don't-care,
-    so the result is a set of full control labels over the len(pattern) - 1
+    ``gate`` is an MCX over ``width`` qubits (its target free of controls);
+    ``grow`` lists bit indices that are currently uncontrolled and get
+    enumerated.  Together with the target they must cover every free bit,
+    so the result is a set of full control labels over the width - 1
     non-target qubits whose MCX product equals the original gate exactly.
     """
-    width = len(pattern)
-    mask, value = pattern_select(pattern, width)
-    target_bit = width - 1 - target
+    mask, value = gate.controls
+    target_bit = width - 1 - gate.target
     if mask >> target_bit & 1:
-        raise BadExpansion("target position must be don't-care in the pattern")
+        raise BadExpansion("target qubit must be free of controls")
     if target_bit in grow:
         raise BadExpansion("cannot grow over the target qubit")
     grown = 0
     for b in grow:
         if not 0 <= b < width:
-            raise BadExpansion(f"bit index {b} outside the pattern")
+            raise BadExpansion(f"bit index {b} outside the {width} qubits")
         if mask >> b & 1:
             raise BadExpansion(f"bit {b} is already constrained")
         grown |= 1 << b
     if ((1 << width) - 1) & ~(mask | grown | 1 << target_bit):
-        raise BadExpansion("pattern still has don't-care positions outside grow")
+        raise BadExpansion("free bits left outside grow")
     low = (1 << target_bit) - 1
     labels = set()
     for sub in submasks(grown):

@@ -169,6 +169,8 @@ def _ir_json(**fields) -> str:
     _ir_json(metadata={"alpha": "x"}),
     _ir_json(metadata={"alpha": [1]}),
     _ir_json(metadata={"alpha": float("nan")}),
+    _ir_json(gates=[{"kind": "x", "target": 1, "pattern": "1X"}]),      # controlled x
+    _ir_json(metadata={"alpha": 1.5, "note": "hi"}),                     # key the text form lacks
 ])
 def test_export_rejects_malformed_json_ir(tmp_path, capsys, body):
     with pytest.raises(BlockencError):
@@ -177,6 +179,16 @@ def test_export_rejects_malformed_json_ir(tmp_path, capsys, body):
     src.write_text(body)
     assert main(["export", "--in", str(src), "--out", str(tmp_path / "out.ir")]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_export_refuses_metadata_the_text_form_cannot_carry(tmp_path, capsys):
+    # the text form has no line for "note", so the written file would not read back
+    src = tmp_path / "c.json"
+    src.write_text(_ir_json(metadata={"alpha": 1.5, "note": "hi"}))
+    out = tmp_path / "c.txt"
+    assert main(["export", "--in", str(src), "--out", str(out)]) == 2
+    assert "note" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _ir_text(*lines) -> str:
@@ -198,9 +210,13 @@ def _ir_text(*lines) -> str:
     _ir_text("alpha inf"),
     _ir_text("alpha nan"),
     _ir_text("gphase(nan)"),
+    _ir_text("mcx ctrl=q0:X target=q1"),         # control value neither 0 nor 1
+    _ir_text("mcx ctrl=q0:1,q0:0 target=q1"),    # control qubit repeated
+    _ir_text("x ctrl=q0:1 q1"),                  # controlled x
 ], ids=["bare-x", "layout-m-word", "layout-no-n", "ctrl-no-value", "mcx-no-target",
         "ctrl-negative-qubit", "ry-angle-word", "qubits-word", "qubits-negative",
-        "alpha-word", "gphase-word", "alpha-inf", "alpha-nan", "gphase-nan"])
+        "alpha-word", "gphase-word", "alpha-inf", "alpha-nan", "gphase-nan",
+        "ctrl-value-x", "ctrl-repeated", "x-with-ctrl"])
 def test_export_rejects_malformed_text_ir(tmp_path, capsys, body):
     with pytest.raises(BlockencError):
         import_text(body)

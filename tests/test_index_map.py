@@ -17,6 +17,13 @@ def _unitary(gates, layout):
     return circuit_unitary(Circuit(layout.total, tuple(gates)))
 
 
+def _control(gate, q, layout):
+    """The gate's control value on qubit q, or None if q is not a control."""
+    b = layout.total - 1 - q
+    mask, value = gate.controls
+    return value >> b & 1 if mask >> b & 1 else None
+
+
 def _separate(labels, direction, amount, layout):
     """Per-item cascades, one after another."""
     full = (1 << layout.m) - 1
@@ -73,7 +80,7 @@ def test_half_dimension_shift_single_gate():
     assert len(circ) == 1
     gate = circ[0]
     assert gate.target == lay.matrix_qubits[0]
-    assert gate.pattern[lay.matrix_qubits[1]] == "X"
+    assert _control(gate, lay.matrix_qubits[1], lay) is None
     act = _matrix_action(circ, lay, 1)
     assert act == {j: (j + 4) % 8 for j in range(8)}
 
@@ -119,7 +126,7 @@ def test_delete_all_rows_data_controls_only():
     _, circ = delete_group([0b10], range(4), lay)
     assert len(circ) == 1
     gate = circ[0]
-    assert all(gate.pattern[q] == "X" for q in lay.matrix_qubits)
+    assert all(_control(gate, q, lay) is None for q in lay.matrix_qubits)
     assert _del_flips(circ, lay) == {(2, j) for j in range(4)}
 
 
@@ -167,8 +174,7 @@ def test_combined_shift_adjacent_pair_fuses_directly():
     plan, circ = shift_group([0b00, 0b01], "L", 1, lay)
     assert plan.mode == "direct"
     assert len(circ) == 3  # one cascade, no permutation
-    fused = circ[0].pattern
-    assert fused[0] == "0" and fused[1] == "X"
+    assert _control(circ[0], 0, lay) == 0 and _control(circ[0], 1, lay) is None
     assert np.array_equal(_unitary(circ, lay),
                           _unitary(_separate([0b00, 0b01], "L", 1, lay), lay))
 
@@ -180,9 +186,8 @@ def test_combined_shift_antipodal_pair_needs_permute():
     # swap, fused cascade on the even slots, swap back
     assert len(circ) == 5
     first, last = circ[0], circ[-1]
-    assert first == last and first.target == 1 and first.pattern == "0XXXXX"
-    fused = circ[1].pattern
-    assert fused[0] == "X" and fused[1] == "0"
+    assert first == last and first.target == 1 and first.controls == (0b100000, 0)
+    assert _control(circ[1], 0, lay) is None and _control(circ[1], 1, lay) == 0
     assert np.array_equal(_unitary(circ, lay),
                           _unitary(_separate([0b01, 0b10], "L", 1, lay), lay))
     # a deferred restore leaves out the trailing swap
@@ -196,9 +201,10 @@ def test_combined_shift_pads_with_zero_slot():
     assert plan.pads == (0b111,)
     # padded to four members: permute + one fused cascade + restore
     cascades = [g for g in circ
-                if any(g.pattern[q] != "X" for q in lay.matrix_qubits)
+                if any(_control(g, q, lay) is not None for q in lay.matrix_qubits)
                 or g.target in lay.matrix_qubits]
-    data_widths = {sum(g.pattern[q] != "X" for q in lay.data_qubits) for g in cascades}
+    data_widths = {sum(_control(g, q, lay) is not None for q in lay.data_qubits)
+                   for g in cascades}
     assert data_widths == {1}
     separate = _separate([0b000, 0b101, 0b110, 0b111], "L", 1, lay)
     assert np.array_equal(_unitary(circ, lay), _unitary(separate, lay))

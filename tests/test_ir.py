@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +27,7 @@ def test_x_single_qubit():
 
 
 def test_toffoli_exchanges_6_7():
-    u = gate_unitary(mcx("11X", 2), 3)
+    u = gate_unitary(mcx((0b110, 0b110), 2), 3)
     expected = np.eye(8)
     expected[[6, 7]] = expected[[7, 6]]
     assert np.array_equal(u, expected)
@@ -34,14 +35,14 @@ def test_toffoli_exchanges_6_7():
 
 def test_cnot_on_middle_qubit_swaps_pairs():
     # control on q1 only: amplitudes 2<->3 and 6<->7 exchange
-    u = gate_unitary(mcx("X1X", 2), 3)
+    u = gate_unitary(mcx((0b010, 0b010), 2), 3)
     psi = np.arange(8, dtype=complex)
     out = u @ psi
     assert np.array_equal(out, np.array([0, 1, 3, 2, 4, 5, 7, 6], dtype=complex))
 
 
 def test_unconstrained_mcx_equals_plain_x():
-    assert np.array_equal(gate_unitary(mcx("XXX", 1), 3), gate_unitary(x(1), 3))
+    assert np.array_equal(gate_unitary(mcx((0, 0), 1), 3), gate_unitary(x(1), 3))
 
 
 def test_empty_circuit_is_identity():
@@ -71,25 +72,30 @@ def test_ry_phase_unitaries():
 
 
 def test_every_gate_kind_unitary(rng):
-    gates = [mcx("1X0X", 1), ry(1.1, 2, "0XXX"), phase(-2.2, 3, "X1XX"),
-             mcx("X10X", 0), x(2)]
+    gates = [mcx((0b1010, 0b1000), 1), ry(1.1, 2, (0b1000, 0)), phase(-2.2, 3, (0b0100, 0b0100)),
+             mcx((0b0110, 0b0100), 0), x(2)]
     c = Circuit(4, tuple(gates))
     assert unitarity_residual(circuit_unitary(c)) <= 1e-12
 
 
 def test_inverse_circuit_composes_to_identity():
-    c = Circuit(2, (ry(0.4, 0), mcx("1X", 1), phase(0.9, 1, "0X")), global_phase=0.3)
+    c = Circuit(2, (ry(0.4, 0), mcx((0b10, 0b10), 1), phase(0.9, 1, (0b10, 0))),
+                global_phase=0.3)
     u = circuit_unitary(c) @ circuit_unitary(inverse_circuit(c))
     assert np.allclose(u, np.eye(4), atol=1e-14)
 
 
 def test_bad_gates_rejected():
     with pytest.raises(BadGate):
-        Circuit(2, (mcx("11", 1),))  # target constrained in pattern
+        Circuit(2, (mcx((0b11, 0b11), 1),))  # target constrained by the controls
     with pytest.raises(BadGate):
         Circuit(2, (x(5),))
     with pytest.raises(BadGate):
-        gate_unitary(mcx("1XX", 0), 2)  # pattern width mismatch
+        gate_unitary(mcx((0b100, 0b100), 0), 2)  # controls wider than the circuit
+    with pytest.raises(BadGate):
+        gate_unitary(mcx((0b01, 0b10), 1), 2)  # value outside the mask
+    with pytest.raises(BadGate):
+        Circuit(2, (Gate("x", target=1, controls=(0b10, 0b10)),))  # controlled x
 
 
 def test_too_many_qubits_guard():
@@ -103,11 +109,15 @@ def test_layout_basis_convention():
     assert lay.data_qubits == (0, 1)
     assert lay.del_qubit == 2
     assert lay.matrix_qubits == (3, 4, 5)
-    assert lay.full_pattern(data=(0b11, 0b01), matrix=(0b001, 0b001)) == "01XXX1"
+    assert lay.controls(data=(0b11, 0b01), matrix=(0b001, 0b001)) == (0b110001, 0b010001)
+    assert select_pattern(*lay.controls(data=(0b11, 0b01), matrix=(0b001, 0b001)),
+                          lay.total) == "01XXX1"
+    with pytest.raises(BadInput):
+        lay.controls(data=(0b100, 0))
 
 
 def test_export_text_exact_lines():
-    c = Circuit(4, (x(0), mcx("01XX", 3), ry(math.pi / 2, 1)))
+    c = Circuit(4, (x(0), mcx((0b1100, 0b0100), 3), ry(math.pi / 2, 1)))
     text = export_text(c)
     lines = text.splitlines()
     assert lines[0] == "blockenc-ir v1"
@@ -119,8 +129,8 @@ def test_export_text_exact_lines():
 
 def test_text_round_trip_identity():
     lay = RegisterLayout(1, 2)
-    c = Circuit(4, (mcx("0X1X", 1), ry(0.25, 0, "X0XX"), phase(-1.5, 2),
-                    mcx("1XX0", 2), x(3), mcx("XXXX", 0)), lay, 0.75)
+    c = Circuit(4, (mcx((0b1010, 0b0010), 1), ry(0.25, 0, (0b0100, 0)), phase(-1.5, 2),
+                    mcx((0b1001, 0b1000), 2), x(3), mcx((0, 0), 0)), lay, 0.75)
     text = export_text(c, {"alpha": 2.5})
     back, meta = import_text(text)
     assert back == c
@@ -130,7 +140,7 @@ def test_text_round_trip_identity():
 
 def test_json_round_trip_identity():
     lay = RegisterLayout(2, 1)
-    c = Circuit(4, (mcx("01XX", 2), ry(0.5, 3)), lay, 0.0)
+    c = Circuit(4, (mcx((0b1100, 0b0100), 2), ry(0.5, 3)), lay, 0.0)
     doc = export_json(c, {"alpha": 1.0})
     back, meta = import_json(doc)
     assert back == c and meta == {"alpha": 1.0}
@@ -163,13 +173,12 @@ def _random_circuits(draw):
     for _ in range(draw(st.integers(0, 24))):
         kind = draw(st.sampled_from(["x", "mcx", "ry", "phase"]))
         target = draw(st.integers(0, width - 1))
-        pattern = None
-        if kind == "mcx" or (kind != "x" and draw(st.booleans())):
-            chars = draw(st.lists(st.sampled_from("01X"), min_size=width, max_size=width))
-            chars[target] = "X"
-            pattern = "".join(chars)
+        controls = (0, 0)
+        if kind != "x":
+            mask = draw(st.integers(0, (1 << width) - 1)) & ~(1 << (width - 1 - target))
+            controls = (mask, draw(st.integers(0, (1 << width) - 1)) & mask)
         angle = draw(st.floats(-7.0, 7.0)) if kind in ("ry", "phase") else 0.0
-        gates.append(Gate(kind, target=target, pattern=pattern, angle=angle))
+        gates.append(Gate(kind, target=target, controls=controls, angle=angle))
     gphase = draw(st.floats(0.01, 6.0))
     return Circuit(width, tuple(gates), global_phase=gphase)
 
@@ -199,19 +208,41 @@ def _random_documents(draw):
     return replace(circ, layout=layout), meta
 
 
-def _text_form(circ: Circuit) -> Circuit:
-    """The text form writes a rotation whose pattern is all X as one without a pattern."""
-    return replace(circ, gates=tuple(
-        replace(g, pattern=None) if g.kind in ("ry", "phase") and set(g.pattern or "0") == {"X"}
-        else g for g in circ.gates))
-
-
 @settings(max_examples=150, deadline=None)
 @given(_random_documents())
 def test_ir_round_trips(doc):
     circ, meta = doc
-    assert import_text(export_text(circ, meta)) == (_text_form(circ), meta)
+    assert import_text(export_text(circ, meta)) == (circ, meta)
     assert import_json(export_json(circ, meta)) == (circ, meta)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_random_documents())
+def test_export_both_ways_is_byte_identical(doc):
+    # what ``blockenc export`` does: text -> JSON -> text and JSON -> text -> JSON
+    text, js = export_text(*doc), export_json(*doc)
+    assert export_text(*import_json(export_json(*import_text(text)))) == text
+    assert export_json(*import_text(export_text(*import_json(js)))) == js
+
+
+@pytest.mark.parametrize("gate", ["mcx target=q0", "mcx ctrl=q9999999:1 target=q0"])
+def test_parse_cost_does_not_scale_with_width(gate):
+    text = f"blockenc-ir v1\nqubits 10000000\n{gate}\n"
+    t0 = time.perf_counter()
+    circ, _ = import_text(text)
+    assert time.perf_counter() - t0 < 0.05
+    assert circ.n_qubits == 10_000_000 and len(circ.gates) == 1
+
+
+def test_metadata_outside_the_text_form_rejected():
+    c = Circuit(1, (x(0),))
+    for export in (export_text, export_json):
+        with pytest.raises(BadInput):
+            export(c, {"alpha": 1.5, "note": "hi"})
+    doc = json.loads(export_json(c, {"alpha": 1.5}))
+    doc["metadata"]["qubits"] = 3
+    with pytest.raises(BadInput):
+        import_json(json.dumps(doc))
 
 
 _FUZZ_MATRIX = tridiagonal(2, 0.3 - 0.2j, -0.5 + 0.4j, 0.7 + 0.6j)

@@ -5,7 +5,7 @@ import pytest
 
 from blockenc.errors import NotPowerOfTwo
 from blockenc.index_map import is_reducible
-from blockenc.ir import gate_unitary, select_pattern
+from blockenc.ir import gate_unitary, mcx, select_pattern
 
 from conftest import (BadExpansion, NotReducible, as_strings, brute_force_reducible,
                       composition_unitary, control_gate, expand_mcx, random_labels,
@@ -45,7 +45,7 @@ def test_size_not_power_of_two_rejected():
 def test_reduce_composition_matches_product():
     s2 = {0b00, 0b01}
     gate = reduce_composition(s2, 2, 2)
-    assert gate.pattern == "0XX" and gate.target == 2
+    assert gate.controls == (0b100, 0) and gate.target == 2
     assert np.array_equal(gate_unitary(gate, 3), composition_unitary(s2, 2, 2))
 
 
@@ -100,7 +100,7 @@ def test_product_order_independent(rng):
 
 
 def test_expand_cnot_over_top_qubit():
-    out = expand_mcx("X1X", 2, {2})
+    out = expand_mcx(mcx((0b010, 0b010), 2), 3, {2})
     assert out == frozenset({0b01, 0b11})
 
 
@@ -108,23 +108,22 @@ def test_expand_then_reduce_round_trip(rng):
     for _ in range(100):
         width = int(rng.integers(2, 6))
         target = int(rng.integers(0, width))
-        chars = [rng.choice(["0", "1", "X"]) for _ in range(width)]
-        chars[target] = "X"
-        pattern = "".join(chars)
-        grow = frozenset(width - 1 - i for i, c in enumerate(pattern)
-                         if c == "X" and i != target)
-        s2 = expand_mcx(pattern, target, grow)
+        target_bit = 1 << (width - 1 - target)
+        mask = int(rng.integers(0, 1 << width)) & ~target_bit
+        controls = (mask, int(rng.integers(0, 1 << width)) & mask)
+        grow = frozenset(b for b in range(width) if not (mask | target_bit) >> b & 1)
+        s2 = expand_mcx(mcx(controls, target), width, grow)
         gate = reduce_composition(s2, width - 1, target)
-        if all(c == "X" for c in pattern):
+        if not mask:
             assert gate.kind == "x"
         else:
-            assert gate.pattern == pattern
+            assert gate.controls == controls
         assert np.array_equal(gate_unitary(gate, width),
                               composition_unitary(s2, width - 1, target))
 
 
 def test_expand_full_pattern_gives_singletons():
-    out = expand_mcx("XXX", 1, {0, 2})
+    out = expand_mcx(mcx((0, 0), 1), 3, {0, 2})
     assert len(out) == 4
     # product over all four gates equals a plain X on the target
     from blockenc.ir import x
@@ -133,6 +132,6 @@ def test_expand_full_pattern_gives_singletons():
 
 def test_expand_rejects_target_overlap():
     with pytest.raises(BadExpansion):
-        expand_mcx("X1X", 2, {0})  # bit 0 is the target position
+        expand_mcx(mcx((0b010, 0b010), 2), 3, {0})  # bit 0 is the target position
     with pytest.raises(BadExpansion):
-        expand_mcx("11X", 2, {1})  # bit 1 already constrained
+        expand_mcx(mcx((0b110, 0b110), 2), 3, {1})  # bit 1 already constrained

@@ -23,7 +23,7 @@ def _random_bijection(rng, P, size):
 
 def test_basis_swap_high_pair():
     g = basis_swap(0b110, 0b111, 3)
-    assert g.pattern == "11X" and g.target == 2
+    assert g.controls == (0b110, 0b110) and g.target == 2
     u = gate_unitary(g, 3)
     expected = np.eye(8)
     expected[[6, 7]] = expected[[7, 6]]
@@ -32,7 +32,7 @@ def test_basis_swap_high_pair():
 
 def test_basis_swap_low_pair():
     g = basis_swap(0b000, 0b001, 3)
-    assert g.pattern == "00X" and g.target == 2
+    assert g.controls == (0b110, 0) and g.target == 2
 
 
 def test_basis_swap_involution():
