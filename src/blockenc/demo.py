@@ -31,7 +31,7 @@ def tridiagonal(n: int, z1: complex, z2: complex, z3: complex) -> SparseMatrix:
     entries = [(i, i, z2) for i in range(dim)]
     entries += [(i, i - 1, z1) for i in range(1, dim)]
     entries += [(i, i + 1, z3) for i in range(dim - 1)]
-    return SparseMatrix(n, tuple(entries))
+    return SparseMatrix.from_entries(n, tuple(entries))
 
 
 # 32x32 structured example: five bands plus eight isolated entries.
@@ -61,4 +61,4 @@ def structured32(rng: np.random.Generator) -> SparseMatrix:
             entries.append((r, r + offset, complex(value)))
     for (r, c), value in zip(_ISOLATED_CELLS, values[6:]):
         entries.append((r, c, complex(value)))
-    return SparseMatrix(5, tuple(entries))
+    return SparseMatrix.from_entries(5, tuple(entries))

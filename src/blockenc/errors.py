@@ -10,7 +10,7 @@ class EmptyMatrix(BlockencError):
 
 
 class BadDimension(BlockencError):
-    """Matrix dimension is not a power of two."""
+    """Matrix dimension is not a power of two, or above the 2**62 int64 label limit."""
 
 
 class BadInput(BlockencError):

@@ -1,71 +1,138 @@
-"""Matrix ingestion: dictionary extraction and the per-item operation plan.
+"""Matrix ingestion: the columnar matrix form and the per-item operation plan.
+
+A ``SparseMatrix`` holds its entries as three numpy arrays sorted by
+(row, col): int64 ``rows`` and ``cols`` and complex128 ``values``.  Every
+check on them (integer coordinates in range, finite values, at least one
+entry, no duplicates) runs on whole arrays.  The dimension 2**n must itself
+fit in an int64, so n is at most ``MAX_QUBITS`` = 62; a larger matrix is a
+``BadDimension``, never a wrapped label.
 
 Entries are grouped by cyclic diagonal offset and by distinct complex value
-along each offset.  Every distinct (offset, value) pair contributes one data
-item per nonzero real/imaginary component; the item magnitudes form the data
-vector and their unit phases (+-1, +-i) the sign vector.  The plan records,
-per item, the column shift realizing its offset and the rows where the item
-must be deleted or inserted afterwards.
+along each offset, with one lexsort and a split into runs.  Every distinct
+(offset, value) pair contributes one data item per nonzero real/imaginary
+component; the item magnitudes form the data vector and their unit phases
+(+-1, +-i) the sign vector.  The plan records, per item, the column shift
+realizing its offset and the rows where the item must be deleted or inserted
+afterwards.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import numbers
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from .errors import BadDimension, BadInput, EmptyMatrix
 
+MAX_QUBITS = 62  # 2**62 is the largest power-of-two dimension an int64 holds
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class SparseMatrix:
-    """Coordinate-form complex matrix of dimension 2**n."""
+    """Complex matrix of dimension 2**n in coordinate form.
+
+    ``rows`` and ``cols`` (int64) and ``values`` (complex128) are read-only
+    arrays sorted by (row, col).  The constructor takes any integer and
+    numeric arrays and checks them; ``from_entries`` builds a matrix from
+    ``(row, col, value)`` triples.
+    """
 
     n: int
-    entries: tuple[tuple[int, int, complex], ...]
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        dim = 1 << self.n
-        entries = []
-        for e in self.entries:
-            r, c, v = e
-            if type(r) is not int or type(c) is not int or type(v) is not complex:
-                if not (_is_index(r) and _is_index(c)):
-                    raise BadInput(f"entry coordinates ({r!r}, {c!r}) must be integers")
-                if not isinstance(v, numbers.Number):
-                    raise BadInput(f"entry ({r}, {c}) value {v!r} is not a number")
-                e = r, c, v = int(r), int(c), complex(v)
-            if not (0 <= r < dim and 0 <= c < dim):
-                raise BadInput(f"entry ({r}, {c}) outside a {dim}x{dim} matrix")
-            if not cmath.isfinite(v):
-                raise BadInput(f"entry ({r}, {c}) value {v} is not finite")
-            entries.append(e)
-        if not entries:
+        n = self.n
+        if not _is_index(type(n)) or not 0 <= n <= MAX_QUBITS:
+            raise BadDimension(f"matrix qubit count {n!r} outside 0..{MAX_QUBITS}")
+        dim = 1 << int(n)
+        rows, cols, values = (np.asarray(a) for a in (self.rows, self.cols, self.values))
+        if not (rows.ndim == cols.ndim == values.ndim == 1
+                and len(rows) == len(cols) == len(values)):
+            raise BadInput("rows, cols and values must be 1-D arrays of one length")
+        if not len(values):
             raise BadInput("matrix needs at least one entry")
-        entries.sort(key=itemgetter(0, 1))
-        for a, b in zip(entries, entries[1:]):
-            if a[0] == b[0] and a[1] == b[1]:
-                raise BadInput(f"duplicate entry at ({a[0]}, {a[1]})")
-        object.__setattr__(self, "entries", tuple(entries))
+        if rows.dtype.kind not in "iu" or cols.dtype.kind not in "iu":
+            raise BadInput(f"entry coordinates must be integers, got {rows.dtype} "
+                           f"and {cols.dtype}")
+        if values.dtype.kind not in "iufc":
+            raise BadInput(f"entry values must be numbers, got {values.dtype}")
+        outside = (rows < 0) | (rows >= dim) | (cols < 0) | (cols >= dim)
+        if outside.any():
+            i = int(outside.argmax())
+            raise BadInput(f"entry ({rows[i]}, {cols[i]}) outside a {dim}x{dim} matrix")
+        values = values.astype(complex, copy=False)
+        finite = np.isfinite(values)
+        if not finite.all():
+            i = int(finite.argmin())
+            raise BadInput(f"entry ({rows[i]}, {cols[i]}) value {values[i]} is not finite")
+        order = np.lexsort((cols, rows))
+        rows = rows.astype(np.int64, copy=False)[order]
+        cols = cols.astype(np.int64, copy=False)[order]
+        values = values[order]
+        same = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
+        if same.any():
+            i = int(same.argmax())
+            raise BadInput(f"duplicate entry at ({rows[i]}, {cols[i]})")
+        object.__setattr__(self, "n", int(n))
+        for name, a in (("rows", rows), ("cols", cols), ("values", values)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    @classmethod
+    def from_entries(cls, n: int, entries) -> SparseMatrix:
+        """Matrix from ``(row, col, value)`` triples, e.g. ``((0, 0, 0.5 + 0j), ...)``.
+
+        Coordinates must be integers (not bool) and values numbers; anything
+        else is a BadInput, as in the constructor.
+        """
+        rows, cols, values = tuple(zip(*entries)) or ((), (), ())
+        return cls(n, _array(rows, np.int64, _is_index, "row"),
+                   _array(cols, np.int64, _is_index, "col"),
+                   _array(values, complex, _is_number, "value"))
 
     @property
     def dim(self) -> int:
         return 1 << self.n
 
+    def __eq__(self, other):
+        if not isinstance(other, SparseMatrix):
+            return NotImplemented
+        return (self.n == other.n and np.array_equal(self.rows, other.rows)
+                and np.array_equal(self.cols, other.cols)
+                and np.array_equal(self.values, other.values))
+
     def dense(self) -> np.ndarray:
         a = np.zeros((self.dim, self.dim), dtype=complex)
-        for r, c, v in self.entries:
-            a[r, c] = v
+        a[self.rows, self.cols] = self.values
         return a
 
 
-def _is_index(i) -> bool:
-    return isinstance(i, numbers.Integral) and not isinstance(i, bool)
+def _is_index(t: type) -> bool:
+    return issubclass(t, numbers.Integral) and t is not bool
+
+
+def _is_number(t: type) -> bool:
+    return issubclass(t, numbers.Number)
+
+
+def _is_json_number(t: type) -> bool:
+    return t is int or t is float
+
+
+def _array(seq, dtype, accepts, what: str) -> np.ndarray:
+    """``seq`` as a numpy array, once every element type passes ``accepts``."""
+    for t in set(map(type, seq)):
+        if not accepts(t):
+            raise BadInput(f"matrix entry {what} of type {t.__name__} is not allowed")
+    try:
+        return np.fromiter(seq, dtype=dtype, count=len(seq))
+    except OverflowError:
+        raise BadInput(f"matrix entry {what} out of range") from None
 
 
 def matrix_from_dict(doc: dict) -> SparseMatrix:
@@ -75,28 +142,32 @@ def matrix_from_dict(doc: dict) -> SparseMatrix:
     dim = doc.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1 or dim & (dim - 1):
         raise BadDimension(f"dimension {dim!r} is not a power of two")
+    if dim > 1 << MAX_QUBITS:
+        raise BadDimension(f"dimension {dim} is above 2**{MAX_QUBITS}, the int64 label limit")
     raw = doc.get("entries", [])
     if not isinstance(raw, list):
         raise BadInput("matrix entries must be a list")
-    entries = []
     try:
-        for e in raw:
-            re, im = e.get("re", 0.0), e.get("im", 0.0)
-            if type(re) not in (int, float) or type(im) not in (int, float):
-                raise BadInput(f"matrix entry {e!r} needs numeric re and im")
-            entries.append((e["row"], e["col"], complex(re, im)))
-    except (AttributeError, KeyError):
-        raise BadInput(f"matrix entry {e!r} needs a row and a col") from None
-    except OverflowError:
-        raise BadInput(f"matrix entry value out of range: {re!r}, {im!r}") from None
-    return SparseMatrix((dim - 1).bit_length(), tuple(entries))
+        rows = [e["row"] for e in raw]
+        cols = [e["col"] for e in raw]
+        re = [e.get("re", 0.0) for e in raw]
+        im = [e.get("im", 0.0) for e in raw]
+    except (AttributeError, KeyError, TypeError):
+        raise BadInput("every matrix entry must be an object with a row and a col") from None
+    values = np.empty(len(raw), dtype=complex)
+    values.real = _array(re, float, _is_json_number, "re")
+    values.imag = _array(im, float, _is_json_number, "im")
+    return SparseMatrix(dim.bit_length() - 1, _array(rows, np.int64, _is_index, "row"),
+                        _array(cols, np.int64, _is_index, "col"), values)
 
 
 def matrix_to_dict(matrix: SparseMatrix) -> dict:
+    fields = (matrix.rows.tolist(), matrix.cols.tolist(),
+              matrix.values.real.tolist(), matrix.values.imag.tolist())
     return {
         "dim": matrix.dim,
-        "entries": [{"row": r, "col": c, "re": v.real, "im": v.imag}
-                    for r, c, v in matrix.entries],
+        "entries": [{"row": r, "col": c, "re": re, "im": im}
+                    for r, c, re, im in zip(*fields)],
     }
 
 
@@ -162,15 +233,15 @@ class OperationPlan:
 
 
 class _Group:
-    """One (offset, value) dictionary entry before component splitting."""
+    """One (offset, value) run of entries before component splitting."""
 
     __slots__ = ("offset", "value", "rows", "first_row")
 
-    def __init__(self, offset: int, value: complex, rows: list[int]):
+    def __init__(self, offset: int, value: complex, rows: np.ndarray):
         self.offset = offset
         self.value = value
-        self.rows = sorted(rows)
-        self.first_row = self.rows[0]
+        self.rows = rows  # ascending int64
+        self.first_row = int(rows[0])
 
 
 def _signed_offset(cyclic: int, dim: int) -> int:
@@ -178,15 +249,26 @@ def _signed_offset(cyclic: int, dim: int) -> int:
 
 
 def _collect_groups(matrix: SparseMatrix) -> list[_Group]:
-    dim = matrix.dim
-    by_key: dict[tuple[int, complex], list[int]] = {}
-    for r, c, v in matrix.entries:
-        if v == 0:
-            continue
-        by_key.setdefault(((c - r) % dim, v), []).append(r)
-    if not by_key:
+    """Nonzero entries split into runs of equal (cyclic offset, value).
+
+    One lexsort on (offset, re, im, row) puts each group's rows together in
+    ascending order; ``+ 0.0`` folds -0.0 into 0.0, so values equal as
+    complex numbers share a group.  A group keeps the value at its first row.
+    """
+    nonzero = matrix.values != 0
+    if not nonzero.any():
         raise EmptyMatrix("matrix has no nonzero entries")
-    return [_Group(off, val, rows) for (off, val), rows in by_key.items()]
+    rows, values = matrix.rows[nonzero], matrix.values[nonzero]
+    off = (matrix.cols[nonzero] - rows) & (matrix.dim - 1)
+    re, im = values.real + 0.0, values.imag + 0.0
+    order = np.lexsort((rows, im, re, off))
+    rows, values, off, re, im = (a[order] for a in (rows, values, off, re, im))
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (off[1:] != off[:-1]) | (re[1:] != re[:-1]) | (im[1:] != im[:-1])
+    starts = np.flatnonzero(new)
+    bounds = [*starts.tolist(), len(rows)]
+    return [_Group(o, v, rows[a:b]) for o, v, a, b in
+            zip(off[starts].tolist(), values[starts].tolist(), bounds, bounds[1:])]
 
 
 def _alpha_weight(value: complex) -> float:
@@ -205,7 +287,7 @@ def _apply_diagonal_strategy(groups: list[_Group],
     if len(diag) != 2:
         return groups, None
     g1, g2 = diag
-    union = sorted(set(g1.rows) | set(g2.rows))
+    union = np.union1d(g1.rows, g2.rows)
     candidates = {
         1: [(g1.value, g1.rows), (g2.value, g2.rows)],
         2: [(g2.value - g1.value, g2.rows), (g1.value, union)],
@@ -219,7 +301,7 @@ def _apply_diagonal_strategy(groups: list[_Group],
         if choice not in candidates:
             raise BadInput(f"unknown strategy {strategy!r}")
     rest = [g for g in groups if g.offset != 0]
-    rest.extend(_Group(0, v, list(rows)) for v, rows in candidates[choice] if v != 0)
+    rest.extend(_Group(0, v, rows) for v, rows in candidates[choice] if v != 0)
     return rest, choice
 
 
@@ -228,10 +310,10 @@ def _shift_for(group: _Group, dim: int, n: int) -> tuple[str | None, int]:
     o = group.offset
     if o == 0 or n == 0:
         return None, 0
-    wrapped = [r for r in group.rows if r + o >= dim]
+    wrapped = np.count_nonzero(group.rows >= dim - o)  # r + o >= dim, without overflow
     if not wrapped:           # every entry above the diagonal
         return "R", o
-    if len(wrapped) == len(group.rows):  # every entry below the diagonal
+    if wrapped == len(group.rows):  # every entry below the diagonal
         return "L", dim - o
     # genuinely cyclic band: shorter direction, left on ties
     return ("L", dim - o) if dim - o <= o else ("R", o)
@@ -260,16 +342,16 @@ def analyze(matrix: SparseMatrix, strategy: str | int = "auto"
     records = []
     for g in groups:
         direction, amount = _shift_for(g, dim, matrix.n)
-        present = tuple(g.rows)
-        n_absent = dim - len(present)
+        n_absent = dim - len(g.rows)
         if not n_absent:
             mode, delete_rows, insert_rows = "none", (), ()
-        elif len(present) <= n_absent:
-            mode, delete_rows, insert_rows = "insert", (), present
+        elif len(g.rows) <= n_absent:
+            mode, delete_rows, insert_rows = "insert", (), tuple(g.rows.tolist())
         else:  # fewer absent rows than present ones, so this is O(nnz)
-            rows = set(present)
-            absent = tuple(r for r in range(dim) if r not in rows)
-            mode, delete_rows, insert_rows = "delete", absent, ()
+            absent = np.ones(dim, dtype=bool)
+            absent[g.rows] = False
+            delete_rows = tuple(np.flatnonzero(absent).tolist())
+            mode, insert_rows = "delete", ()
         for magnitude, ph, rank in _components(g.value):
             key = (_signed_offset(g.offset, dim), g.first_row, rank)
             records.append((key, magnitude, ph, direction, amount, mode,

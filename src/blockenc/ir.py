@@ -356,11 +356,19 @@ def _checked_metadata(metadata) -> dict:
     return metadata
 
 
+def _parse_qubit(tok: str) -> int:
+    """Index of a ``q<digits>`` token; any other spelling is BadInput."""
+    digits = tok[1:]
+    if tok[:1] != "q" or not (digits.isascii() and digits.isdigit()):
+        raise BadInput(f"qubit token {tok!r} is not q followed by an index")
+    return int(digits)
+
+
 def _parse_ctrl(tok: str, width: int) -> Cube:
     mask = value = 0
     for part in tok[len("ctrl="):].split(","):
         q, v = part.split(":")
-        qubit = int(q[1:])
+        qubit = _parse_qubit(q)
         if not 0 <= qubit < width:
             raise BadInput(f"control qubit {q} outside {width} qubits")
         if v not in ("0", "1"):
@@ -418,15 +426,19 @@ def _parse_gate_line(toks: list[str], width: int) -> Gate:
     if rest and rest[0].startswith("ctrl="):
         controls = _parse_ctrl(rest[0], width)
         rest = rest[1:]
+    if len(rest) != 1:
+        raise BadInput(f"gate line {' '.join(toks)!r} needs exactly one target token")
+    (target,) = rest
     if head == "x":
-        return Gate("x", target=int(rest[0][1:]), controls=controls)
+        return Gate("x", target=_parse_qubit(target), controls=controls)
     if head == "mcx":
-        tgt = next(t for t in rest if t.startswith("target="))
-        return mcx(controls, int(tgt[len("target=q"):]))
+        if not target.startswith("target="):
+            raise BadInput(f"mcx target {target!r} is not target=q<index>")
+        return mcx(controls, _parse_qubit(target[len("target="):]))
     if head.startswith(("ry(", "phase(")):
         kind = head[:head.index("(")]
         angle = float(head[head.index("(") + 1:-1])
-        return Gate(kind, target=int(rest[0][1:]), controls=controls, angle=angle)
+        return Gate(kind, target=_parse_qubit(target), controls=controls, angle=angle)
     raise BadInput(f"cannot parse gate line {' '.join(toks)!r}")
 
 

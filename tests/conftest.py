@@ -1,16 +1,21 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import cmath
 import math
+import numbers
+from dataclasses import dataclass
 from itertools import combinations, permutations
+from operator import itemgetter
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
 from blockenc.assignment import submasks
-from blockenc.errors import BadInput, BlockencError
+from blockenc.errors import BadDimension, BadInput, BlockencError, EmptyMatrix
 from blockenc.index_map import is_reducible
-from blockenc.ingest import DataVector, OperationPlan, SignVector
+from blockenc.ingest import (DataVector, OperationPlan, PlanItem, SignVector, _alpha_weight,
+                             _components, _powers, _signed_offset)
 from blockenc.ir import Circuit, Cube, Gate, circuit_unitary, mcx, x
 
 
@@ -52,6 +57,164 @@ def reference_circuit_unitary(circuit: Circuit) -> np.ndarray:
 def reference_unitarity_residual(u: np.ndarray) -> float:
     """max |u^H u - I| from the full dense product."""
     return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
+
+
+@dataclass(frozen=True)
+class ReferenceMatrix:
+    """Sorted (row, col, value) triples, checked one entry at a time."""
+
+    n: int
+    entries: tuple[tuple[int, int, complex], ...]
+
+    def __post_init__(self):
+        dim = 1 << self.n
+        entries = []
+        for e in self.entries:
+            r, c, v = e
+            if type(r) is not int or type(c) is not int or type(v) is not complex:
+                if not (_reference_is_index(r) and _reference_is_index(c)):
+                    raise BadInput(f"entry coordinates ({r!r}, {c!r}) must be integers")
+                if not isinstance(v, numbers.Number):
+                    raise BadInput(f"entry ({r}, {c}) value {v!r} is not a number")
+                e = r, c, v = int(r), int(c), complex(v)
+            if not (0 <= r < dim and 0 <= c < dim):
+                raise BadInput(f"entry ({r}, {c}) outside a {dim}x{dim} matrix")
+            if not cmath.isfinite(v):
+                raise BadInput(f"entry ({r}, {c}) value {v} is not finite")
+            entries.append(e)
+        if not entries:
+            raise BadInput("matrix needs at least one entry")
+        entries.sort(key=itemgetter(0, 1))
+        for a, b in zip(entries, entries[1:]):
+            if a[0] == b[0] and a[1] == b[1]:
+                raise BadInput(f"duplicate entry at ({a[0]}, {a[1]})")
+        object.__setattr__(self, "entries", tuple(entries))
+
+    @property
+    def dim(self) -> int:
+        return 1 << self.n
+
+
+def _reference_is_index(i) -> bool:
+    return isinstance(i, numbers.Integral) and not isinstance(i, bool)
+
+
+def reference_matrix_from_dict(doc: dict) -> ReferenceMatrix:
+    """Per-entry reading of a matrix document; any malformed field raises BadInput."""
+    if not isinstance(doc, dict):
+        raise BadInput(f"matrix document must be an object, got {type(doc).__name__}")
+    dim = doc.get("dim")
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1 or dim & (dim - 1):
+        raise BadDimension(f"dimension {dim!r} is not a power of two")
+    raw = doc.get("entries", [])
+    if not isinstance(raw, list):
+        raise BadInput("matrix entries must be a list")
+    entries = []
+    try:
+        for e in raw:
+            re, im = e.get("re", 0.0), e.get("im", 0.0)
+            if type(re) not in (int, float) or type(im) not in (int, float):
+                raise BadInput(f"matrix entry {e!r} needs numeric re and im")
+            entries.append((e["row"], e["col"], complex(re, im)))
+    except (AttributeError, KeyError):
+        raise BadInput(f"matrix entry {e!r} needs a row and a col") from None
+    except OverflowError:
+        raise BadInput(f"matrix entry value out of range: {re!r}, {im!r}") from None
+    return ReferenceMatrix((dim - 1).bit_length(), tuple(entries))
+
+
+class _ReferenceGroup:
+    """One (offset, value) dictionary entry before component splitting."""
+
+    def __init__(self, offset: int, value: complex, rows: list[int]):
+        self.offset = offset
+        self.value = value
+        self.rows = sorted(rows)
+        self.first_row = self.rows[0]
+
+
+def _reference_collect_groups(matrix: ReferenceMatrix) -> list[_ReferenceGroup]:
+    dim = matrix.dim
+    by_key: dict[tuple[int, complex], list[int]] = {}
+    for r, c, v in matrix.entries:
+        if v == 0:
+            continue
+        by_key.setdefault(((c - r) % dim, v), []).append(r)
+    if not by_key:
+        raise EmptyMatrix("matrix has no nonzero entries")
+    return [_ReferenceGroup(off, val, rows) for (off, val), rows in by_key.items()]
+
+
+def _reference_diagonal_strategy(groups, strategy):
+    diag = sorted((g for g in groups if g.offset == 0), key=lambda g: g.first_row)
+    if len(diag) != 2:
+        return groups, None
+    g1, g2 = diag
+    union = sorted(set(g1.rows) | set(g2.rows))
+    candidates = {
+        1: [(g1.value, g1.rows), (g2.value, g2.rows)],
+        2: [(g2.value - g1.value, g2.rows), (g1.value, union)],
+        3: [(g2.value, union), (g1.value - g2.value, g1.rows)],
+    }
+    if strategy == "auto":
+        scores = {k: sum(_alpha_weight(v) for v, _ in c) for k, c in candidates.items()}
+        choice = min(scores, key=lambda k: (scores[k], k))
+    else:
+        choice = int(strategy)
+        if choice not in candidates:
+            raise BadInput(f"unknown strategy {strategy!r}")
+    rest = [g for g in groups if g.offset != 0]
+    rest.extend(_ReferenceGroup(0, v, list(rows)) for v, rows in candidates[choice] if v != 0)
+    return rest, choice
+
+
+def _reference_shift_for(group, dim: int, n: int):
+    o = group.offset
+    if o == 0 or n == 0:
+        return None, 0
+    wrapped = [r for r in group.rows if r + o >= dim]
+    if not wrapped:
+        return "R", o
+    if len(wrapped) == len(group.rows):
+        return "L", dim - o
+    return ("L", dim - o) if dim - o <= o else ("R", o)
+
+
+def reference_analyze(matrix: ReferenceMatrix, strategy="auto"
+                      ) -> tuple[DataVector, SignVector, OperationPlan]:
+    """Plan built one entry and one row at a time, for parity with ``analyze``."""
+    dim = matrix.dim
+    groups = _reference_collect_groups(matrix)
+    groups, chosen = _reference_diagonal_strategy(groups, strategy)
+    records = []
+    for g in groups:
+        direction, amount = _reference_shift_for(g, dim, matrix.n)
+        present = tuple(g.rows)
+        n_absent = dim - len(present)
+        if not n_absent:
+            mode, delete_rows, insert_rows = "none", (), ()
+        elif len(present) <= n_absent:
+            mode, delete_rows, insert_rows = "insert", (), present
+        else:
+            rows = set(present)
+            absent = tuple(r for r in range(dim) if r not in rows)
+            mode, delete_rows, insert_rows = "delete", absent, ()
+        for magnitude, ph, rank in _components(g.value):
+            key = (_signed_offset(g.offset, dim), g.first_row, rank)
+            records.append((key, magnitude, ph, direction, amount, mode,
+                            delete_rows, insert_rows))
+    records.sort(key=lambda rec: rec[0])
+    if not records:
+        raise EmptyMatrix("matrix has no nonzero entries")
+    items = tuple(
+        PlanItem(index=p, magnitude=magnitude, phase=ph, offset=key[0],
+                 direction=direction, amount=amount, powers=_powers(amount), mode=mode,
+                 delete_rows=delete_rows, insert_rows=insert_rows)
+        for p, (key, magnitude, ph, direction, amount, mode,
+                delete_rows, insert_rows) in enumerate(records))
+    return (DataVector(tuple(it.magnitude for it in items)),
+            SignVector(tuple(it.phase for it in items)),
+            OperationPlan(matrix.n, items, chosen))
 
 
 def brute_force_assignment(sources, targets):

@@ -226,9 +226,10 @@ def _regression_matrices():
     yield "tridiagonal", tridiagonal(3, 0.3 - 0.2j, -0.5 + 0.4j, 0.7 + 0.6j)
     yield "random tridiagonal", random_tridiagonal(3, np.random.default_rng(17))
     yield "structured32", structured32(np.random.default_rng(42))
-    yield "scaled identity", SparseMatrix(2, tuple((i, i, 0.2 - 0.9j) for i in range(4)))
-    yield "isolated cells", SparseMatrix(2, ((3, 0, 0.4 - 0.2j), (0, 2, -0.7 + 0j),
-                                             (2, 2, 0.1 + 0.9j)))
+    yield "scaled identity", SparseMatrix.from_entries(
+        2, tuple((i, i, 0.2 - 0.9j) for i in range(4)))
+    yield "isolated cells", SparseMatrix.from_entries(
+        2, ((3, 0, 0.4 - 0.2j), (0, 2, -0.7 + 0j), (2, 2, 0.1 + 0.9j)))
 
 
 def test_criterion_7_diagonal_form():

@@ -213,10 +213,15 @@ def _ir_text(*lines) -> str:
     _ir_text("mcx ctrl=q0:X target=q1"),         # control value neither 0 nor 1
     _ir_text("mcx ctrl=q0:1,q0:0 target=q1"),    # control qubit repeated
     _ir_text("x ctrl=q0:1 q1"),                  # controlled x
+    _ir_text("x z1"),                            # target qubit without the q
+    _ir_text("mcx ctrl=w0:1 target=q1"),         # control qubit without the q
+    _ir_text("mcx ctrl=q0:1 target=q1 junk"),    # trailing token
+    _ir_text("ry(0.5) 91"),                      # bare number as the target
 ], ids=["bare-x", "layout-m-word", "layout-no-n", "ctrl-no-value", "mcx-no-target",
         "ctrl-negative-qubit", "ry-angle-word", "qubits-word", "qubits-negative",
         "alpha-word", "gphase-word", "alpha-inf", "alpha-nan", "gphase-nan",
-        "ctrl-value-x", "ctrl-repeated", "x-with-ctrl"])
+        "ctrl-value-x", "ctrl-repeated", "x-with-ctrl", "x-target-typo",
+        "ctrl-qubit-typo", "trailing-junk", "ry-target-digits"])
 def test_export_rejects_malformed_text_ir(tmp_path, capsys, body):
     with pytest.raises(BlockencError):
         import_text(body)
@@ -242,8 +247,9 @@ def _matrix_json(*entries, **fields) -> str:
     _matrix_json(entries={"row": 0, "col": 0}),                 # entries not a list
     _matrix_json(5),                                            # entry not an object
     "[1, 2]",                                                   # document not an object
+    _matrix_json({"row": 0, "col": 0, "re": 1.0}, dim=2 ** 63),  # above the int64 labels
 ], ids=["nan", "fractional-row", "bool-row", "no-row", "string-re", "huge-re",
-        "entries-object", "entry-int", "list-document"])
+        "entries-object", "entry-int", "list-document", "dim-2-to-63"])
 def test_stats_rejects_malformed_matrix(tmp_path, capsys, body):
     src = tmp_path / "bad.json"
     src.write_text(body)

@@ -26,7 +26,7 @@ def test_tridiagonal_structure_and_block(rng):
 
 
 def test_scaled_identity_reduces_to_loaders():
-    m = SparseMatrix(2, tuple((i, i, 0.3 - 0.4j) for i in range(4)))
+    m = SparseMatrix.from_entries(2, tuple((i, i, 0.3 - 0.4j) for i in range(4)))
     enc = compile_matrix(m)
     assert enc.stats["fused_mcx"] == 0  # nothing to relocate
     block = extract_block(circuit_unitary(enc.circuit), enc.layout)
@@ -36,7 +36,7 @@ def test_scaled_identity_reduces_to_loaders():
 
 
 def test_negative_scaled_identity_global_phase():
-    m = SparseMatrix(1, tuple((i, i, -0.5 + 0j) for i in range(2)))
+    m = SparseMatrix.from_entries(1, tuple((i, i, -0.5 + 0j) for i in range(2)))
     enc = compile_matrix(m)
     assert verify(m, enc).passed
 
@@ -65,9 +65,9 @@ def _random_sparse(seed: int, n: int, count: int) -> SparseMatrix:
     r = np.random.default_rng(seed)
     dim = 1 << n
     cells = r.choice(dim * dim, size=count, replace=False)
-    return SparseMatrix(n, tuple((int(c) // dim, int(c) % dim,
-                                  complex(r.uniform(0.1, 1), r.uniform(-1, -0.1)))
-                                 for c in cells))
+    return SparseMatrix.from_entries(n, tuple((int(c) // dim, int(c) % dim,
+                                               complex(r.uniform(0.1, 1), r.uniform(-1, -0.1)))
+                                              for c in cells))
 
 
 def test_fused_never_more_mcx_than_naive(rng):
@@ -141,7 +141,7 @@ def test_defer_restore_structured(rng):
 
 def test_every_compiled_circuit_is_unitary(rng):
     matrices = [tridiagonal(2, 0.2 + 0.1j, -0.4 + 0.3j, 0.3 - 0.2j),
-                SparseMatrix(2, ((3, 0, 1j), (0, 0, 0.5 + 0j))),
+                SparseMatrix.from_entries(2, ((3, 0, 1j), (0, 0, 0.5 + 0j))),
                 random_tridiagonal(3, np.random.default_rng(1)),
                 _random_sparse(0, 2, 6)]  # permute-wrapped shifts, deferred restore
     for m in matrices:
@@ -168,7 +168,7 @@ def test_every_compiled_circuit_is_unitary(rng):
 
 def test_isolated_cells_only(rng):
     entries = ((3, 0, 0.4 - 0.2j), (0, 2, -0.7 + 0j), (2, 2, 0.1 + 0.9j))
-    m = SparseMatrix(2, entries)
+    m = SparseMatrix.from_entries(2, entries)
     enc = compile_matrix(m)
     assert verify(m, enc).passed
 
@@ -203,7 +203,7 @@ def test_two_item_group_halves_shift_layer(rng):
     entries = tuple((r, r - 1, 0.5 + 0.25j) for r in range(1, 8))
     entries += tuple((r, r, 0.7 + 0j) for r in range(8))
     entries += tuple((r, r + 1, -0.3 + 0j) for r in range(7))
-    m = SparseMatrix(3, entries)
+    m = SparseMatrix.from_entries(3, entries)
     enc = compile_matrix(m)
     assert enc.layout.m == 2
     l1 = next(g for g in enc.stats["shift_groups"] if g["op"] == "L1")
@@ -229,7 +229,7 @@ def test_random_sparse_matrices_all_modes(rng):
                 entries.append((a, b, complex(re, im)))
         if not entries:
             continue
-        m = SparseMatrix(n, tuple(entries))
+        m = SparseMatrix.from_entries(n, tuple(entries))
         for cfg in (CompileConfig(), CompileConfig(defer_restore=True),
                     CompileConfig(naive=True)):
             report = verify(m, compile_matrix(m, cfg))
@@ -239,7 +239,7 @@ def test_random_sparse_matrices_all_modes(rng):
 def test_full_cyclic_band_single_item():
     dim = 8
     entries = tuple(((i + 3) % dim, i, -0.8 + 0j) for i in range(dim))
-    m = SparseMatrix(3, entries)
+    m = SparseMatrix.from_entries(3, entries)
     enc = compile_matrix(m)
     assert enc.layout.m == 0  # single data item needs no data register
     assert verify(m, enc).passed
@@ -253,7 +253,7 @@ def test_no_zero_pad_flag(rng):
 
 
 def test_single_cell_matrix():
-    m = SparseMatrix(1, ((1, 0, -0.25 + 0.5j),))
+    m = SparseMatrix.from_entries(1, ((1, 0, -0.25 + 0.5j),))
     enc = compile_matrix(m)
     assert verify(m, enc).passed
 

@@ -69,6 +69,6 @@ def test_eta_only_circuit_verifies_against_diagonal(rng):
     m = random_tridiagonal(3, rng)
     enc = compile_matrix(m, CompileConfig(skip_index_map=True))
     eta = sum(p * v for p, v in zip(enc.signs.phases, enc.data.items))
-    diag = SparseMatrix(3, tuple((i, i, eta) for i in range(8)))
+    diag = SparseMatrix.from_entries(3, tuple((i, i, eta) for i in range(8)))
     report = verify(diag, enc, tol=1e-10)
     assert report.passed
