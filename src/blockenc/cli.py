@@ -24,11 +24,9 @@ log = logging.getLogger("blockenc")
 
 def _config_from_args(args) -> CompileConfig:
     kwargs = {}
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         kwargs["tolerance"] = args.tol
-    strategy = getattr(args, "strategy", "auto")
-    kwargs["strategy"] = strategy if strategy == "auto" else int(strategy)
-    fixed = getattr(args, "fixed_index", None)
+    fixed = args.fixed_index
     if fixed:
         if fixed == "right":
             policy = FixedIndexPolicy.right_ended()
@@ -44,19 +42,14 @@ def _config_from_args(args) -> CompileConfig:
             raise BlockencError(f"bad --fixed-index value {fixed!r}")
         kwargs["data_policy"] = policy
         kwargs["matrix_policy"] = policy
-    kwargs["zero_pad"] = not getattr(args, "no_zero_pad", False)
-    kwargs["skip_index_map"] = getattr(args, "skip_oc", False)
-    kwargs["defer_restore"] = getattr(args, "defer_restore", False)
-    kwargs["naive"] = getattr(args, "naive", False)
-    return CompileConfig(**kwargs)
+    return CompileConfig(strategy=args.strategy if args.strategy == "auto" else int(args.strategy),
+                         zero_pad=not args.no_zero_pad, skip_index_map=args.skip_oc,
+                         defer_restore=args.defer_restore, naive=args.naive, **kwargs)
 
 
-def _write_ir(encoded, path: Path) -> None:
-    meta = {"alpha": encoded.alpha}
-    if path.suffix == ".json":
-        path.write_text(export_json(encoded.circuit, meta))
-    else:
-        path.write_text(export_text(encoded.circuit, meta))
+def _write_ir(circuit, meta: dict, path: Path) -> None:
+    export = export_json if path.suffix == ".json" else export_text
+    path.write_text(export(circuit, meta))
 
 
 def _read_ir(path: Path):
@@ -70,7 +63,7 @@ def cmd_compile(args) -> int:
     matrix = load_matrix(args.infile)
     encoded = compile_matrix(matrix, _config_from_args(args))
     out = Path(args.out)
-    _write_ir(encoded, out)
+    _write_ir(encoded.circuit, {"alpha": encoded.alpha}, out)
     stats_path = out.with_suffix(out.suffix + ".stats.json")
     stats_path.write_text(json.dumps(stats_report(encoded), indent=2, sort_keys=True) + "\n")
     log.info("wrote %s and %s", out, stats_path)
@@ -100,12 +93,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_export(args) -> int:
-    src, dst = Path(args.infile), Path(args.out)
-    circuit, meta = _read_ir(src)
-    if dst.suffix == ".json":
-        dst.write_text(export_json(circuit, meta))
-    else:
-        dst.write_text(export_text(circuit, meta))
+    circuit, meta = _read_ir(Path(args.infile))
+    _write_ir(circuit, meta, Path(args.out))
     return 0
 
 
@@ -133,7 +122,7 @@ def cmd_demo(args) -> int:
     print(format_stats(encoded))
     print(report)
     if args.out:
-        _write_ir(encoded, Path(args.out))
+        _write_ir(encoded.circuit, {"alpha": encoded.alpha}, Path(args.out))
     return 0 if report.passed else 1
 
 

@@ -148,7 +148,7 @@ def _permute_subgroup(labels: list[int], P: int,
     mask = policy.resolve(P, len(labels))
     value = mode_pattern(labels, mask)
     pairs = solve_assignment(labels, build_target_set(mask, value, P), P)
-    return SubFusion((mask, value), tuple(route_permutation(pairs, P).swaps))
+    return SubFusion((mask, value), tuple(route_permutation(pairs, P)))
 
 
 def plan_fusion(labels: list[int], P: int, *, zero_slots: tuple[int, ...] = (),

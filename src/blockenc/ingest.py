@@ -297,9 +297,7 @@ def _apply_diagonal_strategy(groups: list[_Group],
         scores = {k: sum(_alpha_weight(v) for v, _ in c) for k, c in candidates.items()}
         choice = min(scores, key=lambda k: (scores[k], k))
     else:
-        choice = int(strategy)
-        if choice not in candidates:
-            raise BadInput(f"unknown strategy {strategy!r}")
+        choice = strategy
     rest = [g for g in groups if g.offset != 0]
     rest.extend(_Group(0, v, rows) for v, rows in candidates[choice] if v != 0)
     return rest, choice
@@ -335,7 +333,13 @@ def _components(value: complex):
 
 def analyze(matrix: SparseMatrix, strategy: str | int = "auto"
             ) -> tuple[DataVector, SignVector, OperationPlan]:
-    """Shared extraction + planning pass; deterministic item ordering."""
+    """Shared extraction + planning pass; deterministic item ordering.
+
+    ``strategy`` is ``"auto"`` or one of the integers 1, 2, 3 (see
+    ``_apply_diagonal_strategy``); anything else is ``BadInput``.
+    """
+    if type(strategy) not in (str, int) or strategy not in ("auto", 1, 2, 3):
+        raise BadInput(f"strategy must be 'auto', 1, 2 or 3, got {strategy!r}")
     dim = matrix.dim
     groups = _collect_groups(matrix)
     groups, chosen = _apply_diagonal_strategy(groups, strategy)

@@ -3,12 +3,12 @@
 A single fully-controlled X exchanges exactly two basis labels that differ in
 one bit.  Chaining such swaps realizes an arbitrary bijection between two
 sets of basis states while leaving every amplitude a pure relocation: the
-resulting circuit is always a 0/1 permutation matrix.
+resulting circuit is always a 0/1 permutation matrix.  ``route_permutation``
+plans the chain as a list of ``(a, b)`` label swaps; ``permute_circuit``
+turns it into gates.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .errors import NotAdjacent
 from .assignment import Pairs, hamming
@@ -23,27 +23,11 @@ def basis_swap(a: int, b: int, width: int) -> Gate:
     return mcx((((1 << width) - 1) ^ diff, a & ~diff), width - diff.bit_length())
 
 
-@dataclass
-class RoutingPlan:
-    """Swap schedule realizing a matching, with bookkeeping for stats."""
-
-    width: int
-    swaps: list[tuple[int, int]] = field(default_factory=list)
-    hamming_bound: int = 0
-    detour_steps: int = 0
-
-    @property
-    def gate_count(self) -> int:
-        return len(self.swaps)
-
-
 def _bfs_path(start: int, goal: int, blocked: set[int], bits: list[int]) -> list[int] | None:
     """Shortest hypercube path avoiding blocked labels (endpoints exempt).
 
     ``bits`` lists the single-bit flips in the order they are tried.
     """
-    if start == goal:
-        return [start]
     frontier = {start: None}
     parents: dict[int, int | None] = {start: None}
     while frontier:
@@ -64,80 +48,57 @@ def _bfs_path(start: int, goal: int, blocked: set[int], bits: list[int]) -> list
     return None
 
 
-def route_permutation(pairs: Pairs, width: int) -> RoutingPlan:
-    """Plan adjacent-state swaps carrying every source label to its target.
+def _next_swaps(cur: int, goal: int, settled: set[int], occupied: set[int],
+                bits: list[int]) -> list[tuple[int, int]]:
+    """Swaps of the next routing step for the amplitude at ``cur``.
+
+    One swap along the most significant differing bit whose neighbour is
+    neither settled nor holding a pending amplitude, else along the first
+    whose neighbour is not settled (the goal always qualifies).  When every
+    such neighbour is settled, the shortest path around the settled states;
+    when they cut ``cur`` off from ``goal``, the direct path there and back,
+    which leaves every intermediate state where it was.
+    """
+    diffs = [bit for bit in bits if (cur ^ goal) & bit]
+    for avoid in (occupied, ()):
+        for bit in diffs:
+            t = cur ^ bit
+            if t == goal or (t not in settled and t not in avoid):
+                return [(cur, t)]
+    path = _bfs_path(cur, goal, settled, bits)
+    if path is None:
+        path = [cur]
+        for bit in diffs:
+            path.append(path[-1] ^ bit)
+        there = list(zip(path, path[1:]))
+        return there + there[-2::-1]
+    return list(zip(path, path[1:]))
+
+
+def route_permutation(pairs: Pairs, width: int) -> list[tuple[int, int]]:
+    """Adjacent-state swaps carrying every source label to its target.
 
     ``pairs`` is a matching of width-bit labels; pairs with equal ends are
     settled states the route never borrows.  Sources are processed in
-    ascending order of distance to target; the default path flips differing
-    bits from most to least significant, detouring around settled states.
+    ascending order of distance to target, each by ``_next_swaps`` until it
+    arrives; a swap also moves the pending amplitude it meets.
     """
-    plan = RoutingPlan(width=width)
     moves = {s: t for s, t in pairs if s != t}
-    if not moves:
-        return plan
-    bits = [1 << b for b in range(width - 1, -1, -1)]  # most significant first
-    plan.hamming_bound = sum(hamming(s, t) for s, t in moves.items())
     settled = {s for s, t in pairs if s == t}
-    pos = {s: s for s in moves}
-    order = sorted(moves, key=lambda s: (hamming(s, moves[s]), s))
-
-    def emit(a: int, b: int) -> None:
-        plan.swaps.append((a, b))
-        displaced = [q for q, p in pos.items() if p == b]
-        for q in displaced:
-            pos[q] = a
-            if hamming(a, moves[q]) > hamming(b, moves[q]):
-                plan.detour_steps += 1  # pending amplitude pushed one step out
-
-    for src in order:
+    pos = {s: s for s in moves}  # source -> label its amplitude sits on
+    bits = [1 << b for b in range(width - 1, -1, -1)]  # most significant first
+    swaps: list[tuple[int, int]] = []
+    for src in sorted(moves, key=lambda s: (hamming(s, moves[s]), s)):
         goal = moves[src]
-        cur = pos[src]
-        del pos[src]  # own position tracked locally while routing
-        while cur != goal:
-            diffs = [bit for bit in bits if (cur ^ goal) & bit]
-            occupied = set(pos.values())
-            step = None
-            for prefer_free in (True, False):
-                for bit in diffs:
-                    cand = cur ^ bit
-                    if cand in settled and cand != goal:
-                        continue
-                    if prefer_free and cand in occupied and cand != goal:
-                        continue
-                    step = cand
-                    break
-                if step is not None:
-                    break
-            if step is None:
-                path = _bfs_path(cur, goal, settled, bits)
-                if path is not None:
-                    plan.detour_steps += (len(path) - 1 - len(diffs)) // 2
-                    for nxt in path[1:]:
-                        emit(cur, nxt)
-                        cur = nxt
-                    continue
-                # settled states disconnect the route: conjugate swaps along
-                # the direct path restore every intermediate state
-                path = [cur]
-                for bit in diffs:
-                    path.append(path[-1] ^ bit)
-                seq = list(zip(path, path[1:]))
-                for a, b in seq[:-1]:
-                    plan.swaps.append((a, b))
-                plan.swaps.append(seq[-1])
-                for a, b in reversed(seq[:-1]):
-                    plan.swaps.append((a, b))
-                plan.detour_steps += len(seq) - 1
-                displaced = [q for q, p in pos.items() if p == goal]
-                for q in displaced:
-                    pos[q] = cur
-                cur = goal
-                continue
-            emit(cur, step)
-            cur = step
+        while pos[src] != goal:
+            for a, b in _next_swaps(pos[src], goal, settled, set(pos.values()), bits):
+                swaps.append((a, b))
+                for q, p in pos.items():
+                    if p == a or p == b:
+                        pos[q] = b if p == a else a
+        del pos[src]
         settled.add(goal)
-    return plan
+    return swaps
 
 
 def permute_circuit(pairs: Pairs, width: int) -> Circuit:
@@ -146,5 +107,5 @@ def permute_circuit(pairs: Pairs, width: int) -> Circuit:
     Every source column carries its amplitude to the mapped target; states
     outside the sources are permuted among the leftover positions.
     """
-    plan = route_permutation(pairs, width)
-    return Circuit(width, tuple(basis_swap(a, b, width) for a, b in plan.swaps))
+    swaps = route_permutation(pairs, width)
+    return Circuit(width, tuple(basis_swap(a, b, width) for a, b in swaps))

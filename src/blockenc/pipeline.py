@@ -115,10 +115,10 @@ class _Assembler:
             inv[a], inv[b] = ob, oa
             cur[oa], cur[ob] = b, a
 
-    def _add_row_gates(self, gates: list[Gate]) -> None:
-        """Append delete/insert gates; all but the delete-qubit flips permute rows."""
+    def _append(self, gates: list[Gate], permuted: tuple[int, ...]) -> None:
+        """Append a stage's gates; those targeting the register it permutes count."""
         self.gates += gates
-        self.permute_count += sum(g.target != self.layout.del_qubit for g in gates)
+        self.permute_count += sum(g.target in permuted for g in gates)
 
     # -- stages --------------------------------------------------------------
 
@@ -132,8 +132,7 @@ class _Assembler:
                                     zero_slots=slots_now, policy=self.config.data_policy,
                                     allow_pad=self.config.zero_pad,
                                     defer_restore=self.config.defer_restore)
-            self.gates += gates
-            self.permute_count += len(gates) - len(fp.subgroups) * (n - k)
+            self._append(gates, self.layout.data_qubits)
             pads = [self.inv[p] for p in fp.pads]  # before this group's permutation
             if self.config.defer_restore:
                 for sub in fp.subgroups:
@@ -162,7 +161,7 @@ class _Assembler:
             labels = [self.cur[it.index] for it in members]
             row_plan, gates = delete_group(labels, rows, self.layout,
                                            self.config.matrix_policy)
-            self._add_row_gates(gates)
+            self._append(gates, self.layout.matrix_qubits)
             if self.config.naive:
                 self.naive_gates += _unfused_flips(labels, rows, self.layout)
             self.delete_groups.append({
@@ -180,7 +179,7 @@ class _Assembler:
         row_groups = [(rows, [self.cur[it.index] for it in members])
                       for rows, members in _row_groups(items, "insert_rows")]
         gates = insert_stage(row_groups, self.layout, self.config.matrix_policy)
-        self._add_row_gates(gates)
+        self._append(gates, self.layout.matrix_qubits)
         if self.config.naive:
             full = (1 << self.layout.m) - 1
             self.naive_gates += [delete_flip(self.layout, (full, self.cur[it.index]))
@@ -206,8 +205,7 @@ class _Assembler:
             return
         circ = permute_circuit(pairs, self.layout.m)
         emitted = embed_gates(circ.gates, self.layout.total, self.layout.data_qubits)
-        self.gates.extend(emitted)
-        self.permute_count += len(emitted)
+        self._append(emitted, self.layout.data_qubits)
 
 
 def compile_matrix(matrix: SparseMatrix, config: CompileConfig | None = None) -> EncodedCircuit:

@@ -157,6 +157,15 @@ def test_strategy_requires_two_values():
     assert plan.strategy is None
 
 
+@pytest.mark.parametrize("strategy", ["abc", 7, 2.5, True, None])
+def test_bad_strategy_is_bad_input(strategy):
+    # checked on entry, whether or not the diagonal holds two distinct values
+    for m in (SparseMatrix.from_entries(1, ((0, 0, 0.5), (1, 1, 0.25))),
+              SparseMatrix.from_entries(1, ((0, 1, 0.5),))):
+        with pytest.raises(BadInput):
+            analyze(m, strategy)
+
+
 def test_shared_shift_for_real_and_imaginary_parts():
     m = tridiagonal(3, complex(0.3, -0.2), complex(-0.5, 0.4), complex(0.7, 0.6))
     _, _, plan = analyze(m)

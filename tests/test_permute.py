@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from blockenc.assignment import solve_assignment, build_target_set, mode_pattern
+from blockenc import permute
+from blockenc.assignment import solve_assignment, build_target_set, hamming, mode_pattern
 from blockenc.errors import NotAdjacent
 from blockenc.ir import Circuit, circuit_unitary, gate_unitary
 from blockenc.permute import basis_swap, permute_circuit, route_permutation
 
-from conftest import assert_permutation_matrix, permute_inverse
+from conftest import assert_permutation_matrix, permute_inverse, reference_route_permutation
 
 
 def _random_bijection(rng, P, size):
@@ -19,6 +20,15 @@ def _random_bijection(rng, P, size):
     rs, rt = sorted(s - common), sorted(t - common)
     rt = [rt[i] for i in rng.permutation(len(rt))]
     return tuple(sorted([(c, c) for c in common] + list(zip(rs, rt))))
+
+
+def _random_permutation(rng, P):
+    """Sorted pairs of a permutation of all 2^P labels, most of them fixed."""
+    labels = rng.permutation(1 << P)
+    moved = sorted(int(v) for v in labels[: int(rng.integers(1, (1 << P) // 3 + 2))])
+    targets = [moved[i] for i in rng.permutation(len(moved))]
+    fixed = [(v, v) for v in range(1 << P) if v not in moved]
+    return tuple(sorted(fixed + list(zip(moved, targets))))
 
 
 def test_basis_swap_high_pair():
@@ -66,22 +76,46 @@ def test_structured_unit_shift_routing_steps():
     pairs = ((0b0000, 0b0000), (0b0001, 0b0010), (0b0111, 0b0110),
              (0b1000, 0b1000), (0b1011, 0b1010), (0b1100, 0b1100),
              (0b1110, 0b1110), (0b1111, 0b0100))
-    plan = route_permutation(pairs, 4)
+    swaps = route_permutation(pairs, 4)
     expected_tail = [(0b1111, 0b0111), (0b0111, 0b0101), (0b0101, 0b0100)]
-    assert plan.swaps[-3:] == expected_tail
-    assert (0b0001, 0b0011) in plan.swaps and (0b0011, 0b0010) in plan.swaps
+    assert swaps[-3:] == expected_tail
+    assert (0b0001, 0b0011) in swaps and (0b0011, 0b0010) in swaps
     u = circuit_unitary(permute_circuit(pairs, 4))
     for src, dst in pairs:
         assert u[dst, src] == 1
 
 
-def test_gate_count_meets_hamming_bound(rng):
+def test_swap_count_within_bounds_from_pairs(rng):
+    # each swap moves two labels by one bit; each source takes at most P
+    # greedy steps, then one simple hypercube path or one conjugated direct path
     for _ in range(200):
         P = int(rng.integers(2, 6))
         size = int(rng.integers(1, (1 << P) + 1))
         pairs = _random_bijection(rng, P, size)
-        plan = route_permutation(pairs, P)
-        assert plan.gate_count <= plan.hamming_bound + 2 * plan.detour_steps
+        moving = [(s, t) for s, t in pairs if s != t]
+        swaps = route_permutation(pairs, P)
+        assert sum(hamming(s, t) for s, t in moving) <= 2 * len(swaps)
+        assert len(swaps) <= len(moving) * (P + (1 << P) - 1)
+
+
+def test_router_matches_reference(rng, monkeypatch):
+    found = []  # every fallback path: None where the conjugated direct path follows
+    real_bfs_path = permute._bfs_path
+
+    def bfs_path(*args):
+        found.append(real_bfs_path(*args))
+        return found[-1]
+
+    monkeypatch.setattr(permute, "_bfs_path", bfs_path)
+    for i in range(300):
+        P = int(rng.integers(1, 7))
+        if i % 2:
+            pairs = _random_bijection(rng, P, int(rng.integers(1, (1 << P) + 1)))
+        else:
+            pairs = _random_permutation(rng, P)
+        assert route_permutation(pairs, P) == reference_route_permutation(pairs, P).swaps
+    assert any(p is not None for p in found), "no route took the path around settled states"
+    assert any(p is None for p in found), "no route took the conjugated direct path"
 
 
 def test_random_bijections_realized_exactly(rng):

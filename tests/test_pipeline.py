@@ -197,6 +197,16 @@ def test_stats_report_fields(rng):
     assert "alpha" in text and "shift" in text and "L1" in text
 
 
+def test_permutation_gates_pinned():
+    # gates on the register each stage permutes (data for shifts and the
+    # deferred restore, matrix for deletes and inserts), as first recorded
+    configs = (CompileConfig(), CompileConfig(defer_restore=True), CompileConfig(zero_pad=False))
+    for m, expected in ((structured32(np.random.default_rng(42)), (88, 83, 74)),
+                        (_random_sparse(0, 4, 30), (148, 195, 148))):
+        assert tuple(compile_matrix(m, cfg).stats["permutation_gates"]
+                     for cfg in configs) == expected
+
+
 def test_two_item_group_halves_shift_layer(rng):
     # a complex subdiagonal band in a four-item dictionary: the pair of slots
     # fuses into one cascade with a single data control
