@@ -15,17 +15,15 @@ from . import demo as demo_matrices
 from .assignment import FixedIndexPolicy
 from .errors import BadInput, BlockencError
 from .ingest import load_matrix, save_matrix
-from .ir import export_json, export_text, import_json, import_text
-from .pipeline import CompileConfig, compile_matrix, format_stats, stats_report
-from .verify import verify, verify_circuit
+from .ir import MAX_SIM_QUBITS, export_json, export_text, import_json, import_text
+from .pipeline import CompileConfig, compile_matrix, format_stats
+from .verify import DEFAULT_TOL, verify, verify_circuit
 
 log = logging.getLogger("blockenc")
 
 
 def _config_from_args(args) -> CompileConfig:
     kwargs = {}
-    if args.tol is not None:
-        kwargs["tolerance"] = args.tol
     fixed = args.fixed_index
     if fixed:
         if fixed == "right":
@@ -40,8 +38,7 @@ def _config_from_args(args) -> CompileConfig:
             policy = FixedIndexPolicy.explicit(bits)
         else:
             raise BlockencError(f"bad --fixed-index value {fixed!r}")
-        kwargs["data_policy"] = policy
-        kwargs["matrix_policy"] = policy
+        kwargs = {"data_policy": policy, "matrix_policy": policy}
     return CompileConfig(strategy=args.strategy if args.strategy == "auto" else int(args.strategy),
                          zero_pad=not args.no_zero_pad, skip_index_map=args.skip_oc,
                          defer_restore=args.defer_restore, naive=args.naive, **kwargs)
@@ -65,7 +62,7 @@ def cmd_compile(args) -> int:
     out = Path(args.out)
     _write_ir(encoded.circuit, {"alpha": encoded.alpha}, out)
     stats_path = out.with_suffix(out.suffix + ".stats.json")
-    stats_path.write_text(json.dumps(stats_report(encoded), indent=2, sort_keys=True) + "\n")
+    stats_path.write_text(json.dumps(encoded.stats, indent=2, sort_keys=True) + "\n")
     log.info("wrote %s and %s", out, stats_path)
     return 0
 
@@ -87,8 +84,7 @@ def cmd_stats(args) -> int:
     encoded = compile_matrix(matrix, _config_from_args(args))
     print(format_stats(encoded))
     if args.out:
-        Path(args.out).write_text(json.dumps(stats_report(encoded), indent=2,
-                                             sort_keys=True) + "\n")
+        Path(args.out).write_text(json.dumps(encoded.stats, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -101,6 +97,9 @@ def cmd_export(args) -> int:
 def cmd_demo(args) -> int:
     rng = np.random.default_rng(args.seed)
     if args.case == "tridiagonal":
+        if args.n + 1 > MAX_SIM_QUBITS:  # n matrix qubits plus the delete qubit
+            raise BlockencError(f"--n {args.n} needs {args.n + 1} qubits; demo verifies "
+                                f"densely on at most {MAX_SIM_QUBITS}")
         if args.coeffs:
             try:
                 vals = [float(v) for v in args.coeffs.split(",")]
@@ -118,7 +117,7 @@ def cmd_demo(args) -> int:
     if args.save_matrix:
         save_matrix(matrix, args.save_matrix)
     encoded = compile_matrix(matrix, _config_from_args(args))
-    report = verify(matrix, encoded)
+    report = verify(matrix, encoded, args.tol)
     print(format_stats(encoded))
     print(report)
     if args.out:
@@ -133,7 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_compile_opts(p):
-        p.add_argument("--tol", type=float, default=None)
         p.add_argument("--strategy", choices=["auto", "1", "2", "3"], default="auto")
         p.add_argument("--fixed-index", dest="fixed_index", default=None,
                        metavar="{right|left|explicit:<bits>}")
@@ -153,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="simulate a circuit IR against a matrix")
     p.add_argument("--matrix", required=True)
     p.add_argument("--circuit", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.set_defaults(func=cmd_verify)
 
@@ -177,6 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "for the tridiagonal bands (default: seeded random)")
     p.add_argument("--out", default=None, help="write the compiled IR here")
     p.add_argument("--save-matrix", dest="save_matrix", default=None)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     add_compile_opts(p)
     p.set_defaults(func=cmd_demo)
     return parser

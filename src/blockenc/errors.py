@@ -18,7 +18,7 @@ class BadInput(BlockencError):
 
 
 class EmptyData(BlockencError):
-    """Data vector has no nonzero items to prepare."""
+    """No nonzero item magnitudes to prepare."""
 
 
 class BadGate(BlockencError):

@@ -10,10 +10,9 @@ fit in an int64, so n is at most ``MAX_QUBITS`` = 62; a larger matrix is a
 Entries are grouped by cyclic diagonal offset and by distinct complex value
 along each offset, with one lexsort and a split into runs.  Every distinct
 (offset, value) pair contributes one data item per nonzero real/imaginary
-component; the item magnitudes form the data vector and their unit phases
-(+-1, +-i) the sign vector.  The plan records, per item, the column shift
-realizing its offset and the rows where the item must be deleted or inserted
-afterwards.
+component.  The plan records, per item, its magnitude and unit phase
+(+-1, +-i), the column shift realizing its offset and the rows where the item
+must be deleted or inserted afterwards.
 """
 
 from __future__ import annotations
@@ -184,32 +183,6 @@ def save_matrix(matrix: SparseMatrix, path: str | Path) -> None:
 
 
 @dataclass(frozen=True)
-class DataVector:
-    """Positive item magnitudes, padded to 2**m slots for state preparation."""
-
-    items: tuple[float, ...]
-
-    @property
-    def s(self) -> int:
-        return len(self.items)
-
-    @property
-    def m(self) -> int:
-        return max(self.s - 1, 0).bit_length()
-
-    @property
-    def alpha(self) -> float:
-        return float(sum(self.items))
-
-
-@dataclass(frozen=True)
-class SignVector:
-    """Unit phase per data item, each one of +1, -1, +i, -i."""
-
-    phases: tuple[complex, ...]
-
-
-@dataclass(frozen=True)
 class PlanItem:
     """Shift / delete / insert schedule for one data item."""
 
@@ -331,8 +304,7 @@ def _components(value: complex):
     return out
 
 
-def analyze(matrix: SparseMatrix, strategy: str | int = "auto"
-            ) -> tuple[DataVector, SignVector, OperationPlan]:
+def analyze(matrix: SparseMatrix, strategy: str | int = "auto") -> OperationPlan:
     """Shared extraction + planning pass; deterministic item ordering.
 
     ``strategy`` is ``"auto"`` or one of the integers 1, 2, 3 (see
@@ -378,7 +350,4 @@ def analyze(matrix: SparseMatrix, strategy: str | int = "auto"
             delete_rows=delete_rows,
             insert_rows=insert_rows,
         ))
-    data = DataVector(tuple(it.magnitude for it in items))
-    signs = SignVector(tuple(it.phase for it in items))
-    plan = OperationPlan(matrix.n, tuple(items), chosen)
-    return data, signs, plan
+    return OperationPlan(matrix.n, tuple(items), chosen)

@@ -43,6 +43,9 @@ from scipy.linalg.blas import zherk
 from .errors import BadGate, BadInput, TooLarge
 
 MAX_SIM_QUBITS = 12
+# Widest circuit the IR readers accept (a compiled one has m + 1 + n <= 127);
+# a control cube is an int as wide as the circuit, so wider is refused at once.
+MAX_CIRCUIT_QUBITS = 128
 
 Cube = tuple[int, int]  # (mask, value): labels i with i & mask == value
 
@@ -381,6 +384,12 @@ def _parse_ctrl(tok: str, width: int) -> Cube:
     return mask, value
 
 
+def _checked_width(width: int) -> int:
+    if width > MAX_CIRCUIT_QUBITS:
+        raise BadInput(f"circuit of {width} qubits is wider than {MAX_CIRCUIT_QUBITS}")
+    return width
+
+
 def import_text(text: str) -> tuple[Circuit, dict]:
     """Parse the text form back into (Circuit, metadata).
 
@@ -401,9 +410,9 @@ def import_text(text: str) -> tuple[Circuit, dict]:
             if head == "layout":
                 kv = dict(t.split("=") for t in toks[1:])
                 layout = RegisterLayout(int(kv["m"]), int(kv["n"]))
-                width = layout.total
+                width = _checked_width(layout.total)
             elif head == "qubits":
-                width = int(toks[1])
+                width = _checked_width(int(toks[1]))
             elif head in _META_KEYS:
                 meta[head] = _finite_number(float(toks[1]), head)
             elif head.startswith("gphase("):
@@ -514,9 +523,10 @@ def import_json(text: str) -> tuple[Circuit, dict]:
             raise BadInput(f"layout must be an object, got {lay!r}")
         layout = RegisterLayout(_json_int(lay.get("m"), "layout m"),
                                 _json_int(lay.get("n"), "layout n"))
+        _checked_width(layout.total)
     if not isinstance(doc.get("gates"), list):
         raise BadInput("circuit JSON needs a gates list")
-    width = _json_int(doc.get("qubits"), "qubits")
+    width = _checked_width(_json_int(doc.get("qubits"), "qubits"))
     gates = [_json_gate(d, width) for d in doc["gates"]]
     metadata = _checked_metadata(doc.get("metadata", {}))
     circ = Circuit(width, tuple(gates), layout,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 from .assignment import FixedIndexPolicy
 from .index_map import delete_flip, delete_group, insert_stage, shift_cascade, shift_group
-from .ingest import DataVector, OperationPlan, SignVector, SparseMatrix, analyze
+from .ingest import OperationPlan, SparseMatrix, analyze
 from .ir import Circuit, Gate, RegisterLayout, embed_gates
 from .permute import permute_circuit
 from .state_prep import synthesize_prep, synthesize_unprep
@@ -31,7 +31,6 @@ log = logging.getLogger("blockenc.pipeline")
 
 @dataclass(frozen=True)
 class CompileConfig:
-    tolerance: float = 1e-9
     strategy: str | int = "auto"
     data_policy: FixedIndexPolicy = field(default_factory=FixedIndexPolicy.right_ended)
     matrix_policy: FixedIndexPolicy = field(default_factory=FixedIndexPolicy.left_ended)
@@ -48,8 +47,6 @@ class EncodedCircuit:
     layout: RegisterLayout
     stats: dict
     plan: OperationPlan
-    data: DataVector
-    signs: SignVector
     config: CompileConfig
 
 
@@ -90,14 +87,13 @@ class _Assembler:
     ``config.naive``, also builds the unfused per-item gates.
     """
 
-    def __init__(self, plan: OperationPlan, data: DataVector, layout: RegisterLayout,
-                 config: CompileConfig):
+    def __init__(self, plan: OperationPlan, layout: RegisterLayout, config: CompileConfig):
         self.plan = plan
         self.layout = layout
         self.config = config
         self.cur = list(range(1 << layout.m))  # item slot -> current data label
         self.inv = list(range(1 << layout.m))  # current data label -> item slot
-        self.slots = range(data.s, 1 << layout.m)
+        self.slots = range(len(plan.items), 1 << layout.m)
         self.gates: list[Gate] = []
         self.naive_gates: list[Gate] = []
         self.permute_count = 0
@@ -213,12 +209,14 @@ def compile_matrix(matrix: SparseMatrix, config: CompileConfig | None = None) ->
     config = config or CompileConfig()
     if config.naive and config.defer_restore:
         config = replace(config, defer_restore=False)
-    data, signs, plan = analyze(matrix, config.strategy)
-    layout = RegisterLayout(data.m, matrix.n)
-    prep = synthesize_prep(data, signs)
-    unprep = synthesize_unprep(data)
+    plan = analyze(matrix, config.strategy)
+    items = [it.magnitude for it in plan.items]
+    prep = synthesize_prep(items, [it.phase for it in plan.items])
+    unprep = synthesize_unprep(items)
+    layout = RegisterLayout(prep.n_qubits, matrix.n)
+    alpha = float(sum(items))
 
-    asm = _Assembler(plan, data, layout, config)
+    asm = _Assembler(plan, layout, config)
     if not config.skip_index_map:
         asm.shifts()
         asm.deletes()
@@ -233,13 +231,13 @@ def compile_matrix(matrix: SparseMatrix, config: CompileConfig | None = None) ->
     gates += embed_gates(unprep.gates, layout.total, layout.data_qubits)
     circuit = Circuit(layout.total, tuple(gates), layout, prep.global_phase)
 
-    stats = _build_stats(circuit, asm, data, plan, config)
+    stats = _build_stats(circuit, asm, alpha, plan, config)
     log.info("compiled %dx%d matrix: %d qubits, %d gates, alpha=%g",
-             matrix.dim, matrix.dim, layout.total, len(circuit.gates), data.alpha)
-    return EncodedCircuit(circuit, data.alpha, layout, stats, plan, data, signs, config)
+             matrix.dim, matrix.dim, layout.total, len(circuit.gates), alpha)
+    return EncodedCircuit(circuit, alpha, layout, stats, plan, config)
 
 
-def _build_stats(circuit: Circuit, asm: _Assembler, data: DataVector,
+def _build_stats(circuit: Circuit, asm: _Assembler, alpha: float,
                  plan: OperationPlan, config: CompileConfig) -> dict:
     counts: dict[str, int] = {}
     widths: dict[int, int] = {}
@@ -253,7 +251,7 @@ def _build_stats(circuit: Circuit, asm: _Assembler, data: DataVector,
     naive_mcx = (sum(g["naive_mcx"] for g in asm.shift_groups + asm.delete_groups)
                  + asm.insert_stats.get("naive_mcx", 0))
     return {
-        "alpha": data.alpha,
+        "alpha": alpha,
         "qubits": circuit.n_qubits,
         "total_gates": len(circuit.gates),
         "gate_counts": counts,
@@ -265,6 +263,7 @@ def _build_stats(circuit: Circuit, asm: _Assembler, data: DataVector,
         "insert": asm.insert_stats,
         "fused_mcx": fused_mcx,
         "naive_mcx": naive_mcx,
+        "mcx_saving": naive_mcx - fused_mcx,
         "strategy": plan.strategy,
         "naive": config.naive,
         "skip_index_map": config.skip_index_map,
@@ -272,15 +271,9 @@ def _build_stats(circuit: Circuit, asm: _Assembler, data: DataVector,
     }
 
 
-def stats_report(encoded: EncodedCircuit) -> dict:
-    """Gate-count report comparing the fused pipeline against per-item gates."""
-    s = dict(encoded.stats)
-    s["mcx_saving"] = s["naive_mcx"] - s["fused_mcx"]
-    return s
-
-
 def format_stats(encoded: EncodedCircuit) -> str:
-    s = stats_report(encoded)
+    """Gate-count report comparing the fused pipeline against per-item gates."""
+    s = encoded.stats
     lines = [
         f"qubits          {s['qubits']}",
         f"alpha           {s['alpha']:.12g}",

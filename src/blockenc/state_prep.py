@@ -1,6 +1,6 @@
 """Amplitude loading on the data register.
 
-The forward oracle loads ``sign_p * sqrt(item_p / alpha)`` onto basis state
+The forward oracle loads ``phase_p * sqrt(item_p / alpha)`` onto basis state
 ``|p>`` via a binary tree of multiplexed Y rotations followed by a diagonal
 layer realizing the four possible phases {1, -1, i, -i}.  The reverse oracle
 is the adjoint of the unsigned (all-positive) loader.
@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from .errors import EmptyData
-from .ingest import DataVector, SignVector
 from .ir import Circuit, Gate, inverse_circuit, phase, ry, x
 
 
@@ -54,29 +53,26 @@ def _phase_layer(phases, m: int) -> list[Gate]:
     return gates
 
 
-def _padded_magnitudes(data: DataVector) -> np.ndarray:
-    if data.s == 0 or data.alpha <= 0:
+def _padded_magnitudes(items) -> tuple[int, np.ndarray]:
+    """(m, amplitudes): sqrt(item_p / alpha) padded with zeros to 2**m slots."""
+    alpha = float(sum(items))
+    if alpha <= 0:  # also no items at all
         raise EmptyData("no nonzero items to prepare")
-    mags = np.zeros(1 << data.m)
-    mags[: data.s] = np.sqrt(np.asarray(data.items) / data.alpha)
-    return mags
+    m = (len(items) - 1).bit_length()
+    mags = np.zeros(1 << m)
+    mags[: len(items)] = np.sqrt(np.asarray(items) / alpha)
+    return m, mags
 
 
-def synthesize_prep(data: DataVector, signs: SignVector) -> Circuit:
-    """Circuit C with C|0..0> = sum_p sign_p sqrt(item_p / alpha) |p>."""
-    mags = _padded_magnitudes(data)
-    if data.m == 0:
-        gphase = cmath.phase(complex(signs.phases[0]))
-        return Circuit(0, (), global_phase=gphase)
-    gates = _magnitude_tree(mags, data.m)
-    gates += _phase_layer(signs.phases, data.m)
-    return Circuit(data.m, tuple(gates))
+def synthesize_prep(items, phases) -> Circuit:
+    """Circuit C with C|0..0> = sum_p phase_p sqrt(item_p / alpha) |p>, alpha = sum(items)."""
+    m, mags = _padded_magnitudes(items)
+    if m == 0:
+        return Circuit(0, (), global_phase=cmath.phase(complex(phases[0])))
+    return Circuit(m, tuple(_magnitude_tree(mags, m) + _phase_layer(phases, m)))
 
 
-def synthesize_unprep(data: DataVector) -> Circuit:
+def synthesize_unprep(items) -> Circuit:
     """Adjoint of the unsigned loader V, so that UNPREP^dag |0..0> = V|0..0>."""
-    mags = _padded_magnitudes(data)
-    if data.m == 0:
-        return Circuit(0, ())
-    forward = Circuit(data.m, tuple(_magnitude_tree(mags, data.m)))
-    return inverse_circuit(forward)
+    m, mags = _padded_magnitudes(items)
+    return inverse_circuit(Circuit(m, tuple(_magnitude_tree(mags, m))))

@@ -18,6 +18,7 @@ from .ingest import SparseMatrix
 from .ir import Circuit, RegisterLayout, circuit_unitary, unitarity_residual
 from .pipeline import EncodedCircuit
 
+DEFAULT_TOL = 1e-9  # max |alpha*B - A| a passing circuit may reach
 UNITARITY_TOL = 1e-10
 
 
@@ -52,7 +53,7 @@ class VerificationReport:
 
 
 def verify_circuit(matrix: SparseMatrix, circuit: Circuit, alpha: float,
-                   tol: float = 1e-9) -> VerificationReport:
+                   tol: float = DEFAULT_TOL) -> VerificationReport:
     """Compare alpha times the extracted block against the matrix entrywise."""
     if not math.isfinite(tol) or tol < 0:
         raise BadInput(f"tolerance must be a finite non-negative number, got {tol}")
@@ -73,8 +74,6 @@ def verify_circuit(matrix: SparseMatrix, circuit: Circuit, alpha: float,
 
 
 def verify(matrix: SparseMatrix, encoded: EncodedCircuit,
-           tol: float | None = None) -> VerificationReport:
+           tol: float = DEFAULT_TOL) -> VerificationReport:
     """Verify a compiled circuit against its source matrix."""
-    if tol is None:
-        tol = encoded.config.tolerance
     return verify_circuit(matrix, encoded.circuit, encoded.alpha, tol)

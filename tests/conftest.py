@@ -14,8 +14,8 @@ from scipy.optimize import linear_sum_assignment
 from blockenc.assignment import hamming, submasks
 from blockenc.errors import BadDimension, BadInput, BlockencError, EmptyMatrix
 from blockenc.index_map import is_reducible
-from blockenc.ingest import (DataVector, OperationPlan, PlanItem, SignVector, _alpha_weight,
-                             _components, _powers, _signed_offset)
+from blockenc.ingest import (OperationPlan, PlanItem, _alpha_weight, _components, _powers,
+                             _signed_offset)
 from blockenc.ir import Circuit, Cube, Gate, circuit_unitary, mcx, x
 
 
@@ -180,8 +180,7 @@ def _reference_shift_for(group, dim: int, n: int):
     return ("L", dim - o) if dim - o <= o else ("R", o)
 
 
-def reference_analyze(matrix: ReferenceMatrix, strategy="auto"
-                      ) -> tuple[DataVector, SignVector, OperationPlan]:
+def reference_analyze(matrix: ReferenceMatrix, strategy="auto") -> OperationPlan:
     """Plan built one entry and one row at a time, for parity with ``analyze``."""
     dim = matrix.dim
     groups = _reference_collect_groups(matrix)
@@ -212,9 +211,7 @@ def reference_analyze(matrix: ReferenceMatrix, strategy="auto"
                  delete_rows=delete_rows, insert_rows=insert_rows)
         for p, (key, magnitude, ph, direction, amount, mode,
                 delete_rows, insert_rows) in enumerate(records))
-    return (DataVector(tuple(it.magnitude for it in items)),
-            SignVector(tuple(it.phase for it in items)),
-            OperationPlan(matrix.n, items, chosen))
+    return OperationPlan(matrix.n, items, chosen)
 
 
 def brute_force_assignment(sources, targets):
@@ -577,10 +574,10 @@ def reconstruct(plan: OperationPlan) -> np.ndarray:
     return out
 
 
-def prep_target(data: DataVector, signs: SignVector) -> np.ndarray:
+def prep_target(items, phases) -> np.ndarray:
     """Reference statevector the forward oracle must produce."""
-    amps = np.zeros(1 << data.m, dtype=complex)
-    amps[: data.s] = np.sqrt(np.asarray(data.items) / data.alpha) * np.asarray(signs.phases)
+    amps = np.zeros(1 << (len(items) - 1).bit_length(), dtype=complex)
+    amps[: len(items)] = np.sqrt(np.asarray(items) / sum(items)) * np.asarray(phases)
     return amps
 
 

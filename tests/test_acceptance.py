@@ -237,7 +237,7 @@ def test_criterion_7_diagonal_form():
     for name, m in _regression_matrices():
         enc = compile_matrix(m, CompileConfig(skip_index_map=True))
         block = extract_block(circuit_unitary(enc.circuit), enc.layout)
-        eta = sum(p * v for p, v in zip(enc.signs.phases, enc.data.items)) / enc.alpha
+        eta = sum(it.phase * it.magnitude for it in enc.plan.items) / enc.alpha
         err = np.abs(block - eta * np.eye(m.dim)).max()
         worst = max(worst, err)
         if err > 1e-10:
@@ -276,12 +276,10 @@ def test_criterion_8_property_suites():
         s = int(rng.integers(1, 9))
         items = tuple(float(v) for v in rng.uniform(0.05, 1.0, size=s))
         phases = tuple(complex(rng.choice([1, -1, 1j, -1j])) for _ in range(s))
-        from blockenc.ingest import DataVector, SignVector
-        data, signs = DataVector(items), SignVector(phases)
-        circ = synthesize_prep(data, signs)
+        circ = synthesize_prep(items, phases)
         state = circuit_unitary(circ)[:, 0] if circ.n_qubits else np.array(
             [np.exp(1j * circ.global_phase)])
-        worst_amp = max(worst_amp, float(np.abs(state - prep_target(data, signs)).max()))
+        worst_amp = max(worst_amp, float(np.abs(state - prep_target(items, phases)).max()))
     ok = worst_amp <= 1e-10
 
     # every compiled circuit stays unitary

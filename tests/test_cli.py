@@ -261,10 +261,11 @@ def test_stats_rejects_malformed_matrix(tmp_path, capsys, body):
     ["demo", "tridiagonal", "--fixed-index", "explicit:a"],
     ["demo", "tridiagonal", "--coeffs", "1,2,3,4,5,x"],
     ["demo", "tridiagonal", "--n", "-1"],
+    ["demo", "tridiagonal", "--n", "40"],
     ["demo", "tridiagonal", "--tol", "inf"],
     ["demo", "tridiagonal", "--tol", "nan"],
     ["demo", "tridiagonal", "--tol", "-1"],
-], ids=["fixed-index-word", "coeffs-word", "negative-n", "tol-inf", "tol-nan",
+], ids=["fixed-index-word", "coeffs-word", "negative-n", "huge-n", "tol-inf", "tol-nan",
         "tol-negative"])
 def test_bad_argument_values_exit_2(capsys, argv):
     assert main(argv) == 2

@@ -18,24 +18,25 @@ from conftest import reconstruct, reference_analyze, reference_matrix_from_dict
 
 def test_tridiagonal_extraction_order_and_phases():
     m = tridiagonal(3, complex(0.3, -0.2), complex(-0.5, 0.4), complex(0.7, 0.6))
-    data, signs, _ = analyze(m)
-    assert data.items == (0.3, 0.2, 0.5, 0.4, 0.7, 0.6)
-    assert signs.phases == (1, -1j, -1, 1j, 1, 1j)
-    assert data.s == 6 and data.m == 3
+    items = analyze(m).items
+    assert tuple(it.magnitude for it in items) == (0.3, 0.2, 0.5, 0.4, 0.7, 0.6)
+    assert tuple(it.phase for it in items) == (1, -1j, -1, 1j, 1, 1j)
+    assert compile_matrix(m).layout.m == 3
 
 
 def test_identity_matrix_single_item():
     m = SparseMatrix.from_entries(3, tuple((i, i, 1 + 0j) for i in range(8)))
-    data, signs, _ = analyze(m)
-    assert data.items == (1.0,) and signs.phases == (1,)
-    assert data.s == 1 and data.m == 0
+    (item,) = analyze(m).items
+    assert item.magnitude == 1.0 and item.phase == 1
+    assert compile_matrix(m).layout.m == 0
 
 
 def test_structured32_has_fourteen_items(rng):
-    data, signs, _ = analyze(structured32(rng))
-    assert data.s == 14 and data.m == 4
-    assert all(p == 1 for p in signs.phases)
-    assert all(v > 0 for v in data.items)
+    m = structured32(rng)
+    items = analyze(m).items
+    assert len(items) == 14 and compile_matrix(m).layout.m == 4
+    assert all(it.phase == 1 for it in items)
+    assert all(it.magnitude > 0 for it in items)
 
 
 def test_zero_valued_entries_rejected_as_empty():
@@ -59,7 +60,7 @@ def test_plan_band_shift_decomposition():
     entries = tuple((r, r - 5, 0.9 + 0j) for r in range(10, 32))
     entries += tuple((i, i, 0.4 + 0j) for i in range(32))
     m = SparseMatrix.from_entries(5, entries)
-    _, _, plan = analyze(m)
+    plan = analyze(m)
     band = next(it for it in plan.items if it.direction == "L")
     assert band.amount == 5 and band.powers == (1, 4)
     assert band.mode == "delete" and band.delete_rows == tuple(range(10))
@@ -68,7 +69,7 @@ def test_plan_band_shift_decomposition():
 def test_plan_single_value_cyclic_subdiagonal():
     dim = 8
     entries = tuple(((i + 1) % dim, i, 0.6 + 0j) for i in range(dim))
-    _, _, plan = analyze(SparseMatrix.from_entries(3, entries))
+    plan = analyze(SparseMatrix.from_entries(3, entries))
     item = plan.items[0]
     assert item.direction == "L" and item.amount == 1
     assert item.mode == "none" and not item.delete_rows and not item.insert_rows
@@ -78,7 +79,7 @@ def test_plan_isolated_entry_below_diagonal_prefers_left():
     # an isolated cell far below the diagonal keeps the left shift even though
     # the cyclic right distance is shorter
     entries = ((28, 4, 0.5 + 0j),) + tuple((i, i, 0.3 + 0j) for i in range(32))
-    _, _, plan = analyze(SparseMatrix.from_entries(5, entries))
+    plan = analyze(SparseMatrix.from_entries(5, entries))
     cell = next(it for it in plan.items if it.mode == "insert")
     assert cell.direction == "L" and cell.amount == 24 and cell.powers == (8, 16)
     assert cell.insert_rows == (28,)
@@ -87,11 +88,11 @@ def test_plan_isolated_entry_below_diagonal_prefers_left():
 def test_plan_insert_vs_delete_threshold():
     # present rows <= absent rows switches the item to insert mode
     entries = tuple((r, r, 1 + 0j) for r in range(3))
-    _, _, plan = analyze(SparseMatrix.from_entries(2, entries))
+    plan = analyze(SparseMatrix.from_entries(2, entries))
     item = plan.items[0]
     assert item.mode == "delete" and item.delete_rows == (3,)
     entries = tuple((r, r, 1 + 0j) for r in range(2))
-    _, _, plan = analyze(SparseMatrix.from_entries(2, entries))
+    plan = analyze(SparseMatrix.from_entries(2, entries))
     item = plan.items[0]
     assert item.mode == "insert" and item.insert_rows == (0, 1)
 
@@ -110,7 +111,7 @@ def test_diagonal_strategy_difference_encoding():
     entries = tuple((r, r, 0.8 + 0j) for r in range(5))
     entries += tuple((r, r, 0.85 + 0j) for r in range(5, 32))
     m = SparseMatrix.from_entries(5, entries)
-    data, signs, plan = analyze(m, "auto")
+    plan = analyze(m, "auto")
     assert plan.strategy == 2
     # one item is the small difference deleted on the low rows, the other the
     # shared value on every row
@@ -118,13 +119,13 @@ def test_diagonal_strategy_difference_encoding():
     rest = next(it for it in plan.items if it.mode == "none")
     assert np.isclose(diff.magnitude, 0.05)
     assert np.isclose(rest.magnitude, 0.8)
-    assert np.isclose(sum(data.items), 0.85)
+    assert np.isclose(sum(it.magnitude for it in plan.items), 0.85)
 
 
 def test_diagonal_strategy_third_form():
     entries = tuple((r, r, 0.85 + 0j) for r in range(5))
     entries += tuple((r, r, 0.8 + 0j) for r in range(5, 32))
-    _, _, plan = analyze(SparseMatrix.from_entries(5, entries), "auto")
+    plan = analyze(SparseMatrix.from_entries(5, entries), "auto")
     assert plan.strategy == 3
     # the difference value survives only on the low rows; with few present
     # rows the planner flips the complementary deletion into an insertion
@@ -145,15 +146,15 @@ def test_diagonal_strategy_override_and_weight_monotone(rng):
         m = SparseMatrix.from_entries(3, entries)
         weights = {}
         for strat in (1, 2, 3, "auto"):
-            data, _, plan = analyze(m, strat)
-            weights[strat] = sum(data.items)
+            plan = analyze(m, strat)
+            weights[strat] = sum(it.magnitude for it in plan.items)
             assert np.abs(reconstruct(plan) - m.dense()).max() <= 1e-12
         assert weights["auto"] <= weights[1] + 1e-15
 
 
 def test_strategy_requires_two_values():
     entries = tuple((r, r, 0.5 + 0j) for r in range(4))
-    _, _, plan = analyze(SparseMatrix.from_entries(2, entries), 2)
+    plan = analyze(SparseMatrix.from_entries(2, entries), 2)
     assert plan.strategy is None
 
 
@@ -168,7 +169,7 @@ def test_bad_strategy_is_bad_input(strategy):
 
 def test_shared_shift_for_real_and_imaginary_parts():
     m = tridiagonal(3, complex(0.3, -0.2), complex(-0.5, 0.4), complex(0.7, 0.6))
-    _, _, plan = analyze(m)
+    plan = analyze(m)
     by_offset = {}
     for it in plan.items:
         by_offset.setdefault(it.offset, []).append(it)
@@ -183,7 +184,7 @@ def test_powers_are_binary_expansion(rng):
         dim = 1 << n
         r, c = int(rng.integers(dim)), int(rng.integers(dim))
         entries = ((r, c, 1 + 0j),)
-        _, _, plan = analyze(SparseMatrix.from_entries(n, entries))
+        plan = analyze(SparseMatrix.from_entries(n, entries))
         item = plan.items[0]
         assert sum(item.powers) == item.amount
         assert all(p & (p - 1) == 0 for p in item.powers)
@@ -198,17 +199,13 @@ def test_reconstruction_exact(rng):
         cells = {(int(r.integers(dim)), int(r.integers(dim))) for _ in range(dim)}
         entries = tuple((a, b, complex(r.normal(), r.normal())) for a, b in cells)
         m = SparseMatrix.from_entries(n, entries)
-        _, _, plan = analyze(m, strategy=1)
+        plan = analyze(m, strategy=1)
         assert np.array_equal(reconstruct(plan), m.dense())
 
 
 def test_subnormalization_values():
-    from blockenc.ingest import DataVector
-    assert DataVector((1.0, 2.0, 3.0)).alpha == 6.0
-    assert DataVector((0.5,)).alpha == 0.5
     m = tridiagonal(3, complex(0.3, -0.2), complex(-0.5, 0.4), complex(0.7, 0.6))
-    data, _, _ = analyze(m)
-    assert np.isclose(data.alpha, 0.3 + 0.2 + 0.5 + 0.4 + 0.7 + 0.6)
+    assert np.isclose(compile_matrix(m).alpha, 0.3 + 0.2 + 0.5 + 0.4 + 0.7 + 0.6)
 
 
 def test_alpha_bounds_row_and_column_sums(rng):
@@ -219,10 +216,10 @@ def test_alpha_bounds_row_and_column_sums(rng):
         cells = {(int(r.integers(dim)), int(r.integers(dim))) for _ in range(2 * dim)}
         m = SparseMatrix.from_entries(n, tuple((a, b, complex(r.normal(), r.normal()))
                                                for a, b in cells))
-        data, _, _ = analyze(m)
+        alpha = compile_matrix(m).alpha
         dense = np.abs(m.dense())
-        assert data.alpha >= dense.sum(axis=0).max() - 1e-12
-        assert data.alpha >= dense.sum(axis=1).max() - 1e-12
+        assert alpha >= dense.sum(axis=0).max() - 1e-12
+        assert alpha >= dense.sum(axis=1).max() - 1e-12
 
 
 def test_json_round_trip(tmp_path):

@@ -14,8 +14,8 @@ from blockenc.demo import tridiagonal
 from blockenc.errors import BadGate, BadInput, BlockencError, TooLarge
 from blockenc.ingest import save_matrix
 from blockenc.pipeline import compile_matrix
-from blockenc.ir import (Circuit, Gate, RegisterLayout, circuit_unitary, export_json,
-                         export_text, gate_unitary, import_json, import_text,
+from blockenc.ir import (MAX_CIRCUIT_QUBITS, Circuit, Gate, RegisterLayout, circuit_unitary,
+                         export_json, export_text, gate_unitary, import_json, import_text,
                          inverse_circuit, mcx, pattern_select, phase, ry, select_pattern,
                          unitarity_residual, x)
 from conftest import reference_circuit_unitary, reference_unitarity_residual
@@ -225,13 +225,35 @@ def test_export_both_ways_is_byte_identical(doc):
     assert export_json(*import_text(export_text(*import_json(js)))) == js
 
 
-@pytest.mark.parametrize("gate", ["mcx target=q0", "mcx ctrl=q9999999:1 target=q0"])
-def test_parse_cost_does_not_scale_with_width(gate):
-    text = f"blockenc-ir v1\nqubits 10000000\n{gate}\n"
+def _json_ir(qubits: int, layout=None, gates=()) -> str:
+    return json.dumps({"format": "blockenc-ir", "version": 1, "qubits": qubits,
+                       "layout": layout, "gates": list(gates)})
+
+
+@pytest.mark.parametrize("read, text", [
+    (import_text, "blockenc-ir v1\nqubits 10000000\nmcx target=q0\n"),
+    (import_text, "blockenc-ir v1\nqubits 10000000\nmcx ctrl=q9999999:1 target=q0\n"),
+    (import_text, "blockenc-ir v1\nqubits 1000000000\nmcx ctrl=q0:1 target=q1\n"),
+    (import_text, "blockenc-ir v1\nlayout m=1000000000 n=1\nmcx ctrl=q0:1 target=q1\n"),
+    (import_json, _json_ir(1_000_000_000)),
+    (import_json, _json_ir(1_000_000_002, {"m": 1_000_000_000, "n": 1})),
+], ids=["mcx target=q0", "mcx ctrl=q9999999:1 target=q0", "text-1e9", "text-layout-1e9",
+        "json-1e9", "json-layout-1e9"])
+def test_parse_cost_does_not_scale_with_width(read, text):
+    # a declared width above MAX_CIRCUIT_QUBITS is refused before any gate
     t0 = time.perf_counter()
-    circ, _ = import_text(text)
+    with pytest.raises(BadInput):
+        read(text)
     assert time.perf_counter() - t0 < 0.05
-    assert circ.n_qubits == 10_000_000 and len(circ.gates) == 1
+
+
+def test_width_at_the_cap_parses():
+    width = MAX_CIRCUIT_QUBITS
+    circ, _ = import_text(f"blockenc-ir v1\nqubits {width}\nmcx ctrl=q0:1 target=q1\n")
+    assert circ.n_qubits == width and circ.gates[0].controls == (1 << width - 1,) * 2
+    gate = {"kind": "mcx", "target": 1, "pattern": "1" + "X" * (width - 1)}
+    circ, _ = import_json(_json_ir(width, gates=[gate]))
+    assert circ.n_qubits == width and circ.gates[0].controls == (1 << width - 1,) * 2
 
 
 def test_metadata_outside_the_text_form_rejected():

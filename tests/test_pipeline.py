@@ -1,9 +1,15 @@
-import numpy as np
+import re
+from pathlib import Path
 
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blockenc.assignment import FixedIndexPolicy
 from blockenc.demo import random_tridiagonal, structured32, tridiagonal
 from blockenc.ingest import SparseMatrix
 from blockenc.ir import circuit_unitary, unitarity_residual
-from blockenc.pipeline import CompileConfig, compile_matrix, format_stats, stats_report
+from blockenc.pipeline import CompileConfig, compile_matrix, format_stats
 from blockenc.state_prep import synthesize_prep
 from blockenc.verify import extract_block, verify
 
@@ -45,7 +51,7 @@ def test_skip_index_map_gives_diagonal(rng):
     m = random_tridiagonal(3, rng)
     enc = compile_matrix(m, CompileConfig(skip_index_map=True))
     block = extract_block(circuit_unitary(enc.circuit), enc.layout)
-    eta = sum(p * v for p, v in zip(enc.signs.phases, enc.data.items)) / enc.alpha
+    eta = sum(it.phase * it.magnitude for it in enc.plan.items) / enc.alpha
     assert np.abs(block - eta * np.eye(8)).max() <= 1e-10
 
 
@@ -158,7 +164,9 @@ def test_every_compiled_circuit_is_unitary(rng):
                       + s["insert"].get("fused_mcx", 0))
             restore = s["fused_mcx"] - groups
             if cfg.defer_restore:
-                start = len(synthesize_prep(enc.data, enc.signs).gates) + groups
+                items = enc.plan.items
+                prep = synthesize_prep([it.magnitude for it in items], [it.phase for it in items])
+                start = len(prep.gates) + groups
                 assert restore >= 0
                 assert all(g.kind == "mcx" and g.target in enc.layout.data_qubits
                            for g in enc.circuit.gates[start:start + restore])
@@ -186,7 +194,7 @@ def test_explicit_fixed_index_policy(rng):
 def test_stats_report_fields(rng):
     m = tridiagonal(3, 0.2 + 0.1j, -0.4 + 0.6j, 0.3 - 0.2j)
     enc = compile_matrix(m)
-    rep = stats_report(enc)
+    rep = enc.stats
     assert rep["alpha"] == enc.alpha
     assert rep["permutation_gates"] == 0  # all tridiagonal groups fuse directly
     assert rep["mcx_saving"] == rep["naive_mcx"] - rep["fused_mcx"]
@@ -279,4 +287,45 @@ def test_defer_restore_pads_name_zero_slots():
                 enc = compile_matrix(m, cfg)
                 pads = [p for g in enc.stats["shift_groups"] for p in g["pads"]]
                 assert pads == [14, 15]
-                assert all(p >= enc.data.s for p in pads)
+                assert all(p >= len(enc.plan.items) for p in pads)
+
+
+# A small value pool, so that groups share values and the main diagonal often
+# holds two of them, which brings the diagonal strategies into play.
+_POOL = (0.5, -0.25, 0.75j, 0.5 - 0.25j)
+
+
+@st.composite
+def _pooled_matrices(draw):
+    n = draw(st.integers(1, 3))
+    dim = 1 << n
+    index = st.integers(0, dim - 1)
+    cells = {}
+    if draw(st.booleans()):  # two values splitting the main diagonal
+        split = draw(index)
+        low, high = draw(st.sampled_from(_POOL)), draw(st.sampled_from(_POOL))
+        cells.update(((r, r), low if r < split else high) for r in range(dim))
+    cells.update(draw(st.dictionaries(st.tuples(index, index), st.sampled_from(_POOL),
+                                      min_size=0 if cells else 1, max_size=2 * dim)))
+    return SparseMatrix.from_entries(n, tuple((r, c, v) for (r, c), v in cells.items()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pooled_matrices(),
+       st.sampled_from((FixedIndexPolicy.right_ended, FixedIndexPolicy.left_ended)),
+       st.booleans(), st.booleans(), st.booleans())
+def test_every_config_verifies(m, policy, zero_pad, defer_restore, naive):
+    for strategy in ("auto", 1, 2, 3):
+        cfg = CompileConfig(strategy=strategy, data_policy=policy(), matrix_policy=policy(),
+                            zero_pad=zero_pad, defer_restore=defer_restore, naive=naive)
+        enc = compile_matrix(m, cfg)
+        assert verify(m, enc).passed
+        # alpha and the data-register width follow from the plan alone
+        assert enc.alpha == float(sum(it.magnitude for it in enc.plan.items))
+        assert enc.layout.m == (len(enc.plan.items) - 1).bit_length()
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
