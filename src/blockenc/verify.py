@@ -57,6 +57,8 @@ def verify_circuit(matrix: SparseMatrix, circuit: Circuit, alpha: float,
     """Compare alpha times the extracted block against the matrix entrywise."""
     if not math.isfinite(tol) or tol < 0:
         raise BadInput(f"tolerance must be a finite non-negative number, got {tol}")
+    if not math.isfinite(alpha):
+        raise BadInput(f"alpha must be a finite number, got {alpha}")
     layout = circuit.layout
     if layout is None or layout.n != matrix.n:
         raise BadLayout("circuit layout does not match the matrix dimension")

@@ -1,6 +1,13 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import blockenc
 
 from blockenc.cli import main
 from blockenc.demo import tridiagonal
@@ -47,6 +54,23 @@ def test_verify_detects_tampering(tri_path, tmp_path):
     # an infinite tolerance would pass it
     assert main(["verify", "--matrix", str(tri_path), "--circuit", str(out),
                  "--tol", "inf"]) == 2
+
+
+def test_verify_debug_log_names_the_residual_kernel(tri_path, tmp_path, capsys):
+    circuit, plain, logged = tmp_path / "c.ir", tmp_path / "plain.json", tmp_path / "logged.json"
+    main(["compile", "--in", str(tri_path), "--out", str(circuit)])
+    capsys.readouterr()
+    argv = ["verify", "--matrix", str(tri_path), "--circuit", str(circuit)]
+    assert main(argv + ["--out", str(plain)]) == 0
+    env = dict(os.environ, BLOCKENC_LOG="debug",
+               PYTHONPATH=str(Path(blockenc.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "blockenc.cli", *argv, "--out", str(logged)],
+                          env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == capsys.readouterr().out
+    assert logged.read_text() == plain.read_text()
+    (line,) = proc.stderr.splitlines()
+    assert re.fullmatch(r"DEBUG blockenc\.ir: unitarity residual: zherk kernel, "
+                        r"[0-9.]+% nonzero, dim 128", line)
 
 
 @pytest.mark.parametrize("alpha", ["x", [1], None, "missing"])

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import time
 from dataclasses import replace
@@ -14,6 +15,7 @@ from blockenc.demo import tridiagonal
 from blockenc.errors import BadGate, BadInput, BlockencError, TooLarge
 from blockenc.ingest import save_matrix
 from blockenc.pipeline import compile_matrix
+from blockenc.verify import UNITARITY_TOL
 from blockenc.ir import (MAX_CIRCUIT_QUBITS, Circuit, Gate, RegisterLayout, circuit_unitary,
                          export_json, export_text, gate_unitary, import_json, import_text,
                          inverse_circuit, mcx, pattern_select, phase, ry, select_pattern,
@@ -353,3 +355,53 @@ def test_residual_finds_the_worst_cell(monkeypatch, rng, rows, where, dim):
     expected = reference_unitarity_residual(u)
     assert expected > 1e-7
     assert abs(unitarity_residual(u) - expected) <= 1e-15
+
+
+def _perturbed_permutation(dim: int, where: str, rng) -> np.ndarray:
+    """Permutation matrix with unit phases, changed in one place: one entry
+    scaled by 1 + 1e-6, one small entry off its support, or one column zeroed."""
+    perm = rng.permutation(dim)
+    u = np.zeros((dim, dim), dtype=complex)
+    u[perm, np.arange(dim)] = np.exp(1j * rng.uniform(0, 2 * np.pi, dim))
+    j = dim // 3
+    if where == "scaled":
+        u[perm[j], j] *= 1 + 1e-6
+    elif where == "off_support":
+        u[perm[j + 1], j] = 1e-6j
+    else:
+        u[:, j] = 0
+    return u
+
+
+# _SPARSE_SHARE values that force one kernel whatever the nonzero share
+_FORCE_KERNEL = {"sparse": 2.0, "zherk": 0.0}
+
+
+@pytest.mark.parametrize("kernel", [None, "sparse", "zherk"])
+@pytest.mark.parametrize("where", ["scaled", "off_support", "zero_column"])
+@pytest.mark.parametrize("dim", [2, 64, 300])
+def test_residual_of_a_perturbed_permutation(monkeypatch, caplog, rng, kernel, where, dim):
+    # left to pick, dim 2 (half its entries nonzero) takes zherk, the wider ones sparse
+    if kernel is not None:
+        monkeypatch.setattr(ir, "_SPARSE_SHARE", _FORCE_KERNEL[kernel])
+    u = _perturbed_permutation(dim, where, rng)
+    expected = reference_unitarity_residual(u)
+    assert expected > UNITARITY_TOL
+    if where == "zero_column":
+        assert expected == 1.0
+    caplog.set_level(logging.DEBUG, logger="blockenc.ir")
+    assert abs(unitarity_residual(u) - expected) <= 1e-15
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "blockenc.ir"]
+    picked = kernel or ("zherk" if dim == 2 else "sparse")
+    assert line.startswith(f"unitarity residual: {picked} kernel, ")
+    assert line.endswith(f"% nonzero, dim {dim}")
+
+
+@pytest.mark.parametrize("where", ["diagonal", "last", "below"])
+@pytest.mark.parametrize("dim", [2, 8, 128])
+def test_residual_kernels_agree_on_a_dense_unitary(monkeypatch, rng, where, dim):
+    u = _perturbed_unitary(dim, where, rng)
+    expected = reference_unitarity_residual(u)
+    for share in _FORCE_KERNEL.values():
+        monkeypatch.setattr(ir, "_SPARSE_SHARE", share)
+        assert abs(unitarity_residual(u) - expected) <= 1e-15

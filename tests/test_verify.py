@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from blockenc.demo import random_tridiagonal, tridiagonal
-from blockenc.errors import BadLayout
+from blockenc import ir
+from blockenc.demo import random_tridiagonal, structured32, tridiagonal
+from blockenc.errors import BadInput, BadLayout
 from blockenc.ingest import SparseMatrix
 from blockenc.ir import Circuit, RegisterLayout, circuit_unitary
 from blockenc.pipeline import CompileConfig, compile_matrix
@@ -72,3 +73,31 @@ def test_eta_only_circuit_verifies_against_diagonal(rng):
     diag = SparseMatrix.from_entries(3, tuple((i, i, eta) for i in range(8)))
     report = verify(diag, enc, tol=1e-10)
     assert report.passed
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf")])
+def test_verify_rejects_non_finite_alpha(rng, alpha):
+    m = random_tridiagonal(3, rng)
+    enc = compile_matrix(m)
+    with pytest.raises(BadInput, match="alpha"):
+        verify_circuit(m, enc.circuit, alpha)
+
+
+_CONFIGS = {"default": CompileConfig(), "defer_restore": CompileConfig(defer_restore=True),
+            "naive": CompileConfig(naive=True), "no_zero_pad": CompileConfig(zero_pad=False)}
+
+
+# n = None is structured32
+@pytest.mark.parametrize("n, config",
+                         [(n, cfg) for n in range(3, 8) for cfg in _CONFIGS] + [(None, "default")])
+def test_residual_kernel_pick_keeps_the_report(monkeypatch, rng, n, config):
+    # tridiagonal n >= 6 is under 2% nonzeros and takes the sparse kernel
+    m = structured32(rng) if n is None else random_tridiagonal(n, rng)
+    enc = compile_matrix(m, _CONFIGS[config])
+    picked = verify(m, enc)
+    monkeypatch.setattr(ir, "_SPARSE_SHARE", 0.0)  # zherk on every unitary
+    dense = verify(m, enc)
+    assert picked.passed and dense.passed
+    assert abs(picked.unitarity_residual - dense.unitarity_residual) <= 1e-15
+    assert picked.max_abs_error == dense.max_abs_error
+    assert picked.worst_cells == dense.worst_cells
