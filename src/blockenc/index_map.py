@@ -28,9 +28,9 @@ unfused baseline uses directly.
 Item labels and row indices are ints, a label set is a list of distinct ints
 with its width alongside, and every control set, in a plan or on a gate, is
 a cube (see ``ir``).  ``RegisterLayout.controls`` lifts register cubes to a
-gate's full width.  The disjoint
-cube cover (``_greedy_cubes``) works on the labels directly, and
-``plan_fusion`` builds it only when zero padding could lose to it.
+gate's full width.  The disjoint cube cover (``_greedy_cubes``) searches the
+labels for their largest cubes directly, so its cost follows the labels and
+their cubes, not a table of every sub-cube inside the set.
 """
 
 from __future__ import annotations
@@ -87,37 +87,43 @@ def delete_flip(layout: RegisterLayout, data: Cube, matrix: Cube = (0, 0)) -> Ga
     return mcx(layout.controls(data, matrix), layout.del_qubit)
 
 
+def _cubes_in(labels: set[int], bit: int, dim: int):
+    """Every dim-cube inside a set of labels below 2**bit, in pattern order.
+
+    Pattern order compares from q0, the top bit, with '0' < '1' < 'X': the
+    labels split on that bit into ``low``, ``high`` and ``low & high``, searched
+    in that order, and a branch with fewer than 2**dim labels is pruned.
+    """
+    if len(labels) < 1 << dim:
+        return
+    if not dim:  # the labels themselves, in ascending order
+        yield from (((1 << bit) - 1, v) for v in sorted(labels))
+        return
+    top = 1 << bit - 1
+    low = {v for v in labels if not v & top}
+    high = {v ^ top for v in labels if v & top}
+    yield from ((mask | top, value) for mask, value in _cubes_in(low, bit - 1, dim))
+    yield from ((mask | top, value | top) for mask, value in _cubes_in(high, bit - 1, dim))
+    yield from _cubes_in(low & high, bit - 1, dim - 1)
+
+
 def _greedy_cubes(labels, width: int) -> list[Cube]:
     """Disjoint cover of the labels by (mask, value) cubes, largest cube first.
 
-    Every cube inside the set is listed once as a (free mask, value) pair,
-    packed into one int: a level-f cube extends only along bits above its
-    highest free bit.  Then, from the top level down, the cube whose pattern
-    is smallest as a string ('0' < '1' < 'X') is taken and every cube meeting
-    it is dropped.  The cost grows with the number of cubes inside the set.
+    Each pick is the largest cube inside the uncovered labels, with the
+    smallest pattern on ties: from the top dimension down, every cube still
+    wholly uncovered is taken in pattern order.  The cost follows the labels
+    and their cubes, not a table of every sub-cube inside the set.
     """
-    full = (1 << width) - 1
-    digit = [3 ** b for b in range(width)]  # order key: one base-3 digit per position
-    level = {v: sum(digit[b] for b in range(width) if v >> b & 1) for v in set(labels)}
-    levels = []
-    while level:
-        levels.append(level)
-        grown = {}
-        for cube, key in level.items():
-            for b in range((cube >> width).bit_length(), width):
-                bit = 1 << b
-                if not cube & bit and cube | bit in level:
-                    grown[cube | bit << width] = key + 2 * digit[b]
-        level = grown
-    chosen: list[tuple[int, int]] = []
-    for level in reversed(levels):
-        alive = [(key, cube >> width, cube & full) for cube, key in level.items()]
-        alive = sorted(c for c in alive if all((c[2] ^ v) & ~(c[1] | f) for f, v in chosen))
-        while alive:
-            _, free, value = alive[0]
-            chosen.append((free, value))
-            alive = [c for c in alive[1:] if (value ^ c[2]) & ~(free | c[1])]
-    return [(full ^ free, value) for free, value in chosen]
+    uncovered = set(labels)
+    cover: list[Cube] = []
+    for dim in range(len(uncovered).bit_length() - 1, -1, -1):
+        for mask, value in _cubes_in(set(uncovered), width, dim):  # the set as dim starts
+            members = build_target_set(mask, value, width)
+            if uncovered.issuperset(members):
+                uncovered.difference_update(members)
+                cover.append((mask, value))
+    return cover
 
 
 @dataclass
@@ -135,7 +141,6 @@ class FusionPlan:
     mode: str                            # direct | permute | partition | padded | padded-permute
     subgroups: list[SubFusion]
     pads: tuple[int, ...] = ()
-    register: str = "data"
 
     def total_count(self, core_cost: int) -> int:
         """Gates when every subgroup's core is restored after its permutation."""
@@ -152,59 +157,51 @@ def _permute_subgroup(labels: list[int], P: int,
 
 
 def plan_fusion(labels: list[int], P: int, *, zero_slots: tuple[int, ...] = (),
-                policy: FixedIndexPolicy | None = None, allow_pad: bool = True,
-                core_cost: int = 1, register: str = "data") -> FusionPlan:
+                policy: FixedIndexPolicy | None = None, core_cost: int = 1) -> FusionPlan:
     """Decide how to realize one gate over several P-bit control labels.
 
     Reducible sets fuse directly.  Irreducible power-of-two sets get a
     permutation wrap.  Other sizes either borrow zero-amplitude slots up to
     the next power of two or fall back to a disjoint cube cover, whichever
-    costs fewer gates (ties prefer padding).  The cover is not built when
-    padding already costs no more than the cover's lower bound.
+    costs fewer gates (ties prefer padding); no ``zero_slots`` means no
+    padding.  The cover's cost follows the labels and their cubes.
     """
     policy = policy or FixedIndexPolicy.right_ended()
     labels = sorted(labels)
     size = len(labels)
 
-    def direct_or_permute(members: list[int], mode_direct: str, mode_perm: str) -> FusionPlan:
+    def direct_or_permute(members: list[int], mode_direct: str, mode_perm: str,
+                          pads: tuple[int, ...] = ()) -> FusionPlan:
         cube = is_reducible(members, P)
         if cube is not None:
-            return FusionPlan(mode_direct, [SubFusion(cube)], register=register)
-        return FusionPlan(mode_perm, [_permute_subgroup(members, P, policy)], register=register)
+            return FusionPlan(mode_direct, [SubFusion(cube)], pads)
+        return FusionPlan(mode_perm, [_permute_subgroup(members, P, policy)], pads)
 
     if size & (size - 1) == 0:
         return direct_or_permute(labels, "direct", "permute")
 
-    padded = None
+    partition = FusionPlan("partition", [SubFusion(c) for c in _greedy_cubes(labels, P)])
     need = (1 << size.bit_length()) - size
-    if allow_pad and len(zero_slots) >= need:
-        pads = tuple(sorted(zero_slots)[:need])
-        padded = direct_or_permute(sorted(labels + list(pads)), "padded", "padded-permute")
-        padded.pads = pads
-        # a disjoint cube cover of `size` labels has at least popcount(size) cubes
-        if padded.total_count(core_cost) <= core_cost * size.bit_count():
-            return padded
-    partition = FusionPlan("partition",
-                           [SubFusion(c) for c in _greedy_cubes(labels, P)],
-                           register=register)
-    if padded is not None and padded.total_count(core_cost) <= partition.total_count(core_cost):
-        return padded
-    return partition
+    if len(zero_slots) < need:
+        return partition
+    pads = tuple(sorted(zero_slots)[:need])
+    padded = direct_or_permute(sorted(labels + list(pads)), "padded", "padded-permute", pads)
+    cheaper = padded.total_count(core_cost) <= partition.total_count(core_cost)
+    return padded if cheaper else partition
 
 
-def _emit_plan(plan: FusionPlan, core, layout: RegisterLayout, *,
-              defer_restore: bool = False) -> list[Gate]:
+def _emit_plan(plan: FusionPlan, core, width: int, qubits: tuple[int, ...],
+               defer_restore: bool = False) -> list[Gate]:
     """Gates of a fusion plan: per subgroup, permutation, core, inverse.
 
-    ``core(cube)`` builds a subgroup's fused gates.  The inverse permutation
-    is the forward swaps in reverse order; with ``defer_restore`` it is left
-    out and the caller tracks where the swaps moved the data labels.
+    ``core(cube)`` builds a subgroup's fused gates, and the swaps act on the
+    register ``qubits`` of a width-qubit circuit.  The inverse permutation is
+    the forward swaps in reverse order; with ``defer_restore`` it is left out
+    and the caller tracks where the swaps moved the data labels.
     """
-    qubits = layout.data_qubits if plan.register == "data" else layout.matrix_qubits
     gates: list[Gate] = []
     for sub in plan.subgroups:
-        fwd = [] if not sub.swaps else embed_gates(
-            [basis_swap(a, b, len(qubits)) for a, b in sub.swaps], layout.total, qubits)
+        fwd = embed_gates([basis_swap(a, b, len(qubits)) for a, b in sub.swaps], width, qubits)
         gates += fwd
         gates += core(sub.cube)
         if not defer_restore:
@@ -214,7 +211,6 @@ def _emit_plan(plan: FusionPlan, core, layout: RegisterLayout, *,
 
 def shift_group(labels: list[int], direction: str, amount: int, layout: RegisterLayout,
                 *, zero_slots: tuple[int, ...] = (), policy: FixedIndexPolicy | None = None,
-                allow_pad: bool = True,
                 defer_restore: bool = False) -> tuple[FusionPlan, list[Gate]]:
     """Shift several items at once with as few fused cascades as possible.
 
@@ -223,24 +219,18 @@ def shift_group(labels: list[int], direction: str, amount: int, layout: Register
     restore is deferred, which leaves the data register permuted).
     """
     plan = plan_fusion(labels, layout.m, zero_slots=zero_slots, policy=policy,
-                       allow_pad=allow_pad,
                        core_cost=layout.n - (amount.bit_length() - 1))
     core = lambda cube: shift_cascade(cube, direction, amount, layout)
-    return plan, _emit_plan(plan, core, layout, defer_restore=defer_restore)
+    return plan, _emit_plan(plan, core, layout.total, layout.data_qubits, defer_restore)
 
 
 def delete_rows_plan(rows, layout: RegisterLayout,
                      policy: FixedIndexPolicy | None = None) -> FusionPlan:
     """Fusion plan over row indices on the matrix register."""
-    policy = policy or FixedIndexPolicy.left_ended()
-    dim = 1 << layout.n
     rows = sorted(set(rows))
-    if any(not 0 <= r < dim for r in rows):
+    if any(not 0 <= r < 1 << layout.n for r in rows):
         raise BadInput("row index outside the matrix register")
-    if len(rows) == dim:
-        return FusionPlan("direct", [SubFusion((0, 0))], register="matrix")
-    return plan_fusion(rows, layout.n, policy=policy, allow_pad=False,
-                       core_cost=1, register="matrix")
+    return plan_fusion(rows, layout.n, policy=policy or FixedIndexPolicy.left_ended())
 
 
 def delete_group(labels: list[int], rows, layout: RegisterLayout,
@@ -256,7 +246,7 @@ def delete_group(labels: list[int], rows, layout: RegisterLayout,
     gates: list[Gate] = []
     for cube in _greedy_cubes(labels, layout.m):
         gates += _emit_plan(plan, lambda rows_cube, c=cube: [delete_flip(layout, c, rows_cube)],
-                            layout)
+                            layout.total, layout.matrix_qubits)
     return plan, gates
 
 
@@ -270,8 +260,6 @@ def insert_stage(row_groups: list[tuple[tuple[int, ...], list[int]]],
     cube of all the labels; each row group's delete flips it back on its
     rows.
     """
-    if not row_groups:
-        return []
     labels = [v for _, members in row_groups for v in members]
     gates = [delete_flip(layout, cube) for cube in _greedy_cubes(labels, layout.m)]
     for rows, members in row_groups:

@@ -424,12 +424,18 @@ def _checked_metadata(metadata) -> dict:
     return metadata
 
 
+def _ascii_int(tok: str) -> int:
+    """``int(tok)`` for the digits 0-9 alone; ``int`` also reads '_', signs and other scripts."""
+    if not (tok.isascii() and tok.isdigit()):
+        raise BadInput(f"{tok!r} is not an index in the digits 0-9")
+    return int(tok)
+
+
 def _parse_qubit(tok: str) -> int:
     """Index of a ``q<digits>`` token; any other spelling is BadInput."""
-    digits = tok[1:]
-    if tok[:1] != "q" or not (digits.isascii() and digits.isdigit()):
+    if tok[:1] != "q":
         raise BadInput(f"qubit token {tok!r} is not q followed by an index")
-    return int(digits)
+    return _ascii_int(tok[1:])
 
 
 def _parse_ctrl(tok: str, width: int) -> Cube:
@@ -458,29 +464,35 @@ def _checked_width(width: int) -> int:
 def import_text(text: str) -> tuple[Circuit, dict]:
     """Parse the text form back into (Circuit, metadata).
 
-    A line that does not parse raises BadInput naming it.
+    A line that does not parse raises BadInput naming it, and so does a
+    repeated header line (qubit count or layout, metadata, phase).
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != FORMAT_HEADER:
         raise BadInput("missing format header")
-    layout = None
-    width = None
+    layout = width = gphase = None
     meta: dict = {}
-    gphase = 0.0
     gates: list[Gate] = []
     try:
         for ln in lines[1:]:
             toks = ln.split()
             head = toks[0]
+            if head in meta or head in ("layout", "qubits") and width is not None:
+                raise BadInput(f"repeated header line {ln!r}")
             if head == "layout":
-                kv = dict(t.split("=") for t in toks[1:])
-                layout = RegisterLayout(int(kv["m"]), int(kv["n"]))
+                if [t[:2] for t in toks[1:]] != ["m=", "n="]:
+                    raise BadInput(f"layout line {ln!r} is not 'layout m=<m> n=<n>'")
+                layout = RegisterLayout(_ascii_int(toks[1][2:]), _ascii_int(toks[2][2:]))
                 width = _checked_width(layout.total)
             elif head == "qubits":
-                width = _checked_width(int(toks[1]))
+                (count,) = toks[1:]
+                width = _checked_width(_ascii_int(count))
             elif head in _META_KEYS:
-                meta[head] = _finite_number(float(toks[1]), head)
+                (val,) = toks[1:]
+                meta[head] = _finite_number(float(val), head)
             elif head.startswith("gphase("):
+                if gphase is not None or len(toks) != 1:
+                    raise BadInput(f"repeated or malformed gphase line {ln!r}")
                 gphase = _finite_number(float(head[len("gphase("):-1]), "gphase")
             else:
                 if width is None:
@@ -490,7 +502,7 @@ def import_text(text: str) -> tuple[Circuit, dict]:
         raise BadInput(f"cannot parse IR line {ln!r}") from None
     if width is None:
         raise BadInput("missing qubit count")
-    return Circuit(width, tuple(gates), layout, gphase), meta
+    return Circuit(width, tuple(gates), layout, 0.0 if gphase is None else gphase), meta
 
 
 def _parse_gate_line(toks: list[str], width: int) -> Gate:
@@ -582,7 +594,7 @@ def import_json(text: str) -> tuple[Circuit, dict]:
     if not isinstance(doc, dict) or (doc.get("format"), doc.get("version")) != ("blockenc-ir", 1):
         raise BadInput("unrecognized circuit JSON")
     layout = None
-    if doc.get("layout"):
+    if doc.get("layout") is not None:
         lay = doc["layout"]
         if not isinstance(lay, dict):
             raise BadInput(f"layout must be an object, got {lay!r}")

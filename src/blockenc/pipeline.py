@@ -93,7 +93,7 @@ class _Assembler:
         self.config = config
         self.cur = list(range(1 << layout.m))  # item slot -> current data label
         self.inv = list(range(1 << layout.m))  # current data label -> item slot
-        self.slots = range(len(plan.items), 1 << layout.m)
+        self.slots = range(len(plan.items), 1 << layout.m) if config.zero_pad else ()
         self.gates: list[Gate] = []
         self.naive_gates: list[Gate] = []
         self.permute_count = 0
@@ -126,7 +126,6 @@ class _Assembler:
             slots_now = tuple(sorted(self.cur[s] for s in self.slots))
             fp, gates = shift_group(labels, direction, power, self.layout,
                                     zero_slots=slots_now, policy=self.config.data_policy,
-                                    allow_pad=self.config.zero_pad,
                                     defer_restore=self.config.defer_restore)
             self._append(gates, self.layout.data_qubits)
             pads = [self.inv[p] for p in fp.pads]  # before this group's permutation

@@ -195,6 +195,11 @@ def _ir_json(**fields) -> str:
     _ir_json(metadata={"alpha": float("nan")}),
     _ir_json(gates=[{"kind": "x", "target": 1, "pattern": "1X"}]),      # controlled x
     _ir_json(metadata={"alpha": 1.5, "note": "hi"}),                     # key the text form lacks
+    _ir_json(layout={}),                                                 # falsy layouts are
+    _ir_json(layout=0),                                                  # not "no layout"
+    _ir_json(layout=False),
+    _ir_json(layout=[]),
+    _ir_json(layout=""),
 ])
 def test_export_rejects_malformed_json_ir(tmp_path, capsys, body):
     with pytest.raises(BlockencError):
@@ -241,11 +246,29 @@ def _ir_text(*lines) -> str:
     _ir_text("mcx ctrl=w0:1 target=q1"),         # control qubit without the q
     _ir_text("mcx ctrl=q0:1 target=q1 junk"),    # trailing token
     _ir_text("ry(0.5) 91"),                      # bare number as the target
+    "blockenc-ir v1\nlayout m=1 n=1 junk=5\n",   # extra layout key
+    "blockenc-ir v1\nlayout m=1 n=1 m=0\n",      # layout key repeated
+    "blockenc-ir v1\nlayout m=1 n=1\nlayout m=1 n=1\n",
+    _ir_text("qubits 2"),                        # second qubit count
+    "blockenc-ir v1\nlayout m=1 n=1\nqubits 3\n",
+    _ir_text("alpha 1.0", "alpha 1.0"),
+    _ir_text("gphase(0.5)", "gphase(0.5)"),
+    "blockenc-ir v1\nqubits 3 7\n",
+    _ir_text("alpha 1.0 junk"),
+    _ir_text("gphase(0.5) junk"),
+    "blockenc-ir v1\nqubits 1_0\n",              # int() reads underscores,
+    "blockenc-ir v1\nqubits +3\n",               # signs
+    "blockenc-ir v1\nqubits \u0663\n",           # and non-ASCII digits
+    "blockenc-ir v1\nlayout m=+1 n=1\n",
 ], ids=["bare-x", "layout-m-word", "layout-no-n", "ctrl-no-value", "mcx-no-target",
         "ctrl-negative-qubit", "ry-angle-word", "qubits-word", "qubits-negative",
         "alpha-word", "gphase-word", "alpha-inf", "alpha-nan", "gphase-nan",
         "ctrl-value-x", "ctrl-repeated", "x-with-ctrl", "x-target-typo",
-        "ctrl-qubit-typo", "trailing-junk", "ry-target-digits"])
+        "ctrl-qubit-typo", "trailing-junk", "ry-target-digits", "layout-extra-key",
+        "layout-key-repeated", "second-layout", "second-qubits", "layout-then-qubits",
+        "second-alpha", "second-gphase", "qubits-trailing", "alpha-trailing",
+        "gphase-trailing", "qubits-underscore", "qubits-plus", "qubits-arabic-digit",
+        "layout-plus"])
 def test_export_rejects_malformed_text_ir(tmp_path, capsys, body):
     with pytest.raises(BlockencError):
         import_text(body)

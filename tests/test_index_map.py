@@ -1,10 +1,12 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from blockenc.assignment import build_target_set
 from blockenc.errors import BadShift
 from blockenc.index_map import (_greedy_cubes, delete_group, insert_stage, shift_cascade,
                                 shift_group)
@@ -240,8 +242,13 @@ def test_combined_shift_equals_product_random(rng):
 @st.composite
 def _string_sets(draw, max_width=6):
     width = draw(st.integers(1, max_width))
-    values = draw(st.sets(st.integers(0, (1 << width) - 1), min_size=1))
-    return [format(v, f"0{width}b") for v in sorted(values)]
+    if draw(st.booleans()):
+        # a contiguous range [a, b), the row sets analyze emits
+        a = draw(st.integers(0, (1 << width) - 1))
+        values = range(a, draw(st.integers(a + 1, 1 << width)))
+    else:
+        values = sorted(draw(st.sets(st.integers(0, (1 << width) - 1), min_size=1)))
+    return [format(v, f"0{width}b") for v in values]
 
 
 def _cube_points(pattern):
@@ -250,10 +257,11 @@ def _cube_points(pattern):
 
 @settings(max_examples=60, deadline=None)
 @given(_string_sets())
+@example([""])  # width 0: the single label of the m = 0 layout
 def test_cube_cover_matches_string_reference(strings):
     width = len(strings[0])
     cover = [select_pattern(mask, value, width)
-             for mask, value in _greedy_cubes([int(s, 2) for s in strings], width)]
+             for mask, value in _greedy_cubes([int("0" + s, 2) for s in strings], width)]
     assert cover == reference_greedy_cubes(strings)
     # a disjoint exact cover: every string in exactly one cube
     points = [p for cube in cover for p in _cube_points(cube)]
@@ -270,3 +278,21 @@ def test_cube_cover_dense_sets_match_reference(width, data):
     strings = [format(v, f"0{width}b") for v in range(full) if v not in missing]
     cover = _greedy_cubes([int(s, 2) for s in strings], width)
     assert [select_pattern(*cube, width) for cube in cover] == reference_greedy_cubes(strings)
+
+
+def test_cube_cover_cost_follows_the_set():
+    # a half-register row range: one 12-cube and a few smaller ones, inside a
+    # set that holds about 3**13 sub-cubes
+    width = 14
+    labels = range(2 ** 13 + 3, 2 ** 14)
+    tracemalloc.start()
+    try:
+        cover = _greedy_cubes(labels, width)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    sizes = [1 << (width - mask.bit_count()) for mask, _ in cover]
+    assert sizes == sorted(sizes, reverse=True)
+    members = [v for cube in cover for v in build_target_set(*cube, width)]
+    assert sorted(members) == list(labels)  # exact and disjoint
+    assert peak < 32 * 2 ** 20

@@ -1,4 +1,6 @@
+import hashlib
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from blockenc.assignment import FixedIndexPolicy
 from blockenc.demo import random_tridiagonal, structured32, tridiagonal
 from blockenc.ingest import SparseMatrix
-from blockenc.ir import circuit_unitary, unitarity_residual
+from blockenc.ir import circuit_unitary, export_text, unitarity_residual
 from blockenc.pipeline import CompileConfig, compile_matrix, format_stats
 from blockenc.state_prep import synthesize_prep
 from blockenc.verify import extract_block, verify
@@ -329,3 +331,33 @@ def test_readme_library_example_runs():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     code = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
     exec(compile(code, "README.md", "exec"), {})
+
+
+def _two_band(n):
+    """Main diagonal plus a super-diagonal on rows [N/2 + 3, N - 1)."""
+    dim = 1 << n
+    diag = np.arange(dim)
+    upper = np.arange(dim // 2 + 3, dim - 1)
+    return SparseMatrix(n, np.concatenate([diag, upper]), np.concatenate([diag, upper + 1]),
+                        np.concatenate([np.full(dim, 1.0), np.full(len(upper), 0.5)]))
+
+
+# IR of the two-band matrix, recorded when the cube cover still listed every
+# sub-cube of the band's row range
+_TWO_BAND_DIGESTS = {
+    12: "a488baa1ed3e48bbb569180423019cf8e6ad8126543ae12ff36c61b77f5fc841",
+    14: "1e8f57a8fe0d2adb364a605e11f5e4f5f9f34acc0f426e594698db0fd0be7ef3",
+}
+
+
+def test_two_band_ir_is_pinned_and_compiles_fast():
+    # the band is inserted on about N/2 contiguous rows; a cover that lists
+    # every sub-cube of them grows about 3.5x per qubit, to 5 s at n = 14
+    for n, digest in _TWO_BAND_DIGESTS.items():
+        m = _two_band(n)
+        start = time.perf_counter()
+        enc = compile_matrix(m)
+        elapsed = time.perf_counter() - start
+        text = export_text(enc.circuit, {"alpha": enc.alpha})
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert elapsed < 1.0
