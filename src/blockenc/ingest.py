@@ -20,7 +20,9 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -205,16 +207,12 @@ class OperationPlan:
     strategy: int | None = None  # repeated-main-diagonal encoding choice
 
 
-class _Group:
+class _Group(NamedTuple):
     """One (offset, value) run of entries before component splitting."""
 
-    __slots__ = ("offset", "value", "rows", "first_row")
-
-    def __init__(self, offset: int, value: complex, rows: np.ndarray):
-        self.offset = offset
-        self.value = value
-        self.rows = rows  # ascending int64
-        self.first_row = int(rows[0])
+    offset: int
+    value: complex
+    rows: np.ndarray  # ascending int64, never empty
 
 
 def _signed_offset(cyclic: int, dim: int) -> int:
@@ -256,7 +254,7 @@ def _apply_diagonal_strategy(groups: list[_Group],
     encode one difference plus the value covering the union of rows.  The one
     minimizing the summed magnitude contribution wins, earliest on ties.
     """
-    diag = sorted((g for g in groups if g.offset == 0), key=lambda g: g.first_row)
+    diag = sorted((g for g in groups if g.offset == 0), key=lambda g: g.rows[0])
     if len(diag) != 2:
         return groups, None
     g1, g2 = diag
@@ -315,7 +313,7 @@ def analyze(matrix: SparseMatrix, strategy: str | int = "auto") -> OperationPlan
     dim = matrix.dim
     groups = _collect_groups(matrix)
     groups, chosen = _apply_diagonal_strategy(groups, strategy)
-    records = []
+    records = []  # (sort key, PlanItem fields after the index)
     for g in groups:
         direction, amount = _shift_for(g, dim, matrix.n)
         n_absent = dim - len(g.rows)
@@ -328,26 +326,11 @@ def analyze(matrix: SparseMatrix, strategy: str | int = "auto") -> OperationPlan
             absent[g.rows] = False
             delete_rows = tuple(np.flatnonzero(absent).tolist())
             mode, insert_rows = "delete", ()
+        offset, powers = _signed_offset(g.offset, dim), _powers(amount)
         for magnitude, ph, rank in _components(g.value):
-            key = (_signed_offset(g.offset, dim), g.first_row, rank)
-            records.append((key, magnitude, ph, direction, amount, mode,
-                            delete_rows, insert_rows))
-    records.sort(key=lambda rec: rec[0])
-    if not records:
-        raise EmptyMatrix("matrix has no nonzero entries")
-    items = []
-    for p, (key, magnitude, ph, direction, amount, mode,
-            delete_rows, insert_rows) in enumerate(records):
-        items.append(PlanItem(
-            index=p,
-            magnitude=magnitude,
-            phase=ph,
-            offset=key[0],
-            direction=direction,
-            amount=amount,
-            powers=_powers(amount),
-            mode=mode,
-            delete_rows=delete_rows,
-            insert_rows=insert_rows,
-        ))
-    return OperationPlan(matrix.n, tuple(items), chosen)
+            records.append(((offset, int(g.rows[0]), rank),
+                            (magnitude, ph, offset, direction, amount, powers, mode,
+                             delete_rows, insert_rows)))
+    records.sort(key=itemgetter(0))  # stable: equal keys keep group order
+    items = tuple(PlanItem(p, *fields) for p, (_, fields) in enumerate(records))
+    return OperationPlan(matrix.n, items, chosen)

@@ -72,6 +72,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -431,6 +432,16 @@ def _ascii_int(tok: str) -> int:
     return int(tok)
 
 
+_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
+def _ascii_float(tok: str) -> float:
+    """``float(tok)`` for ASCII decimals alone; ``float`` also reads '_' and other scripts."""
+    if not _DECIMAL.fullmatch(tok):
+        raise BadInput(f"{tok!r} is not a decimal number")
+    return float(tok)
+
+
 def _parse_qubit(tok: str) -> int:
     """Index of a ``q<digits>`` token; any other spelling is BadInput."""
     if tok[:1] != "q":
@@ -489,11 +500,11 @@ def import_text(text: str) -> tuple[Circuit, dict]:
                 width = _checked_width(_ascii_int(count))
             elif head in _META_KEYS:
                 (val,) = toks[1:]
-                meta[head] = _finite_number(float(val), head)
+                meta[head] = _finite_number(_ascii_float(val), head)
             elif head.startswith("gphase("):
                 if gphase is not None or len(toks) != 1:
                     raise BadInput(f"repeated or malformed gphase line {ln!r}")
-                gphase = _finite_number(float(head[len("gphase("):-1]), "gphase")
+                gphase = _finite_number(_ascii_float(head[len("gphase("):-1]), "gphase")
             else:
                 if width is None:
                     raise BadInput("gate line before qubit count")
@@ -523,7 +534,7 @@ def _parse_gate_line(toks: list[str], width: int) -> Gate:
         return mcx(controls, _parse_qubit(target[len("target="):]))
     if head.startswith(("ry(", "phase(")):
         kind = head[:head.index("(")]
-        angle = float(head[head.index("(") + 1:-1])
+        angle = _ascii_float(head[head.index("(") + 1:-1])
         return Gate(kind, target=_parse_qubit(target), controls=controls, angle=angle)
     raise BadInput(f"cannot parse gate line {' '.join(toks)!r}")
 

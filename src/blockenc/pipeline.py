@@ -9,14 +9,16 @@ only changes how many gates realize it.
 Every index-map gate comes from ``index_map``: ``shift_group`` per shift,
 ``delete_group`` per delete row set and ``insert_stage`` for all inserts.
 The assembler here groups the plan items, tracks the data permutation a
-deferred restore leaves behind, and records per-group statistics.  The
-unfused per-item gates of ``--naive`` are built only under that flag; the
-naive MCX count every compile reports is summed from the group statistics.
+deferred restore leaves behind, and records per-group statistics.  Its one
+body is the fused gates, or the unfused per-item gates built only under
+``--naive``; the naive MCX count every compile reports is summed from the
+group statistics.
 """
 
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from .assignment import FixedIndexPolicy
@@ -57,20 +59,24 @@ def _shift_group_order(plan: OperationPlan) -> list[tuple[str, int, list]]:
         if it.direction:
             for p in it.powers:
                 groups.setdefault((it.direction, p), []).append(it)
-    dir_first = {}
-    for (d, _), members in groups.items():
-        first = min(m.index for m in members)
-        dir_first[d] = min(dir_first.get(d, first), first)
-    ordered = sorted(groups, key=lambda key: (dir_first[key[0]], key[0], key[1]))
+    rank = {d: r for r, d in enumerate(dict.fromkeys(d for d, _ in groups))}
+    ordered = sorted(groups, key=lambda key: (rank[key[0]], key[1]))
     return [(d, p, groups[(d, p)]) for d, p in ordered]
 
 
 def _row_groups(items, rows_field: str) -> list[tuple[tuple[int, ...], list]]:
-    """Items sharing an identical delete or insert row set fuse into one group."""
+    """Items sharing one delete or insert row set fuse into a group, by first item."""
     groups: dict[tuple[int, ...], list] = {}
     for it in items:
         groups.setdefault(getattr(it, rows_field), []).append(it)
-    return sorted(groups.items(), key=lambda kv: min(i.index for i in kv[1]))
+    return list(groups.items())
+
+
+def _unfused_shifts(labels: list[int], direction: str, power: int,
+                    layout: RegisterLayout) -> list[Gate]:
+    """One fully data-controlled cascade per label: the naive baseline of a shift group."""
+    full = (1 << layout.m) - 1
+    return [g for v in labels for g in shift_cascade((full, v), direction, power, layout)]
 
 
 def _unfused_flips(labels: list[int], rows, layout: RegisterLayout) -> list[Gate]:
@@ -80,11 +86,12 @@ def _unfused_flips(labels: list[int], rows, layout: RegisterLayout) -> list[Gate
 
 
 class _Assembler:
-    """Collects the index-map stages' gates and per-group statistics.
+    """Collects the index-map body and per-group statistics.
 
-    The gates come from ``index_map``; this class tracks where unrestored
-    permutations left the data states (deferred restore) and, under
-    ``config.naive``, also builds the unfused per-item gates.
+    The gates come from ``index_map``.  ``gates`` is the one body: each
+    stage's fused gates, or under ``config.naive`` its unfused per-item
+    gates instead.  This class also tracks where unrestored permutations
+    left the data states (deferred restore).
     """
 
     def __init__(self, plan: OperationPlan, layout: RegisterLayout, config: CompileConfig):
@@ -95,7 +102,7 @@ class _Assembler:
         self.inv = list(range(1 << layout.m))  # current data label -> item slot
         self.slots = range(len(plan.items), 1 << layout.m) if config.zero_pad else ()
         self.gates: list[Gate] = []
-        self.naive_gates: list[Gate] = []
+        self.fused_mcx = 0
         self.permute_count = 0
         self.shift_groups: list[dict] = []
         self.delete_groups: list[dict] = []
@@ -111,8 +118,14 @@ class _Assembler:
             inv[a], inv[b] = ob, oa
             cur[oa], cur[ob] = b, a
 
-    def _append(self, gates: list[Gate], permuted: tuple[int, ...]) -> None:
-        """Append a stage's gates; those targeting the register it permutes count."""
+    def _append(self, fused: list[Gate], per_item, permuted: tuple[int, ...]) -> None:
+        """Append a stage's fused gates, or under ``--naive`` the ones ``per_item()`` builds.
+
+        Every index-map gate enters the body here.  Fused gates count toward
+        ``fused_mcx``; appended ones targeting the permuted register count too.
+        """
+        self.fused_mcx += len(fused)
+        gates = per_item() if self.config.naive else fused
         self.gates += gates
         self.permute_count += sum(g.target in permuted for g in gates)
 
@@ -127,21 +140,18 @@ class _Assembler:
             fp, gates = shift_group(labels, direction, power, self.layout,
                                     zero_slots=slots_now, policy=self.config.data_policy,
                                     defer_restore=self.config.defer_restore)
-            self._append(gates, self.layout.data_qubits)
+            naive_members = labels + list(fp.pads)
+            self._append(gates, lambda: _unfused_shifts(naive_members, direction, power,
+                                                        self.layout), self.layout.data_qubits)
             pads = [self.inv[p] for p in fp.pads]  # before this group's permutation
             if self.config.defer_restore:
                 for sub in fp.subgroups:
                     self._apply_swaps(sub.swaps)
             log.debug("shift %s%d: %d members, %s, %d gates",
                       direction, power, len(labels) + len(fp.pads), fp.mode, len(gates))
-            naive_members = labels + list(fp.pads)
-            if self.config.naive:
-                for v in naive_members:
-                    self.naive_gates += shift_cascade(((1 << m) - 1, v), direction, power,
-                                                      self.layout)
             self.shift_groups.append({
                 "op": f"{direction}{power}",
-                "items": [it.index for it in sorted(members, key=lambda i: i.index)],
+                "items": [it.index for it in members],
                 "pads": pads,
                 "mode": fp.mode,
                 "fused_mcx": len(gates),
@@ -151,14 +161,13 @@ class _Assembler:
             })
 
     def deletes(self) -> None:
-        items = [it for it in self.plan.items if it.mode == "delete" and it.delete_rows]
+        items = [it for it in self.plan.items if it.mode == "delete"]
         for rows, members in _row_groups(items, "delete_rows"):
             labels = [self.cur[it.index] for it in members]
             row_plan, gates = delete_group(labels, rows, self.layout,
                                            self.config.matrix_policy)
-            self._append(gates, self.layout.matrix_qubits)
-            if self.config.naive:
-                self.naive_gates += _unfused_flips(labels, rows, self.layout)
+            self._append(gates, lambda: _unfused_flips(labels, rows, self.layout),
+                         self.layout.matrix_qubits)
             self.delete_groups.append({
                 "rows": list(rows),
                 "items": [it.index for it in members],
@@ -168,19 +177,21 @@ class _Assembler:
             })
 
     def inserts(self) -> None:
-        items = [it for it in self.plan.items if it.mode == "insert" and it.insert_rows]
+        items = [it for it in self.plan.items if it.mode == "insert"]
         if not items:
             return
         row_groups = [(rows, [self.cur[it.index] for it in members])
                       for rows, members in _row_groups(items, "insert_rows")]
         gates = insert_stage(row_groups, self.layout, self.config.matrix_policy)
-        self._append(gates, self.layout.matrix_qubits)
-        if self.config.naive:
+
+        def per_item() -> list[Gate]:
             full = (1 << self.layout.m) - 1
-            self.naive_gates += [delete_flip(self.layout, (full, self.cur[it.index]))
-                                 for it in items]
+            out = [delete_flip(self.layout, (full, self.cur[it.index])) for it in items]
             for rows, labels in row_groups:
-                self.naive_gates += _unfused_flips(labels, rows, self.layout)
+                out += _unfused_flips(labels, rows, self.layout)
+            return out
+
+        self._append(gates, per_item, self.layout.matrix_qubits)
         self.insert_stats = {
             "items": [it.index for it in items],
             "fused_mcx": len(gates),
@@ -200,7 +211,7 @@ class _Assembler:
             return
         circ = permute_circuit(pairs, self.layout.m)
         emitted = embed_gates(circ.gates, self.layout.total, self.layout.data_qubits)
-        self._append(emitted, self.layout.data_qubits)
+        self._append(emitted, lambda: emitted, self.layout.data_qubits)
 
 
 def compile_matrix(matrix: SparseMatrix, config: CompileConfig | None = None) -> EncodedCircuit:
@@ -222,12 +233,9 @@ def compile_matrix(matrix: SparseMatrix, config: CompileConfig | None = None) ->
         asm.inserts()
         if config.defer_restore:
             asm.restore()
-    body = asm.naive_gates if config.naive else asm.gates
 
-    gates: list[Gate] = []
-    gates += embed_gates(prep.gates, layout.total, layout.data_qubits)
-    gates += body
-    gates += embed_gates(unprep.gates, layout.total, layout.data_qubits)
+    gates = (embed_gates(prep.gates, layout.total, layout.data_qubits) + asm.gates
+             + embed_gates(unprep.gates, layout.total, layout.data_qubits))
     circuit = Circuit(layout.total, tuple(gates), layout, prep.global_phase)
 
     stats = _build_stats(circuit, asm, alpha, plan, config)
@@ -238,31 +246,23 @@ def compile_matrix(matrix: SparseMatrix, config: CompileConfig | None = None) ->
 
 def _build_stats(circuit: Circuit, asm: _Assembler, alpha: float,
                  plan: OperationPlan, config: CompileConfig) -> dict:
-    counts: dict[str, int] = {}
-    widths: dict[int, int] = {}
-    for g in circuit.gates:
-        counts[g.kind] = counts.get(g.kind, 0) + 1
-        if g.kind == "mcx":
-            w = g.controls[0].bit_count()
-            widths[w] = widths.get(w, 0) + 1
-    prep_gates = len(circuit.gates) - len(asm.naive_gates if config.naive else asm.gates)
-    fused_mcx = len(asm.gates)
+    widths = Counter(g.controls[0].bit_count() for g in circuit.gates if g.kind == "mcx")
     naive_mcx = (sum(g["naive_mcx"] for g in asm.shift_groups + asm.delete_groups)
                  + asm.insert_stats.get("naive_mcx", 0))
     return {
         "alpha": alpha,
         "qubits": circuit.n_qubits,
         "total_gates": len(circuit.gates),
-        "gate_counts": counts,
+        "gate_counts": dict(Counter(g.kind for g in circuit.gates)),
         "mcx_width_histogram": {str(k): v for k, v in sorted(widths.items())},
-        "permutation_gates": 0 if config.naive else asm.permute_count,
-        "state_prep_gates": prep_gates,
+        "permutation_gates": asm.permute_count,
+        "state_prep_gates": len(circuit.gates) - len(asm.gates),
         "shift_groups": asm.shift_groups,
         "delete_groups": asm.delete_groups,
         "insert": asm.insert_stats,
-        "fused_mcx": fused_mcx,
+        "fused_mcx": asm.fused_mcx,
         "naive_mcx": naive_mcx,
-        "mcx_saving": naive_mcx - fused_mcx,
+        "mcx_saving": naive_mcx - asm.fused_mcx,
         "strategy": plan.strategy,
         "naive": config.naive,
         "skip_index_map": config.skip_index_map,

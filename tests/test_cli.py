@@ -260,6 +260,10 @@ def _ir_text(*lines) -> str:
     "blockenc-ir v1\nqubits +3\n",               # signs
     "blockenc-ir v1\nqubits \u0663\n",           # and non-ASCII digits
     "blockenc-ir v1\nlayout m=+1 n=1\n",
+    _ir_text("alpha 1_0"),                       # float() reads underscores
+    _ir_text("gphase(\u0661.5)"),                # and non-ASCII digits,
+    _ir_text("ry(2_0) q0"),                      # in the alpha, the global phase
+    _ir_text("ry(\u0662) q0"),                   # and gate angles alike
 ], ids=["bare-x", "layout-m-word", "layout-no-n", "ctrl-no-value", "mcx-no-target",
         "ctrl-negative-qubit", "ry-angle-word", "qubits-word", "qubits-negative",
         "alpha-word", "gphase-word", "alpha-inf", "alpha-nan", "gphase-nan",
@@ -268,7 +272,8 @@ def _ir_text(*lines) -> str:
         "layout-key-repeated", "second-layout", "second-qubits", "layout-then-qubits",
         "second-alpha", "second-gphase", "qubits-trailing", "alpha-trailing",
         "gphase-trailing", "qubits-underscore", "qubits-plus", "qubits-arabic-digit",
-        "layout-plus"])
+        "layout-plus", "alpha-underscore", "gphase-arabic-digit", "ry-underscore",
+        "ry-arabic-digit"])
 def test_export_rejects_malformed_text_ir(tmp_path, capsys, body):
     with pytest.raises(BlockencError):
         import_text(body)

@@ -209,10 +209,12 @@ def test_stats_report_fields(rng):
 
 def test_permutation_gates_pinned():
     # gates on the register each stage permutes (data for shifts and the
-    # deferred restore, matrix for deletes and inserts), as first recorded
-    configs = (CompileConfig(), CompileConfig(defer_restore=True), CompileConfig(zero_pad=False))
-    for m, expected in ((structured32(np.random.default_rng(42)), (88, 83, 74)),
-                        (_random_sparse(0, 4, 30), (148, 195, 148))):
+    # deferred restore, matrix for deletes and inserts), as first recorded;
+    # per-item gates never target the register their stage permutes
+    configs = (CompileConfig(), CompileConfig(defer_restore=True), CompileConfig(zero_pad=False),
+               CompileConfig(naive=True))
+    for m, expected in ((structured32(np.random.default_rng(42)), (88, 83, 74, 0)),
+                        (_random_sparse(0, 4, 30), (148, 195, 148, 0))):
         assert tuple(compile_matrix(m, cfg).stats["permutation_gates"]
                      for cfg in configs) == expected
 
