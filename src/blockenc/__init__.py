@@ -1,4 +1,4 @@
-"""Block-encoding compiler: sparse complex matrices to explicit gate circuits."""
+"""Block-encoding compiler: sparse complex matrices to gate-level circuits."""
 
 from .assignment import (FixedIndexPolicy, build_target_set, hamming, mode_pattern,
                          solve_assignment)

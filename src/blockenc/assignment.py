@@ -19,7 +19,7 @@ LSAP in all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -44,24 +44,15 @@ def hamming(a: int, b: int) -> int:
     return (a ^ b).bit_count()
 
 
-@dataclass(frozen=True)
-class FixedIndexPolicy:
-    """How to pick the fixed bit positions for a fused gate."""
+class FixedIndexPolicy(Enum):
+    """Which end of a P-bit label holds the fixed bits of a fused gate's cube.
 
-    kind: str  # "right_ended" | "left_ended" | "explicit"
-    bits: frozenset[int] | None = None
+    The member's value is its command-line word, so ``FixedIndexPolicy("left")``
+    is ``LEFT_ENDED``.
+    """
 
-    @classmethod
-    def right_ended(cls) -> "FixedIndexPolicy":
-        return cls("right_ended")
-
-    @classmethod
-    def left_ended(cls) -> "FixedIndexPolicy":
-        return cls("left_ended")
-
-    @classmethod
-    def explicit(cls, bits) -> "FixedIndexPolicy":
-        return cls("explicit", frozenset(bits))
+    RIGHT_ENDED = "right"  # the low bits
+    LEFT_ENDED = "left"  # the high bits
 
     def resolve(self, P: int, set_size: int) -> int:
         """Mask of the bits to hold fixed for a size-2^n set over P bits."""
@@ -71,14 +62,9 @@ class FixedIndexPolicy:
         count = P - n_free
         if count < 0:
             raise BadInput("set larger than the full space")
-        if self.kind == "right_ended":
+        if self is FixedIndexPolicy.RIGHT_ENDED:
             return (1 << count) - 1
-        if self.kind == "left_ended":
-            return ((1 << count) - 1) << n_free
-        bits = frozenset(self.bits or ())
-        if len(bits) != count or any(not 0 <= b < P for b in bits):
-            raise BadInput(f"explicit fixed bits {sorted(bits)} do not fit P={P}, size={set_size}")
-        return sum(1 << b for b in bits)
+        return ((1 << count) - 1) << n_free
 
 
 def mode_pattern(labels, mask: int) -> int:

@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 
 from . import demo as demo_matrices
-from .assignment import FixedIndexPolicy
 from .errors import BadInput, BlockencError
 from .ingest import load_matrix, save_matrix
 from .ir import MAX_SIM_QUBITS, export_json, export_text, import_json, import_text
@@ -23,34 +22,30 @@ log = logging.getLogger("blockenc")
 
 
 def _config_from_args(args) -> CompileConfig:
-    kwargs = {}
-    fixed = args.fixed_index
-    if fixed:
-        if fixed == "right":
-            policy = FixedIndexPolicy.right_ended()
-        elif fixed == "left":
-            policy = FixedIndexPolicy.left_ended()
-        elif fixed.startswith("explicit:"):
-            try:
-                bits = [int(b) for b in fixed[len("explicit:"):].split(",") if b != ""]
-            except ValueError:
-                raise BlockencError(f"bad --fixed-index value {fixed!r}") from None
-            policy = FixedIndexPolicy.explicit(bits)
-        else:
-            raise BlockencError(f"bad --fixed-index value {fixed!r}")
-        kwargs = {"data_policy": policy, "matrix_policy": policy}
+    fixed = args.fixed_index  # checked by CompileConfig
+    policies = {} if fixed is None else {"data_policy": fixed, "matrix_policy": fixed}
     return CompileConfig(strategy=args.strategy if args.strategy == "auto" else int(args.strategy),
                          zero_pad=not args.no_zero_pad, skip_index_map=args.skip_oc,
-                         defer_restore=args.defer_restore, naive=args.naive, **kwargs)
+                         defer_restore=args.defer_restore, naive=args.naive, **policies)
+
+
+def _write_text(path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise BadInput(f"cannot write {path}: {exc}") from exc
 
 
 def _write_ir(circuit, meta: dict, path: Path) -> None:
     export = export_json if path.suffix == ".json" else export_text
-    path.write_text(export(circuit, meta))
+    _write_text(path, export(circuit, meta))
 
 
 def _read_ir(path: Path):
-    text = Path(path).read_text()
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise BadInput(f"cannot read circuit file {path}: {exc}") from exc
     if path.suffix == ".json":
         return import_json(text)
     return import_text(text)
@@ -62,7 +57,7 @@ def cmd_compile(args) -> int:
     out = Path(args.out)
     _write_ir(encoded.circuit, {"alpha": encoded.alpha}, out)
     stats_path = out.with_suffix(out.suffix + ".stats.json")
-    stats_path.write_text(json.dumps(encoded.stats, indent=2, sort_keys=True) + "\n")
+    _write_text(stats_path, json.dumps(encoded.stats, indent=2, sort_keys=True) + "\n")
     log.info("wrote %s and %s", out, stats_path)
     return 0
 
@@ -75,7 +70,7 @@ def cmd_verify(args) -> int:
     report = verify_circuit(matrix, circuit, meta["alpha"], args.tol)
     print(report)
     if args.out:
-        Path(args.out).write_text(report.to_json())
+        _write_text(args.out, report.to_json())
     return 0 if report.passed else 1
 
 
@@ -84,7 +79,7 @@ def cmd_stats(args) -> int:
     encoded = compile_matrix(matrix, _config_from_args(args))
     print(format_stats(encoded))
     if args.out:
-        Path(args.out).write_text(json.dumps(encoded.stats, indent=2, sort_keys=True) + "\n")
+        _write_text(args.out, json.dumps(encoded.stats, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -95,6 +90,8 @@ def cmd_export(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    if args.seed < 0:
+        raise BlockencError(f"--seed must be non-negative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     if args.case == "tridiagonal":
         if args.n + 1 > MAX_SIM_QUBITS:  # n matrix qubits plus the delete qubit
@@ -134,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_compile_opts(p):
         p.add_argument("--strategy", choices=["auto", "1", "2", "3"], default="auto")
         p.add_argument("--fixed-index", dest="fixed_index", default=None,
-                       metavar="{right|left|explicit:<bits>}")
+                       metavar="{right|left}")
         p.add_argument("--no-zero-pad", dest="no_zero_pad", action="store_true")
         p.add_argument("--skip-oc", dest="skip_oc", action="store_true",
                        help="omit the index-mapping stage (diagonal check)")

@@ -157,7 +157,8 @@ def _permute_subgroup(labels: list[int], P: int,
 
 
 def plan_fusion(labels: list[int], P: int, *, zero_slots: tuple[int, ...] = (),
-                policy: FixedIndexPolicy | None = None, core_cost: int = 1) -> FusionPlan:
+                policy: FixedIndexPolicy = FixedIndexPolicy.RIGHT_ENDED,
+                core_cost: int = 1) -> FusionPlan:
     """Decide how to realize one gate over several P-bit control labels.
 
     Reducible sets fuse directly.  Irreducible power-of-two sets get a
@@ -166,7 +167,6 @@ def plan_fusion(labels: list[int], P: int, *, zero_slots: tuple[int, ...] = (),
     costs fewer gates (ties prefer padding); no ``zero_slots`` means no
     padding.  The cover's cost follows the labels and their cubes.
     """
-    policy = policy or FixedIndexPolicy.right_ended()
     labels = sorted(labels)
     size = len(labels)
 
@@ -210,7 +210,8 @@ def _emit_plan(plan: FusionPlan, core, width: int, qubits: tuple[int, ...],
 
 
 def shift_group(labels: list[int], direction: str, amount: int, layout: RegisterLayout,
-                *, zero_slots: tuple[int, ...] = (), policy: FixedIndexPolicy | None = None,
+                *, zero_slots: tuple[int, ...] = (),
+                policy: FixedIndexPolicy = FixedIndexPolicy.RIGHT_ENDED,
                 defer_restore: bool = False) -> tuple[FusionPlan, list[Gate]]:
     """Shift several items at once with as few fused cascades as possible.
 
@@ -225,16 +226,17 @@ def shift_group(labels: list[int], direction: str, amount: int, layout: Register
 
 
 def delete_rows_plan(rows, layout: RegisterLayout,
-                     policy: FixedIndexPolicy | None = None) -> FusionPlan:
+                     policy: FixedIndexPolicy = FixedIndexPolicy.LEFT_ENDED) -> FusionPlan:
     """Fusion plan over row indices on the matrix register."""
     rows = sorted(set(rows))
     if any(not 0 <= r < 1 << layout.n for r in rows):
         raise BadInput("row index outside the matrix register")
-    return plan_fusion(rows, layout.n, policy=policy or FixedIndexPolicy.left_ended())
+    return plan_fusion(rows, layout.n, policy=policy)
 
 
 def delete_group(labels: list[int], rows, layout: RegisterLayout,
-                 policy: FixedIndexPolicy | None = None) -> tuple[FusionPlan, list[Gate]]:
+                 policy: FixedIndexPolicy = FixedIndexPolicy.LEFT_ENDED
+                 ) -> tuple[FusionPlan, list[Gate]]:
     """Flip the delete qubit for every data label on each listed row.
 
     The data labels are covered by disjoint cubes; each cube gets one copy
@@ -252,7 +254,7 @@ def delete_group(labels: list[int], rows, layout: RegisterLayout,
 
 def insert_stage(row_groups: list[tuple[tuple[int, ...], list[int]]],
                  layout: RegisterLayout,
-                 policy: FixedIndexPolicy | None = None) -> list[Gate]:
+                 policy: FixedIndexPolicy = FixedIndexPolicy.LEFT_ENDED) -> list[Gate]:
     """Insert items into their rows: delete everywhere, then un-delete.
 
     ``row_groups`` pairs each row set with the data labels inserted there.

@@ -181,7 +181,10 @@ def load_matrix(path: str | Path) -> SparseMatrix:
 
 
 def save_matrix(matrix: SparseMatrix, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(matrix_to_dict(matrix), indent=2) + "\n")
+    try:
+        Path(path).write_text(json.dumps(matrix_to_dict(matrix), indent=2) + "\n")
+    except OSError as exc:
+        raise BadInput(f"cannot write matrix file {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .assignment import FixedIndexPolicy
+from .errors import BadInput
 from .index_map import delete_flip, delete_group, insert_stage, shift_cascade, shift_group
 from .ingest import OperationPlan, SparseMatrix, analyze
 from .ir import Circuit, Gate, RegisterLayout, embed_gates
@@ -34,12 +35,22 @@ log = logging.getLogger("blockenc.pipeline")
 @dataclass(frozen=True)
 class CompileConfig:
     strategy: str | int = "auto"
-    data_policy: FixedIndexPolicy = field(default_factory=FixedIndexPolicy.right_ended)
-    matrix_policy: FixedIndexPolicy = field(default_factory=FixedIndexPolicy.left_ended)
+    data_policy: FixedIndexPolicy = FixedIndexPolicy.RIGHT_ENDED
+    matrix_policy: FixedIndexPolicy = FixedIndexPolicy.LEFT_ENDED
     zero_pad: bool = True
     skip_index_map: bool = False
     defer_restore: bool = False
     naive: bool = False
+
+    def __post_init__(self):
+        """Each policy is a ``FixedIndexPolicy`` member or its word, right or left."""
+        for name in ("data_policy", "matrix_policy"):
+            try:
+                policy = FixedIndexPolicy(getattr(self, name))
+            except ValueError:
+                raise BadInput(f"bad fixed-index policy {getattr(self, name)!r}; "
+                               "expected right or left") from None
+            object.__setattr__(self, name, policy)
 
 
 @dataclass(frozen=True)
@@ -215,7 +226,7 @@ class _Assembler:
 
 
 def compile_matrix(matrix: SparseMatrix, config: CompileConfig | None = None) -> EncodedCircuit:
-    """Compile a sparse matrix into an explicit block-encoding circuit."""
+    """Compile a sparse matrix into a gate-level block-encoding circuit."""
     config = config or CompileConfig()
     if config.naive and config.defer_restore:
         config = replace(config, defer_restore=False)

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import EmptyData
+from .errors import BadInput, EmptyData
 from .ir import Circuit, Gate, inverse_circuit, phase, ry, x
 
 
@@ -58,6 +58,8 @@ def _padded_magnitudes(items) -> tuple[int, np.ndarray]:
     alpha = float(sum(items))
     if alpha <= 0:  # also no items at all
         raise EmptyData("no nonzero items to prepare")
+    if not math.isfinite(alpha):
+        raise BadInput(f"item magnitudes sum to {alpha}, beyond the float range")
     m = (len(items) - 1).bit_length()
     mags = np.zeros(1 << m)
     mags[: len(items)] = np.sqrt(np.asarray(items) / alpha)

@@ -32,11 +32,8 @@ def test_hamming_examples():
 
 
 def test_fixed_index_policies():
-    assert FixedIndexPolicy.right_ended().resolve(4, 8) == 0b1
-    assert FixedIndexPolicy.left_ended().resolve(5, 8) == 0b11000
-    assert FixedIndexPolicy.explicit([1, 3]).resolve(4, 4) == 0b1010
-    with pytest.raises(BadInput):
-        FixedIndexPolicy.explicit([1]).resolve(4, 4)  # needs two bits
+    assert FixedIndexPolicy.RIGHT_ENDED.resolve(4, 8) == 0b1
+    assert FixedIndexPolicy.LEFT_ENDED.resolve(5, 8) == 0b11000
 
 
 def test_mode_pattern_tie_breaks_low():
@@ -193,7 +190,7 @@ def test_bijection_matches_reference_onto_reducible_targets(P, data):
     # the compiler's case: an irreducible set onto a reducible target set
     n = data.draw(st.integers(1, P - 1))
     src = data.draw(st.sets(st.integers(0, (1 << P) - 1), min_size=1 << n, max_size=1 << n))
-    fixed = FixedIndexPolicy.right_ended().resolve(P, 1 << n)
+    fixed = FixedIndexPolicy.RIGHT_ENDED.resolve(P, 1 << n)
     dst = build_target_set(fixed, mode_pattern(src, fixed), P)
     assert _string_pairs(solve_assignment(src, dst, P), P) == reference_assignment(
         as_strings(src, P), as_strings(dst, P))

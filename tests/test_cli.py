@@ -139,13 +139,42 @@ def test_demo_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("case, compile_flags", [
+    (["tridiagonal", "--n", "4", "--seed", "3"], []),
+    (["structured32", "--seed", "5", "--defer-restore"], ["--defer-restore"]),
+], ids=["tridiagonal", "structured32-deferred"])
+def test_demo_saved_matrix_compiles_to_the_same_ir(tmp_path, capsys, case, compile_flags):
+    saved, demo_ir, compiled = tmp_path / "m.json", tmp_path / "demo.ir", tmp_path / "c.ir"
+    assert main(["demo", *case, "--save-matrix", str(saved), "--out", str(demo_ir)]) == 0
+    assert main(["compile", "--in", str(saved), "--out", str(compiled), *compile_flags]) == 0
+    assert compiled.read_bytes() == demo_ir.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    "export --in {tmp}/missing.ir --out {tmp}/x.json",
+    "verify --matrix {tri} --circuit {tmp}/missing.ir",
+    "export --in {tmp}/latin1.ir --out {tmp}/x.json",
+    "compile --in {tri} --out {tmp}/nodir/x.ir",
+    "stats --in {tri} --out {tmp}/nodir/s.json",
+    "verify --matrix {tri} --circuit {tmp}/c.ir --out {tmp}/nodir/r.json",
+    "demo tridiagonal --save-matrix {tmp}/nodir/m.json",
+], ids=["export-missing", "verify-missing", "export-not-utf8", "compile-out", "stats-out",
+        "verify-out", "demo-save-matrix"])
+def test_unreadable_or_unwritable_file_exits_2(tri_path, tmp_path, capsys, argv):
+    (tmp_path / "latin1.ir").write_bytes(b"blockenc-ir v1\nqubits 2\n\xff\n")
+    assert main(["compile", "--in", str(tri_path), "--out", str(tmp_path / "c.ir")]) == 0
+    capsys.readouterr()
+    assert main([a.format(tmp=tmp_path, tri=tri_path) for a in argv.split()]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot ")
+
+
 def test_compile_flags(tri_path, tmp_path):
     out = tmp_path / "c.ir"
     assert main(["compile", "--in", str(tri_path), "--out", str(out),
                  "--skip-oc", "--no-zero-pad", "--fixed-index", "left",
                  "--strategy", "1"]) == 0
     assert main(["compile", "--in", str(tri_path), "--out", str(out),
-                 "--defer-restore", "--fixed-index", "explicit:0"]) == 0
+                 "--defer-restore", "--fixed-index", "right"]) == 0
 
 
 def test_bad_matrix_file_errors(tmp_path, capsys):
@@ -200,6 +229,7 @@ def _ir_json(**fields) -> str:
     _ir_json(layout=False),
     _ir_json(layout=[]),
     _ir_json(layout=""),
+    _ir_json(qubits=5, layout={"m": 1, "n": 1}),                         # layout needs 3 qubits
 ])
 def test_export_rejects_malformed_json_ir(tmp_path, capsys, body):
     with pytest.raises(BlockencError):
@@ -264,6 +294,7 @@ def _ir_text(*lines) -> str:
     _ir_text("gphase(\u0661.5)"),                # and non-ASCII digits,
     _ir_text("ry(2_0) q0"),                      # in the alpha, the global phase
     _ir_text("ry(\u0662) q0"),                   # and gate angles alike
+    "blockenc-ir v1\n",                          # header only
 ], ids=["bare-x", "layout-m-word", "layout-no-n", "ctrl-no-value", "mcx-no-target",
         "ctrl-negative-qubit", "ry-angle-word", "qubits-word", "qubits-negative",
         "alpha-word", "gphase-word", "alpha-inf", "alpha-nan", "gphase-nan",
@@ -273,7 +304,7 @@ def _ir_text(*lines) -> str:
         "second-alpha", "second-gphase", "qubits-trailing", "alpha-trailing",
         "gphase-trailing", "qubits-underscore", "qubits-plus", "qubits-arabic-digit",
         "layout-plus", "alpha-underscore", "gphase-arabic-digit", "ry-underscore",
-        "ry-arabic-digit"])
+        "ry-arabic-digit", "header-only"])
 def test_export_rejects_malformed_text_ir(tmp_path, capsys, body):
     with pytest.raises(BlockencError):
         import_text(body)
@@ -300,8 +331,10 @@ def _matrix_json(*entries, **fields) -> str:
     _matrix_json(5),                                            # entry not an object
     "[1, 2]",                                                   # document not an object
     _matrix_json({"row": 0, "col": 0, "re": 1.0}, dim=2 ** 63),  # above the int64 labels
+    _matrix_json({"row": 0, "col": 0, "re": 1e308},             # alpha beyond float range
+                 {"row": 1, "col": 1, "re": -1e308, "im": 1e308}),
 ], ids=["nan", "fractional-row", "bool-row", "no-row", "string-re", "huge-re",
-        "entries-object", "entry-int", "list-document", "dim-2-to-63"])
+        "entries-object", "entry-int", "list-document", "dim-2-to-63", "alpha-overflow"])
 def test_stats_rejects_malformed_matrix(tmp_path, capsys, body):
     src = tmp_path / "bad.json"
     src.write_text(body)
@@ -310,15 +343,16 @@ def test_stats_rejects_malformed_matrix(tmp_path, capsys, body):
 
 
 @pytest.mark.parametrize("argv", [
-    ["demo", "tridiagonal", "--fixed-index", "explicit:a"],
+    ["demo", "tridiagonal", "--fixed-index", "explicit:0"],
     ["demo", "tridiagonal", "--coeffs", "1,2,3,4,5,x"],
     ["demo", "tridiagonal", "--n", "-1"],
     ["demo", "tridiagonal", "--n", "40"],
     ["demo", "tridiagonal", "--tol", "inf"],
     ["demo", "tridiagonal", "--tol", "nan"],
     ["demo", "tridiagonal", "--tol", "-1"],
+    ["demo", "tridiagonal", "--seed", "-1"],
 ], ids=["fixed-index-word", "coeffs-word", "negative-n", "huge-n", "tol-inf", "tol-nan",
-        "tol-negative"])
+        "tol-negative", "negative-seed"])
 def test_bad_argument_values_exit_2(capsys, argv):
     assert main(argv) == 2
     assert "error" in capsys.readouterr().err

@@ -4,11 +4,13 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockenc.assignment import FixedIndexPolicy
 from blockenc.demo import random_tridiagonal, structured32, tridiagonal
+from blockenc.errors import BadInput
 from blockenc.ingest import SparseMatrix
 from blockenc.ir import circuit_unitary, export_text, unitarity_residual
 from blockenc.pipeline import CompileConfig, compile_matrix, format_stats
@@ -184,13 +186,30 @@ def test_isolated_cells_only(rng):
 
 
 def test_explicit_fixed_index_policy(rng):
-    from blockenc.assignment import FixedIndexPolicy
     m = structured32(rng)
     cfg = CompileConfig(strategy=2,
-                        data_policy=FixedIndexPolicy.left_ended(),
-                        matrix_policy=FixedIndexPolicy.right_ended())
+                        data_policy=FixedIndexPolicy.LEFT_ENDED,
+                        matrix_policy=FixedIndexPolicy.RIGHT_ENDED)
     enc = compile_matrix(m, cfg)
     assert verify(m, enc).passed
+
+
+def test_config_policy_checked():
+    cfg = CompileConfig(data_policy="left", matrix_policy=FixedIndexPolicy.RIGHT_ENDED)
+    assert cfg.data_policy is FixedIndexPolicy.LEFT_ENDED
+    assert cfg.matrix_policy is FixedIndexPolicy.RIGHT_ENDED
+    for bad in ("explicit:0", "LEFT", None):
+        with pytest.raises(BadInput):
+            CompileConfig(data_policy=bad)
+        with pytest.raises(BadInput):
+            CompileConfig(matrix_policy=bad)
+
+
+def test_alpha_beyond_float_range_refused():
+    # |1e308| + |-1e308 + 1e308j| overflows: no finite alpha normalizes the items
+    m = SparseMatrix.from_entries(1, ((0, 0, 1e308), (1, 1, -1e308 + 1e308j)))
+    with pytest.raises(BadInput, match="beyond the float range"):
+        compile_matrix(m)
 
 
 def test_stats_report_fields(rng):
@@ -316,11 +335,11 @@ def _pooled_matrices(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_pooled_matrices(),
-       st.sampled_from((FixedIndexPolicy.right_ended, FixedIndexPolicy.left_ended)),
+       st.sampled_from(FixedIndexPolicy),
        st.booleans(), st.booleans(), st.booleans())
 def test_every_config_verifies(m, policy, zero_pad, defer_restore, naive):
     for strategy in ("auto", 1, 2, 3):
-        cfg = CompileConfig(strategy=strategy, data_policy=policy(), matrix_policy=policy(),
+        cfg = CompileConfig(strategy=strategy, data_policy=policy, matrix_policy=policy,
                             zero_pad=zero_pad, defer_restore=defer_restore, naive=naive)
         enc = compile_matrix(m, cfg)
         assert verify(m, enc).passed
