@@ -7,8 +7,7 @@ from .ingest import OperationPlan, SparseMatrix, analyze, load_matrix, save_matr
 from .index_map import (delete_flip, delete_group, insert_stage, is_reducible,
                         shift_cascade, shift_group)
 from .ir import (Circuit, Gate, RegisterLayout, circuit_unitary, export_json,
-                 export_text, gate_unitary, import_json, import_text, mcx,
-                 phase, ry, x)
+                 export_text, import_json, import_text, mcx, phase, ry, x)
 from .permute import basis_swap, permute_circuit, route_permutation
 from .pipeline import CompileConfig, EncodedCircuit, compile_matrix, format_stats
 from .state_prep import synthesize_prep, synthesize_unprep

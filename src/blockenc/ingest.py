@@ -118,7 +118,7 @@ def _is_index(t: type) -> bool:
 
 
 def _is_number(t: type) -> bool:
-    return issubclass(t, numbers.Number)
+    return issubclass(t, numbers.Number) and t is not bool
 
 
 def _is_json_number(t: type) -> bool:

@@ -22,12 +22,11 @@ For a register layout of m data qubits, one delete qubit and n matrix qubits,
 the basis index of ``|0>_data |0>_del |j>`` equals ``j``, which places the
 encoded block in the top-left corner of the full unitary.
 
-The dense oracle (``circuit_unitary``, ``gate_unitary``) rebuilds the full
-unitary by acting on the rows of the identity.  A run of x/mcx gates is
-folded into one row-index map and applied as one row gather; ry and phase
-rotate in place on basic-slicing views of the rows.  Two dim x dim complex
-buffers (the unitary and the gather target) are alive at peak, 512 MiB at 12
-qubits.
+The dense oracle, ``circuit_unitary``, rebuilds the full unitary by acting
+on the rows of the identity.  A run of x/mcx gates is folded into one
+row-index map and applied as one row gather; ry and phase rotate in place on
+basic-slicing views of the rows.  Two dim x dim complex buffers (the unitary
+and the gather target) are alive at peak, 512 MiB at 12 qubits.
 
 ``unitarity_residual`` picks one of two kernels for max |u^H u - I| from the
 share of nonzero entries in a strided sample of about 64 rows of u:
@@ -73,7 +72,7 @@ import json
 import logging
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -237,21 +236,26 @@ def _rows_where(gate: Gate, width: int, bit: int) -> tuple:
 _ROTATION_BLOCK = 1 << 14  # complex entries per cache-sized slice of a rotation
 
 
-def _unitary(gates, width: int) -> np.ndarray:
-    """Apply gates, first gate first, to the rows of the identity.
+def circuit_unitary(circuit: Circuit) -> np.ndarray:
+    """Full unitary, first gate applied first (rightmost in the matrix product).
 
-    A run of x/mcx gates is composed into one row-index map, O(2**width) per
-    gate, and applied as one row gather before the next rotation and once at
-    the end.  The gather writes a second buffer of the matrix's size, so two
-    are alive at peak.  ry and phase act in place on basic-slicing views of
-    the rows; ry goes slice by slice so that both rows of a pair stay in cache.
+    The gates act on the rows of the identity.  A run of x/mcx gates is
+    composed into one row-index map, O(2**width) per gate, and applied as one
+    row gather before the next rotation and once at the end.  The gather
+    writes a second buffer of the matrix's size, so two are alive at peak.
+    ry and phase act in place on basic-slicing views of the rows; ry goes
+    slice by slice so that both rows of a pair stay in cache.  Wider than
+    ``MAX_SIM_QUBITS`` is ``TooLarge``.
     """
+    width = circuit.n_qubits
+    if width > MAX_SIM_QUBITS:
+        raise TooLarge(f"{width} qubits exceeds the {MAX_SIM_QUBITS}-qubit budget")
     u = np.eye(1 << width, dtype=complex)
     spare = np.empty_like(u)
     scratch = np.empty((2, _ROTATION_BLOCK), dtype=complex)
     rows = (2,) * width + (-1,)
     perm = None
-    for g in gates:
+    for g in circuit.gates:
         if g.kind in ("x", "mcx"):
             if perm is None:
                 perm = np.arange(1 << width)
@@ -283,21 +287,6 @@ def _unitary(gates, width: int) -> np.ndarray:
     if perm is not None:
         np.take(u, perm, axis=0, out=spare, mode="clip")
         u = spare
-    return u
-
-
-def gate_unitary(gate: Gate, layout: RegisterLayout | int) -> np.ndarray:
-    """Exact unitary of one gate over the full layout."""
-    width = layout.total if isinstance(layout, RegisterLayout) else int(layout)
-    validate_gate(gate, width)
-    return _unitary((gate,), width)
-
-
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Full unitary, first gate applied first (rightmost in the matrix product)."""
-    if circuit.n_qubits > MAX_SIM_QUBITS:
-        raise TooLarge(f"{circuit.n_qubits} qubits exceeds the {MAX_SIM_QUBITS}-qubit budget")
-    u = _unitary(circuit.gates, circuit.n_qubits)
     if circuit.global_phase:
         u *= np.exp(1j * circuit.global_phase)
     return u
@@ -576,24 +565,34 @@ def _finite_number(value, what: str) -> float:
 
 
 def _json_gate(d, width: int) -> Gate:
-    """One gate dict of the JSON form, every field checked for presence and type."""
+    """One gate dict of the JSON form, every field checked for presence and type.
+
+    A gate holds exactly the fields ``_gate_dict`` writes for its kind, so
+    every accepted document is written back byte for byte.
+    """
     if not isinstance(d, dict):
         raise BadInput(f"gate entry must be an object, got {d!r}")
     kind = d.get("kind")
     if kind not in GATE_KINDS:
         raise BadInput(f"unknown gate kind {kind!r}")
+    rotation = kind in ("ry", "phase")
+    extra = set(d) - {"kind", "target", "pattern"} - ({"angle"} if rotation else set())
+    if extra:
+        raise BadInput(f"{kind} gate with unexpected fields {sorted(extra)}")
     if "target" not in d:
         raise BadInput(f"{kind} gate without a target")
     target = _json_int(d["target"], f"{kind} gate target")
     pattern = d.get("pattern")
     if kind == "mcx" and pattern is None:
         raise BadInput("mcx gate without a pattern")
-    if pattern is not None and not isinstance(pattern, str):
+    if "pattern" in d and not isinstance(pattern, str):
         raise BadInput(f"{kind} gate pattern must be a string, got {pattern!r}")
-    if kind in ("ry", "phase") and "angle" not in d:
+    if rotation and "angle" not in d:
         raise BadInput(f"{kind} gate without an angle")
     angle = _finite_number(d.get("angle", 0.0), f"{kind} gate angle")
     controls = (0, 0) if pattern is None else pattern_select(pattern, width)
+    if pattern is not None and kind != "mcx" and not controls[0]:
+        raise BadInput(f"{kind} gate pattern {pattern!r} holds no control")
     return Gate(kind, target=target, controls=controls, angle=angle)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .assignment import FixedIndexPolicy
 from .errors import BadInput
@@ -43,7 +43,9 @@ class CompileConfig:
     naive: bool = False
 
     def __post_init__(self):
-        """Each policy is a ``FixedIndexPolicy`` member or its word, right or left."""
+        """Each policy is a ``FixedIndexPolicy`` member or its word, right or left,
+        and each flag a ``bool``.  ``naive`` emits no permutation, so it turns
+        ``defer_restore`` off.  ``analyze`` checks ``strategy``."""
         for name in ("data_policy", "matrix_policy"):
             try:
                 policy = FixedIndexPolicy(getattr(self, name))
@@ -51,6 +53,11 @@ class CompileConfig:
                 raise BadInput(f"bad fixed-index policy {getattr(self, name)!r}; "
                                "expected right or left") from None
             object.__setattr__(self, name, policy)
+        for name in ("zero_pad", "skip_index_map", "defer_restore", "naive"):
+            if not isinstance(getattr(self, name), bool):
+                raise BadInput(f"{name} must be a bool, not {getattr(self, name)!r}")
+        if self.naive:
+            object.__setattr__(self, "defer_restore", False)
 
 
 @dataclass(frozen=True)
@@ -228,8 +235,6 @@ class _Assembler:
 def compile_matrix(matrix: SparseMatrix, config: CompileConfig | None = None) -> EncodedCircuit:
     """Compile a sparse matrix into a gate-level block-encoding circuit."""
     config = config or CompileConfig()
-    if config.naive and config.defer_restore:
-        config = replace(config, defer_restore=False)
     plan = analyze(matrix, config.strategy)
     items = [it.magnitude for it in plan.items]
     prep = synthesize_prep(items, [it.phase for it in plan.items])

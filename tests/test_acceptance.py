@@ -109,8 +109,7 @@ def test_criterion_3_fusion_round_trip():
                     assert red is not None
                     target = int(rng.integers(0, P + 1))
                     fused = reduce_composition(s2, P, target)
-                    from blockenc.ir import gate_unitary
-                    if not np.array_equal(gate_unitary(fused, P + 1),
+                    if not np.array_equal(circuit_unitary(Circuit(P + 1, (fused,))),
                                           composition_unitary(s2, P, target)):
                         _report(3, "fusion round trip", False, f"P={P} n={n}")
                     checked += 1

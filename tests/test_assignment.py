@@ -34,6 +34,10 @@ def test_hamming_examples():
 def test_fixed_index_policies():
     assert FixedIndexPolicy.RIGHT_ENDED.resolve(4, 8) == 0b1
     assert FixedIndexPolicy.LEFT_ENDED.resolve(5, 8) == 0b11000
+    with pytest.raises(BadInput):
+        FixedIndexPolicy.RIGHT_ENDED.resolve(3, 3)  # size not a power of two
+    with pytest.raises(BadInput):
+        FixedIndexPolicy.RIGHT_ENDED.resolve(2, 8)  # set larger than the space
 
 
 def test_mode_pattern_tie_breaks_low():
@@ -58,6 +62,11 @@ def test_build_target_set_top_bit():
 def test_build_target_set_empty_fixed():
     out = build_target_set(0, 0, 2)
     assert out == [0b00, 0b01, 0b10, 0b11]
+
+
+def test_build_target_set_value_outside_mask():
+    with pytest.raises(BadInput):
+        build_target_set(0b01, 0b10, 2)
 
 
 def test_build_target_set_low_bit_even_states():

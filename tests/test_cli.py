@@ -230,6 +230,10 @@ def _ir_json(**fields) -> str:
     _ir_json(layout=[]),
     _ir_json(layout=""),
     _ir_json(qubits=5, layout={"m": 1, "n": 1}),                         # layout needs 3 qubits
+    _ir_json(gates=[{"kind": "mcx", "target": 1, "pattern": "1X", "angle": 1.5}]),  # mcx angle
+    _ir_json(gates=[{"kind": "x", "target": 1, "pattern": "XX"}]),      # x with a pattern
+    _ir_json(gates=[{"kind": "x", "target": 1, "foo": 1}]),             # unknown gate key
+    _ir_json(gates=[{"kind": "x", "target": 1, "pattern": None}]),      # null pattern
 ])
 def test_export_rejects_malformed_json_ir(tmp_path, capsys, body):
     with pytest.raises(BlockencError):

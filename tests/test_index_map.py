@@ -7,9 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockenc.assignment import build_target_set
-from blockenc.errors import BadShift
-from blockenc.index_map import (_greedy_cubes, delete_group, insert_stage, shift_cascade,
-                                shift_group)
+from blockenc.errors import BadInput, BadShift
+from blockenc.index_map import (_greedy_cubes, delete_group, delete_rows_plan, insert_stage,
+                                shift_cascade, shift_group)
 from blockenc.ir import Circuit, RegisterLayout, circuit_unitary, select_pattern
 
 from conftest import assert_permutation_matrix, reference_greedy_cubes
@@ -93,6 +93,14 @@ def test_shift_amount_out_of_range():
         shift_cascade((1, 0), "L", 4, lay)
     with pytest.raises(BadShift):
         shift_cascade((1, 0), "L", 3, lay)  # not a power of two
+
+
+def test_shift_direction_and_delete_rows_checked():
+    lay = RegisterLayout(1, 2)
+    with pytest.raises(BadInput):
+        shift_cascade((1, 0), "U", 1, lay)
+    with pytest.raises(BadInput):
+        delete_rows_plan([4], lay)  # row 2^n is outside the matrix register
 
 
 def _del_flips(gates, layout):

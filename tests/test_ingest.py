@@ -55,6 +55,27 @@ def test_duplicate_entries_rejected():
         SparseMatrix.from_entries(1, ((0, 0, 1 + 0j), (0, 0, 2 + 0j)))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: SparseMatrix(1, [0, 1], [0], [1.0]),  # arrays of different lengths
+    lambda: SparseMatrix(1, [0.0], [0], [1.0]),  # float coordinates
+    lambda: SparseMatrix(1, [0], [0], ["1"]),  # string values
+    lambda: SparseMatrix(1, [0], [0], [True]),  # bool values array
+    lambda: SparseMatrix.from_entries(1, ((0, 0, np.True_),)),
+    lambda: SparseMatrix.from_entries(1, ((0, 0, True),)),
+], ids=["lengths", "float-coords", "str-values", "bool-array", "numpy-bool", "bool"])
+def test_bad_entries_rejected(build):
+    with pytest.raises(BadInput):
+        build()
+
+
+def test_unreadable_matrix_file_rejected(tmp_path):
+    with pytest.raises(BadInput):
+        load_matrix(tmp_path / "missing.json")
+    (tmp_path / "bad.json").write_text("{not json")
+    with pytest.raises(BadInput):
+        load_matrix(tmp_path / "bad.json")
+
+
 def test_plan_band_shift_decomposition():
     # band five columns below the diagonal: left shift 5 = 1 + 4
     entries = tuple((r, r - 5, 0.9 + 0j) for r in range(10, 32))

@@ -17,19 +17,19 @@ from blockenc.ingest import save_matrix
 from blockenc.pipeline import compile_matrix
 from blockenc.verify import UNITARITY_TOL
 from blockenc.ir import (MAX_CIRCUIT_QUBITS, Circuit, Gate, RegisterLayout, circuit_unitary,
-                         export_json, export_text, gate_unitary, import_json, import_text,
+                         export_json, export_text, import_json, import_text,
                          inverse_circuit, mcx, pattern_select, phase, ry, select_pattern,
                          unitarity_residual, x)
 from conftest import reference_circuit_unitary, reference_unitarity_residual
 
 
 def test_x_single_qubit():
-    u = gate_unitary(x(0), 1)
+    u = circuit_unitary(Circuit(1, (x(0),)))
     assert np.array_equal(u, np.array([[0, 1], [1, 0]]))
 
 
 def test_toffoli_exchanges_6_7():
-    u = gate_unitary(mcx((0b110, 0b110), 2), 3)
+    u = circuit_unitary(Circuit(3, (mcx((0b110, 0b110), 2),)))
     expected = np.eye(8)
     expected[[6, 7]] = expected[[7, 6]]
     assert np.array_equal(u, expected)
@@ -37,14 +37,15 @@ def test_toffoli_exchanges_6_7():
 
 def test_cnot_on_middle_qubit_swaps_pairs():
     # control on q1 only: amplitudes 2<->3 and 6<->7 exchange
-    u = gate_unitary(mcx((0b010, 0b010), 2), 3)
+    u = circuit_unitary(Circuit(3, (mcx((0b010, 0b010), 2),)))
     psi = np.arange(8, dtype=complex)
     out = u @ psi
     assert np.array_equal(out, np.array([0, 1, 3, 2, 4, 5, 7, 6], dtype=complex))
 
 
 def test_unconstrained_mcx_equals_plain_x():
-    assert np.array_equal(gate_unitary(mcx((0, 0), 1), 3), gate_unitary(x(1), 3))
+    assert np.array_equal(circuit_unitary(Circuit(3, (mcx((0, 0), 1),))),
+                          circuit_unitary(Circuit(3, (x(1),))))
 
 
 def test_empty_circuit_is_identity():
@@ -66,10 +67,10 @@ def test_gate_order_first_gate_applied_first():
 
 def test_ry_phase_unitaries():
     theta = 0.7
-    u = gate_unitary(ry(theta, 0), 1)
+    u = circuit_unitary(Circuit(1, (ry(theta, 0),)))
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     assert np.allclose(u, [[c, -s], [s, c]])
-    u = gate_unitary(phase(theta, 0), 1)
+    u = circuit_unitary(Circuit(1, (phase(theta, 0),)))
     assert np.allclose(u, [[1, 0], [0, np.exp(1j * theta)]])
 
 
@@ -93,11 +94,15 @@ def test_bad_gates_rejected():
     with pytest.raises(BadGate):
         Circuit(2, (x(5),))
     with pytest.raises(BadGate):
-        gate_unitary(mcx((0b100, 0b100), 0), 2)  # controls wider than the circuit
+        circuit_unitary(Circuit(2, (mcx((0b100, 0b100), 0),)))  # controls wider than the circuit
     with pytest.raises(BadGate):
-        gate_unitary(mcx((0b01, 0b10), 1), 2)  # value outside the mask
+        circuit_unitary(Circuit(2, (mcx((0b01, 0b10), 1),)))  # value outside the mask
     with pytest.raises(BadGate):
         Circuit(2, (Gate("x", target=1, controls=(0b10, 0b10)),))  # controlled x
+    with pytest.raises(BadGate):
+        Circuit(2, (Gate("swap", 0),))  # unknown kind
+    with pytest.raises(BadGate):
+        Circuit(2, (ry(float("inf"), 0),))  # non-finite angle
 
 
 def test_too_many_qubits_guard():
@@ -116,6 +121,8 @@ def test_layout_basis_convention():
                           lay.total) == "01XXX1"
     with pytest.raises(BadInput):
         lay.controls(data=(0b100, 0))
+    with pytest.raises(BadInput):
+        RegisterLayout(-1, 2)
 
 
 def test_export_text_exact_lines():
@@ -193,7 +200,7 @@ def test_simulation_matches_reference(circ):
     assert abs(unitarity_residual(u) - reference_unitarity_residual(u)) <= 1e-15
     for g in circ.gates:
         one = Circuit(circ.n_qubits, (g,))
-        assert np.array_equal(gate_unitary(g, circ.n_qubits), reference_circuit_unitary(one))
+        assert np.array_equal(circuit_unitary(one), reference_circuit_unitary(one))
 
 
 @st.composite

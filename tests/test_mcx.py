@@ -5,7 +5,7 @@ import pytest
 
 from blockenc.errors import NotPowerOfTwo
 from blockenc.index_map import is_reducible
-from blockenc.ir import gate_unitary, mcx, select_pattern
+from blockenc.ir import Circuit, circuit_unitary, mcx, select_pattern
 
 from conftest import (BadExpansion, NotReducible, as_strings, brute_force_reducible,
                       composition_unitary, control_gate, expand_mcx, random_labels,
@@ -46,7 +46,7 @@ def test_reduce_composition_matches_product():
     s2 = {0b00, 0b01}
     gate = reduce_composition(s2, 2, 2)
     assert gate.controls == (0b100, 0) and gate.target == 2
-    assert np.array_equal(gate_unitary(gate, 3), composition_unitary(s2, 2, 2))
+    assert np.array_equal(circuit_unitary(Circuit(3, (gate,))), composition_unitary(s2, 2, 2))
 
 
 def test_reduce_rejects_irreducible():
@@ -76,7 +76,7 @@ def test_random_reducible_fusion_exact(rng):
             strings.add("".join(chars))
         s2 = {int(s, 2) for s in strings}
         target = int(rng.integers(0, P + 1))
-        fused = gate_unitary(reduce_composition(s2, P, target), P + 1)
+        fused = circuit_unitary(Circuit(P + 1, (reduce_composition(s2, P, target),)))
         assert np.array_equal(fused, composition_unitary(s2, P, target))
 
 
@@ -93,7 +93,6 @@ def test_product_order_independent(rng):
     s2 = random_labels(rng, 4, 8)
     target = 2
     gates = [control_gate(v, 4, target) for v in sorted(s2)]
-    from blockenc.ir import Circuit, circuit_unitary
     fwd = circuit_unitary(Circuit(5, tuple(gates)))
     rev = circuit_unitary(Circuit(5, tuple(reversed(gates))))
     assert np.array_equal(fwd, rev)
@@ -118,7 +117,7 @@ def test_expand_then_reduce_round_trip(rng):
             assert gate.kind == "x"
         else:
             assert gate.controls == controls
-        assert np.array_equal(gate_unitary(gate, width),
+        assert np.array_equal(circuit_unitary(Circuit(width, (gate,))),
                               composition_unitary(s2, width - 1, target))
 
 
@@ -127,7 +126,7 @@ def test_expand_full_pattern_gives_singletons():
     assert len(out) == 4
     # product over all four gates equals a plain X on the target
     from blockenc.ir import x
-    assert np.array_equal(composition_unitary(out, 2, 1), gate_unitary(x(1), 3))
+    assert np.array_equal(composition_unitary(out, 2, 1), circuit_unitary(Circuit(3, (x(1),))))
 
 
 def test_expand_rejects_target_overlap():

@@ -4,7 +4,7 @@ import pytest
 from blockenc import permute
 from blockenc.assignment import solve_assignment, build_target_set, hamming, mode_pattern
 from blockenc.errors import NotAdjacent
-from blockenc.ir import Circuit, circuit_unitary, gate_unitary
+from blockenc.ir import Circuit, circuit_unitary
 from blockenc.permute import basis_swap, permute_circuit, route_permutation
 
 from conftest import assert_permutation_matrix, permute_inverse, reference_route_permutation
@@ -34,7 +34,7 @@ def _random_permutation(rng, P):
 def test_basis_swap_high_pair():
     g = basis_swap(0b110, 0b111, 3)
     assert g.controls == (0b110, 0b110) and g.target == 2
-    u = gate_unitary(g, 3)
+    u = circuit_unitary(Circuit(3, (g,)))
     expected = np.eye(8)
     expected[[6, 7]] = expected[[7, 6]]
     assert np.array_equal(u, expected)
@@ -47,7 +47,7 @@ def test_basis_swap_low_pair():
 
 def test_basis_swap_involution():
     g = basis_swap(0b010, 0b110, 3)
-    u = gate_unitary(g, 3)
+    u = circuit_unitary(Circuit(3, (g,)))
     assert np.array_equal(u @ u, np.eye(8))
 
 

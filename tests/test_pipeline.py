@@ -205,6 +205,19 @@ def test_config_policy_checked():
             CompileConfig(matrix_policy=bad)
 
 
+@pytest.mark.parametrize("flags", [{"naive": None}, {"zero_pad": "no"},
+                                   {"defer_restore": "yes"}, {"skip_index_map": 0}],
+                         ids=["naive-none", "zero_pad-str", "defer_restore-str", "skip_index_map-int"])
+def test_config_flags_must_be_bool(flags):
+    with pytest.raises(BadInput):
+        CompileConfig(**flags)
+
+
+def test_naive_config_does_not_defer_restore():
+    assert CompileConfig(naive=True, defer_restore=True).defer_restore is False
+    assert CompileConfig(defer_restore=True).defer_restore is True
+
+
 def test_alpha_beyond_float_range_refused():
     # |1e308| + |-1e308 + 1e308j| overflows: no finite alpha normalizes the items
     m = SparseMatrix.from_entries(1, ((0, 0, 1e308), (1, 1, -1e308 + 1e308j)))

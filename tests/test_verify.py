@@ -83,6 +83,13 @@ def test_verify_rejects_non_finite_alpha(rng, alpha):
         verify_circuit(m, enc.circuit, alpha)
 
 
+def test_verify_rejects_layout_of_another_dimension(rng):
+    m = random_tridiagonal(3, rng)
+    enc = compile_matrix(random_tridiagonal(2, rng))
+    with pytest.raises(BadLayout):
+        verify_circuit(m, enc.circuit, enc.alpha)
+
+
 _CONFIGS = {"default": CompileConfig(), "defer_restore": CompileConfig(defer_restore=True),
             "naive": CompileConfig(naive=True), "no_zero_pad": CompileConfig(zero_pad=False)}
 
