@@ -26,7 +26,7 @@ class BadGate(BlockencError):
 
 
 class TooLarge(BlockencError):
-    """Circuit exceeds the dense-simulation qubit budget."""
+    """Simulation exceeds the dense-simulation entry budget."""
 
 
 class NotPowerOfTwo(BlockencError):

@@ -20,69 +20,35 @@ Conventions (used everywhere in the package, documented only here):
 
 For a register layout of m data qubits, one delete qubit and n matrix qubits,
 the basis index of ``|0>_data |0>_del |j>`` equals ``j``, which places the
-encoded block in the top-left corner of the full unitary.
+encoded block in the top-left corner of the unitary.
 
-The dense oracle, ``circuit_unitary``, rebuilds the full unitary by acting
-on the rows of the identity.  A run of x/mcx gates is folded into one
-row-index map and applied as one row gather; ry and phase rotate in place on
-basic-slicing views of the rows.  Two dim x dim complex buffers (the unitary
-and the gather target) are alive at peak, 512 MiB at 12 qubits.
+The dense oracle, ``circuit_unitary``, acts on the rows of the identity's
+first ``columns`` columns and so returns those columns of the unitary; the
+verifier asks for the d = 2^n block columns only.  A run of x/mcx gates is
+folded into one row-index map and applied as one row gather; ry and phase
+rotate in place on basic-slicing views of the rows.  Two dim x columns complex
+buffers (the columns and the gather target) are alive at peak; the entry
+budget ``MAX_SIM_ENTRIES``, dim x columns <= 2^24, holds them to 512 MiB,
+the size of a full 12-qubit unitary.
 
-``unitarity_residual`` picks one of two kernels for max |u^H u - I| from the
-share of nonzero entries in a strided sample of about 64 rows of u:
-
-- below ``_SPARSE_SHARE`` (2%), u is copied to a ``scipy.sparse`` CSR matrix
-  and u^H u - I is one sparse product; an entry the product never stores is
-  exactly 0 in the dense product too.  The compiled circuits are coherent
-  permutations around a small state preparation, so a banded matrix gives a
-  mostly-zero unitary: tridiagonal n >= 6 (1.76% nonzeros and fewer) takes
-  this kernel.  It adds O(nnz) memory, 7 MiB for tridiagonal n = 8 at 12
-  qubits.
-- otherwise u^H u is one Hermitian product (BLAS ``zherk``, one triangle)
-  and |u^H u - I| is reduced over that triangle in row blocks.  It adds a
-  second dim x dim buffer, 256 MiB at 12 qubits.
-
-Milliseconds per residual on a 2-CPU x86-64 Xeon container; "b-blocks" are
-random unitary b x b blocks placed by random row and column permutations:
-
-====================  ====  ======  =====  ======
-u                     dim   share   zherk  sparse
-====================  ====  ======  =====  ======
-64-blocks             1024  6.25%   63     40
-128-blocks            1024  12.5%   62     110
-64-blocks             2048  3.12%   459    108
-128-blocks            2048  6.25%   469    275
-256-blocks            2048  12.5%   435    833
-128-blocks            4096  3.12%   3236   663
-tridiagonal n = 7     2048  0.88%   489    54
-tridiagonal n = 8     4096  0.44%   3030   179
-structured32          1024  19.3%   77     249
-random n = 4, nnz 30  2048  46.7%   440    10210
-====================  ====  ======  =====  ======
-
-Spread evenly, the nonzeros break even between 6% and 12%.  The sparse
-product costs the sum of the squared row counts, so nonzeros crowded into few
-rows break even lower, and the threshold keeps a margin of 3x.  The sample
-only picks the kernel; both give the same value to rounding.
+``unitarity_residual(v)`` is max |v^H v - I| of a dim x k input, one dense
+k x k product.  On the block columns it says those columns are orthonormal;
+unitarity of the whole circuit follows from its gate kinds, since every
+validated gate is unitary.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import math
 import re
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg.blas import zherk
 
 from .errors import BadGate, BadInput, TooLarge
 
-log = logging.getLogger(__name__)
-
-MAX_SIM_QUBITS = 12
+MAX_SIM_ENTRIES = 1 << 24  # dim x columns of one simulation: 256 MiB a buffer
 # Widest circuit the IR readers accept (a compiled one has m + 1 + n <= 127);
 # a control cube is an int as wide as the circuit, so wider is refused at once.
 MAX_CIRCUIT_QUBITS = 128
@@ -236,21 +202,27 @@ def _rows_where(gate: Gate, width: int, bit: int) -> tuple:
 _ROTATION_BLOCK = 1 << 14  # complex entries per cache-sized slice of a rotation
 
 
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Full unitary, first gate applied first (rightmost in the matrix product).
+def circuit_unitary(circuit: Circuit, columns: int | None = None) -> np.ndarray:
+    """The first ``columns`` columns of the unitary (all of them by default),
+    first gate applied first (rightmost in the matrix product).
 
-    The gates act on the rows of the identity.  A run of x/mcx gates is
-    composed into one row-index map, O(2**width) per gate, and applied as one
-    row gather before the next rotation and once at the end.  The gather
-    writes a second buffer of the matrix's size, so two are alive at peak.
-    ry and phase act in place on basic-slicing views of the rows; ry goes
-    slice by slice so that both rows of a pair stay in cache.  Wider than
-    ``MAX_SIM_QUBITS`` is ``TooLarge``.
+    The gates act on the rows of the identity's first columns.  A run of
+    x/mcx gates is composed into one row-index map, O(2**width) per gate, and
+    applied as one row gather before the next rotation and once at the end.
+    The gather writes a second buffer of the same size, so two are alive at
+    peak.  ry and phase act in place on basic-slicing views of the rows; ry
+    goes slice by slice so that both rows of a pair stay in cache.  More than
+    ``MAX_SIM_ENTRIES`` entries is ``TooLarge``, raised before any allocation.
     """
     width = circuit.n_qubits
-    if width > MAX_SIM_QUBITS:
-        raise TooLarge(f"{width} qubits exceeds the {MAX_SIM_QUBITS}-qubit budget")
-    u = np.eye(1 << width, dtype=complex)
+    dim = 1 << width
+    columns = dim if columns is None else columns
+    if not 1 <= columns <= dim:
+        raise BadInput(f"cannot simulate {columns} columns of a {width}-qubit unitary")
+    if dim * columns > MAX_SIM_ENTRIES:
+        raise TooLarge(f"{columns} columns of a {width}-qubit unitary exceed the "
+                       f"{MAX_SIM_ENTRIES}-entry simulation budget")
+    u = np.eye(dim, columns, dtype=complex)
     spare = np.empty_like(u)
     scratch = np.empty((2, _ROTATION_BLOCK), dtype=complex)
     rows = (2,) * width + (-1,)
@@ -258,7 +230,7 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     for g in circuit.gates:
         if g.kind in ("x", "mcx"):
             if perm is None:
-                perm = np.arange(1 << width)
+                perm = np.arange(dim)
             p = perm.reshape(rows)
             lo, hi = p[_rows_where(g, width, 0)], p[_rows_where(g, width, 1)]
             lo[...], hi[...] = hi.copy(), lo.copy()
@@ -292,49 +264,18 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     return u
 
 
-_RESIDUAL_ROWS = 256  # rows of the u^H u triangle reduced at a time
-_SPARSE_SHARE = 0.02  # nonzero share below which the residual takes the sparse kernel
-_SAMPLE_ROWS = 64  # rows counted to estimate the nonzero share
+def unitarity_residual(v: np.ndarray) -> float:
+    """max |v^H v - I| over the k x k Gram matrix of a dim x k input.
 
-
-def unitarity_residual(u: np.ndarray) -> float:
-    """max |u^H u - I| over every entry.
-
-    The kernel is chosen from the nonzero share of every k-th row, k odd so
-    that the sample is not aligned with the register bits: a sparse product
-    below ``_SPARSE_SHARE``, the ``zherk`` triangle reduction above it.
+    The product is taken on the real view of v, whose columns are re_0, im_0,
+    re_1, im_1, ...: numpy computes ``r.T @ r`` as one symmetric update, half
+    the work of the complex product.
     """
-    dim = u.shape[0]
-    sample = u[::dim // _SAMPLE_ROWS | 1]
-    share = np.count_nonzero(sample) / sample.size
-    use_sparse = share < _SPARSE_SHARE
-    log.debug("unitarity residual: %s kernel, %.3g%% nonzero, dim %d",
-              "sparse" if use_sparse else "zherk", 100 * share, dim)
-    return _sparse_residual(u) if use_sparse else _zherk_residual(u)
-
-
-def _sparse_residual(u: np.ndarray) -> float:
-    """max |u^H u - I| over the entries a CSR product stores; all others are 0."""
-    s = sparse.csr_matrix(u)
-    d = s.conj().T @ s - sparse.identity(u.shape[0], format="csr")
-    return float(np.abs(d.data).max(initial=0.0))
-
-
-def _zherk_residual(u: np.ndarray) -> float:
-    """max |u^H u - I| from one triangle of the Hermitian product.
-
-    ``zherk`` on the Fortran-ordered view ``u.T`` writes one triangle of the
-    Hermitian product (the transpose of u^H u, which has the same entry
-    magnitudes); the maximum is taken over that triangle in row blocks.
-    """
-    dim = u.shape[0]
-    h = zherk(1.0, u.T).T  # C-ordered; rows hold the lower triangle
-    h.reshape(-1)[::dim + 1] -= 1
-    worst = 0.0
-    for r0 in range(0, dim, _RESIDUAL_ROWS):
-        r1 = min(r0 + _RESIDUAL_ROWS, dim)
-        worst = max(worst, float(np.abs(np.tril(h[r0:r1, :r1], r0)).max()))
-    return worst
+    r = np.ascontiguousarray(v, dtype=complex).view(float)
+    g = r.T @ r
+    gram = g[::2, ::2] + g[1::2, 1::2] + 1j * (g[::2, 1::2] - g[1::2, ::2])
+    gram.reshape(-1)[::gram.shape[0] + 1] -= 1
+    return float(np.abs(gram).max())
 
 
 def inverse_gate(gate: Gate) -> Gate:

@@ -1,8 +1,8 @@
-"""Dense simulation oracle: rebuild the unitary and compare against the input.
+"""Dense simulation oracle: rebuild the block columns and compare against the input.
 
 The flag registers (data and delete qubits) are the most significant bits, so
 postselecting them on zero reads the encoded block straight out of the
-top-left corner of the full unitary.
+top-left corner of the unitary: the first d = 2^n rows of its first d columns.
 """
 
 from __future__ import annotations
@@ -23,10 +23,15 @@ UNITARITY_TOL = 1e-10
 
 
 def extract_block(u: np.ndarray, layout: RegisterLayout) -> np.ndarray:
-    """Submatrix at rows and columns where every flag qubit reads zero."""
-    if u.shape != (1 << layout.total, 1 << layout.total):
-        raise BadLayout(f"operator shape {u.shape} does not match {layout.total} qubits")
+    """Submatrix at rows and columns where every flag qubit reads zero.
+
+    ``u`` is the unitary or any run of its leading columns that holds the
+    block's d columns, as ``circuit_unitary(circuit, d)`` returns.
+    """
     d = layout.block_dim
+    if u.ndim != 2 or u.shape[0] != 1 << layout.total or u.shape[1] < d:
+        raise BadLayout(f"operator shape {u.shape} does not hold the block of "
+                        f"{layout.total} qubits")
     return u[:d, :d]
 
 
@@ -62,9 +67,9 @@ def verify_circuit(matrix: SparseMatrix, circuit: Circuit, alpha: float,
     layout = circuit.layout
     if layout is None or layout.n != matrix.n:
         raise BadLayout("circuit layout does not match the matrix dimension")
-    u = circuit_unitary(circuit)
-    residual = unitarity_residual(u)
-    block = extract_block(u, layout)
+    columns = circuit_unitary(circuit, layout.block_dim)
+    residual = unitarity_residual(columns)
+    block = extract_block(columns, layout)
     err = np.abs(alpha * block - matrix.dense())
     max_err = float(err.max())
     flat = np.argsort(err, axis=None)[::-1][:5]

@@ -55,8 +55,8 @@ def reference_circuit_unitary(circuit: Circuit) -> np.ndarray:
 
 
 def reference_unitarity_residual(u: np.ndarray) -> float:
-    """max |u^H u - I| from the full dense product."""
-    return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
+    """max |u^H u - I| of a dim x k input from the full complex product."""
+    return float(np.abs(u.conj().T @ u - np.eye(u.shape[1])).max())
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from blockenc import ir
 from blockenc.demo import random_tridiagonal, structured32, tridiagonal
 from blockenc.errors import BadInput, BadLayout
 from blockenc.ingest import SparseMatrix
@@ -12,14 +11,16 @@ from blockenc.pipeline import CompileConfig, compile_matrix
 from blockenc.verify import extract_block, verify, verify_circuit
 
 
-def test_extract_block_identity():
+@pytest.mark.parametrize("columns", [16, 4])  # the unitary, or its block columns
+def test_extract_block_identity(columns):
     lay = RegisterLayout(1, 2)
-    assert np.array_equal(extract_block(np.eye(16), lay), np.eye(4))
+    assert np.array_equal(extract_block(np.eye(16, columns), lay), np.eye(4))
 
 
-def test_extract_block_dimension_mismatch():
+@pytest.mark.parametrize("shape", [(4, 4), (16, 2), (8, 4)])
+def test_extract_block_dimension_mismatch(shape):
     with pytest.raises(BadLayout):
-        extract_block(np.eye(4), RegisterLayout(1, 2))
+        extract_block(np.eye(*shape), RegisterLayout(1, 2))
 
 
 def test_compiled_tridiagonal_block_matches(rng):
@@ -94,17 +95,24 @@ _CONFIGS = {"default": CompileConfig(), "defer_restore": CompileConfig(defer_res
             "naive": CompileConfig(naive=True), "no_zero_pad": CompileConfig(zero_pad=False)}
 
 
-# n = None is structured32
+# n = None is structured32; tridiagonal n = 8 is 12 qubits
 @pytest.mark.parametrize("n, config",
-                         [(n, cfg) for n in range(3, 8) for cfg in _CONFIGS] + [(None, "default")])
-def test_residual_kernel_pick_keeps_the_report(monkeypatch, rng, n, config):
-    # tridiagonal n >= 6 is under 2% nonzeros and takes the sparse kernel
+                         [(n, cfg) for n in (3, 4, 5, 6, 7, 8, None) for cfg in _CONFIGS])
+def test_verify_reads_the_full_unitary_block(rng, n, config):
     m = structured32(rng) if n is None else random_tridiagonal(n, rng)
     enc = compile_matrix(m, _CONFIGS[config])
-    picked = verify(m, enc)
-    monkeypatch.setattr(ir, "_SPARSE_SHARE", 0.0)  # zherk on every unitary
-    dense = verify(m, enc)
-    assert picked.passed and dense.passed
-    assert abs(picked.unitarity_residual - dense.unitarity_residual) <= 1e-15
-    assert picked.max_abs_error == dense.max_abs_error
-    assert picked.worst_cells == dense.worst_cells
+    d = enc.layout.block_dim
+    full = circuit_unitary(enc.circuit)
+    assert np.array_equal(circuit_unitary(enc.circuit, d), full[:, :d])
+    report = verify(m, enc)
+    assert report.passed and report.unitarity_residual <= 1e-12
+    assert report.max_abs_error == float(np.abs(enc.alpha * full[:d, :d] - m.dense()).max())
+
+
+def test_verify_reaches_past_12_qubits(rng):
+    # 2^13 rows by 2^9 block columns, within the 2^24-entry budget
+    m = random_tridiagonal(9, rng)
+    enc = compile_matrix(m)
+    assert enc.circuit.n_qubits == 13
+    report = verify(m, enc)
+    assert report.passed and report.unitarity_residual <= 1e-12
