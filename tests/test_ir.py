@@ -372,10 +372,11 @@ def _perturbed_unitary(dim: int, columns: int, where: str, rng) -> np.ndarray:
     return q
 
 
-# dim x dim unitaries, and tall dim x dim/4 runs of their first columns
+# dim x dim unitaries, tall dim x dim/4 runs of their first columns, and
+# short runs down to two columns (the tridiagonal block has dim/16 columns)
 @pytest.mark.parametrize("where", ["diagonal", "last", "below"])
 @pytest.mark.parametrize("dim, columns", [(2, 2), (8, 8), (128, 128), (300, 300),
-                                          (128, 32), (300, 75)])
+                                          (128, 32), (300, 75), (128, 8), (8, 2), (300, 3)])
 def test_residual_finds_the_worst_cell(rng, where, dim, columns):
     u = _perturbed_unitary(dim, columns, where, rng)
     expected = reference_unitarity_residual(u)
@@ -400,9 +401,11 @@ def _perturbed_permutation(dim: int, columns: int, where: str, rng) -> np.ndarra
     return u
 
 
-# dim x dim permutations, and tall dim x dim/4 runs of their first columns
+# dim x dim permutations, tall dim x dim/4 runs of their first columns, and
+# short runs down to two columns (the tridiagonal block has dim/16 columns)
 @pytest.mark.parametrize("where", ["scaled", "off_support", "zero_column"])
-@pytest.mark.parametrize("dim, columns", [(2, 2), (64, 64), (300, 300), (64, 16), (300, 75)])
+@pytest.mark.parametrize("dim, columns", [(2, 2), (64, 64), (300, 300), (64, 16), (300, 75),
+                                          (64, 4), (8, 2), (300, 3)])
 def test_residual_of_a_perturbed_permutation(rng, where, dim, columns):
     u = _perturbed_permutation(dim, columns, where, rng)
     expected = reference_unitarity_residual(u)
@@ -410,3 +413,26 @@ def test_residual_of_a_perturbed_permutation(rng, where, dim, columns):
     if where == "zero_column":
         assert expected == 1.0
     assert abs(unitarity_residual(u) - expected) <= 1e-15
+
+
+# unitarity_residual takes the real view of a contiguous complex copy, so
+# every memory layout and dtype of v must reach the same Gram matrix; the
+# stacked real and imaginary parts of v have Gram matrix Re(v^H v)
+_LAYOUTS = {
+    "c_order": lambda v: v,
+    "fortran_order": np.asfortranarray,
+    "strided_rows": lambda v: np.repeat(v, 2, axis=0)[::2],
+    "strided_columns": lambda v: np.repeat(v, 2, axis=1)[:, ::2],
+    "reversed_rows": lambda v: v[::-1],
+    "complex64": lambda v: v.astype(np.complex64),
+    "float64": lambda v: np.vstack([v.real, v.imag]),
+}
+
+
+@pytest.mark.parametrize("layout", list(_LAYOUTS))
+@pytest.mark.parametrize("dim, columns", [(8, 8), (300, 75)])
+def test_residual_reads_any_input_layout(rng, layout, dim, columns):
+    v = _LAYOUTS[layout](_perturbed_unitary(dim, columns, "last", rng))
+    expected = reference_unitarity_residual(np.asarray(v, dtype=complex))
+    assert expected > 1e-7
+    assert abs(unitarity_residual(v) - expected) <= 1e-15
