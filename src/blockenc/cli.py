@@ -16,7 +16,7 @@ from .errors import BadInput, BlockencError, TooLarge
 from .ingest import load_matrix, save_matrix
 from .ir import MAX_SIM_ENTRIES, export_json, export_text, import_json, import_text
 from .pipeline import CompileConfig, compile_matrix, format_stats
-from .verify import DEFAULT_TOL, verify, verify_circuit
+from .verify import DEFAULT_TOL, check_tolerance, verify, verify_circuit
 
 log = logging.getLogger("blockenc")
 
@@ -63,6 +63,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    check_tolerance(args.tol)
     matrix = load_matrix(args.matrix)
     circuit, meta = _read_ir(Path(args.circuit))
     if "alpha" not in meta:
@@ -90,6 +91,7 @@ def cmd_export(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    check_tolerance(args.tol)
     if args.seed < 0:
         raise BlockencError(f"--seed must be non-negative, got {args.seed}")
     rng = np.random.default_rng(args.seed)

@@ -57,11 +57,16 @@ class VerificationReport:
         return head + (f"\n  worst cells: {cells}" if cells else "")
 
 
+def check_tolerance(tol: float) -> None:
+    """Refuse a tolerance that is not a finite non-negative number."""
+    if not math.isfinite(tol) or tol < 0:
+        raise BadInput(f"tolerance must be a finite non-negative number, got {tol}")
+
+
 def verify_circuit(matrix: SparseMatrix, circuit: Circuit, alpha: float,
                    tol: float = DEFAULT_TOL) -> VerificationReport:
     """Compare alpha times the extracted block against the matrix entrywise."""
-    if not math.isfinite(tol) or tol < 0:
-        raise BadInput(f"tolerance must be a finite non-negative number, got {tol}")
+    check_tolerance(tol)
     if not math.isfinite(alpha):
         raise BadInput(f"alpha must be a finite number, got {alpha}")
     layout = circuit.layout

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from blockenc.assignment import (FixedIndexPolicy, _tie_break, build_target_set,
-                                 hamming, mode_pattern, solve_assignment)
+from blockenc.assignment import (FixedIndexPolicy, _tie_break, build_target_set, hamming,
+                                 linear_sum_assignment as solve_lsap, mode_pattern,
+                                 solve_assignment)
 from blockenc.errors import BadInput
 from blockenc.index_map import is_reducible
 
@@ -187,7 +188,7 @@ def test_tie_break_matches_reference_on_tied_costs(n, spread, data):
     # costs drawn from {0, .., spread - 1}: many optimal assignments tie
     cells = data.draw(st.lists(st.integers(0, spread - 1), min_size=n * n, max_size=n * n))
     cost = np.array(cells, dtype=np.int64).reshape(n, n)
-    cols = _tie_break(cost.copy())
+    cols = _tie_break(cost.tolist())
     assert cols == reference_tie_break(cost)
     rows, best = linear_sum_assignment(cost)
     assert int(cost[np.arange(n), cols].sum()) == int(cost[rows, best].sum())
@@ -203,3 +204,33 @@ def test_bijection_matches_reference_onto_reducible_targets(P, data):
     dst = build_target_set(fixed, mode_pattern(src, fixed), P)
     assert _string_pairs(solve_assignment(src, dst, P), P) == reference_assignment(
         as_strings(src, P), as_strings(dst, P))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 4), st.data())
+def test_solver_is_optimal_with_integer_duals(n, spread, data):
+    # tied integer costs: the matching is scipy's optimum, the duals prove it
+    cells = data.draw(st.lists(st.integers(0, spread - 1), min_size=n * n, max_size=n * n))
+    cost = [cells[j * n:(j + 1) * n] for j in range(n)]
+    cols, u, v = solve_lsap(cost)
+    assert sorted(cols) == list(range(n))
+    rows, best = linear_sum_assignment(np.array(cost))
+    assert sum(cost[j][cols[j]] for j in range(n)) == int(np.array(cost)[rows, best].sum())
+    assert all(type(p) is int for p in u + v)
+    assert all(u[j] + v[k] <= cost[j][k] for j in range(n) for k in range(n))
+    assert all(u[j] + v[cols[j]] == cost[j][cols[j]] for j in range(n))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_tie_break_matches_reference_at_compiler_sizes(seed):
+    # 24 to 48 sources of 6 or 7 bits onto as many labels of a 64-label cube,
+    # the sizes of the largest assignments the bench compiles
+    rng = np.random.default_rng(seed)
+    P = 6 + seed % 2
+    size = int(rng.integers(24, 49))
+    src = sorted(random_labels(rng, P, size))
+    fixed = FixedIndexPolicy.LEFT_ENDED.resolve(P, 64)
+    cube = build_target_set(fixed, mode_pattern(src, fixed), P)
+    dst = sorted(int(t) for t in rng.choice(cube, size=size, replace=False))
+    cost = [[hamming(s, t) for t in dst] for s in src]
+    assert _tie_break(cost) == reference_tie_break(np.array(cost))

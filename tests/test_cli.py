@@ -356,7 +356,7 @@ def test_stats_rejects_malformed_matrix(tmp_path, capsys, body):
 ], ids=["fixed-index-word", "coeffs-word", "negative-n", "huge-n", "n-over-budget", "tol-inf",
         "tol-nan", "tol-negative", "negative-seed"])
 def test_bad_argument_values_exit_2(monkeypatch, capsys, argv):
-    if "--n" in argv:  # refused before anything compiles
+    if "--n" in argv or "--tol" in argv:  # refused before anything compiles
         monkeypatch.setattr(cli, "compile_matrix", None)
     assert main(argv) == 2
     assert "error" in capsys.readouterr().err

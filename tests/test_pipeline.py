@@ -1,5 +1,7 @@
 import hashlib
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -395,3 +397,20 @@ def test_two_band_ir_is_pinned_and_compiles_fast():
         text = export_text(enc.circuit, {"alpha": enc.alpha})
         assert hashlib.sha256(text.encode()).hexdigest() == digest
         assert elapsed < 1.0
+
+
+def test_compile_and_verify_load_no_scipy():
+    # in a fresh interpreter: this test process has scipy from the conftest
+    code = """if True:
+        import sys
+        import numpy as np
+        import blockenc
+        from blockenc.demo import structured32
+        m = structured32(np.random.default_rng(0))
+        assert blockenc.verify(m, blockenc.compile_matrix(m)).passed
+        print(sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy.")))
+    """
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
