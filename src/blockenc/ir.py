@@ -211,8 +211,10 @@ def circuit_unitary(circuit: Circuit, columns: int | None = None) -> np.ndarray:
     applied as one row gather before the next rotation and once at the end.
     The gather writes a second buffer of the same size, so two are alive at
     peak.  ry and phase act in place on basic-slicing views of the rows; ry
-    goes slice by slice so that both rows of a pair stay in cache.  More than
-    ``MAX_SIM_ENTRIES`` entries is ``TooLarge``, raised before any allocation.
+    goes slice by slice through a fixed scratch block to bound peak memory (a
+    copy of the whole lower half, ``a = lo.copy()``, raised the max RSS of the
+    verify-dense bench by a fifth or more).  More than ``MAX_SIM_ENTRIES``
+    entries is ``TooLarge``, raised before any allocation.
     """
     width = circuit.n_qubits
     dim = 1 << width

@@ -238,7 +238,7 @@ def compile_matrix(matrix: SparseMatrix, config: CompileConfig | None = None) ->
     plan = analyze(matrix, config.strategy)
     items = [it.magnitude for it in plan.items]
     prep = synthesize_prep(items, [it.phase for it in plan.items])
-    unprep = synthesize_unprep(items)
+    unprep = synthesize_unprep(prep)
     layout = RegisterLayout(prep.n_qubits, matrix.n)
     alpha = float(sum(items))
 

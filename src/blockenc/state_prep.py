@@ -3,7 +3,7 @@
 The forward oracle loads ``phase_p * sqrt(item_p / alpha)`` onto basis state
 ``|p>`` via a binary tree of multiplexed Y rotations followed by a diagonal
 layer realizing the four possible phases {1, -1, i, -i}.  The reverse oracle
-is the adjoint of the unsigned (all-positive) loader.
+is the adjoint of the forward circuit's unsigned rotation tree.
 """
 
 from __future__ import annotations
@@ -53,28 +53,23 @@ def _phase_layer(phases, m: int) -> list[Gate]:
     return gates
 
 
-def _padded_magnitudes(items) -> tuple[int, np.ndarray]:
-    """(m, amplitudes): sqrt(item_p / alpha) padded with zeros to 2**m slots."""
+def synthesize_prep(items, phases) -> Circuit:
+    """Circuit C with C|0..0> = sum_p phase_p sqrt(item_p / alpha) |p>, alpha = sum(items)."""
     alpha = float(sum(items))
     if alpha <= 0:  # also no items at all
         raise EmptyData("no nonzero items to prepare")
     if not math.isfinite(alpha):
         raise BadInput(f"item magnitudes sum to {alpha}, beyond the float range")
     m = (len(items) - 1).bit_length()
-    mags = np.zeros(1 << m)
-    mags[: len(items)] = np.sqrt(np.asarray(items) / alpha)
-    return m, mags
-
-
-def synthesize_prep(items, phases) -> Circuit:
-    """Circuit C with C|0..0> = sum_p phase_p sqrt(item_p / alpha) |p>, alpha = sum(items)."""
-    m, mags = _padded_magnitudes(items)
     if m == 0:
         return Circuit(0, (), global_phase=cmath.phase(complex(phases[0])))
+    mags = np.zeros(1 << m)
+    mags[: len(items)] = np.sqrt(np.asarray(items) / alpha)
     return Circuit(m, tuple(_magnitude_tree(mags, m) + _phase_layer(phases, m)))
 
 
-def synthesize_unprep(items) -> Circuit:
-    """Adjoint of the unsigned loader V, so that UNPREP^dag |0..0> = V|0..0>."""
-    m, mags = _padded_magnitudes(items)
-    return inverse_circuit(Circuit(m, tuple(_magnitude_tree(mags, m))))
+def synthesize_unprep(prep: Circuit) -> Circuit:
+    """Adjoint of the unsigned loader V = ``prep``'s ry gates (its phase layer
+    is x and phase gates only), so that UNPREP^dag |0..0> = V|0..0>."""
+    tree = tuple(g for g in prep.gates if g.kind == "ry")
+    return inverse_circuit(Circuit(prep.n_qubits, tree))
