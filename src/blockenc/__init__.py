@@ -11,6 +11,6 @@ from .ir import (Circuit, Gate, RegisterLayout, circuit_unitary, export_json,
 from .permute import basis_swap, permute_circuit, route_permutation
 from .pipeline import CompileConfig, EncodedCircuit, compile_matrix, format_stats
 from .state_prep import synthesize_prep, synthesize_unprep
-from .verify import VerificationReport, extract_block, verify, verify_circuit
+from .verify import VerificationReport, encoded_block, extract_block, verify, verify_circuit
 
 __version__ = "0.1.0"

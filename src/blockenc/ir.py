@@ -22,14 +22,16 @@ For a register layout of m data qubits, one delete qubit and n matrix qubits,
 the basis index of ``|0>_data |0>_del |j>`` equals ``j``, which places the
 encoded block in the top-left corner of the unitary.
 
-The dense oracle, ``circuit_unitary``, acts on the rows of the identity's
-first ``columns`` columns and so returns those columns of the unitary; the
-verifier asks for the d = 2^n block columns only.  A run of x/mcx gates is
-folded into one row-index map and applied as one row gather; ry and phase
-rotate in place on basic-slicing views of the rows.  Two dim x columns complex
-buffers (the columns and the gather target) are alive at peak; the entry
-budget ``MAX_SIM_ENTRIES``, dim x columns <= 2^24, holds them to 512 MiB,
-the size of a full 12-qubit unitary.
+The simulator, ``circuit_unitary``, acts on the rows of the identity's first
+``columns`` columns and so returns those columns of the unitary; given a
+start array instead, it returns the unitary times that array.  A run of
+x/mcx gates is folded into one row-index map and applied as one row gather;
+ry and phase rotate in place on basic-slicing views of the rows.  Two
+dim x columns complex buffers (the columns and the gather target) are alive
+at peak; the entry budget ``MAX_SIM_ENTRIES``, dim x columns <= 2^24, holds
+them to 512 MiB, the size of a full 12-qubit unitary.  The verifier
+simulates only the data register of a compiled circuit, on m qubits, and
+walks its x/mcx gates as integer labels (see ``verify``).
 
 ``unitarity_residual(v)`` is max |v^H v - I| of a dim x k input, one dense
 k x k product.  On the block columns it says those columns are orthonormal;
@@ -202,29 +204,44 @@ def _rows_where(gate: Gate, width: int, bit: int) -> tuple:
 _ROTATION_BLOCK = 1 << 14  # complex entries per cache-sized slice of a rotation
 
 
-def circuit_unitary(circuit: Circuit, columns: int | None = None) -> np.ndarray:
+def check_budget(width: int, columns: int) -> None:
+    """Raise TooLarge if ``columns`` columns of a width-qubit unitary exceed
+    the ``MAX_SIM_ENTRIES`` simulation budget."""
+    if columns << width > MAX_SIM_ENTRIES:
+        raise TooLarge(f"{columns} columns of a {width}-qubit unitary exceed the "
+                       f"{MAX_SIM_ENTRIES}-entry simulation budget")
+
+
+def circuit_unitary(circuit: Circuit, columns: int | np.ndarray | None = None) -> np.ndarray:
     """The first ``columns`` columns of the unitary (all of them by default),
     first gate applied first (rightmost in the matrix product).
 
-    The gates act on the rows of the identity's first columns.  A run of
-    x/mcx gates is composed into one row-index map, O(2**width) per gate, and
-    applied as one row gather before the next rotation and once at the end.
-    The gather writes a second buffer of the same size, so two are alive at
-    peak.  ry and phase act in place on basic-slicing views of the rows; ry
-    goes slice by slice through a fixed scratch block to bound peak memory (a
-    copy of the whole lower half, ``a = lo.copy()``, raised the max RSS of the
-    verify-dense bench by a fifth or more).  More than ``MAX_SIM_ENTRIES``
-    entries is ``TooLarge``, raised before any allocation.
+    ``columns`` may instead be a 2**width x k start array; the result is then
+    the unitary times that array, which is left as it was.  The gates act on
+    the rows of the identity's first columns or of a copy of the start array.
+    A run of x/mcx gates is composed into one row-index map, O(2**width) per
+    gate, and applied as one row gather before the next rotation and once at
+    the end.  The gather writes a second buffer of the same size, so two are
+    alive at peak.  ry and phase act in place on basic-slicing views of the
+    rows; ry goes slice by slice through a fixed scratch block to bound peak
+    memory (a copy of the whole lower half, ``a = lo.copy()``, raised the max
+    RSS of the verify-dense bench by a fifth or more).  More than
+    ``MAX_SIM_ENTRIES`` entries is ``TooLarge``, raised before any allocation.
     """
     width = circuit.n_qubits
     dim = 1 << width
-    columns = dim if columns is None else columns
-    if not 1 <= columns <= dim:
-        raise BadInput(f"cannot simulate {columns} columns of a {width}-qubit unitary")
-    if dim * columns > MAX_SIM_ENTRIES:
-        raise TooLarge(f"{columns} columns of a {width}-qubit unitary exceed the "
-                       f"{MAX_SIM_ENTRIES}-entry simulation budget")
-    u = np.eye(dim, columns, dtype=complex)
+    if isinstance(columns, np.ndarray):
+        if columns.ndim != 2 or columns.shape[0] != dim or not columns.shape[1]:
+            raise BadInput(f"start array of shape {columns.shape} does not fit "
+                           f"a {width}-qubit circuit")
+        check_budget(width, columns.shape[1])
+        u = np.array(columns, dtype=complex, order="C")
+    else:
+        columns = dim if columns is None else columns
+        if not 1 <= columns <= dim:
+            raise BadInput(f"cannot simulate {columns} columns of a {width}-qubit unitary")
+        check_budget(width, columns)
+        u = np.eye(dim, columns, dtype=complex)
     spare = np.empty_like(u)
     scratch = np.empty((2, _ROTATION_BLOCK), dtype=complex)
     rows = (2,) * width + (-1,)

@@ -120,6 +120,23 @@ def test_too_many_qubits_guard():
             circuit_unitary(Circuit(3), columns)
 
 
+def test_start_array_entry(rng):
+    circ = Circuit(3, (ry(0.4, 0), mcx((0b011, 0b001), 0), phase(0.9, 2, (0b100, 0b100)),
+                       x(1)), global_phase=0.25)
+    start = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
+    kept = start.copy()
+    out = circuit_unitary(circ, np.asfortranarray(start))
+    assert np.array_equal(start, kept)
+    assert np.abs(out - circuit_unitary(circ) @ start).max() <= 1e-14
+    # the identity's first columns as a start array are the int entry
+    assert np.array_equal(circuit_unitary(circ, np.eye(8, 3)), circuit_unitary(circ, 3))
+    for shape in ((4, 2), (8, 0), (8,)):
+        with pytest.raises(BadInput):
+            circuit_unitary(circ, np.zeros(shape))
+    with pytest.raises(TooLarge):
+        circuit_unitary(Circuit(20), np.broadcast_to(0j, (1 << 20, 32)))
+
+
 def test_layout_basis_convention():
     lay = RegisterLayout(2, 3)
     assert lay.total == 6

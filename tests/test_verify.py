@@ -1,14 +1,21 @@
+import importlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockenc.demo import random_tridiagonal, structured32, tridiagonal
-from blockenc.errors import BadInput, BadLayout
+from blockenc.errors import BadInput, BadLayout, TooLarge
 from blockenc.ingest import SparseMatrix
-from blockenc.ir import Circuit, RegisterLayout, circuit_unitary
+from blockenc.ir import Circuit, RegisterLayout, circuit_unitary, mcx, phase, ry
 from blockenc.pipeline import CompileConfig, compile_matrix
-from blockenc.verify import extract_block, verify, verify_circuit
+from blockenc.verify import encoded_block, extract_block, verify, verify_circuit
+
+# the package binds the name blockenc.verify to the verify function
+verify_module = importlib.import_module("blockenc.verify")
 
 
 @pytest.mark.parametrize("columns", [16, 4])  # the unitary, or its block columns
@@ -116,3 +123,168 @@ def test_verify_reaches_past_12_qubits(rng):
     assert enc.circuit.n_qubits == 13
     report = verify(m, enc)
     assert report.passed and report.unitarity_residual <= 1e-12
+
+
+def test_passing_report_ranks_no_cells(rng):
+    m = structured32(rng)
+    report = verify(m, compile_matrix(m))
+    assert report.passed and report.worst_cells == []
+
+
+def _tampered(circuit, gates, global_phase=None):
+    return Circuit(circuit.n_qubits, tuple(gates), circuit.layout,
+                   circuit.global_phase if global_phase is None else global_phase)
+
+
+def _dense_block(circuit):
+    return extract_block(circuit_unitary(circuit, circuit.layout.block_dim), circuit.layout)
+
+
+def _assert_structured_block_is_dense(circuit):
+    # a compiled circuit with a data register has no global phase; give it one
+    for c in (circuit, _tampered(circuit, circuit.gates, global_phase=0.7)):
+        block, residual = verify_module._structured_block(c, *verify_module._split(c))
+        assert np.array_equal(block, _dense_block(c))
+        assert residual <= 1e-12
+
+
+# n = None is structured32
+@pytest.mark.parametrize("n, config",
+                         [(n, cfg) for n in (3, 4, 5, 6, 7, 8, None) for cfg in _CONFIGS])
+def test_structured_block_is_the_dense_block(rng, n, config):
+    m = structured32(rng) if n is None else random_tridiagonal(n, rng)
+    _assert_structured_block_is_dense(compile_matrix(m, _CONFIGS[config]).circuit)
+
+
+def test_structured_block_without_index_map(rng):
+    enc = compile_matrix(structured32(rng), CompileConfig(skip_index_map=True))
+    _assert_structured_block_is_dense(enc.circuit)
+
+
+def test_structured_block_of_one_item():
+    m = SparseMatrix.from_entries(2, ((1, 2, -0.25j),))
+    enc = compile_matrix(m)
+    # no data qubit: the phase of the one item is the global phase
+    assert enc.layout.m == 0 and enc.circuit.global_phase
+    _assert_structured_block_is_dense(enc.circuit)
+    assert verify(m, enc).passed
+
+
+@st.composite
+def _distinct_valued_matrices(draw):
+    n = draw(st.integers(1, 4))
+    index = st.integers(0, (1 << n) - 1)
+    cells = draw(st.lists(st.tuples(index, index), min_size=1, max_size=3 << n, unique=True))
+    parts = st.integers(-8, 8).filter(bool)
+    return SparseMatrix.from_entries(n, tuple(
+        (r, c, complex(draw(parts), draw(parts)) / 8) for r, c in cells))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_distinct_valued_matrices(), st.sampled_from(("auto", 1, 2, 3)),
+       st.booleans(), st.booleans(), st.booleans())
+def test_structured_block_is_the_dense_block_on_random_matrices(m, strategy, zero_pad,
+                                                                defer_restore, naive):
+    cfg = CompileConfig(strategy=strategy, zero_pad=zero_pad, defer_restore=defer_restore,
+                        naive=naive)
+    _assert_structured_block_is_dense(compile_matrix(m, cfg).circuit)
+
+
+def _spy_widths(monkeypatch):
+    """The widths of the circuits verify simulates, from now on."""
+    widths = []
+
+    def spy(circuit, columns=None):
+        widths.append(circuit.n_qubits)
+        return circuit_unitary(circuit, columns)
+
+    monkeypatch.setattr(verify_module, "circuit_unitary", spy)
+    return widths
+
+
+def test_rotation_in_the_middle_takes_the_dense_path(rng, monkeypatch):
+    m = random_tridiagonal(3, rng)
+    enc = compile_matrix(m)
+    prefix, middle, _ = verify_module._split(enc.circuit)
+    at = len(prefix) + len(middle) // 2
+    target = enc.layout.matrix_qubits[0]
+    gates = list(enc.circuit.gates)
+    gates[at:at] = [ry(0.3, target), ry(-0.3, target)]
+    circuit = _tampered(enc.circuit, gates)
+    assert verify_module._split(circuit) is None
+    widths = _spy_widths(monkeypatch)
+    assert verify_circuit(m, circuit, enc.alpha).passed
+    assert widths == [enc.layout.total]
+
+
+def test_wide_data_register_takes_the_dense_path(monkeypatch):
+    # [I | all w] would hold 64 x 68 entries, the dense columns 256 x 2
+    circuit = Circuit(8, (ry(0.5, 0), mcx((0b10000000, 0b10000000), 7), ry(-0.5, 0)),
+                      RegisterLayout(6, 1))
+    widths = _spy_widths(monkeypatch)
+    block, _ = encoded_block(circuit)
+    assert widths == [8]
+    assert np.array_equal(block, _dense_block(circuit))
+
+
+def test_one_gate_deletions_read_alike_through_both_paths(rng, monkeypatch):
+    m = random_tridiagonal(3, rng)
+    enc = compile_matrix(m)
+    prefix, middle, suffix = verify_module._split(enc.circuit)
+    gates = enc.circuit.gates
+    regions = (range(len(prefix)), range(len(prefix), len(gates) - len(suffix)),
+               range(len(gates) - len(suffix), len(gates)))
+    assert all(regions)
+    for region in regions:
+        for drop in region:
+            circuit = _tampered(enc.circuit, gates[:drop] + gates[drop + 1:])
+            assert verify_module._split(circuit) is not None
+            structured = verify_circuit(m, circuit, enc.alpha)
+            with monkeypatch.context() as mp:
+                mp.setattr(verify_module, "_split", lambda c: None)
+                dense = verify_circuit(m, circuit, enc.alpha)
+            assert structured.max_abs_error == dense.max_abs_error
+            assert structured.worst_cells == dense.worst_cells
+
+
+def test_refusals_are_those_of_the_dense_columns():
+    # 15 qubits by 2^11 block columns is over the 2^24-entry budget, refused
+    # before any buffer is allocated although the circuit holds no gate
+    m = SparseMatrix.from_entries(11, ((0, 0, 1.0),))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            verify_circuit(m, Circuit(15, (), RegisterLayout(3, 11)), 1.0)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+    with pytest.raises(BadLayout):
+        verify_circuit(m, Circuit(15), 1.0)
+
+
+def test_verify_at_14_qubits_stays_small():
+    # the d = 1024 dense block columns of this circuit are two 256 MiB buffers
+    m = tridiagonal(10, 0.5 - 0.25j, 0.75 + 0.125j, -0.5j)
+    enc = compile_matrix(m)
+    assert enc.circuit.n_qubits == 14
+    tracemalloc.start()
+    try:
+        report = verify(m, enc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 128 << 20
+
+
+# Prefixes whose phases, simulated on one start column alone, round apart
+# from the dense columns: numpy multiplies a one-entry view apart from its
+# vector loop.
+@pytest.mark.parametrize("angles", [(-2.202456899359727, -0.3497366441721974, 1.3270685342718114),
+                                    (2.171850534697036, -5.496127522185846, -4.018436205082271),
+                                    (6.470155299291017, 3.0358909928195317, 3.7533010514879592)])
+def test_structured_block_rounds_as_the_dense_columns(angles):
+    theta, phi0, phi1 = angles
+    gates = (ry(theta, 0), phase(phi0, 0), phase(phi1, 0),
+             mcx((0b100, 0b100), 2), ry(0.5, 0))
+    _assert_structured_block_is_dense(Circuit(3, gates, RegisterLayout(1, 1)))
