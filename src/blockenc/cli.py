@@ -12,9 +12,9 @@ from pathlib import Path
 import numpy as np
 
 from . import demo as demo_matrices
-from .errors import BadInput, BlockencError, TooLarge
+from .errors import BadInput, BlockencError
 from .ingest import load_matrix, save_matrix
-from .ir import MAX_SIM_ENTRIES, export_json, export_text, import_json, import_text
+from .ir import check_budget, export_json, export_text, import_json, import_text
 from .pipeline import CompileConfig, compile_matrix, format_stats
 from .verify import DEFAULT_TOL, check_tolerance, verify, verify_circuit
 
@@ -99,10 +99,8 @@ def cmd_demo(args) -> int:
         # at most six plan items (three bands, a real and an imaginary part
         # each) take three data qubits, so the circuit has n + 4 qubits at most;
         # a negative n is tridiagonal's BadInput
-        if args.n >= 0 and 1 << 2 * args.n + 4 > MAX_SIM_ENTRIES:
-            raise TooLarge(f"--n {args.n}: the 2^{args.n} block columns of a circuit of up to "
-                           f"{args.n + 4} qubits exceed the {MAX_SIM_ENTRIES}-entry "
-                           "simulation budget")
+        if args.n >= 0:
+            check_budget(args.n + 4, 1 << args.n)
         if args.coeffs:
             try:
                 vals = [float(v) for v in args.coeffs.split(",")]

@@ -24,14 +24,15 @@ encoded block in the top-left corner of the unitary.
 
 The simulator, ``circuit_unitary``, acts on the rows of the identity's first
 ``columns`` columns and so returns those columns of the unitary; given a
-start array instead, it returns the unitary times that array.  A run of
-x/mcx gates is folded into one row-index map and applied as one row gather;
-ry and phase rotate in place on basic-slicing views of the rows.  Two
-dim x columns complex buffers (the columns and the gather target) are alive
-at peak; the entry budget ``MAX_SIM_ENTRIES``, dim x columns <= 2^24, holds
-them to 512 MiB, the size of a full 12-qubit unitary.  The verifier
-simulates only the data register of a compiled circuit, on m qubits, and
-walks its x/mcx gates as integer labels (see ``verify``).
+start array instead, it returns the unitary times that array.  Every gate
+acts in place on two basic-slicing views of the rows, those where its
+controls hold and its target reads 0 or 1: phase scales the second, and
+x/mcx (a swap) and ry (a rotation) update the pair chunk by chunk.  One
+dim x columns complex buffer is alive at peak; the entry budget
+``MAX_SIM_ENTRIES``, dim x columns <= 2^24, holds it to 256 MiB, the size
+of a full 12-qubit unitary.  The verifier simulates only the data register
+of a compiled circuit, on m qubits, and walks its x/mcx gates as integer
+labels (see ``verify``).
 
 ``unitarity_residual(v)`` is max |v^H v - I| of a dim x k input, one dense
 k x k product.  On the block columns it says those columns are orthonormal;
@@ -50,7 +51,7 @@ import numpy as np
 
 from .errors import BadGate, BadInput, TooLarge
 
-MAX_SIM_ENTRIES = 1 << 24  # dim x columns of one simulation: 256 MiB a buffer
+MAX_SIM_ENTRIES = 1 << 24  # dim x columns of one simulation: one 256 MiB buffer
 # Widest circuit the IR readers accept (a compiled one has m + 1 + n <= 127);
 # a control cube is an int as wide as the circuit, so wider is refused at once.
 MAX_CIRCUIT_QUBITS = 128
@@ -201,7 +202,7 @@ def _rows_where(gate: Gate, width: int, bit: int) -> tuple:
     return tuple(idx)
 
 
-_ROTATION_BLOCK = 1 << 14  # complex entries per cache-sized slice of a rotation
+_CHUNK = 1 << 14  # complex entries per cache-sized chunk of a gate's row views
 
 
 def check_budget(width: int, columns: int) -> None:
@@ -217,16 +218,14 @@ def circuit_unitary(circuit: Circuit, columns: int | np.ndarray | None = None) -
     first gate applied first (rightmost in the matrix product).
 
     ``columns`` may instead be a 2**width x k start array; the result is then
-    the unitary times that array, which is left as it was.  The gates act on
-    the rows of the identity's first columns or of a copy of the start array.
-    A run of x/mcx gates is composed into one row-index map, O(2**width) per
-    gate, and applied as one row gather before the next rotation and once at
-    the end.  The gather writes a second buffer of the same size, so two are
-    alive at peak.  ry and phase act in place on basic-slicing views of the
-    rows; ry goes slice by slice through a fixed scratch block to bound peak
-    memory (a copy of the whole lower half, ``a = lo.copy()``, raised the max
-    RSS of the verify-dense bench by a fifth or more).  More than
-    ``MAX_SIM_ENTRIES`` entries is ``TooLarge``, raised before any allocation.
+    the unitary times that array, which is left as it was.  The gates act in
+    place on the rows of the identity's first columns or of a copy of the
+    start array, so that buffer is the only one of its size.  Each gate takes
+    the two row views ``_rows_where`` names; phase scales the upper one, and
+    x/mcx swap and ry rotate the pair in 1-D chunks of at most ``_CHUNK``
+    entries, so their temporaries stay cache-sized whatever the view's shape.
+    More than ``MAX_SIM_ENTRIES`` entries is ``TooLarge``, raised before any
+    allocation.
     """
     width = circuit.n_qubits
     dim = 1 << width
@@ -242,42 +241,29 @@ def circuit_unitary(circuit: Circuit, columns: int | np.ndarray | None = None) -
             raise BadInput(f"cannot simulate {columns} columns of a {width}-qubit unitary")
         check_budget(width, columns)
         u = np.eye(dim, columns, dtype=complex)
-    spare = np.empty_like(u)
-    scratch = np.empty((2, _ROTATION_BLOCK), dtype=complex)
-    rows = (2,) * width + (-1,)
-    perm = None
+    t = u.reshape((2,) * width + (-1,))
     for g in circuit.gates:
-        if g.kind in ("x", "mcx"):
-            if perm is None:
-                perm = np.arange(dim)
-            p = perm.reshape(rows)
-            lo, hi = p[_rows_where(g, width, 0)], p[_rows_where(g, width, 1)]
-            lo[...], hi[...] = hi.copy(), lo.copy()
-            continue
-        if perm is not None:
-            np.take(u, perm, axis=0, out=spare, mode="clip")
-            u, spare, perm = spare, u, None
-        t = u.reshape(rows)
         hi = t[_rows_where(g, width, 1)]
         if g.kind == "phase":
             hi *= np.exp(1j * g.angle)
             continue
         lo = t[_rows_where(g, width, 0)]
         c, s = math.cos(g.angle / 2), math.sin(g.angle / 2)
-        k = 0
-        while lo[(0,) * k].size > _ROTATION_BLOCK:
-            k += 1
-        for ix in np.ndindex(lo.shape[:k]):
-            a, b = lo[ix], hi[ix]
-            sa = np.multiply(a, s, out=scratch[0, :a.size].reshape(a.shape))
-            sb = np.multiply(b, s, out=scratch[1, :a.size].reshape(a.shape))
-            a *= c
-            a -= sb
-            b *= c
-            b += sa
-    if perm is not None:
-        np.take(u, perm, axis=0, out=spare, mode="clip")
-        u = spare
+        # matching 1-D chunks of the two views, whatever their shape; the
+        # iterator writes a buffered chunk back before it yields the next
+        with np.nditer([lo, hi], ["external_loop", "buffered"], [["readwrite"]] * 2,
+                       buffersize=_CHUNK) as pairs:
+            for a, b in pairs:
+                if g.kind == "ry":
+                    sa, sb = a * s, b * s
+                    a *= c
+                    a -= sb
+                    b *= c
+                    b += sa
+                else:  # x, mcx
+                    a_old = a.copy()
+                    a[...] = b
+                    b[...] = a_old
     if circuit.global_phase:
         u *= np.exp(1j * circuit.global_phase)
     return u

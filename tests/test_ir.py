@@ -19,7 +19,8 @@ from blockenc.ir import (MAX_CIRCUIT_QUBITS, Circuit, Gate, RegisterLayout, circ
                          export_json, export_text, import_json, import_text,
                          inverse_circuit, mcx, pattern_select, phase, ry, select_pattern,
                          unitarity_residual, x)
-from conftest import reference_circuit_unitary, reference_unitarity_residual
+from conftest import (reference_apply_gate, reference_circuit_unitary,
+                      reference_unitarity_residual)
 
 
 def test_x_single_qubit():
@@ -135,6 +136,30 @@ def test_start_array_entry(rng):
             circuit_unitary(circ, np.zeros(shape))
     with pytest.raises(TooLarge):
         circuit_unitary(Circuit(20), np.broadcast_to(0j, (1 << 20, 32)))
+
+
+# around and past the 2^14-entry chunk: a row view one chunk wide, and wider
+@pytest.mark.parametrize("columns", [(1 << 14) - 1, 1 << 14, (1 << 14) + 1, 40_000])
+@pytest.mark.parametrize("gate", [ry(1.0, 0), x(1), mcx((0b10, 0b10), 1)],
+                         ids=["ry", "x", "mcx"])
+def test_gates_on_wide_start_arrays(rng, gate, columns):
+    start = rng.standard_normal((4, columns)) + 1j * rng.standard_normal((4, columns))
+    want = start.copy()
+    reference_apply_gate(want, gate, 2)
+    assert np.array_equal(circuit_unitary(Circuit(2, (gate,)), start), want)
+
+
+def test_simulation_keeps_one_buffer():
+    m = tridiagonal(8, 0.5 - 0.25j, 0.75 + 0.125j, -0.5j)
+    circuit = compile_matrix(m).circuit
+    assert circuit.n_qubits == 12
+    tracemalloc.start()
+    try:
+        circuit_unitary(circuit, 256)  # one 16 MiB buffer of 2^12 x 256 entries
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 << 20
 
 
 def test_layout_basis_convention():

@@ -247,6 +247,18 @@ def test_one_gate_deletions_read_alike_through_both_paths(rng, monkeypatch):
             assert structured.worst_cells == dense.worst_cells
 
 
+def test_wide_suffix_array_verifies(rng):
+    # a real circulant: 128 distinct bands, one item each, so m = 7 and the
+    # suffix runs on a 128 x (128 + 128^2) array, rows wider than one chunk
+    v = rng.uniform(-1, 1, 128)
+    m = SparseMatrix.from_entries(7, tuple((r, (r + k) % 128, v[k])
+                                           for r in range(128) for k in range(128)))
+    enc = compile_matrix(m)
+    assert enc.layout == RegisterLayout(7, 7)
+    assert verify(m, enc).passed
+    _assert_structured_block_is_dense(enc.circuit)
+
+
 def test_refusals_are_those_of_the_dense_columns():
     # 15 qubits by 2^11 block columns is over the 2^24-entry budget, refused
     # before any buffer is allocated although the circuit holds no gate
@@ -263,7 +275,7 @@ def test_refusals_are_those_of_the_dense_columns():
 
 
 def test_verify_at_14_qubits_stays_small():
-    # the d = 1024 dense block columns of this circuit are two 256 MiB buffers
+    # the d = 1024 dense block columns of this circuit are one 256 MiB buffer
     m = tridiagonal(10, 0.5 - 0.25j, 0.75 + 0.125j, -0.5j)
     enc = compile_matrix(m)
     assert enc.circuit.n_qubits == 14
