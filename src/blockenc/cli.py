@@ -12,9 +12,9 @@ from pathlib import Path
 import numpy as np
 
 from . import demo as demo_matrices
-from .errors import BadInput, BlockencError
+from .errors import BadInput, BlockencError, TooLarge
 from .ingest import load_matrix, save_matrix
-from .ir import check_budget, export_json, export_text, import_json, import_text
+from .ir import MAX_SIM_ENTRIES, export_json, export_text, import_json, import_text
 from .pipeline import CompileConfig, compile_matrix, format_stats
 from .verify import DEFAULT_TOL, check_tolerance, verify, verify_circuit
 
@@ -97,10 +97,13 @@ def cmd_demo(args) -> int:
     rng = np.random.default_rng(args.seed)
     if args.case == "tridiagonal":
         # at most six plan items (three bands, a real and an imaginary part
-        # each) take three data qubits, so the circuit has n + 4 qubits at most;
-        # a negative n is tridiagonal's BadInput
-        if args.n >= 0:
-            check_budget(args.n + 4, 1 << args.n)
+        # each) take m = 3 data qubits, and verify's widest array, [I | all w]
+        # of 2^m x (2^m + cells) entries with at most 2^m cells per block
+        # column, stays within 2^(2m + n + 1); compared as exponents, so that
+        # no 2^n is built.  A negative n is tridiagonal's BadInput.
+        if 2 * 3 + args.n + 1 > MAX_SIM_ENTRIES.bit_length() - 1:
+            raise TooLarge(f"tridiagonal n = {args.n} may exceed the "
+                           f"{MAX_SIM_ENTRIES}-entry simulation budget of verify")
         if args.coeffs:
             try:
                 vals = [float(v) for v in args.coeffs.split(",")]

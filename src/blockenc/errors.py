@@ -26,7 +26,7 @@ class BadGate(BlockencError):
 
 
 class TooLarge(BlockencError):
-    """Simulation exceeds the dense-simulation entry budget."""
+    """A simulation or verify array exceeds the simulation entry budget."""
 
 
 class NotPowerOfTwo(BlockencError):

@@ -32,7 +32,8 @@ dim x columns complex buffer is alive at peak; the entry budget
 ``MAX_SIM_ENTRIES``, dim x columns <= 2^24, holds it to 256 MiB, the size
 of a full 12-qubit unitary.  The verifier simulates only the data register
 of a compiled circuit, on m qubits, and walks its x/mcx gates as integer
-labels (see ``verify``).
+labels; it holds each array it builds, labels included, to the same budget
+through ``check_budget`` (see ``verify``).
 
 ``unitarity_residual(v)`` is max |v^H v - I| of a dim x k input, one dense
 k x k product.  On the block columns it says those columns are orthonormal;
@@ -377,6 +378,13 @@ def _ascii_float(tok: str) -> float:
     return float(tok)
 
 
+def _paren_number(head: str) -> float:
+    """The decimal in a ``name(<number>)`` token, whose ``)`` must close it."""
+    if not head.endswith(")"):
+        raise BadInput(f"{head!r} does not end with ')'")
+    return _ascii_float(head[head.index("(") + 1:-1])
+
+
 def _parse_qubit(tok: str) -> int:
     """Index of a ``q<digits>`` token; any other spelling is BadInput."""
     if tok[:1] != "q":
@@ -439,7 +447,7 @@ def import_text(text: str) -> tuple[Circuit, dict]:
             elif head.startswith("gphase("):
                 if gphase is not None or len(toks) != 1:
                     raise BadInput(f"repeated or malformed gphase line {ln!r}")
-                gphase = _finite_number(_ascii_float(head[len("gphase("):-1]), "gphase")
+                gphase = _finite_number(_paren_number(head), "gphase")
             else:
                 if width is None:
                     raise BadInput("gate line before qubit count")
@@ -468,9 +476,8 @@ def _parse_gate_line(toks: list[str], width: int) -> Gate:
             raise BadInput(f"mcx target {target!r} is not target=q<index>")
         return mcx(controls, _parse_qubit(target[len("target="):]))
     if head.startswith(("ry(", "phase(")):
-        kind = head[:head.index("(")]
-        angle = _ascii_float(head[head.index("(") + 1:-1])
-        return Gate(kind, target=_parse_qubit(target), controls=controls, angle=angle)
+        return Gate(head[:head.index("(")], target=_parse_qubit(target), controls=controls,
+                    angle=_paren_number(head))
     raise BadInput(f"cannot parse gate line {' '.join(toks)!r}")
 
 

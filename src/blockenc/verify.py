@@ -21,10 +21,15 @@ bit the one ``extract_block(circuit_unitary(circuit, d))`` reads.
 The residual on that path is max(|a^H a - 1|, max |S^H S - I|).  The label
 map is a bijection, so it certifies the same orthonormality of the block
 columns that max |V^H V - I| of the d dense columns V does.  A circuit whose
-middle holds a ry or phase gate, or whose prefix and suffix arrays would
-outgrow the dense columns, is simulated densely on its d block columns, and
-its residual is that of the columns.  Both paths refuse a circuit whose d
-dense columns exceed ``ir.MAX_SIM_ENTRIES``.
+middle holds a ry or phase gate is simulated densely on its d block columns,
+and its residual is that of the columns.  Each path checks the arrays it
+builds against ``ir.MAX_SIM_ENTRIES``: the structured one its 2^m x d labels
+and its ``[I | all w]``, the dense one its d columns.
+
+Either way the block comes out as cells, row-major keys ``row << n | col``
+with their values, and ``verify_circuit`` compares them with the matrix
+entries on the union of both key sets, so the comparison costs in
+proportion to the reached cells and the nonzeros, not to d x d.
 """
 
 from __future__ import annotations
@@ -92,11 +97,13 @@ def _data_circuit(gates, layout: RegisterLayout, global_phase: float = 0.0) -> C
         for g in gates), global_phase=global_phase)
 
 
-def _structured_block(circuit: Circuit, prefix, middle, suffix) -> tuple[np.ndarray, float]:
-    """(block, residual) from the prefix state, the label walk through the
-    middle and one suffix simulation of ``[I | all w]``."""
+def _structured_block(circuit: Circuit, prefix, middle,
+                      suffix) -> tuple[np.ndarray, np.ndarray, float]:
+    """(keys, values, residual) from the prefix state, the label walk through
+    the middle and one suffix simulation of ``[I | all w]``."""
     layout = circuit.layout
-    n, d, size = layout.n, layout.block_dim, 1 << layout.m
+    m, n, d, size = layout.m, layout.n, layout.block_dim, 1 << layout.m
+    check_budget(m, d)  # the labels
     # Two start columns, so that no rotation meets a one-entry view: numpy
     # rounds a complex product on one element apart from its vector loop,
     # and in the dense columns a data-register view spans the delete qubit.
@@ -108,35 +115,35 @@ def _structured_block(circuit: Circuit, prefix, middle, suffix) -> tuple[np.ndar
         labels ^= ((labels & mask) == value) * (1 << top - g.target)
     reached = np.flatnonzero(labels & d == 0)  # delete bit clear
     final = labels[reached]
-    cells, fiber = np.unique((reached & d - 1) << n | final & d - 1, return_inverse=True)
-    start = np.zeros((size, size + len(cells)), dtype=complex)
+    keys, fiber = np.unique((final & d - 1) << n | reached & d - 1, return_inverse=True)
+    check_budget(m, size + len(keys))  # [I | all w]
+    start = np.zeros((size, size + len(keys)), dtype=complex)
     np.fill_diagonal(start, 1)
     start[final >> n + 1, size + fiber] = a[reached >> n]
     out = circuit_unitary(_data_circuit(suffix, layout, circuit.global_phase), start)
-    block = np.zeros((d, d), dtype=complex)
-    block[cells & d - 1, cells >> n] = out[0, size:]
     residual = max(unitarity_residual(a[:, None]), unitarity_residual(out[:, :size]))
-    return block, residual
+    return keys, out[0, size:].copy(), residual  # a copy frees the suffix array
 
 
-def encoded_block(circuit: Circuit) -> tuple[np.ndarray, float]:
-    """(block, unitarity residual) of a circuit with a register layout.
+def encoded_block(circuit: Circuit) -> tuple[np.ndarray, np.ndarray, float]:
+    """(keys, values, unitarity residual) of a circuit with a register layout.
 
-    The block is read through the circuit's prefix, label map and suffix
-    where the gates between prefix and suffix are x/mcx only and
-    ``[I | all w]`` holds no more entries than the d dense block columns
-    (there is at most one fiber per block cell), else from those columns.
+    The block's cells come as sorted row-major keys ``row << n | col`` and
+    their values; a cell with no key is zero.  The block is read through the
+    circuit's prefix, label map and suffix where the gates between prefix
+    and suffix are x/mcx only (the reached cells), else from the d dense
+    block columns (their nonzero entries).
     """
     layout = circuit.layout
     if layout is None:
         raise BadLayout("circuit has no register layout")
-    size, d = 1 << layout.m, layout.block_dim
-    check_budget(layout.total, d)
     parts = _split(circuit)
-    if parts is not None and size * (size + d * min(size, d)) <= d << layout.total:
+    if parts is not None:
         return _structured_block(circuit, *parts)
-    columns = circuit_unitary(circuit, d)
-    return extract_block(columns, layout), unitarity_residual(columns)
+    columns = circuit_unitary(circuit, layout.block_dim)
+    block = extract_block(columns, layout)
+    keys = np.flatnonzero(block)
+    return keys, block.ravel()[keys], unitarity_residual(columns)
 
 
 @dataclass
@@ -147,7 +154,7 @@ class VerificationReport:
     tolerance: float
     alpha: float
     dim: int
-    worst_cells: list  # [(row, col, error), ...] largest first
+    worst_cells: list  # [(row, col, error), ...] largest first, ties row-major
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2) + "\n"
@@ -176,14 +183,21 @@ def verify_circuit(matrix: SparseMatrix, circuit: Circuit, alpha: float,
     layout = circuit.layout
     if layout is None or layout.n != matrix.n:
         raise BadLayout("circuit layout does not match the matrix dimension")
-    block, residual = encoded_block(circuit)
-    err = np.abs(alpha * block - matrix.dense())
+    keys, values, residual = encoded_block(circuit)
+    n = layout.n
+    # alpha*B - A on the union of the reached cells and the matrix entries:
+    # a cell of one side only is |alpha*B| or |A|, every other cell is zero
+    cells, at = np.unique(np.concatenate([keys, matrix.rows << n | matrix.cols]),
+                          return_inverse=True)
+    diff = np.zeros(len(cells), dtype=complex)
+    diff[at[:len(keys)]] = alpha * values
+    diff[at[len(keys):]] -= matrix.values
+    err = np.abs(diff)
     max_err = float(err.max())
     worst = []
     if not max_err <= tol:  # rank the cells of a failing block only
-        flat = np.argsort(err, axis=None)[::-1][:5]
-        worst = [(int(i // err.shape[0]), int(i % err.shape[0]), float(err.flat[i]))
-                 for i in flat if err.flat[i] > tol]
+        worst = [(int(cells[i] >> n), int(cells[i] & matrix.dim - 1), float(err[i]))
+                 for i in np.argsort(-err, kind="stable")[:5] if err[i] > tol]
     passed = max_err <= tol and residual <= UNITARITY_TOL
     return VerificationReport(passed, max_err, residual, tol, alpha,
                               matrix.dim, worst)

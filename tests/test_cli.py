@@ -296,6 +296,9 @@ def _ir_text(*lines) -> str:
     _ir_text("ry(2_0) q0"),                      # in the alpha, the global phase
     _ir_text("ry(\u0662) q0"),                   # and gate angles alike
     "blockenc-ir v1\n",                          # header only
+    _ir_text("ry(1.25 q1"),                      # an angle with no closing ')'
+    _ir_text("gphase(0.75"),                     # a phase with no closing ')'
+    _ir_text("ry(0.5] q1"),                      # an angle closed by another character
 ], ids=["bare-x", "layout-m-word", "layout-no-n", "ctrl-no-value", "mcx-no-target",
         "ctrl-negative-qubit", "ry-angle-word", "qubits-word", "qubits-negative",
         "alpha-word", "gphase-word", "alpha-inf", "alpha-nan", "gphase-nan",
@@ -305,7 +308,8 @@ def _ir_text(*lines) -> str:
         "second-alpha", "second-gphase", "qubits-trailing", "alpha-trailing",
         "gphase-trailing", "qubits-underscore", "qubits-plus", "qubits-arabic-digit",
         "layout-plus", "alpha-underscore", "gphase-arabic-digit", "ry-underscore",
-        "ry-arabic-digit", "header-only"])
+        "ry-arabic-digit", "header-only", "ry-unclosed", "gphase-unclosed",
+        "ry-closed-by-bracket"])
 def test_export_rejects_malformed_text_ir(tmp_path, capsys, body):
     with pytest.raises(BlockencError):
         import_text(body)
@@ -348,7 +352,7 @@ def test_stats_rejects_malformed_matrix(tmp_path, capsys, body):
     ["demo", "tridiagonal", "--coeffs", "1,2,3,4,5,x"],
     ["demo", "tridiagonal", "--n", "-1"],
     ["demo", "tridiagonal", "--n", "40"],
-    ["demo", "tridiagonal", "--n", "11"],
+    ["demo", "tridiagonal", "--n", "18"],
     ["demo", "tridiagonal", "--tol", "inf"],
     ["demo", "tridiagonal", "--tol", "nan"],
     ["demo", "tridiagonal", "--tol", "-1"],

@@ -142,8 +142,12 @@ def _dense_block(circuit):
 
 def _assert_structured_block_is_dense(circuit):
     # a compiled circuit with a data register has no global phase; give it one
+    n, d = circuit.layout.n, circuit.layout.block_dim
     for c in (circuit, _tampered(circuit, circuit.gates, global_phase=0.7)):
-        block, residual = verify_module._structured_block(c, *verify_module._split(c))
+        keys, values, residual = verify_module._structured_block(c, *verify_module._split(c))
+        assert np.array_equal(keys, np.unique(keys))
+        block = np.zeros((d, d), dtype=complex)
+        block[keys >> n, keys & d - 1] = values
         assert np.array_equal(block, _dense_block(c))
         assert residual <= 1e-12
 
@@ -217,14 +221,12 @@ def test_rotation_in_the_middle_takes_the_dense_path(rng, monkeypatch):
     assert widths == [enc.layout.total]
 
 
-def test_wide_data_register_takes_the_dense_path(monkeypatch):
-    # [I | all w] would hold 64 x 68 entries, the dense columns 256 x 2
-    circuit = Circuit(8, (ry(0.5, 0), mcx((0b10000000, 0b10000000), 7), ry(-0.5, 0)),
-                      RegisterLayout(6, 1))
-    widths = _spy_widths(monkeypatch)
-    block, _ = encoded_block(circuit)
-    assert widths == [8]
-    assert np.array_equal(block, _dense_block(circuit))
+def test_wide_data_register_takes_the_structured_path():
+    # [I | all w] holds 64 x 68 entries, more than the 256 x 2 dense columns;
+    # each path checks only the arrays it builds
+    _assert_structured_block_is_dense(
+        Circuit(8, (ry(0.5, 0), mcx((0b10000000, 0b10000000), 7), ry(-0.5, 0)),
+                RegisterLayout(6, 1)))
 
 
 def test_one_gate_deletions_read_alike_through_both_paths(rng, monkeypatch):
@@ -259,26 +261,57 @@ def test_wide_suffix_array_verifies(rng):
     _assert_structured_block_is_dense(enc.circuit)
 
 
-def test_refusals_are_those_of_the_dense_columns():
-    # 15 qubits by 2^11 block columns is over the 2^24-entry budget, refused
-    # before any buffer is allocated although the circuit holds no gate
-    m = SparseMatrix.from_entries(11, ((0, 0, 1.0),))
+def test_refusals_are_those_of_the_arrays_each_path_builds():
+    # 2^3 data states by 2^22 block columns is 2^25 labels, over the
+    # 2^24-entry budget, refused before they are allocated although the
+    # circuit holds no gate
+    m = SparseMatrix.from_entries(22, ((0, 0, 1.0),))
     tracemalloc.start()
     try:
         with pytest.raises(TooLarge):
-            verify_circuit(m, Circuit(15, (), RegisterLayout(3, 11)), 1.0)
+            verify_circuit(m, Circuit(26, (), RegisterLayout(3, 22)), 1.0)
         assert tracemalloc.get_traced_memory()[1] < 1 << 20
     finally:
         tracemalloc.stop()
     with pytest.raises(BadLayout):
-        verify_circuit(m, Circuit(15), 1.0)
+        verify_circuit(m, Circuit(26), 1.0)
 
 
-def test_verify_at_14_qubits_stays_small():
-    # the d = 1024 dense block columns of this circuit are one 256 MiB buffer
-    m = tridiagonal(10, 0.5 - 0.25j, 0.75 + 0.125j, -0.5j)
+def test_dropped_insert_flip_reports_the_unreached_entries(rng):
+    m = structured32(rng)
     enc = compile_matrix(m)
-    assert enc.circuit.n_qubits == 14
+    assert enc.stats["insert"]["row_groups"]
+    n, gates = enc.layout.n, enc.circuit.gates
+    # inserts come last in the index map, and an insert stage ends with the
+    # flips that un-delete its items on their rows
+    drop = max(i for i, g in enumerate(gates)
+               if g.target == enc.layout.del_qubit and g.controls[0] & enc.layout.block_dim - 1)
+    circuit = _tampered(enc.circuit, gates[:drop] + gates[drop + 1:])
+    keys, _, _ = encoded_block(circuit)
+    entries = m.rows << n | m.cols
+    unreached = np.isin(entries, keys, invert=True)
+    assert unreached.any()
+    report = verify_circuit(m, circuit, enc.alpha)
+    assert not report.passed
+    expected = sorted(((int(r), int(c), float(abs(v))) for r, c, v in
+                       zip(m.rows[unreached], m.cols[unreached], m.values[unreached])),
+                      key=lambda cell: -cell[2])
+    assert report.worst_cells == expected[:5]
+    assert report.max_abs_error == expected[0][2]
+
+
+# The d = 1024 dense block columns of tridiagonal n = 10 (14 qubits) would be
+# one 256 MiB buffer; the others are past the budget of the dense columns.
+@pytest.mark.parametrize("matrix, qubits", [
+    (lambda: tridiagonal(10, 0.5 - 0.25j, 0.75 + 0.125j, -0.5j), 14),
+    (lambda: tridiagonal(16, 0.5 - 0.25j, 0.75 + 0.125j, -0.5j), 20),
+    (lambda: SparseMatrix.from_entries(16, ((12345, 54321, 0.5 - 0.5j),)), 18),
+    (lambda: SparseMatrix.from_entries(20, ((1 << 19, 7, -0.75j),)), 21),
+], ids=["tridiagonal-n10", "tridiagonal-n16", "single-entry-n16", "single-entry-n20"])
+def test_verify_stays_small(matrix, qubits):
+    m = matrix()
+    enc = compile_matrix(m)
+    assert enc.circuit.n_qubits == qubits
     tracemalloc.start()
     try:
         report = verify(m, enc)
