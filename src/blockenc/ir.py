@@ -46,6 +46,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -361,52 +362,25 @@ def _checked_metadata(metadata) -> dict:
     return metadata
 
 
-def _ascii_int(tok: str) -> int:
-    """``int(tok)`` for the digits 0-9 alone; ``int`` also reads '_', signs and other scripts."""
-    if not (tok.isascii() and tok.isdigit()):
-        raise BadInput(f"{tok!r} is not an index in the digits 0-9")
-    return int(tok)
+# One pattern per text line kind; \s is any whitespace, as str.split() reads it.
+_NUMBER = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"  # the decimals repr writes
+_CONTROL = r"q([0-9]+):([01])"  # read by the gate pattern and by the scan of its ctrl= list
+_LINE_KINDS = {kind: re.compile(rf"\s*{pattern}\s*") for kind, pattern in (
+    ("layout", r"layout\s+m=([0-9]+)\s+n=([0-9]+)"),
+    ("qubits", r"qubits\s+([0-9]+)"),
+    ("alpha", rf"alpha\s+({_NUMBER})"),
+    ("gphase", rf"gphase\(({_NUMBER})\)"),
+    ("gate", rf"(?:(?P<kind>x|(?P<mcx>mcx))|(?P<rot>ry|phase)\((?P<angle>{_NUMBER})\))"
+             rf"(?:\s+ctrl=(?P<ctrl>{_CONTROL}(?:,{_CONTROL})*))?"
+             r"\s+(?(mcx)target=)q(?P<target>[0-9]+)"),  # target= on an mcx alone
+)}
 
 
-_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
-
-
-def _ascii_float(tok: str) -> float:
-    """``float(tok)`` for ASCII decimals alone; ``float`` also reads '_' and other scripts."""
-    if not _DECIMAL.fullmatch(tok):
-        raise BadInput(f"{tok!r} is not a decimal number")
-    return float(tok)
-
-
-def _paren_number(head: str) -> float:
-    """The decimal in a ``name(<number>)`` token, whose ``)`` must close it."""
-    if not head.endswith(")"):
-        raise BadInput(f"{head!r} does not end with ')'")
-    return _ascii_float(head[head.index("(") + 1:-1])
-
-
-def _parse_qubit(tok: str) -> int:
-    """Index of a ``q<digits>`` token; any other spelling is BadInput."""
-    if tok[:1] != "q":
-        raise BadInput(f"qubit token {tok!r} is not q followed by an index")
-    return _ascii_int(tok[1:])
-
-
-def _parse_ctrl(tok: str, width: int) -> Cube:
-    mask = value = 0
-    for part in tok[len("ctrl="):].split(","):
-        q, v = part.split(":")
-        qubit = _parse_qubit(q)
-        if not 0 <= qubit < width:
-            raise BadInput(f"control qubit {q} outside {width} qubits")
-        if v not in ("0", "1"):
-            raise BadInput(f"control value {v!r} on {q} is not 0 or 1")
-        bit = 1 << (width - 1 - qubit)
-        if mask & bit:
-            raise BadInput(f"control qubit {q} repeated")
-        mask |= bit
-        value |= bit if v == "1" else 0
-    return mask, value
+def _index(digits: str, ln: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise BadInput(f"index of {len(digits)} digits in IR line {ln!r}") from None
 
 
 def _checked_width(width: int) -> int:
@@ -418,8 +392,10 @@ def _checked_width(width: int) -> int:
 def import_text(text: str) -> tuple[Circuit, dict]:
     """Parse the text form back into (Circuit, metadata).
 
-    A line that does not parse raises BadInput naming it, and so does a
-    repeated header line (qubit count or layout, metadata, phase).
+    After the exact header line, each non-blank line is of one kind and
+    matches its pattern in ``_LINE_KINDS`` whole: ``layout``/``qubits``
+    (one of them, before any gate), ``alpha`` and ``gphase(...)`` at most
+    once each, and gate lines.  Any other line raises BadInput naming it.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != FORMAT_HEADER:
@@ -427,58 +403,47 @@ def import_text(text: str) -> tuple[Circuit, dict]:
     layout = width = gphase = None
     meta: dict = {}
     gates: list[Gate] = []
-    try:
-        for ln in lines[1:]:
-            toks = ln.split()
-            head = toks[0]
-            if head in meta or head in ("layout", "qubits") and width is not None:
-                raise BadInput(f"repeated header line {ln!r}")
-            if head == "layout":
-                if [t[:2] for t in toks[1:]] != ["m=", "n="]:
-                    raise BadInput(f"layout line {ln!r} is not 'layout m=<m> n=<n>'")
-                layout = RegisterLayout(_ascii_int(toks[1][2:]), _ascii_int(toks[2][2:]))
-                width = _checked_width(layout.total)
-            elif head == "qubits":
-                (count,) = toks[1:]
-                width = _checked_width(_ascii_int(count))
-            elif head in _META_KEYS:
-                (val,) = toks[1:]
-                meta[head] = _finite_number(_ascii_float(val), head)
-            elif head.startswith("gphase("):
-                if gphase is not None or len(toks) != 1:
-                    raise BadInput(f"repeated or malformed gphase line {ln!r}")
-                gphase = _finite_number(_paren_number(head), "gphase")
-            else:
-                if width is None:
-                    raise BadInput("gate line before qubit count")
-                gates.append(_parse_gate_line(toks, width))
-    except (IndexError, KeyError, ValueError, StopIteration):
-        raise BadInput(f"cannot parse IR line {ln!r}") from None
+    for ln in lines[1:]:
+        for kind, pattern in _LINE_KINDS.items():
+            if match := pattern.fullmatch(ln):
+                break
+        else:
+            raise BadInput(f"cannot parse IR line {ln!r}")
+        if (kind in ("layout", "qubits") and width is not None or kind in meta
+                or kind == "gphase" and gphase is not None):
+            raise BadInput(f"repeated header line {ln!r}")
+        if kind == "layout":
+            layout = RegisterLayout(_index(match[1], ln), _index(match[2], ln))
+            width = _checked_width(layout.total)
+        elif kind == "qubits":
+            width = _checked_width(_index(match[1], ln))
+        elif kind == "alpha":
+            meta[kind] = _finite_number(float(match[1]), kind)
+        elif kind == "gphase":
+            gphase = _finite_number(float(match[1]), kind)
+        elif width is None:
+            raise BadInput(f"gate line {ln!r} before qubit count")
+        else:
+            gates.append(_text_gate(match, width, ln))
     if width is None:
         raise BadInput("missing qubit count")
     return Circuit(width, tuple(gates), layout, 0.0 if gphase is None else gphase), meta
 
 
-def _parse_gate_line(toks: list[str], width: int) -> Gate:
-    head = toks[0]
-    rest = toks[1:]
-    controls = (0, 0)
-    if rest and rest[0].startswith("ctrl="):
-        controls = _parse_ctrl(rest[0], width)
-        rest = rest[1:]
-    if len(rest) != 1:
-        raise BadInput(f"gate line {' '.join(toks)!r} needs exactly one target token")
-    (target,) = rest
-    if head == "x":
-        return Gate("x", target=_parse_qubit(target), controls=controls)
-    if head == "mcx":
-        if not target.startswith("target="):
-            raise BadInput(f"mcx target {target!r} is not target=q<index>")
-        return mcx(controls, _parse_qubit(target[len("target="):]))
-    if head.startswith(("ry(", "phase(")):
-        return Gate(head[:head.index("(")], target=_parse_qubit(target), controls=controls,
-                    angle=_paren_number(head))
-    raise BadInput(f"cannot parse gate line {' '.join(toks)!r}")
+def _text_gate(match: re.Match, width: int, ln: str) -> Gate:
+    """The gate of a matched gate line; each control is on a distinct qubit."""
+    kind = match["kind"] or match["rot"]
+    mask = value = 0
+    for q, v in re.findall(_CONTROL, match["ctrl"] or ""):
+        qubit = _index(q, ln)
+        if qubit >= width:
+            raise BadInput(f"control qubit q{q} outside {width} qubits in IR line {ln!r}")
+        bit = 1 << (width - 1 - qubit)
+        if mask & bit:
+            raise BadInput(f"control qubit q{q} repeated in IR line {ln!r}")
+        mask |= bit
+        value |= bit if v == "1" else 0
+    return Gate(kind, _index(match["target"], ln), (mask, value), float(match["angle"] or 0))
 
 
 def export_json(circuit: Circuit, metadata: dict | None = None) -> str:
@@ -512,41 +477,30 @@ def _json_int(value, what: str) -> int:
 
 
 def _finite_number(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    # abs() compares an int beyond the float range, on which math.isfinite overflows
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
         raise BadInput(f"{what} must be a finite number, got {value!r}")
     return float(value)
 
 
 def _json_gate(d, width: int) -> Gate:
-    """One gate dict of the JSON form, every field checked for presence and type.
-
-    A gate holds exactly the fields ``_gate_dict`` writes for its kind, so
-    every accepted document is written back byte for byte.
-    """
+    """One gate entry of the JSON form: its typed fields build the gate, which
+    is read exactly when ``export`` writes the entry back unchanged."""
     if not isinstance(d, dict):
         raise BadInput(f"gate entry must be an object, got {d!r}")
     kind = d.get("kind")
     if kind not in GATE_KINDS:
         raise BadInput(f"unknown gate kind {kind!r}")
-    rotation = kind in ("ry", "phase")
-    extra = set(d) - {"kind", "target", "pattern"} - ({"angle"} if rotation else set())
-    if extra:
-        raise BadInput(f"{kind} gate with unexpected fields {sorted(extra)}")
-    if "target" not in d:
-        raise BadInput(f"{kind} gate without a target")
-    target = _json_int(d["target"], f"{kind} gate target")
-    pattern = d.get("pattern")
-    if kind == "mcx" and pattern is None:
-        raise BadInput("mcx gate without a pattern")
-    if "pattern" in d and not isinstance(pattern, str):
+    pattern = d.get("pattern", "X" * width)
+    if not isinstance(pattern, str):
         raise BadInput(f"{kind} gate pattern must be a string, got {pattern!r}")
-    if rotation and "angle" not in d:
-        raise BadInput(f"{kind} gate without an angle")
-    angle = _finite_number(d.get("angle", 0.0), f"{kind} gate angle")
-    controls = (0, 0) if pattern is None else pattern_select(pattern, width)
-    if pattern is not None and kind != "mcx" and not controls[0]:
-        raise BadInput(f"{kind} gate pattern {pattern!r} holds no control")
-    return Gate(kind, target=target, controls=controls, angle=angle)
+    gate = Gate(kind, _json_int(d.get("target"), f"{kind} gate target"),
+                pattern_select(pattern, width),
+                _finite_number(d.get("angle", 0.0), f"{kind} gate angle"))
+    if _gate_dict(gate, width) != d:
+        raise BadInput(f"gate entry {d!r} is not the form export writes for its gate")
+    return gate
 
 
 def import_json(text: str) -> tuple[Circuit, dict]:

@@ -110,9 +110,11 @@ def _structured_block(circuit: Circuit, prefix, middle,
     a = circuit_unitary(_data_circuit(prefix, layout), min(2, size))[:, 0]
     labels = (np.arange(size)[:, None] << n + 1 | np.arange(d)).ravel()
     top = layout.total - 1
+    masked, hit = np.empty_like(labels), np.empty(labels.shape, dtype=bool)  # walk buffers
     for g in middle:
         mask, value = g.controls
-        labels ^= ((labels & mask) == value) * (1 << top - g.target)
+        np.equal(np.bitwise_and(labels, mask, out=masked), value, out=hit)
+        np.bitwise_xor(labels, 1 << top - g.target, out=labels, where=hit)
     reached = np.flatnonzero(labels & d == 0)  # delete bit clear
     final = labels[reached]
     keys, fiber = np.unique((final & d - 1) << n | reached & d - 1, return_inverse=True)

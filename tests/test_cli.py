@@ -231,6 +231,9 @@ def _ir_json(**fields) -> str:
     _ir_json(gates=[{"kind": "x", "target": 1, "pattern": "XX"}]),      # x with a pattern
     _ir_json(gates=[{"kind": "x", "target": 1, "foo": 1}]),             # unknown gate key
     _ir_json(gates=[{"kind": "x", "target": 1, "pattern": None}]),      # null pattern
+    _ir_json(global_phase=10 ** 400),                                    # ints beyond the
+    _ir_json(metadata={"alpha": -10 ** 400}),                            # float range
+    _ir_json(gates=[{"kind": "ry", "target": 0, "angle": 10 ** 400}]),
 ])
 def test_export_rejects_malformed_json_ir(tmp_path, capsys, body):
     with pytest.raises(BlockencError):
@@ -299,6 +302,11 @@ def _ir_text(*lines) -> str:
     _ir_text("ry(1.25 q1"),                      # an angle with no closing ')'
     _ir_text("gphase(0.75"),                     # a phase with no closing ')'
     _ir_text("ry(0.5] q1"),                      # an angle closed by another character
+    " blockenc-ir v1\nqubits 2\n",               # the header line is compared whole
+    "blockenc-ir v1 \nqubits 2\n",
+    "blockenc-ir v1\nqubits " + "9" * 5000 + "\n",  # more digits than int() converts
+    _ir_text("x q" + "1" * 5000),
+    _ir_text("mcx ctrl=q" + "1" * 5000 + ":1 target=q0"),
 ], ids=["bare-x", "layout-m-word", "layout-no-n", "ctrl-no-value", "mcx-no-target",
         "ctrl-negative-qubit", "ry-angle-word", "qubits-word", "qubits-negative",
         "alpha-word", "gphase-word", "alpha-inf", "alpha-nan", "gphase-nan",
@@ -309,7 +317,8 @@ def _ir_text(*lines) -> str:
         "gphase-trailing", "qubits-underscore", "qubits-plus", "qubits-arabic-digit",
         "layout-plus", "alpha-underscore", "gphase-arabic-digit", "ry-underscore",
         "ry-arabic-digit", "header-only", "ry-unclosed", "gphase-unclosed",
-        "ry-closed-by-bracket"])
+        "ry-closed-by-bracket", "space-before-header", "space-after-header",
+        "qubits-5000-digits", "x-target-5000-digits", "ctrl-qubit-5000-digits"])
 def test_export_rejects_malformed_text_ir(tmp_path, capsys, body):
     with pytest.raises(BlockencError):
         import_text(body)
