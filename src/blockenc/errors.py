@@ -24,6 +24,8 @@ class EmptyData(BlockencError):
 class BadGate(BlockencError):
     """Gate is inconsistent with the circuit it is placed in."""
 
+    index: int | None = None  # the refused gate's position in Circuit.gates, if any
+
 
 class TooLarge(BlockencError):
     """A simulation or verify array exceeds the simulation entry budget."""

@@ -36,9 +36,9 @@ labels; it holds each array it builds, labels included, to the same budget
 through ``check_budget`` (see ``verify``).
 
 ``unitarity_residual(v)`` is max |v^H v - I| of a dim x k input, one dense
-k x k product.  On the block columns it says those columns are orthonormal;
-unitarity of the whole circuit follows from its gate kinds, since every
-validated gate is unitary.
+k x k product in complex128 whatever the input's dtype or layout.  On the
+block columns it says those columns are orthonormal; unitarity of the whole
+circuit follows from its gate kinds, since every validated gate is unitary.
 """
 
 from __future__ import annotations
@@ -164,8 +164,12 @@ class Circuit:
             raise BadGate(f"negative qubit count {self.n_qubits}")
         if self.layout is not None and self.layout.total != self.n_qubits:
             raise BadGate("layout does not match qubit count")
-        for g in self.gates:
-            validate_gate(g, self.n_qubits)
+        for i, g in enumerate(self.gates):
+            try:
+                validate_gate(g, self.n_qubits)
+            except BadGate as exc:
+                exc.index = i
+                raise
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -272,27 +276,17 @@ def circuit_unitary(circuit: Circuit, columns: int | np.ndarray | None = None) -
 
 
 def unitarity_residual(v: np.ndarray) -> float:
-    """max |v^H v - I| over the k x k Gram matrix of a dim x k input.
-
-    The product is taken on the real view of v, whose columns are re_0, im_0,
-    re_1, im_1, ...: numpy computes ``r.T @ r`` as one symmetric update, half
-    the work of the complex product.
-    """
-    r = np.ascontiguousarray(v, dtype=complex).view(float)
-    g = r.T @ r
-    gram = g[::2, ::2] + g[1::2, 1::2] + 1j * (g[::2, 1::2] - g[1::2, ::2])
+    """max |v^H v - I| of a dim x k input, the Gram product taken in complex128."""
+    v = np.asarray(v, dtype=complex)
+    gram = v.conj().T @ v
     gram.reshape(-1)[::gram.shape[0] + 1] -= 1
     return float(np.abs(gram).max())
 
 
-def inverse_gate(gate: Gate) -> Gate:
-    if gate.kind in ("ry", "phase"):
-        return replace(gate, angle=-gate.angle)
-    return gate  # x / mcx are self-inverse
-
-
 def inverse_circuit(circuit: Circuit) -> Circuit:
-    gates = tuple(inverse_gate(g) for g in reversed(circuit.gates))
+    # x / mcx are self-inverse; ry / phase invert by negating their angle
+    gates = tuple(replace(g, angle=-g.angle) if g.kind in ("ry", "phase") else g
+                  for g in reversed(circuit.gates))
     return Circuit(circuit.n_qubits, gates, circuit.layout, -circuit.global_phase)
 
 
@@ -315,21 +309,11 @@ def embed_gates(gates, width: int, qubits: tuple[int, ...]) -> list[Gate]:
 FORMAT_HEADER = "blockenc-ir v1"
 
 
-def _ctrl_field(controls: Cube, width: int) -> str:
-    parts = [f"q{q}:{v}" for q, v in _controlled_qubits(controls, width)]
-    return "ctrl=" + ",".join(parts) if parts else ""
-
-
 def _gate_line(g: Gate, width: int) -> str:
-    ctrl = _ctrl_field(g.controls, width)
-    if g.kind == "x":
-        return f"x q{g.target}"
-    if g.kind == "mcx":
-        return f"mcx {ctrl} target=q{g.target}".replace("  ", " ")
-    if g.kind in ("ry", "phase"):
-        head = f"{g.kind}({g.angle!r})"
-        return " ".join(p for p in (head, ctrl, f"q{g.target}") if p)
-    raise BadGate(g.kind)  # pragma: no cover
+    head = f"{g.kind}({g.angle!r})" if g.kind in ("ry", "phase") else g.kind
+    ctrl = ",".join(f"q{q}:{v}" for q, v in _controlled_qubits(g.controls, width))
+    target = f"target=q{g.target}" if g.kind == "mcx" else f"q{g.target}"
+    return f"{head} ctrl={ctrl} {target}" if ctrl else f"{head} {target}"
 
 
 def export_text(circuit: Circuit, metadata: dict | None = None) -> str:
@@ -403,6 +387,7 @@ def import_text(text: str) -> tuple[Circuit, dict]:
     layout = width = gphase = None
     meta: dict = {}
     gates: list[Gate] = []
+    sources: list[str] = []  # the line of each gate
     for ln in lines[1:]:
         for kind, pattern in _LINE_KINDS.items():
             if match := pattern.fullmatch(ln):
@@ -425,9 +410,22 @@ def import_text(text: str) -> tuple[Circuit, dict]:
             raise BadInput(f"gate line {ln!r} before qubit count")
         else:
             gates.append(_text_gate(match, width, ln))
+            sources.append(ln)
     if width is None:
         raise BadInput("missing qubit count")
-    return Circuit(width, tuple(gates), layout, 0.0 if gphase is None else gphase), meta
+    return _read_circuit(width, gates, layout, 0.0 if gphase is None else gphase,
+                         lambda i: f"IR line {sources[i]!r}"), meta
+
+
+def _read_circuit(width: int, gates: list[Gate], layout: RegisterLayout | None,
+                  gphase: float, where) -> Circuit:
+    """The Circuit of parsed gates; a refused gate's BadGate names ``where(index)``."""
+    try:
+        return Circuit(width, tuple(gates), layout, gphase)
+    except BadGate as exc:
+        if exc.index is None:
+            raise
+        raise BadGate(f"{exc} in {where(exc.index)}") from None
 
 
 def _text_gate(match: re.Match, width: int, ln: str) -> Gate:
@@ -523,6 +521,6 @@ def import_json(text: str) -> tuple[Circuit, dict]:
     width = _checked_width(_json_int(doc.get("qubits"), "qubits"))
     gates = [_json_gate(d, width) for d in doc["gates"]]
     metadata = _checked_metadata(doc.get("metadata", {}))
-    circ = Circuit(width, tuple(gates), layout,
-                   _finite_number(doc.get("global_phase", 0.0), "global_phase"))
-    return circ, metadata
+    return _read_circuit(width, gates, layout,
+                         _finite_number(doc.get("global_phase", 0.0), "global_phase"),
+                         lambda i: f"gate entry {i}"), metadata

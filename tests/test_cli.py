@@ -307,6 +307,7 @@ def _ir_text(*lines) -> str:
     "blockenc-ir v1\nqubits " + "9" * 5000 + "\n",  # more digits than int() converts
     _ir_text("x q" + "1" * 5000),
     _ir_text("mcx ctrl=q" + "1" * 5000 + ":1 target=q0"),
+    "blockenc-ir v1\nx q0\nqubits 2\n",          # a gate line before the qubit count
 ], ids=["bare-x", "layout-m-word", "layout-no-n", "ctrl-no-value", "mcx-no-target",
         "ctrl-negative-qubit", "ry-angle-word", "qubits-word", "qubits-negative",
         "alpha-word", "gphase-word", "alpha-inf", "alpha-nan", "gphase-nan",
@@ -318,7 +319,8 @@ def _ir_text(*lines) -> str:
         "layout-plus", "alpha-underscore", "gphase-arabic-digit", "ry-underscore",
         "ry-arabic-digit", "header-only", "ry-unclosed", "gphase-unclosed",
         "ry-closed-by-bracket", "space-before-header", "space-after-header",
-        "qubits-5000-digits", "x-target-5000-digits", "ctrl-qubit-5000-digits"])
+        "qubits-5000-digits", "x-target-5000-digits", "ctrl-qubit-5000-digits",
+        "gate-before-qubits"])
 def test_export_rejects_malformed_text_ir(tmp_path, capsys, body):
     with pytest.raises(BlockencError):
         import_text(body)
@@ -326,6 +328,21 @@ def test_export_rejects_malformed_text_ir(tmp_path, capsys, body):
     src.write_text(body)
     assert main(["export", "--in", str(src), "--out", str(tmp_path / "out.json")]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suffix, body, named", [
+    (".ir", _ir_text("x q0", "x q9"), "in IR line 'x q9'"),
+    (".ir", _ir_text("x ctrl=q0:1 q1"), "in IR line 'x ctrl=q0:1 q1'"),
+    (".ir", _ir_text("mcx ctrl=q1:1 target=q1"), "in IR line 'mcx ctrl=q1:1 target=q1'"),
+    (".json", _ir_json(gates=[{"kind": "x", "target": 0}, {"kind": "x", "target": 9}]),
+     "in gate entry 1"),
+], ids=["x-target-out-of-range", "x-with-ctrl", "mcx-ctrl-on-target", "json-target-9"])
+def test_export_names_the_refused_gate(tmp_path, capsys, suffix, body, named):
+    # the reader parses these gates; validate_gate refuses them
+    src = tmp_path / f"bad{suffix}"
+    src.write_text(body)
+    assert main(["export", "--in", str(src), "--out", str(tmp_path / "out.txt")]) == 2
+    assert named in capsys.readouterr().err
 
 
 def _matrix_json(*entries, **fields) -> str:

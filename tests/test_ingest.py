@@ -50,6 +50,11 @@ def test_bad_dimension_rejected():
         matrix_from_dict({"dim": 3, "entries": [{"row": 0, "col": 0, "re": 1}]})
 
 
+def test_matrix_is_unequal_to_a_non_matrix():
+    m = SparseMatrix.from_entries(1, ((0, 0, 1 + 0j),))
+    assert m != "m" and not m == 1
+
+
 def test_duplicate_entries_rejected():
     with pytest.raises(BadInput):
         SparseMatrix.from_entries(1, ((0, 0, 1 + 0j), (0, 0, 2 + 0j)))

@@ -457,9 +457,9 @@ def test_residual_of_a_perturbed_permutation(rng, where, dim, columns):
     assert abs(unitarity_residual(u) - expected) <= 1e-15
 
 
-# unitarity_residual takes the real view of a contiguous complex copy, so
-# every memory layout and dtype of v must reach the same Gram matrix; the
-# stacked real and imaginary parts of v have Gram matrix Re(v^H v)
+# unitarity_residual forms v^H v in complex128, so every memory layout and
+# dtype of v must reach the same Gram matrix; the stacked real and imaginary
+# parts of v have Gram matrix Re(v^H v)
 _LAYOUTS = {
     "c_order": lambda v: v,
     "fortran_order": np.asfortranarray,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockenc.assignment import FixedIndexPolicy
 from blockenc.demo import random_tridiagonal, structured32, tridiagonal
 from blockenc.errors import BadInput, BadLayout, TooLarge
 from blockenc.ingest import SparseMatrix
@@ -186,11 +187,13 @@ def _distinct_valued_matrices(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(_distinct_valued_matrices(), st.sampled_from(("auto", 1, 2, 3)),
-       st.booleans(), st.booleans(), st.booleans())
+       st.booleans(), st.booleans(), st.booleans(),
+       st.sampled_from(FixedIndexPolicy), st.sampled_from(FixedIndexPolicy))
 def test_structured_block_is_the_dense_block_on_random_matrices(m, strategy, zero_pad,
-                                                                defer_restore, naive):
+                                                                defer_restore, naive,
+                                                                data_policy, matrix_policy):
     cfg = CompileConfig(strategy=strategy, zero_pad=zero_pad, defer_restore=defer_restore,
-                        naive=naive)
+                        naive=naive, data_policy=data_policy, matrix_policy=matrix_policy)
     _assert_structured_block_is_dense(compile_matrix(m, cfg).circuit)
 
 
@@ -259,6 +262,11 @@ def test_wide_suffix_array_verifies(rng):
     assert enc.layout == RegisterLayout(7, 7)
     assert verify(m, enc).passed
     _assert_structured_block_is_dense(enc.circuit)
+
+
+def test_encoded_block_needs_a_register_layout():
+    with pytest.raises(BadLayout):
+        encoded_block(Circuit(2))
 
 
 def test_refusals_are_those_of_the_arrays_each_path_builds():
