@@ -8,24 +8,28 @@ All tie-breaking is deterministic and lexicographic.
 
 Labels are ints and a label set is any iterable of distinct ints with its
 width P passed alongside; a matching is a sorted tuple of (source, target)
-pairs.  The Hamming cost matrix is the popcount of their XOR, held as lists
-of Python ints.  One exact integer solver, ``linear_sum_assignment``, finds
-an optimal matching by shortest augmenting paths and returns it with integer
-dual potentials (u, v): u_j + v_k <= cost[j][k] everywhere, with equality on
-the matching.  The lexicographic tie-break then fixes one source at a time
-to the first target that still allows an optimal completion.  Every optimal
-matching is tight under those duals, so the feasible targets are found by a
-path search in the tight graph, and one solve serves the whole tie-break.
+pairs.  The Hamming cost matrix is the popcount of their XOR, taken by
+numpy on the labels as uint64, so P is at most 64.  One exact integer solver,
+``linear_sum_assignment``, finds an optimal matching by the Hungarian method
+and returns it with integer dual potentials (u, v): u_j + v_k <= cost[j][k]
+everywhere, with equality on the matching.  The lexicographic tie-break then
+fixes one source at a time to the first target that still allows an optimal
+completion.  Every optimal matching is tight under those duals, so the
+feasible targets are found by a path search in the tight graph, and one
+solve serves the whole tie-break.  The tight graph, the edges where
+u_j + v_k == cost[j][k], is held as bitmasks, one int per row or column.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from operator import sub
+
+import numpy as np
 
 from .errors import BadInput
 
 Pairs = tuple[tuple[int, int], ...]  # (source, target), sorted by source
+_BITS = 1 << np.arange(62, dtype=np.int64)  # the columns one int64 word of a bitmask holds
 
 
 def submasks(mask: int):
@@ -83,62 +87,81 @@ def build_target_set(mask: int, value: int, P: int) -> list[int]:
     return [value | sub for sub in submasks(full ^ mask)]
 
 
-def linear_sum_assignment(cost: list[list[int]]) -> tuple[list[int], list[int], list[int]]:
+def _bitmasks(flags: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as an int, with bit k set where column k is."""
+    n_cols = flags.shape[1]
+    masks = (flags[:, :62] @ _BITS[:n_cols]).tolist()
+    for i in range(62, n_cols, 62):
+        word = (flags[:, i:i + 62] @ _BITS[:n_cols - i]).tolist()
+        masks = [mask | w << i for mask, w in zip(masks, word)]
+    return masks
+
+
+def linear_sum_assignment(cost) -> tuple[list[int], list[int], list[int]]:
     """Minimum-cost perfect matching of a square integer cost matrix.
 
     Returns ``(cols, u, v)``: row j takes column cols[j], and the integer
     duals satisfy u[j] + v[k] <= cost[j][k] for every pair, with equality on
-    the matching, which proves it optimal.  In the manner of Jonker and
-    Volgenant, v starts as the column minima and a greedy pass gives each
-    row a free column of least reduced cost cost[j][k] - v[k].  Every
-    matched row keeps that property, so u[j] is its assigned reduced cost.
-    Each row left over is matched along one shortest augmenting path over
-    the reduced costs (Dijkstra, all columns at the least distance scanned
-    together), after which v is lowered on the columns the search finished
-    so that the path is tight (Crouse, IEEE TAES 2016).
+    the matching, which proves it optimal.  This is the Hungarian method on
+    the tight graph, the edges of zero slack cost[j][k] - u[j] - v[k], held
+    as one column bitmask per row.  v starts as the column minima and u as
+    the row minima of cost - v; a greedy pass gives each row the first free
+    tight column.  Each row left over grows a tree of tight edges and
+    matched ones, breadth first, until it reaches a free column, and the
+    matching is flipped along the path there.  When the tree stops short, u
+    rises on its rows and v falls on its columns by the least slack between
+    its rows and the other columns: the tree and the matching stay tight and
+    at least one edge out of the tree becomes tight.  Costs and duals are
+    int64.
     """
     n = len(cost)
-    v = [min(column) for column in zip(*cost)]
+    slack = np.array(cost, dtype=np.int64).reshape(n, n)
+    v = slack.min(axis=0)
+    slack -= v
+    u = slack.min(axis=1)
+    slack -= u[:, None]
+    tight = _bitmasks(slack == 0)
     cols = [-1] * n  # column of each row
     rows = [-1] * n  # row of each column
-    for j, row in enumerate(cost):
-        reduced = list(map(sub, row, v))
-        least = min(reduced)
-        for k in range(n):
-            if rows[k] < 0 and reduced[k] == least:
-                cols[j], rows[k] = k, j
-                break
+    free = (1 << n) - 1  # columns no row holds
+    for j in range(n):
+        options = tight[j] & free
+        if options:
+            k = (options & -options).bit_length() - 1
+            cols[j], rows[k] = k, j
+            free ^= 1 << k
+    via = [-1] * n  # tree row before each column
     for start in range(n):
         if cols[start] >= 0:
             continue
-        dist = list(map(sub, cost[start], v))  # shortest path to each column
-        via = [start] * n  # row before each column on that path
-        todo = list(range(n))  # columns whose distance is not final yet
-        done = []  # columns whose distance is final
-        end = -1  # the free column the path reaches
+        tree, tree_cols, seen = [start], [], 0  # seen: tree_cols as a bitmask
+        end = -1  # the free column the tree reaches
         while end < 0:
-            low = min([dist[k] for k in todo])
-            scan = [k for k in todo if dist[k] == low]
-            todo = [k for k in todo if dist[k] != low]
-            for k in scan:  # scan grows by the columns its rows reach at low
-                if rows[k] < 0:
-                    end = k
+            for j in tree:  # the tree grows while it is walked
+                new = tight[j] & ~seen
+                seen |= new
+                while new:
+                    k = (new & -new).bit_length() - 1
+                    new &= new - 1
+                    via[k] = j
+                    if rows[k] < 0:
+                        end = k
+                        break
+                    tree_cols.append(k)
+                    tree.append(rows[k])
+                if end >= 0:
                     break
-                j = rows[k]
-                row, base = cost[j], low - cost[j][k] + v[k]
-                reached = []
-                for c in todo:
-                    d = base + row[c] - v[c]
-                    if d < dist[c]:
-                        dist[c], via[c] = d, j
-                        if d == low:
-                            reached.append(c)
-                if reached:
-                    scan += reached
-                    todo = [c for c in todo if dist[c] != low]
-            done += scan
-        for c in done:  # a column at distance low keeps its potential
-            v[c] += dist[c] - low
+            if end < 0:  # the tree stops short: move the duals
+                rows_in, cols_in = np.array(tree), np.array(tree_cols, dtype=np.intp)
+                outside = np.ones(n, bool)
+                outside[cols_in] = False
+                near = slack[rows_in]
+                delta = near[:, outside].min()
+                slack[rows_in] = near - delta
+                slack[:, cols_in] += delta
+                u[rows_in] += delta
+                v[cols_in] -= delta
+                tight = _bitmasks(slack == 0)
         k = end
         while True:  # flip the path from k back to the start row
             j = via[k]
@@ -146,11 +169,10 @@ def linear_sum_assignment(cost: list[list[int]]) -> tuple[list[int], list[int], 
             cols[j], k = k, cols[j]
             if j == start:
                 break
-    u = [row[k] - v[k] for row, k in zip(cost, cols)]
-    return cols, u, v
+    return cols, u.tolist(), v.tolist()
 
 
-def _tie_break(cost: list[list[int]]) -> list[int]:
+def _tie_break(cost) -> list[int]:
     """Lexicographically smallest optimal assignment of a square cost matrix.
 
     Row by row, the first free column from which the remaining rows can still
@@ -162,21 +184,18 @@ def _tie_break(cost: list[list[int]]) -> list[int]:
     another tight column, whose row moves on, and so on until one takes t.
     When a tight column comes before t, one backward breadth-first search
     from t finds every such k; the matching is then shifted along the path
-    from the smallest one.  The tight graph is held as bitmasks, a row's
-    tight columns and a column's tight rows.  Returns the column of each row.
+    from the smallest one.  The tight graph is read off the duals as
+    bitmasks, a row's tight columns and a column's tight rows.  ``cost`` is
+    a square integer matrix, nested lists or an array.  Returns the column
+    of each row.
     """
     n = len(cost)
     match, u, v = linear_sum_assignment(cost)
     owner = [0] * n  # row matched to each column
     for j, k in enumerate(match):
         owner[k] = j
-    tight_cols = [0] * n
-    tight_rows = [0] * n
-    for j, row in enumerate(cost):
-        for k, slack in enumerate(map(sub, row, v)):
-            if slack == u[j]:
-                tight_cols[j] |= 1 << k
-                tight_rows[k] |= 1 << j
+    tight = np.asarray(cost) - np.array(u)[:, None] == np.array(v)
+    tight_cols, tight_rows = _bitmasks(tight), _bitmasks(tight.T)
     free = (1 << n) - 1
     for j in range(n):
         t = match[j]
@@ -213,13 +232,15 @@ def solve_assignment(sources, targets, P: int) -> Pairs:
     lexicographic ordering of (source, target) pairs is returned.
     """
     sources, targets = set(sources), set(targets)
-    if len(sources) != len(targets) or any(v >> P for v in sources | targets):
-        raise BadInput(f"source and target sets must have equal size and {P}-bit labels")
+    if P > 64 or len(sources) != len(targets) or any(v >> P for v in sources | targets):
+        raise BadInput(f"source and target sets must have equal size and {P}-bit labels, "
+                       "at most 64 bits")
     common = sources & targets
     residual_s = sorted(sources - common)
     residual_t = sorted(targets - common)
     pairs = [(s, s) for s in common]
     if residual_s:
-        cols = _tie_break([[(s ^ t).bit_count() for t in residual_t] for s in residual_s])
+        xor = np.array(residual_s, np.uint64)[:, None] ^ np.array(residual_t, np.uint64)
+        cols = _tie_break(np.bitwise_count(xor))
         pairs += [(src, residual_t[k]) for src, k in zip(residual_s, cols)]
     return tuple(sorted(pairs))

@@ -28,9 +28,13 @@ unfused baseline uses directly.
 Item labels and row indices are ints, a label set is a list of distinct ints
 with its width alongside, and every control set, in a plan or on a gate, is
 a cube (see ``ir``).  ``RegisterLayout.controls`` lifts register cubes to a
-gate's full width.  The disjoint cube cover (``_greedy_cubes``) searches the
-labels for their largest cubes directly, so its cost follows the labels and
-their cubes, not a table of every sub-cube inside the set.
+gate's full width, once per cascade.  The disjoint cube cover
+(``_greedy_cubes``) searches the labels for their largest cubes directly:
+one depth-first search per dimension carries each branch's cube prefix
+down, its mask as an argument and its value in the labels themselves, and
+takes every cube into the cover as it finds it.  Its cost follows the
+labels and their cubes; it holds neither a table of every sub-cube inside
+the set nor a list of one dimension's cubes.
 """
 
 from __future__ import annotations
@@ -73,12 +77,12 @@ def shift_cascade(data: Cube, direction: str, amount: int,
     if direction not in ("L", "R"):
         raise BadInput(f"direction must be L or R, got {direction!r}")
     k = amount.bit_length() - 1
+    mask, value = layout.controls(data)
+    last = layout.total - 1
     gates = []
-    for b in range(n - 1, k - 1, -1):  # matrix bit b, highest first
+    for b in range(n - 1, k - 1, -1):  # matrix bit b on qubit total-1-b, highest first
         carry = (1 << b) - (1 << k)  # controls on bits k .. b-1
-        matrix = (carry, carry if direction == "L" else 0)
-        target = layout.matrix_qubits[n - 1 - b]
-        gates.append(mcx(layout.controls(data, matrix), target))
+        gates.append(mcx((mask | carry, value | (carry if direction == "L" else 0)), last - b))
     return gates
 
 
@@ -87,42 +91,62 @@ def delete_flip(layout: RegisterLayout, data: Cube, matrix: Cube = (0, 0)) -> Ga
     return mcx(layout.controls(data, matrix), layout.del_qubit)
 
 
-def _cubes_in(labels: set[int], bit: int, dim: int):
-    """Every dim-cube inside a set of labels below 2**bit, in pattern order.
+def _cubes_in(labels: set[int], bit: int, dim: int, mask: int,
+              uncovered: set[int], cover: list[Cube], width: int) -> None:
+    """Take into ``cover`` each dim-cube inside the labels still uncovered, in pattern order.
 
-    Pattern order compares from q0, the top bit, with '0' < '1' < 'X': the
-    labels split on that bit into ``low``, ``high`` and ``low & high``, searched
-    in that order, and a branch with fewer than 2**dim labels is pruned.
+    The labels are full-width values that agree on the ``mask`` bits and
+    hold 0 on the other bits above ``bit``, the free bits chosen so far, so
+    each stands for the cube over those free bits.  Pattern order compares
+    from q0, the top bit, with '0' < '1' < 'X'.  The bits all the labels
+    agree on join the mask at once; the labels then split on the highest bit
+    they differ on into ``low``, ``high`` and the ``low`` labels whose
+    ``high`` twin is there (that bit free), searched in that order, and a
+    branch with fewer than 2**dim labels is never entered.  A cube found is
+    taken at once if all its members are in ``uncovered``: the branch sets
+    are not updated as cubes are taken, so that check catches a cube that
+    overlaps one taken before it.
     """
-    if len(labels) < 1 << dim:
-        return
     if not dim:  # the labels themselves, in ascending order
-        yield from (((1 << bit) - 1, v) for v in sorted(labels))
+        mask |= (1 << bit) - 1
+        for v in sorted(labels):
+            members = build_target_set(mask, v, width)
+            if uncovered.issuperset(members):
+                uncovered.difference_update(members)
+                cover.append((mask, v))
         return
-    top = 1 << bit - 1
-    low = {v for v in labels if not v & top}
-    high = {v ^ top for v in labels if v & top}
-    yield from ((mask | top, value) for mask, value in _cubes_in(low, bit - 1, dim))
-    yield from ((mask | top, value | top) for mask, value in _cubes_in(high, bit - 1, dim))
-    yield from _cubes_in(low & high, bit - 1, dim - 1)
+    vary = (min(labels) ^ max(labels)).bit_length()  # the labels agree above bit vary - 1
+    mask |= (1 << bit) - (1 << vary)
+    top = 1 << vary - 1
+    high = {v for v in labels if v & top}
+    low = labels - high
+    size = 1 << dim
+    if len(low) >= size:
+        _cubes_in(low, vary - 1, dim, mask | top, uncovered, cover, width)
+    if len(high) >= size:
+        _cubes_in(high, vary - 1, dim, mask | top, uncovered, cover, width)
+    both = low.intersection([v ^ top for v in high])
+    if len(both) >= size >> 1:
+        _cubes_in(both, vary - 1, dim - 1, mask, uncovered, cover, width)
 
 
 def _greedy_cubes(labels, width: int) -> list[Cube]:
     """Disjoint cover of the labels by (mask, value) cubes, largest cube first.
 
     Each pick is the largest cube inside the uncovered labels, with the
-    smallest pattern on ties: from the top dimension down, every cube still
-    wholly uncovered is taken in pattern order.  The cost follows the labels
-    and their cubes, not a table of every sub-cube inside the set.
+    smallest pattern on ties: from the top dimension down to 1, every cube
+    still wholly uncovered is taken in pattern order as ``_cubes_in`` finds
+    it.  The labels left after dimension 1 are the 0-cubes, in ascending
+    order.  The cost follows the labels and their cubes, not a table of
+    every sub-cube inside the set.
     """
     uncovered = set(labels)
     cover: list[Cube] = []
-    for dim in range(len(uncovered).bit_length() - 1, -1, -1):
-        for mask, value in _cubes_in(set(uncovered), width, dim):  # the set as dim starts
-            members = build_target_set(mask, value, width)
-            if uncovered.issuperset(members):
-                uncovered.difference_update(members)
-                cover.append((mask, value))
+    for dim in range(len(uncovered).bit_length() - 1, 0, -1):
+        if len(uncovered) >= 1 << dim:
+            _cubes_in(set(uncovered), width, dim, 0, uncovered, cover, width)
+    full = (1 << width) - 1
+    cover += [(full, v) for v in sorted(uncovered)]
     return cover
 
 

@@ -348,15 +348,16 @@ def _checked_metadata(metadata) -> dict:
 
 # One pattern per text line kind; \s is any whitespace, as str.split() reads it.
 _NUMBER = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"  # the decimals repr writes
-_CONTROL = r"q([0-9]+):([01])"  # read by the gate pattern and by the scan of its ctrl= list
+_CONTROL = re.compile(r"q([0-9]+):([01])")  # in the gate pattern and the scan of its ctrl= list
 _LINE_KINDS = {kind: re.compile(rf"\s*{pattern}\s*") for kind, pattern in (
+    # disjoint patterns, so the order sets only the cost: the most frequent kind first
+    ("gate", rf"(?:(?P<kind>x|(?P<mcx>mcx))|(?P<rot>ry|phase)\((?P<angle>{_NUMBER})\))"
+             rf"(?:\s+ctrl=(?P<ctrl>{_CONTROL.pattern}(?:,{_CONTROL.pattern})*))?"
+             r"\s+(?(mcx)target=)q(?P<target>[0-9]+)"),  # target= on an mcx alone
     ("layout", r"layout\s+m=([0-9]+)\s+n=([0-9]+)"),
     ("qubits", r"qubits\s+([0-9]+)"),
     ("alpha", rf"alpha\s+({_NUMBER})"),
     ("gphase", rf"gphase\(({_NUMBER})\)"),
-    ("gate", rf"(?:(?P<kind>x|(?P<mcx>mcx))|(?P<rot>ry|phase)\((?P<angle>{_NUMBER})\))"
-             rf"(?:\s+ctrl=(?P<ctrl>{_CONTROL}(?:,{_CONTROL})*))?"
-             r"\s+(?(mcx)target=)q(?P<target>[0-9]+)"),  # target= on an mcx alone
 )}
 
 
@@ -368,6 +369,9 @@ def _index(digits: str, ln: str) -> int:
 
 
 def _checked_width(width: int) -> int:
+    """The qubit count itself, if it lies in 0..MAX_CIRCUIT_QUBITS."""
+    if width < 0:
+        raise BadInput(f"negative qubit count {width}")
     if width > MAX_CIRCUIT_QUBITS:
         raise BadInput(f"circuit of {width} qubits is wider than {MAX_CIRCUIT_QUBITS}")
     return width
@@ -432,7 +436,7 @@ def _text_gate(match: re.Match, width: int, ln: str) -> Gate:
     """The gate of a matched gate line; each control is on a distinct qubit."""
     kind = match["kind"] or match["rot"]
     mask = value = 0
-    for q, v in re.findall(_CONTROL, match["ctrl"] or ""):
+    for q, v in _CONTROL.findall(match["ctrl"] or ""):
         qubit = _index(q, ln)
         if qubit >= width:
             raise BadInput(f"control qubit q{q} outside {width} qubits in IR line {ln!r}")

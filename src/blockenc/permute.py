@@ -10,6 +10,8 @@ turns it into gates.
 
 from __future__ import annotations
 
+from collections.abc import Container
+
 from .errors import NotAdjacent
 from .assignment import Pairs, hamming
 from .ir import Circuit, Gate, mcx
@@ -48,7 +50,7 @@ def _bfs_path(start: int, goal: int, blocked: set[int], bits: list[int]) -> list
     return None
 
 
-def _next_swaps(cur: int, goal: int, settled: set[int], occupied: set[int],
+def _next_swaps(cur: int, goal: int, settled: set[int], occupied: Container[int],
                 bits: list[int]) -> list[tuple[int, int]]:
     """Swaps of the next routing step for the amplitude at ``cur``.
 
@@ -81,22 +83,29 @@ def route_permutation(pairs: Pairs, width: int) -> list[tuple[int, int]]:
     ``pairs`` is a matching of width-bit labels; pairs with equal ends are
     settled states the route never borrows.  Sources are processed in
     ascending order of distance to target, each by ``_next_swaps`` until it
-    arrives; a swap also moves the pending amplitude it meets.
+    arrives; a swap also moves the pending amplitude it meets.  Two maps
+    track the pending amplitudes both ways, ``pos`` from each source to the
+    label its amplitude sits on and ``at`` back, so a swap looks up the
+    sources on its two labels and the labels holding a pending amplitude
+    are the keys of ``at``.
     """
     moves = {s: t for s, t in pairs if s != t}
     settled = {s for s, t in pairs if s == t}
     pos = {s: s for s in moves}  # source -> label its amplitude sits on
+    at = dict(pos)  # label -> source whose amplitude sits on it
     bits = [1 << b for b in range(width - 1, -1, -1)]  # most significant first
     swaps: list[tuple[int, int]] = []
     for src in sorted(moves, key=lambda s: (hamming(s, moves[s]), s)):
         goal = moves[src]
         while pos[src] != goal:
-            for a, b in _next_swaps(pos[src], goal, settled, set(pos.values()), bits):
+            for a, b in _next_swaps(pos[src], goal, settled, at, bits):
                 swaps.append((a, b))
-                for q, p in pos.items():
-                    if p == a or p == b:
-                        pos[q] = b if p == a else a
-        del pos[src]
+                qa, qb = at.pop(a, None), at.pop(b, None)
+                if qa is not None:
+                    pos[qa], at[b] = b, qa
+                if qb is not None:
+                    pos[qb], at[a] = a, qb
+        del pos[src], at[goal]
         settled.add(goal)
     return swaps
 

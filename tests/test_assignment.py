@@ -171,6 +171,13 @@ def test_size_mismatch_rejected():
         solve_assignment({0b00}, {0b01, 0b10}, 2)
 
 
+def test_labels_wider_than_64_bits_rejected():
+    # the Hamming costs are taken on uint64 labels
+    assert solve_assignment({1 << 63}, {0}, 64) == ((1 << 63, 0),)
+    with pytest.raises(BadInput):
+        solve_assignment({1 << 64}, {0}, 65)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 5), st.data())
 def test_bijection_matches_reference_on_random_sets(P, data):

@@ -234,6 +234,8 @@ def _ir_json(**fields) -> str:
     _ir_json(global_phase=10 ** 400),                                    # ints beyond the
     _ir_json(metadata={"alpha": -10 ** 400}),                            # float range
     _ir_json(gates=[{"kind": "ry", "target": 0, "angle": 10 ** 400}]),
+    _ir_json(qubits=-1, gates=[{"kind": "x", "target": 0}]),             # negative widths, the
+    _ir_json(qubits=-10 ** 400, gates=[{"kind": "x", "target": 0}]),     # default pattern's length
 ])
 def test_export_rejects_malformed_json_ir(tmp_path, capsys, body):
     with pytest.raises(BlockencError):

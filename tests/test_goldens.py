@@ -1,11 +1,11 @@
 """The compiler's output against the benchmark's recorded goldens.
 
 ``bench/goldens.json`` pins the SHA-256 of the text IR of every benchmark
-op; here seeds 0 and 1 are recompiled under the benchmark's own configs and
-matrix documents, and their digests must match.  The compile statistics are
-not in the goldens, so one digest per config pins the sorted stats JSON and
-the ``format_stats`` report of every distinct seed-0 matrix.  The other
-seeds stay with the benchmark run.
+op; here every recorded seed, 0 to 9, is recompiled under the benchmark's
+own configs and matrix documents, and each op's digest must match.  The
+compile statistics are not in the goldens, so one digest per config pins
+the sorted stats JSON and the ``format_stats`` report of every distinct
+seed-0 matrix.
 """
 
 import hashlib
@@ -38,7 +38,7 @@ def _compile(op):
     return compile_matrix(matrix_from_dict(op.doc), harness.CONFIGS[op.config])
 
 
-@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
 def test_ir_matches_goldens(workload, seed):
     goldens = harness.load_goldens(workload, seed)

@@ -288,6 +288,25 @@ def test_cube_cover_dense_sets_match_reference(width, data):
     assert [select_pattern(*cube, width) for cube in cover] == reference_greedy_cubes(strings)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_cube_cover_matches_reference_at_compiler_sizes(seed):
+    # 30 to 64 labels of 7 or 8 bits, the sizes of the largest covers the
+    # bench compiles: a few random cubes of 2 to 16 labels, then single labels
+    rng = np.random.default_rng(seed)
+    width = 7 + seed % 2
+    size = int(rng.integers(30, 65))
+    labels: set[int] = set()
+    while len(labels) < size:
+        dim = int(rng.integers(1, 5)) if len(labels) < size // 2 else 0
+        free = sum(1 << int(b) for b in rng.choice(width, size=dim, replace=False))
+        value = int(rng.integers(0, 1 << width)) & ~free
+        cube = build_target_set(((1 << width) - 1) ^ free, value, width)
+        labels.update(cube[:size - len(labels)])
+    strings = [format(v, f"0{width}b") for v in sorted(labels)]
+    cover = _greedy_cubes(labels, width)
+    assert [select_pattern(*cube, width) for cube in cover] == reference_greedy_cubes(strings)
+
+
 def test_cube_cover_cost_follows_the_set():
     # a half-register row range: one 12-cube and a few smaller ones, inside a
     # set that holds about 3**13 sub-cubes

@@ -317,6 +317,13 @@ def test_parse_cost_does_not_scale_with_width(read, text):
     assert time.perf_counter() - t0 < 0.05
 
 
+@pytest.mark.parametrize("width", [-1, -10 ** 400])
+def test_negative_json_width_refused(width):
+    # refused before the default pattern "X" * width is built from it
+    with pytest.raises(BadInput, match="negative qubit count"):
+        import_json(_json_ir(width, gates=[{"kind": "x", "target": 0}]))
+
+
 def test_width_at_the_cap_parses():
     width = MAX_CIRCUIT_QUBITS
     circ, _ = import_text(f"blockenc-ir v1\nqubits {width}\nmcx ctrl=q0:1 target=q1\n")

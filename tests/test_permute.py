@@ -118,6 +118,17 @@ def test_router_matches_reference(rng, monkeypatch):
     assert any(p is None for p in found), "no route took the conjugated direct path"
 
 
+@pytest.mark.parametrize("P", [7, 8])
+def test_router_matches_reference_at_compiler_sizes(rng, P):
+    # matchings of 7 and 8 bits, the widths of the largest routes the bench compiles
+    for i in range(10):
+        if i % 2:
+            pairs = _random_bijection(rng, P, int(rng.integers(8, 65)))
+        else:
+            pairs = _random_permutation(rng, P)
+        assert route_permutation(pairs, P) == reference_route_permutation(pairs, P).swaps
+
+
 def test_random_bijections_realized_exactly(rng):
     for _ in range(200):
         P = int(rng.integers(1, 6))
