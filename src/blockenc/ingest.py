@@ -107,11 +107,6 @@ class SparseMatrix:
                 and np.array_equal(self.cols, other.cols)
                 and np.array_equal(self.values, other.values))
 
-    def dense(self) -> np.ndarray:
-        a = np.zeros((self.dim, self.dim), dtype=complex)
-        a[self.rows, self.cols] = self.values
-        return a
-
 
 def _is_index(t: type) -> bool:
     return issubclass(t, numbers.Integral) and t is not bool

@@ -25,11 +25,15 @@ middle holds a ry or phase gate is simulated densely on its d block columns,
 and its residual is that of the columns.  Each path checks the arrays it
 builds against ``ir.MAX_SIM_ENTRIES``: the structured one its 2^m x d labels
 and its ``[I | all w]``, the dense one its d columns.
+``check_structured_budget(m, n)`` bounds ``[I | all w]`` from m and n alone,
+before a circuit exists; it caps ``blockenc demo tridiagonal --n``.
 
 Either way the block comes out as cells, row-major keys ``row << n | col``
 with their values, and ``verify_circuit`` compares them with the matrix
 entries on the union of both key sets, so the comparison costs in
 proportion to the reached cells and the nonzeros, not to d x d.
+``verify_circuit`` is the one entry point; from the package the module
+imports only ``errors``, ``ingest`` and ``ir``.
 """
 
 from __future__ import annotations
@@ -40,11 +44,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import BadInput, BadLayout
+from .errors import BadInput, BadLayout, TooLarge
 from .ingest import SparseMatrix
-from .ir import (Circuit, Gate, RegisterLayout, check_budget, circuit_unitary,
-                 unitarity_residual)
-from .pipeline import EncodedCircuit
+from .ir import (MAX_SIM_ENTRIES, Circuit, Gate, RegisterLayout, check_budget,
+                 circuit_unitary, unitarity_residual)
 
 DEFAULT_TOL = 1e-9  # max |alpha*B - A| a passing circuit may reach
 UNITARITY_TOL = 1e-10
@@ -127,6 +130,15 @@ def _structured_block(circuit: Circuit, prefix, middle,
     return keys, out[0, size:].copy(), residual  # a copy frees the suffix array
 
 
+def check_structured_budget(m: int, n: int) -> None:
+    """Raise TooLarge if ``[I | all w]`` on m data and n matrix qubits may
+    exceed the budget: with at most 2^m cells per block column it holds
+    2^m x (2^m + cells) <= 2^(2m + n + 1) entries, compared as exponents."""
+    if 2 * m + n + 1 > MAX_SIM_ENTRIES.bit_length() - 1:
+        raise TooLarge(f"m = {m} data qubits on n = {n} matrix qubits may exceed "
+                       f"the {MAX_SIM_ENTRIES}-entry simulation budget of verify")
+
+
 def encoded_block(circuit: Circuit) -> tuple[np.ndarray, np.ndarray, float]:
     """(keys, values, unitarity residual) of a circuit with a register layout.
 
@@ -203,9 +215,3 @@ def verify_circuit(matrix: SparseMatrix, circuit: Circuit, alpha: float,
     passed = max_err <= tol and residual <= UNITARITY_TOL
     return VerificationReport(passed, max_err, residual, tol, alpha,
                               matrix.dim, worst)
-
-
-def verify(matrix: SparseMatrix, encoded: EncodedCircuit,
-           tol: float = DEFAULT_TOL) -> VerificationReport:
-    """Verify a compiled circuit against its source matrix."""
-    return verify_circuit(matrix, encoded.circuit, encoded.alpha, tol)

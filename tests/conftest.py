@@ -550,6 +550,13 @@ def permute_inverse(circuit: Circuit) -> Circuit:
                    circuit.layout, -circuit.global_phase)
 
 
+def dense(matrix) -> np.ndarray:
+    """The matrix as a dense d x d array, for comparisons at small n."""
+    a = np.zeros((matrix.dim, matrix.dim), dtype=complex)
+    a[matrix.rows, matrix.cols] = matrix.values
+    return a
+
+
 def reconstruct(plan: OperationPlan) -> np.ndarray:
     """Dense matrix implied by the plan, on the rows the circuit acts on.
 

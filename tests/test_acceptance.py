@@ -18,7 +18,7 @@ from blockenc.ir import Circuit, circuit_unitary, unitarity_residual
 from blockenc.permute import permute_circuit
 from blockenc.pipeline import CompileConfig, compile_matrix
 from blockenc.state_prep import synthesize_prep
-from blockenc.verify import extract_block, verify
+from blockenc.verify import extract_block, verify_circuit
 
 from conftest import (as_strings, assert_permutation_matrix, brute_force_assignment,
                       brute_force_reducible, composition_unitary, permute_inverse,
@@ -39,7 +39,7 @@ def test_criterion_1_tridiagonal_reproduction():
         m = random_tridiagonal(3, rng)
         t0 = time.perf_counter()
         enc = compile_matrix(m)
-        report = verify(m, enc, tol=1e-9)
+        report = verify_circuit(m, enc.circuit, enc.alpha, tol=1e-9)
         elapsed = time.perf_counter() - t0
         worst = max(worst, report.max_abs_error)
         slowest = max(slowest, elapsed)
@@ -56,7 +56,7 @@ def test_criterion_2_structured32_reproduction():
     m = structured32(rng)
     t0 = time.perf_counter()
     enc = compile_matrix(m, CompileConfig(strategy=2))
-    report = verify(m, enc, tol=1e-9)
+    report = verify_circuit(m, enc.circuit, enc.alpha, tol=1e-9)
     elapsed = time.perf_counter() - t0
     ok = report.passed and elapsed < 10.0
     assert enc.layout.m == 4 and enc.layout.n == 5 and enc.layout.total == 10

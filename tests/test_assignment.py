@@ -241,3 +241,19 @@ def test_tie_break_matches_reference_at_compiler_sizes(seed):
     dst = sorted(int(t) for t in rng.choice(cube, size=size, replace=False))
     cost = [[hamming(s, t) for t in dst] for s in src]
     assert _tie_break(cost) == reference_tie_break(np.array(cost))
+
+
+@pytest.mark.parametrize("n", [63, 100, 130])
+def test_tie_break_and_duals_past_one_bitmask_word(n):
+    # tied costs on more than 62 columns: the tight graph's bitmasks take a
+    # second (and at 130 a third) 62-column word
+    cost = np.random.default_rng(n).integers(0, 3, size=(n, n))
+    assert _tie_break(cost.tolist()) == reference_tie_break(cost)
+    cols, u, v = solve_lsap(cost.tolist())
+    assert sorted(cols) == list(range(n))
+    assert all(type(p) is int for p in u + v)
+    duals = np.array(u)[:, None] + np.array(v)
+    assert np.all(duals <= cost)
+    assert np.all(duals[np.arange(n), cols] == cost[np.arange(n), cols])
+    rows, best = linear_sum_assignment(cost)
+    assert int(cost[np.arange(n), cols].sum()) == int(cost[rows, best].sum())

@@ -392,3 +392,9 @@ def test_bad_argument_values_exit_2(monkeypatch, capsys, argv):
         monkeypatch.setattr(cli, "compile_matrix", None)
     assert main(argv) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_demo_over_budget_is_refused_before_the_matrix_is_built(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "demo_matrices", None)
+    assert main(["demo", "tridiagonal", "--n", "18"]) == 2
+    assert "n = 18" in capsys.readouterr().err

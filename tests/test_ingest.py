@@ -13,7 +13,7 @@ from blockenc.ingest import SparseMatrix, analyze, load_matrix, matrix_from_dict
 from blockenc.ir import export_text
 from blockenc.pipeline import compile_matrix
 
-from conftest import reconstruct, reference_analyze, reference_matrix_from_dict
+from conftest import dense, reconstruct, reference_analyze, reference_matrix_from_dict
 
 
 def test_tridiagonal_extraction_order_and_phases():
@@ -174,7 +174,7 @@ def test_diagonal_strategy_override_and_weight_monotone(rng):
         for strat in (1, 2, 3, "auto"):
             plan = analyze(m, strat)
             weights[strat] = sum(it.magnitude for it in plan.items)
-            assert np.abs(reconstruct(plan) - m.dense()).max() <= 1e-12
+            assert np.abs(reconstruct(plan) - dense(m)).max() <= 1e-12
         assert weights["auto"] <= weights[1] + 1e-15
 
 
@@ -226,7 +226,7 @@ def test_reconstruction_exact(rng):
         entries = tuple((a, b, complex(r.normal(), r.normal())) for a, b in cells)
         m = SparseMatrix.from_entries(n, entries)
         plan = analyze(m, strategy=1)
-        assert np.array_equal(reconstruct(plan), m.dense())
+        assert np.array_equal(reconstruct(plan), dense(m))
 
 
 def test_subnormalization_values():
@@ -243,9 +243,9 @@ def test_alpha_bounds_row_and_column_sums(rng):
         m = SparseMatrix.from_entries(n, tuple((a, b, complex(r.normal(), r.normal()))
                                                for a, b in cells))
         alpha = compile_matrix(m).alpha
-        dense = np.abs(m.dense())
-        assert alpha >= dense.sum(axis=0).max() - 1e-12
-        assert alpha >= dense.sum(axis=1).max() - 1e-12
+        magnitudes = np.abs(dense(m))
+        assert alpha >= magnitudes.sum(axis=0).max() - 1e-12
+        assert alpha >= magnitudes.sum(axis=1).max() - 1e-12
 
 
 def test_json_round_trip(tmp_path):
@@ -410,3 +410,12 @@ def test_malformed_document_fails_as_in_reference(defect):
     doc = {"dim": 4, "entries": entries}
     assert _ingest(matrix_from_dict, analyze, doc) is BadInput
     assert _ingest(reference_matrix_from_dict, reference_analyze, doc) is BadInput
+
+
+def test_structured32_needs_fourteen_distinct_values():
+    class Repeating:  # an rng whose uniform draws are all equal
+        def uniform(self, low, high, size):
+            return np.full(size, (low + high) / 2)
+
+    with pytest.raises(BadInput, match="distinct"):
+        structured32(Repeating())

@@ -105,6 +105,11 @@ def test_bad_gates_rejected():
         Circuit(2, (ry(float("inf"), 0),))  # non-finite angle
 
 
+def test_negative_qubit_count_rejected():
+    with pytest.raises(BadGate):
+        Circuit(-1)
+
+
 def test_too_many_qubits_guard():
     # the full 13-qubit unitary and 32 columns of a 20-qubit one are over the
     # 2^24-entry budget, and both are refused before any buffer is allocated

@@ -17,7 +17,7 @@ from blockenc.ingest import SparseMatrix
 from blockenc.ir import circuit_unitary, export_text, unitarity_residual
 from blockenc.pipeline import CompileConfig, compile_matrix, format_stats
 from blockenc.state_prep import synthesize_prep
-from blockenc.verify import extract_block, verify
+from blockenc.verify import extract_block, verify_circuit
 
 
 def test_tridiagonal_structure_and_block(rng):
@@ -34,7 +34,7 @@ def test_tridiagonal_structure_and_block(rng):
     # each band deletes one boundary row with a single fused gate
     assert [g["rows"] for g in enc.stats["delete_groups"]] == [[0], [7]]
     assert all(g["fused_mcx"] == 1 for g in enc.stats["delete_groups"])
-    assert verify(m, enc).passed
+    assert verify_circuit(m, enc.circuit, enc.alpha).passed
 
 
 def test_scaled_identity_reduces_to_loaders():
@@ -50,7 +50,7 @@ def test_scaled_identity_reduces_to_loaders():
 def test_negative_scaled_identity_global_phase():
     m = SparseMatrix.from_entries(1, tuple((i, i, -0.5 + 0j) for i in range(2)))
     enc = compile_matrix(m)
-    assert verify(m, enc).passed
+    assert verify_circuit(m, enc.circuit, enc.alpha).passed
 
 
 def test_skip_index_map_gives_diagonal(rng):
@@ -124,13 +124,13 @@ def test_structured32_plan_and_groups(rng):
     # the six-member unit left shift borrows both zero slots
     assert groups["L1"]["pads"] == [14, 15]
     assert groups["L1"]["mode"] == "padded-permute"
-    assert verify(m, enc).passed
+    assert verify_circuit(m, enc.circuit, enc.alpha).passed
 
 
 def test_structured32_auto_strategy_verifies(rng):
     m = structured32(rng)
     enc = compile_matrix(m)
-    assert verify(m, enc).passed
+    assert verify_circuit(m, enc.circuit, enc.alpha).passed
 
 
 def test_defer_restore_equivalent_block(rng):
@@ -142,13 +142,13 @@ def test_defer_restore_equivalent_block(rng):
         b0 = extract_block(circuit_unitary(default.circuit), default.layout)
         b1 = extract_block(circuit_unitary(deferred.circuit), deferred.layout)
         assert np.abs(b0 - b1).max() <= 1e-12
-        assert verify(m, deferred).passed
+        assert verify_circuit(m, deferred.circuit, deferred.alpha).passed
 
 
 def test_defer_restore_structured(rng):
     m = structured32(rng)
     deferred = compile_matrix(m, CompileConfig(strategy=2, defer_restore=True))
-    assert verify(m, deferred).passed
+    assert verify_circuit(m, deferred.circuit, deferred.alpha).passed
 
 
 def test_every_compiled_circuit_is_unitary(rng):
@@ -184,7 +184,7 @@ def test_isolated_cells_only(rng):
     entries = ((3, 0, 0.4 - 0.2j), (0, 2, -0.7 + 0j), (2, 2, 0.1 + 0.9j))
     m = SparseMatrix.from_entries(2, entries)
     enc = compile_matrix(m)
-    assert verify(m, enc).passed
+    assert verify_circuit(m, enc.circuit, enc.alpha).passed
 
 
 def test_explicit_fixed_index_policy(rng):
@@ -193,7 +193,7 @@ def test_explicit_fixed_index_policy(rng):
                         data_policy=FixedIndexPolicy.LEFT_ENDED,
                         matrix_policy=FixedIndexPolicy.RIGHT_ENDED)
     enc = compile_matrix(m, cfg)
-    assert verify(m, enc).passed
+    assert verify_circuit(m, enc.circuit, enc.alpha).passed
 
 
 def test_config_policy_checked():
@@ -265,7 +265,7 @@ def test_two_item_group_halves_shift_layer(rng):
     l1 = next(g for g in enc.stats["shift_groups"] if g["op"] == "L1")
     assert l1["fused_data_width"] == 1 and l1["naive_data_width"] == 2
     assert l1["fused_mcx"] * 2 == l1["naive_mcx"]
-    assert verify(m, enc).passed
+    assert verify_circuit(m, enc.circuit, enc.alpha).passed
 
 
 def test_random_sparse_matrices_all_modes(rng):
@@ -288,8 +288,8 @@ def test_random_sparse_matrices_all_modes(rng):
         m = SparseMatrix.from_entries(n, tuple(entries))
         for cfg in (CompileConfig(), CompileConfig(defer_restore=True),
                     CompileConfig(naive=True)):
-            report = verify(m, compile_matrix(m, cfg))
-            assert report.passed, (seed, cfg)
+            enc = compile_matrix(m, cfg)
+            assert verify_circuit(m, enc.circuit, enc.alpha).passed, (seed, cfg)
 
 
 def test_full_cyclic_band_single_item():
@@ -298,20 +298,20 @@ def test_full_cyclic_band_single_item():
     m = SparseMatrix.from_entries(3, entries)
     enc = compile_matrix(m)
     assert enc.layout.m == 0  # single data item needs no data register
-    assert verify(m, enc).passed
+    assert verify_circuit(m, enc.circuit, enc.alpha).passed
 
 
 def test_no_zero_pad_flag(rng):
     m = structured32(rng)
     enc = compile_matrix(m, CompileConfig(strategy=2, zero_pad=False))
     assert all(g["pads"] == [] for g in enc.stats["shift_groups"])
-    assert verify(m, enc).passed
+    assert verify_circuit(m, enc.circuit, enc.alpha).passed
 
 
 def test_single_cell_matrix():
     m = SparseMatrix.from_entries(1, ((1, 0, -0.25 + 0.5j),))
     enc = compile_matrix(m)
-    assert verify(m, enc).passed
+    assert verify_circuit(m, enc.circuit, enc.alpha).passed
 
 
 def test_defer_restore_pads_name_zero_slots():
@@ -357,7 +357,7 @@ def test_every_config_verifies(m, policy, zero_pad, defer_restore, naive):
         cfg = CompileConfig(strategy=strategy, data_policy=policy, matrix_policy=policy,
                             zero_pad=zero_pad, defer_restore=defer_restore, naive=naive)
         enc = compile_matrix(m, cfg)
-        assert verify(m, enc).passed
+        assert verify_circuit(m, enc.circuit, enc.alpha).passed
         # alpha and the data-register width follow from the plan alone
         assert enc.alpha == float(sum(it.magnitude for it in enc.plan.items))
         assert enc.layout.m == (len(enc.plan.items) - 1).bit_length()
@@ -407,7 +407,8 @@ def test_compile_and_verify_load_no_scipy():
         import blockenc
         from blockenc.demo import structured32
         m = structured32(np.random.default_rng(0))
-        assert blockenc.verify(m, blockenc.compile_matrix(m)).passed
+        enc = blockenc.compile_matrix(m)
+        assert blockenc.verify_circuit(m, enc.circuit, enc.alpha).passed
         print(sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy.")))
     """
     src = Path(__file__).resolve().parents[1] / "src"

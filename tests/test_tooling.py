@@ -1,8 +1,13 @@
-"""The test settings in pyproject.toml, run on a throwaway test file."""
+"""The test settings in pyproject.toml, run on a throwaway test file, and the
+package's namespace."""
 
+import ast
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import blockenc
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -32,3 +37,25 @@ def test_failing_hypothesis_example_is_reported_and_the_session_goes_on(tmp_path
     assert "INTERNALERROR" not in out, out
     assert proc.returncode == 1, out
     assert "1 failed, 1 passed" in out, out
+
+
+def test_every_submodule_name_is_the_module():
+    # ``import blockenc.<name> as mod`` reads the attribute the package binds,
+    # so a function exported under a submodule's name would shadow the module
+    names = [info.name for info in pkgutil.iter_modules(blockenc.__path__)]
+    assert "verify" in names
+    for name in names:
+        scope = {}
+        exec(f"import blockenc.{name} as mod", scope)
+        assert scope["mod"] is sys.modules[f"blockenc.{name}"], name
+
+
+def test_verifier_imports_none_of_the_compiler_stages():
+    tree = ast.parse(Path(blockenc.verify.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            assert node.level == 1 and node.module in ("errors", "ingest", "ir"), node.module
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+            for top in (name.split(".")[0] for name in names):
+                assert top == "numpy" or top in sys.stdlib_module_names, top

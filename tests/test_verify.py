@@ -1,4 +1,3 @@
-import importlib
 import json
 import tracemalloc
 
@@ -7,16 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockenc import verify
 from blockenc.assignment import FixedIndexPolicy
 from blockenc.demo import random_tridiagonal, structured32, tridiagonal
 from blockenc.errors import BadInput, BadLayout, TooLarge
 from blockenc.ingest import SparseMatrix
 from blockenc.ir import Circuit, RegisterLayout, circuit_unitary, mcx, phase, ry
 from blockenc.pipeline import CompileConfig, compile_matrix
-from blockenc.verify import encoded_block, extract_block, verify, verify_circuit
+from blockenc.verify import (check_structured_budget, encoded_block, extract_block,
+                             verify_circuit)
 
-# the package binds the name blockenc.verify to the verify function
-verify_module = importlib.import_module("blockenc.verify")
+from conftest import dense
 
 
 @pytest.mark.parametrize("columns", [16, 4])  # the unitary, or its block columns
@@ -35,13 +35,13 @@ def test_compiled_tridiagonal_block_matches(rng):
     m = random_tridiagonal(3, rng)
     enc = compile_matrix(m)
     block = extract_block(circuit_unitary(enc.circuit), enc.layout)
-    assert np.abs(enc.alpha * block - m.dense()).max() <= 1e-9
+    assert np.abs(enc.alpha * block - dense(m)).max() <= 1e-9
 
 
 def test_verify_pass_report(rng):
     m = random_tridiagonal(3, rng)
     enc = compile_matrix(m)
-    report = verify(m, enc)
+    report = verify_circuit(m, enc.circuit, enc.alpha)
     assert report.passed and report.max_abs_error <= 1e-9
     assert report.unitarity_residual <= 1e-10
     doc = json.loads(report.to_json())
@@ -80,7 +80,7 @@ def test_eta_only_circuit_verifies_against_diagonal(rng):
     enc = compile_matrix(m, CompileConfig(skip_index_map=True))
     eta = sum(it.phase * it.magnitude for it in enc.plan.items)
     diag = SparseMatrix.from_entries(3, tuple((i, i, eta) for i in range(8)))
-    report = verify(diag, enc, tol=1e-10)
+    report = verify_circuit(diag, enc.circuit, enc.alpha, tol=1e-10)
     assert report.passed
 
 
@@ -112,9 +112,9 @@ def test_verify_reads_the_full_unitary_block(rng, n, config):
     d = enc.layout.block_dim
     full = circuit_unitary(enc.circuit)
     assert np.array_equal(circuit_unitary(enc.circuit, d), full[:, :d])
-    report = verify(m, enc)
+    report = verify_circuit(m, enc.circuit, enc.alpha)
     assert report.passed and report.unitarity_residual <= 1e-12
-    assert report.max_abs_error == float(np.abs(enc.alpha * full[:d, :d] - m.dense()).max())
+    assert report.max_abs_error == float(np.abs(enc.alpha * full[:d, :d] - dense(m)).max())
 
 
 def test_verify_reaches_past_12_qubits(rng):
@@ -122,13 +122,14 @@ def test_verify_reaches_past_12_qubits(rng):
     m = random_tridiagonal(9, rng)
     enc = compile_matrix(m)
     assert enc.circuit.n_qubits == 13
-    report = verify(m, enc)
+    report = verify_circuit(m, enc.circuit, enc.alpha)
     assert report.passed and report.unitarity_residual <= 1e-12
 
 
 def test_passing_report_ranks_no_cells(rng):
     m = structured32(rng)
-    report = verify(m, compile_matrix(m))
+    enc = compile_matrix(m)
+    report = verify_circuit(m, enc.circuit, enc.alpha)
     assert report.passed and report.worst_cells == []
 
 
@@ -145,7 +146,7 @@ def _assert_structured_block_is_dense(circuit):
     # a compiled circuit with a data register has no global phase; give it one
     n, d = circuit.layout.n, circuit.layout.block_dim
     for c in (circuit, _tampered(circuit, circuit.gates, global_phase=0.7)):
-        keys, values, residual = verify_module._structured_block(c, *verify_module._split(c))
+        keys, values, residual = verify._structured_block(c, *verify._split(c))
         assert np.array_equal(keys, np.unique(keys))
         block = np.zeros((d, d), dtype=complex)
         block[keys >> n, keys & d - 1] = values
@@ -172,7 +173,7 @@ def test_structured_block_of_one_item():
     # no data qubit: the phase of the one item is the global phase
     assert enc.layout.m == 0 and enc.circuit.global_phase
     _assert_structured_block_is_dense(enc.circuit)
-    assert verify(m, enc).passed
+    assert verify_circuit(m, enc.circuit, enc.alpha).passed
 
 
 @st.composite
@@ -205,20 +206,20 @@ def _spy_widths(monkeypatch):
         widths.append(circuit.n_qubits)
         return circuit_unitary(circuit, columns)
 
-    monkeypatch.setattr(verify_module, "circuit_unitary", spy)
+    monkeypatch.setattr(verify, "circuit_unitary", spy)
     return widths
 
 
 def test_rotation_in_the_middle_takes_the_dense_path(rng, monkeypatch):
     m = random_tridiagonal(3, rng)
     enc = compile_matrix(m)
-    prefix, middle, _ = verify_module._split(enc.circuit)
+    prefix, middle, _ = verify._split(enc.circuit)
     at = len(prefix) + len(middle) // 2
     target = enc.layout.matrix_qubits[0]
     gates = list(enc.circuit.gates)
     gates[at:at] = [ry(0.3, target), ry(-0.3, target)]
     circuit = _tampered(enc.circuit, gates)
-    assert verify_module._split(circuit) is None
+    assert verify._split(circuit) is None
     widths = _spy_widths(monkeypatch)
     assert verify_circuit(m, circuit, enc.alpha).passed
     assert widths == [enc.layout.total]
@@ -235,7 +236,7 @@ def test_wide_data_register_takes_the_structured_path():
 def test_one_gate_deletions_read_alike_through_both_paths(rng, monkeypatch):
     m = random_tridiagonal(3, rng)
     enc = compile_matrix(m)
-    prefix, middle, suffix = verify_module._split(enc.circuit)
+    prefix, middle, suffix = verify._split(enc.circuit)
     gates = enc.circuit.gates
     regions = (range(len(prefix)), range(len(prefix), len(gates) - len(suffix)),
                range(len(gates) - len(suffix), len(gates)))
@@ -243,10 +244,10 @@ def test_one_gate_deletions_read_alike_through_both_paths(rng, monkeypatch):
     for region in regions:
         for drop in region:
             circuit = _tampered(enc.circuit, gates[:drop] + gates[drop + 1:])
-            assert verify_module._split(circuit) is not None
+            assert verify._split(circuit) is not None
             structured = verify_circuit(m, circuit, enc.alpha)
             with monkeypatch.context() as mp:
-                mp.setattr(verify_module, "_split", lambda c: None)
+                mp.setattr(verify, "_split", lambda c: None)
                 dense = verify_circuit(m, circuit, enc.alpha)
             assert structured.max_abs_error == dense.max_abs_error
             assert structured.worst_cells == dense.worst_cells
@@ -260,7 +261,7 @@ def test_wide_suffix_array_verifies(rng):
                                            for r in range(128) for k in range(128)))
     enc = compile_matrix(m)
     assert enc.layout == RegisterLayout(7, 7)
-    assert verify(m, enc).passed
+    assert verify_circuit(m, enc.circuit, enc.alpha).passed
     _assert_structured_block_is_dense(enc.circuit)
 
 
@@ -322,7 +323,7 @@ def test_verify_stays_small(matrix, qubits):
     assert enc.circuit.n_qubits == qubits
     tracemalloc.start()
     try:
-        report = verify(m, enc)
+        report = verify_circuit(m, enc.circuit, enc.alpha)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -341,3 +342,12 @@ def test_structured_block_rounds_as_the_dense_columns(angles):
     gates = (ry(theta, 0), phase(phi0, 0), phase(phi1, 0),
              mcx((0b100, 0b100), 2), ry(0.5, 0))
     _assert_structured_block_is_dense(Circuit(3, gates, RegisterLayout(1, 1)))
+
+
+def test_structured_budget_caps_tridiagonal_at_n_17():
+    # m = 3: [I | all w] stays within 2^(2m + n + 1) entries, 2^24 at n = 17
+    check_structured_budget(3, 17)
+    with pytest.raises(TooLarge, match="n = 18"):
+        check_structured_budget(3, 18)
+    with pytest.raises(TooLarge):
+        check_structured_budget(3, 10**30)  # no 2^n is built
