@@ -9,15 +9,10 @@ All tie-breaking is deterministic and lexicographic.
 Labels are ints and a label set is any iterable of distinct ints with its
 width P passed alongside; a matching is a sorted tuple of (source, target)
 pairs.  The Hamming cost matrix is the popcount of their XOR, taken by
-numpy on the labels as uint64, so P is at most 64.  One exact integer solver,
-``linear_sum_assignment``, finds an optimal matching by the Hungarian method
-and returns it with integer dual potentials (u, v): u_j + v_k <= cost[j][k]
-everywhere, with equality on the matching.  The lexicographic tie-break then
-fixes one source at a time to the first target that still allows an optimal
-completion.  Every optimal matching is tight under those duals, so the
-feasible targets are found by a path search in the tight graph, and one
-solve serves the whole tie-break.  The tight graph, the edges where
-u_j + v_k == cost[j][k], is held as bitmasks, one int per row or column.
+numpy on the labels as uint64, so P is at most 64.  One exact integer
+solver, ``linear_sum_assignment``, returns the lexicographically smallest
+optimal matching with the integer dual potentials that prove it optimal;
+its docstring describes both of its phases.
 """
 
 from __future__ import annotations
@@ -98,29 +93,54 @@ def _bitmasks(flags: np.ndarray) -> list[int]:
 
 
 def linear_sum_assignment(cost) -> tuple[list[int], list[int], list[int]]:
-    """Minimum-cost perfect matching of a square integer cost matrix.
+    """Lexicographically smallest minimum-cost perfect matching of a square
+    integer cost matrix.
 
     Returns ``(cols, u, v)``: row j takes column cols[j], and the integer
     duals satisfy u[j] + v[k] <= cost[j][k] for every pair, with equality on
-    the matching, which proves it optimal.  This is the Hungarian method on
-    the tight graph, the edges of zero slack cost[j][k] - u[j] - v[k], held
-    as one column bitmask per row.  v starts as the column minima and u as
-    the row minima of cost - v; a greedy pass gives each row the first free
-    tight column.  Each row left over grows a tree of tight edges and
-    matched ones, breadth first, until it reaches a free column, and the
+    the matching, which proves it optimal; among the optimal matchings cols
+    is the smallest as a sequence.  Both phases work on the tight graph, the
+    edges of zero slack cost[j][k] - u[j] - v[k], held as bitmasks: each
+    row's tight columns, and for the second phase each column's tight rows.
+
+    The first phase is the Hungarian method.  v starts as the column minima
+    and u as the row minima of cost - v; a greedy pass gives each row the
+    first free tight column.  Each row left over grows a tree of tight edges
+    and matched ones, breadth first, until it reaches a free column, and the
     matching is flipped along the path there.  When the tree stops short, u
     rises on its rows and v falls on its columns by the least slack between
     its rows and the other columns: the tree and the matching stay tight and
-    at least one edge out of the tree becomes tight.  Costs and duals are
-    int64.
+    at least one edge out of the tree becomes tight.
+
+    The second phase, the tie-break, gives each row in turn the first
+    column from which the rows after it can still be completed at the
+    optimum.  Every optimal matching is tight under the final duals, so the
+    duals stay fixed and the phase keeps a perfect matching of the tight
+    graph, starting from the first phase's.  Row j can take a tight column k
+    exactly when k leads back to j's own column t: the row holding k moves
+    to another tight column, whose row moves on, and so on until one takes
+    t.  One backward breadth-first search from t finds every such k, and the
+    matching shifts along the path from the smallest.
+
+    ``cost`` is nested lists or an array of integers, held as int64; any
+    other shape or dtype is ``BadInput``, and a 0 x 0 matrix gives three
+    empty lists.
     """
-    n = len(cost)
-    slack = np.array(cost, dtype=np.int64).reshape(n, n)
+    try:
+        given = np.asarray(cost)
+    except ValueError:  # ragged rows
+        raise BadInput("cost matrix rows differ in length") from None
+    if given.shape in ((0,), (0, 0)):
+        return [], [], []
+    n = len(given)
+    if given.shape != (n, n) or given.dtype.kind not in "iu":
+        raise BadInput(f"cost must be a square integer matrix, not {given.dtype} {given.shape}")
+    slack = given.astype(np.int64)
     v = slack.min(axis=0)
     slack -= v
     u = slack.min(axis=1)
     slack -= u[:, None]
-    tight = _bitmasks(slack == 0)
+    tight = _bitmasks(slack == 0)  # current throughout: only a dual step changes slack
     cols = [-1] * n  # column of each row
     rows = [-1] * n  # row of each column
     free = (1 << n) - 1  # columns no row holds
@@ -169,37 +189,11 @@ def linear_sum_assignment(cost) -> tuple[list[int], list[int], list[int]]:
             cols[j], k = k, cols[j]
             if j == start:
                 break
-    return cols, u.tolist(), v.tolist()
-
-
-def _tie_break(cost) -> list[int]:
-    """Lexicographically smallest optimal assignment of a square cost matrix.
-
-    Row by row, the first free column from which the remaining rows can still
-    be completed at the optimum is taken.  An optimal completion uses only
-    columns tight under the solve's duals (u_j + v_k == cost[j][k]), so a
-    perfect matching of the tight graph (rows >= j onto the free columns) is
-    kept, starting from the solve's.  Row j can take a tight column k
-    exactly when k leads back to j's own column t: the row holding k moves to
-    another tight column, whose row moves on, and so on until one takes t.
-    When a tight column comes before t, one backward breadth-first search
-    from t finds every such k; the matching is then shifted along the path
-    from the smallest one.  The tight graph is read off the duals as
-    bitmasks, a row's tight columns and a column's tight rows.  ``cost`` is
-    a square integer matrix, nested lists or an array.  Returns the column
-    of each row.
-    """
-    n = len(cost)
-    match, u, v = linear_sum_assignment(cost)
-    owner = [0] * n  # row matched to each column
-    for j, k in enumerate(match):
-        owner[k] = j
-    tight = np.asarray(cost) - np.array(u)[:, None] == np.array(v)
-    tight_cols, tight_rows = _bitmasks(tight), _bitmasks(tight.T)
-    free = (1 << n) - 1
+    tight_rows = _bitmasks((slack == 0).T)
+    free = (1 << n) - 1  # columns no row before j holds
     for j in range(n):
-        t = match[j]
-        options = tight_cols[j] & free
+        t = cols[j]
+        options = tight[j] & free
         if options & -options != 1 << t:
             toward = {t: t}  # next column on the way to t
             queue = [t]
@@ -208,20 +202,17 @@ def _tie_break(cost) -> list[int]:
                 movers = tight_rows[y] & waiting
                 waiting ^= movers
                 while movers:
-                    x = match[(movers & -movers).bit_length() - 1]
+                    x = cols[(movers & -movers).bit_length() - 1]
                     movers &= movers - 1
                     toward[x] = y
                     queue.append(x)
-            k = min(x for x in toward if options >> x & 1)
-            path = [k]
-            while path[-1] != t:
-                path.append(toward[path[-1]])
-            movers = [owner[x] for x in path[:-1]]
-            for r, y in zip(movers, path[1:]):
-                match[r], owner[y] = y, r
-            match[j], owner[k] = k, j
-        free ^= 1 << match[j]
-    return match
+            k, r = min(x for x in toward if options >> x & 1), j
+            while k != t:  # r takes k, and the row that held k moves on toward t
+                cols[r], rows[k], r = k, r, rows[k]
+                k = toward[k]
+            cols[r], rows[t] = t, r
+        free ^= 1 << cols[j]
+    return cols, u.tolist(), v.tolist()
 
 
 def solve_assignment(sources, targets, P: int) -> Pairs:
@@ -241,6 +232,6 @@ def solve_assignment(sources, targets, P: int) -> Pairs:
     pairs = [(s, s) for s in common]
     if residual_s:
         xor = np.array(residual_s, np.uint64)[:, None] ^ np.array(residual_t, np.uint64)
-        cols = _tie_break(np.bitwise_count(xor))
+        cols = linear_sum_assignment(np.bitwise_count(xor))[0]
         pairs += [(src, residual_t[k]) for src, k in zip(residual_s, cols)]
     return tuple(sorted(pairs))

@@ -27,13 +27,15 @@ The simulator, ``circuit_unitary``, acts on the rows of the identity's first
 start array instead, it returns the unitary times that array.  Every gate
 acts in place on two basic-slicing views of the rows, those where its
 controls hold and its target reads 0 or 1: phase scales the second, and
-x/mcx (a swap) and ry (a rotation) update the pair chunk by chunk.  One
-dim x columns complex buffer is alive at peak; the entry budget
-``MAX_SIM_ENTRIES``, dim x columns <= 2^24, holds it to 256 MiB, the size
-of a full 12-qubit unitary.  The verifier simulates only the data register
-of a compiled circuit, on m qubits, and walks its x/mcx gates as integer
-labels; it holds each array it builds, labels included, to the same budget
-through ``check_budget`` (see ``verify``).
+x/mcx (a swap) and ry (a rotation) update the pair chunk by chunk.  The
+gates work on one dim x columns complex buffer, the identity's columns or
+a copy of the start array, and a start array stays alive beside its copy;
+the entry budget ``MAX_SIM_ENTRIES``, dim x columns <= 2^24, holds each
+such array to 256 MiB, the size of a full 12-qubit unitary.  The verifier
+simulates only the data register of a compiled circuit, on m qubits, and
+walks its x/mcx gates as integer labels; it holds each array it builds,
+labels included, to the same budget through ``check_budget`` (see
+``verify``).
 
 ``unitarity_residual(v)`` is max |v^H v - I| of a dim x k input, one dense
 k x k product in complex128 whatever the input's dtype or layout.  On the
@@ -226,12 +228,12 @@ def circuit_unitary(circuit: Circuit, columns: int | np.ndarray | None = None) -
     ``columns`` may instead be a 2**width x k start array; the result is then
     the unitary times that array, which is left as it was.  The gates act in
     place on the rows of the identity's first columns or of a copy of the
-    start array, so that buffer is the only one of its size.  Each gate takes
-    the two row views ``_rows_where`` names; phase scales the upper one, and
-    x/mcx swap and ry rotate the pair in 1-D chunks of at most ``_CHUNK``
-    entries, so their temporaries stay cache-sized whatever the view's shape.
-    More than ``MAX_SIM_ENTRIES`` entries is ``TooLarge``, raised before any
-    allocation.
+    start array, and the caller's start array stays alive beside the copy.
+    Each gate takes the two row views ``_rows_where`` names; phase scales
+    the upper one, and x/mcx swap and ry rotate the pair in 1-D chunks of at
+    most ``_CHUNK`` entries, so their temporaries stay cache-sized whatever
+    the view's shape.  More than ``MAX_SIM_ENTRIES`` entries is
+    ``TooLarge``, raised before any allocation.
     """
     width = circuit.n_qubits
     dim = 1 << width
@@ -342,7 +344,7 @@ def _checked_metadata(metadata) -> dict:
     for key, val in metadata.items():
         if key not in _META_KEYS:
             raise BadInput(f"unknown metadata key {key!r}")
-        _finite_number(val, f"metadata {key}")
+        finite_number(val, f"metadata {key}")
     return metadata
 
 
@@ -407,9 +409,9 @@ def import_text(text: str) -> tuple[Circuit, dict]:
         elif kind == "qubits":
             width = _checked_width(_index(match[1], ln))
         elif kind == "alpha":
-            meta[kind] = _finite_number(float(match[1]), kind)
+            meta[kind] = finite_number(float(match[1]), kind)
         elif kind == "gphase":
-            gphase = _finite_number(float(match[1]), kind)
+            gphase = finite_number(float(match[1]), kind)
         elif width is None:
             raise BadInput(f"gate line {ln!r} before qubit count")
         else:
@@ -478,7 +480,9 @@ def _json_int(value, what: str) -> int:
     return value
 
 
-def _finite_number(value, what: str) -> float:
+def finite_number(value, what: str) -> float:
+    """``value`` as a float, or BadInput naming ``what`` unless it is a finite
+    int or float; a bool is not a number here."""
     # abs() compares an int beyond the float range, on which math.isfinite overflows
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or not abs(value) <= sys.float_info.max):
@@ -499,7 +503,7 @@ def _json_gate(d, width: int) -> Gate:
         raise BadInput(f"{kind} gate pattern must be a string, got {pattern!r}")
     gate = Gate(kind, _json_int(d.get("target"), f"{kind} gate target"),
                 pattern_select(pattern, width),
-                _finite_number(d.get("angle", 0.0), f"{kind} gate angle"))
+                finite_number(d.get("angle", 0.0), f"{kind} gate angle"))
     if _gate_dict(gate, width) != d:
         raise BadInput(f"gate entry {d!r} is not the form export writes for its gate")
     return gate
@@ -526,5 +530,5 @@ def import_json(text: str) -> tuple[Circuit, dict]:
     gates = [_json_gate(d, width) for d in doc["gates"]]
     metadata = _checked_metadata(doc.get("metadata", {}))
     return _read_circuit(width, gates, layout,
-                         _finite_number(doc.get("global_phase", 0.0), "global_phase"),
+                         finite_number(doc.get("global_phase", 0.0), "global_phase"),
                          lambda i: f"gate entry {i}"), metadata

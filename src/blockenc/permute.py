@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Container
 
-from .errors import NotAdjacent
+from .errors import BadInput, NotAdjacent
 from .assignment import Pairs, hamming
 from .ir import Circuit, Gate, mcx
 
@@ -87,8 +87,15 @@ def route_permutation(pairs: Pairs, width: int) -> list[tuple[int, int]]:
     track the pending amplitudes both ways, ``pos`` from each source to the
     label its amplitude sits on and ``at`` back, so a swap looks up the
     sources on its two labels and the labels holding a pending amplitude
-    are the keys of ``at``.
+    are the keys of ``at``.  Labels outside ``0 .. 2**width - 1`` and
+    repeated sources or targets are ``BadInput``.
     """
+    sources, targets = {s for s, _ in pairs}, {t for _, t in pairs}
+    # a label outside the width, negative ones included, shifts to nonzero
+    if not len(sources) == len(targets) == len(pairs) or any(
+            x >> width for x in sources | targets):
+        raise BadInput(f"pairs must match distinct sources to distinct targets, "
+                       f"all labels of {width} bits")
     moves = {s: t for s, t in pairs if s != t}
     settled = {s for s, t in pairs if s == t}
     pos = {s: s for s in moves}  # source -> label its amplitude sits on

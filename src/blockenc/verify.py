@@ -39,7 +39,6 @@ imports only ``errors``, ``ingest`` and ``ir``.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -47,7 +46,7 @@ import numpy as np
 from .errors import BadInput, BadLayout, TooLarge
 from .ingest import SparseMatrix
 from .ir import (MAX_SIM_ENTRIES, Circuit, Gate, RegisterLayout, check_budget,
-                 circuit_unitary, unitarity_residual)
+                 circuit_unitary, finite_number, unitarity_residual)
 
 DEFAULT_TOL = 1e-9  # max |alpha*B - A| a passing circuit may reach
 UNITARITY_TOL = 1e-10
@@ -184,16 +183,15 @@ class VerificationReport:
 
 def check_tolerance(tol: float) -> None:
     """Refuse a tolerance that is not a finite non-negative number."""
-    if not math.isfinite(tol) or tol < 0:
-        raise BadInput(f"tolerance must be a finite non-negative number, got {tol}")
+    if finite_number(tol, "tolerance") < 0:
+        raise BadInput(f"tolerance must be non-negative, got {tol!r}")
 
 
 def verify_circuit(matrix: SparseMatrix, circuit: Circuit, alpha: float,
                    tol: float = DEFAULT_TOL) -> VerificationReport:
     """Compare alpha times the extracted block against the matrix entrywise."""
     check_tolerance(tol)
-    if not math.isfinite(alpha):
-        raise BadInput(f"alpha must be a finite number, got {alpha}")
+    finite_number(alpha, "alpha")
     layout = circuit.layout
     if layout is None or layout.n != matrix.n:
         raise BadLayout("circuit layout does not match the matrix dimension")

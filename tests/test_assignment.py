@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from blockenc.assignment import (FixedIndexPolicy, _tie_break, build_target_set, hamming,
+from blockenc.assignment import (FixedIndexPolicy, build_target_set, hamming,
                                  linear_sum_assignment as solve_lsap, mode_pattern,
                                  solve_assignment)
 from blockenc.errors import BadInput
@@ -195,7 +195,7 @@ def test_tie_break_matches_reference_on_tied_costs(n, spread, data):
     # costs drawn from {0, .., spread - 1}: many optimal assignments tie
     cells = data.draw(st.lists(st.integers(0, spread - 1), min_size=n * n, max_size=n * n))
     cost = np.array(cells, dtype=np.int64).reshape(n, n)
-    cols = _tie_break(cost.tolist())
+    cols = solve_lsap(cost.tolist())[0]
     assert cols == reference_tie_break(cost)
     rows, best = linear_sum_assignment(cost)
     assert int(cost[np.arange(n), cols].sum()) == int(cost[rows, best].sum())
@@ -216,11 +216,12 @@ def test_bijection_matches_reference_onto_reducible_targets(P, data):
 @settings(max_examples=120, deadline=None)
 @given(st.integers(1, 12), st.integers(1, 4), st.data())
 def test_solver_is_optimal_with_integer_duals(n, spread, data):
-    # tied integer costs: the matching is scipy's optimum, the duals prove it
+    # tied integer costs: the matching is the lexicographic optimum, the duals prove it
     cells = data.draw(st.lists(st.integers(0, spread - 1), min_size=n * n, max_size=n * n))
     cost = [cells[j * n:(j + 1) * n] for j in range(n)]
     cols, u, v = solve_lsap(cost)
     assert sorted(cols) == list(range(n))
+    assert cols == reference_tie_break(np.array(cost))
     rows, best = linear_sum_assignment(np.array(cost))
     assert sum(cost[j][cols[j]] for j in range(n)) == int(np.array(cost)[rows, best].sum())
     assert all(type(p) is int for p in u + v)
@@ -240,7 +241,7 @@ def test_tie_break_matches_reference_at_compiler_sizes(seed):
     cube = build_target_set(fixed, mode_pattern(src, fixed), P)
     dst = sorted(int(t) for t in rng.choice(cube, size=size, replace=False))
     cost = [[hamming(s, t) for t in dst] for s in src]
-    assert _tie_break(cost) == reference_tie_break(np.array(cost))
+    assert solve_lsap(cost)[0] == reference_tie_break(np.array(cost))
 
 
 @pytest.mark.parametrize("n", [63, 100, 130])
@@ -248,7 +249,7 @@ def test_tie_break_and_duals_past_one_bitmask_word(n):
     # tied costs on more than 62 columns: the tight graph's bitmasks take a
     # second (and at 130 a third) 62-column word
     cost = np.random.default_rng(n).integers(0, 3, size=(n, n))
-    assert _tie_break(cost.tolist()) == reference_tie_break(cost)
+    assert solve_lsap(cost.tolist())[0] == reference_tie_break(cost)
     cols, u, v = solve_lsap(cost.tolist())
     assert sorted(cols) == list(range(n))
     assert all(type(p) is int for p in u + v)
@@ -257,3 +258,23 @@ def test_tie_break_and_duals_past_one_bitmask_word(n):
     assert np.all(duals[np.arange(n), cols] == cost[np.arange(n), cols])
     rows, best = linear_sum_assignment(cost)
     assert int(cost[np.arange(n), cols].sum()) == int(cost[rows, best].sum())
+
+
+def test_solver_refuses_float_costs():
+    # truncated to int64, [[0.5, 0.4], [0.4, 0.5]] would take the diagonal at cost 1.0
+    with pytest.raises(BadInput, match="integer"):
+        solve_lsap([[0.5, 0.4], [0.4, 0.5]])
+    with pytest.raises(BadInput, match="integer"):
+        solve_lsap(np.array([[1.0, 2.0], [3.0, 4.0]]))
+
+
+@pytest.mark.parametrize("cost", [[[1, 2, 3], [4, 5, 6]], [[1, 2], [3]], [[]], [1, 2], [[[1]]]],
+                         ids=["2x3", "ragged", "1x0", "vector", "3d"])
+def test_solver_refuses_a_cost_that_is_not_square(cost):
+    with pytest.raises(BadInput):
+        solve_lsap(cost)
+
+
+def test_solver_on_an_empty_matrix():
+    assert solve_lsap([]) == ([], [], [])
+    assert solve_lsap(np.zeros((0, 0), dtype=np.int64)) == ([], [], [])

@@ -3,7 +3,7 @@ import pytest
 
 from blockenc import permute
 from blockenc.assignment import solve_assignment, build_target_set, hamming, mode_pattern
-from blockenc.errors import NotAdjacent
+from blockenc.errors import BadInput, NotAdjacent
 from blockenc.ir import Circuit, circuit_unitary
 from blockenc.permute import basis_swap, permute_circuit, route_permutation
 
@@ -158,3 +158,15 @@ def test_inverse_composes_to_identity(rng):
         inv = permute_inverse(circ)
         u = circuit_unitary(Circuit(P, circ.gates + inv.gates))
         assert np.array_equal(u, np.eye(1 << P))
+
+
+@pytest.mark.parametrize("pairs", [((0, 5),), ((5, 0),), ((0, -1),), ((-1, 0),),
+                                   ((0, 1), (2, 1)), ((0, 1), (0, 2))],
+                         ids=["target-above", "source-above", "target-negative",
+                              "source-negative", "repeated-target", "repeated-source"])
+def test_router_refuses_malformed_pairs(pairs):
+    # unchecked, a target the 2-bit space cannot reach would keep the router stepping forever
+    with pytest.raises(BadInput):
+        route_permutation(pairs, 2)
+    with pytest.raises(BadInput):
+        permute_circuit(pairs, 2)

@@ -351,3 +351,15 @@ def test_structured_budget_caps_tridiagonal_at_n_17():
         check_structured_budget(3, 18)
     with pytest.raises(TooLarge):
         check_structured_budget(3, 10**30)  # no 2^n is built
+
+
+
+@pytest.mark.parametrize("what, tol, alpha", [
+    ("tolerance", "1e-9", 1.0), ("tolerance", None, 1.0), ("tolerance", True, 1.0),
+    ("tolerance", -1e-9, 1.0), ("alpha", 1e-9, None), ("alpha", 1e-9, "1"),
+    ("alpha", 1e-9, True)])
+def test_verify_refuses_an_argument_that_is_not_a_number(rng, what, tol, alpha):
+    m = random_tridiagonal(3, rng)
+    enc = compile_matrix(m)
+    with pytest.raises(BadInput, match=what):
+        verify_circuit(m, enc.circuit, alpha, tol)
