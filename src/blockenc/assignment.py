@@ -124,7 +124,13 @@ def linear_sum_assignment(cost) -> tuple[list[int], list[int], list[int]]:
 
     ``cost`` is nested lists or an array of integers, held as int64; any
     other shape or dtype is ``BadInput``, and a 0 x 0 matrix gives three
-    empty lists.
+    empty lists.  With lo and hi the least and the greatest entry and
+    R = hi - lo, u stays in [0, R]: while a row is unmatched some column k
+    is free, its v is still the column minimum, and so u[j] <= cost[j][k] -
+    v[k] <= R.  A matched edge is tight, so v stays in [lo - R, hi] and
+    every slack in [0, 2R], dipping to -2R inside a dual step.  A matrix
+    with hi >= 2^63, 2R >= 2^63 or lo - R < -2^63 could wrap in int64 and
+    is ``BadInput``.
     """
     try:
         given = np.asarray(cost)
@@ -135,6 +141,10 @@ def linear_sum_assignment(cost) -> tuple[list[int], list[int], list[int]]:
     n = len(given)
     if given.shape != (n, n) or given.dtype.kind not in "iu":
         raise BadInput(f"cost must be a square integer matrix, not {given.dtype} {given.shape}")
+    lo, hi = int(given.min()), int(given.max())
+    if hi >= 1 << 63 or 2 * (hi - lo) >= 1 << 63 or 2 * lo - hi < -1 << 63:
+        raise BadInput(f"cost entries from {lo} to {hi} could carry a dual or a slack "
+                       "past int64")
     slack = given.astype(np.int64)
     v = slack.min(axis=0)
     slack -= v

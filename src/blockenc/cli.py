@@ -131,50 +131,69 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_compile_opts(p):
-        p.add_argument("--strategy", choices=["auto", "1", "2", "3"], default="auto")
+        p.add_argument("--strategy", choices=["auto", "1", "2", "3"], default="auto",
+                       help="repeated-diagonal encoding")
         p.add_argument("--fixed-index", dest="fixed_index", default=None,
-                       metavar="{right|left}")
-        p.add_argument("--no-zero-pad", dest="no_zero_pad", action="store_true")
+                       metavar="{right|left}",
+                       help="which end of a label holds the fixed bits of a fused-gate "
+                            "permutation's target cube, on both registers (default: "
+                            "data right-ended, matrix left-ended)")
+        p.add_argument("--no-zero-pad", dest="no_zero_pad", action="store_true",
+                       help="never borrow zero-amplitude data slots to pad a fused set "
+                            "to a power of two")
         p.add_argument("--skip-oc", dest="skip_oc", action="store_true",
                        help="omit the index-mapping stage (diagonal check)")
-        p.add_argument("--defer-restore", dest="defer_restore", action="store_true")
+        p.add_argument("--defer-restore", dest="defer_restore", action="store_true",
+                       help="permute once per fused operation and restore the data "
+                            "order once at the end")
         p.add_argument("--naive", action="store_true",
                        help="per-item gates without fusion (baseline)")
 
+    def add_tol(p):
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                       help="largest entrywise |alpha*B - A| that passes (default: 1e-9)")
+
     p = sub.add_parser("compile", help="matrix JSON -> circuit IR + stats")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--in", dest="infile", required=True, help="matrix JSON file")
+    p.add_argument("--out", required=True,
+                   help="circuit IR file, JSON if it ends in .json; the stats JSON "
+                        "goes to OUT.stats.json")
     add_compile_opts(p)
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("verify", help="simulate a circuit IR against a matrix")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--circuit", required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--matrix", required=True, help="matrix JSON file")
+    p.add_argument("--circuit", required=True,
+                   help="circuit IR file (text, or JSON by a .json suffix) that records alpha")
+    add_tol(p)
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("stats", help="compile and print the gate-count report")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", default=None)
+    p.add_argument("--in", dest="infile", required=True, help="matrix JSON file")
+    p.add_argument("--out", default=None, help="write the stats JSON here")
     add_compile_opts(p)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("export", help="convert circuit IR between text and JSON")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--in", dest="infile", required=True,
+                   help="circuit IR file, JSON if it ends in .json")
+    p.add_argument("--out", required=True, help="file to write, JSON if it ends in .json")
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("demo", help="build, compile and verify a bundled example")
-    p.add_argument("case", choices=["tridiagonal", "structured32"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=3, help="matrix qubits for the tridiagonal case")
+    p.add_argument("case", choices=["tridiagonal", "structured32"], help="example to build")
+    p.add_argument("--seed", type=int, default=0,
+                   help="non-negative seed of the example's random values (default: 0)")
+    p.add_argument("--n", type=int, default=3,
+                   help="matrix qubits for the tridiagonal case, at most 17")
     p.add_argument("--coeffs", default=None,
                    help="six comma-separated values re1,im1,re2,im2,re3,im3 "
                         "for the tridiagonal bands (default: seeded random)")
     p.add_argument("--out", default=None, help="write the compiled IR here")
-    p.add_argument("--save-matrix", dest="save_matrix", default=None)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--save-matrix", dest="save_matrix", default=None,
+                   help="write the example's matrix JSON here")
+    add_tol(p)
     add_compile_opts(p)
     p.set_defaults(func=cmd_demo)
     return parser

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import re
 import sys
 from dataclasses import dataclass, replace
@@ -73,7 +74,7 @@ class RegisterLayout:
     n: int
 
     def __post_init__(self):
-        if self.m < 0 or self.n < 0:
+        if integer(self.m, "layout m") < 0 or integer(self.n, "layout n") < 0:
             raise BadInput(f"invalid layout m={self.m} n={self.n}")
 
     @property
@@ -233,7 +234,8 @@ def circuit_unitary(circuit: Circuit, columns: int | np.ndarray | None = None) -
     the upper one, and x/mcx swap and ry rotate the pair in 1-D chunks of at
     most ``_CHUNK`` entries, so their temporaries stay cache-sized whatever
     the view's shape.  More than ``MAX_SIM_ENTRIES`` entries is
-    ``TooLarge``, raised before any allocation.
+    ``TooLarge``, raised before any allocation; a ``columns`` that is not
+    None, an integer or a 2-D array is ``BadInput``.
     """
     width = circuit.n_qubits
     dim = 1 << width
@@ -244,7 +246,7 @@ def circuit_unitary(circuit: Circuit, columns: int | np.ndarray | None = None) -
         check_budget(width, columns.shape[1])
         u = np.array(columns, dtype=complex, order="C")
     else:
-        columns = dim if columns is None else columns
+        columns = dim if columns is None else integer(columns, "columns")
         if not 1 <= columns <= dim:
             raise BadInput(f"cannot simulate {columns} columns of a {width}-qubit unitary")
         check_budget(width, columns)
@@ -474,8 +476,10 @@ def _gate_dict(g: Gate, width: int) -> dict:
     return d
 
 
-def _json_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+def integer(value, what: str) -> int:
+    """``value`` itself, or BadInput naming ``what`` unless it is an integer;
+    a bool is not a number here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise BadInput(f"{what} must be an integer, got {value!r}")
     return value
 
@@ -501,7 +505,7 @@ def _json_gate(d, width: int) -> Gate:
     pattern = d.get("pattern", "X" * width)
     if not isinstance(pattern, str):
         raise BadInput(f"{kind} gate pattern must be a string, got {pattern!r}")
-    gate = Gate(kind, _json_int(d.get("target"), f"{kind} gate target"),
+    gate = Gate(kind, integer(d.get("target"), f"{kind} gate target"),
                 pattern_select(pattern, width),
                 finite_number(d.get("angle", 0.0), f"{kind} gate angle"))
     if _gate_dict(gate, width) != d:
@@ -521,12 +525,11 @@ def import_json(text: str) -> tuple[Circuit, dict]:
         lay = doc["layout"]
         if not isinstance(lay, dict):
             raise BadInput(f"layout must be an object, got {lay!r}")
-        layout = RegisterLayout(_json_int(lay.get("m"), "layout m"),
-                                _json_int(lay.get("n"), "layout n"))
+        layout = RegisterLayout(lay.get("m"), lay.get("n"))
         _checked_width(layout.total)
     if not isinstance(doc.get("gates"), list):
         raise BadInput("circuit JSON needs a gates list")
-    width = _checked_width(_json_int(doc.get("qubits"), "qubits"))
+    width = _checked_width(integer(doc.get("qubits"), "qubits"))
     gates = [_json_gate(d, width) for d in doc["gates"]]
     metadata = _checked_metadata(doc.get("metadata", {}))
     return _read_circuit(width, gates, layout,

@@ -14,7 +14,7 @@ from collections.abc import Container
 
 from .errors import BadInput, NotAdjacent
 from .assignment import Pairs, hamming
-from .ir import Circuit, Gate, mcx
+from .ir import Circuit, Gate, integer, mcx
 
 
 def basis_swap(a: int, b: int, width: int) -> Gate:
@@ -87,9 +87,12 @@ def route_permutation(pairs: Pairs, width: int) -> list[tuple[int, int]]:
     track the pending amplitudes both ways, ``pos`` from each source to the
     label its amplitude sits on and ``at`` back, so a swap looks up the
     sources on its two labels and the labels holding a pending amplitude
-    are the keys of ``at``.  Labels outside ``0 .. 2**width - 1`` and
-    repeated sources or targets are ``BadInput``.
+    are the keys of ``at``.  A width that is not an integer >= 0, labels
+    outside ``0 .. 2**width - 1`` and repeated sources or targets are
+    ``BadInput``.
     """
+    if integer(width, "width") < 0:
+        raise BadInput(f"width must be >= 0, got {width}")
     sources, targets = {s for s, _ in pairs}, {t for _, t in pairs}
     # a label outside the width, negative ones included, shifts to nonzero
     if not len(sources) == len(targets) == len(pairs) or any(

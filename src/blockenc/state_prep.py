@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 import numpy as np
 
@@ -54,7 +55,19 @@ def _phase_layer(phases, m: int) -> list[Gate]:
 
 
 def synthesize_prep(items, phases) -> Circuit:
-    """Circuit C with C|0..0> = sum_p phase_p sqrt(item_p / alpha) |p>, alpha = sum(items)."""
+    """Circuit C with C|0..0> = sum_p phase_p sqrt(item_p / alpha) |p>, alpha = sum(items).
+
+    Each item is a finite nonnegative magnitude with one phase, a number of
+    modulus 1 to within 1e-12; anything else is ``BadInput``.
+    """
+    if len(phases) != len(items):
+        raise BadInput(f"{len(phases)} phases for {len(items)} items")
+    magnitudes, units = np.asarray(items), np.asarray(phases)
+    if magnitudes.dtype.kind not in "iuf" or not np.all(
+            (magnitudes >= 0) & (magnitudes <= sys.float_info.max)):
+        raise BadInput("item magnitudes must be finite nonnegative numbers")
+    if units.dtype.kind not in "iufc" or not np.all(np.abs(np.abs(units) - 1) <= 1e-12):
+        raise BadInput("item phases must be numbers of modulus 1")
     alpha = float(sum(items))
     if alpha <= 0:  # also no items at all
         raise EmptyData("no nonzero items to prepare")
@@ -64,7 +77,7 @@ def synthesize_prep(items, phases) -> Circuit:
     if m == 0:
         return Circuit(0, (), global_phase=cmath.phase(complex(phases[0])))
     mags = np.zeros(1 << m)
-    mags[: len(items)] = np.sqrt(np.asarray(items) / alpha)
+    mags[: len(items)] = np.sqrt(magnitudes / alpha)
     return Circuit(m, tuple(_magnitude_tree(mags, m) + _phase_layer(phases, m)))
 
 

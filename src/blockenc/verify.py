@@ -16,7 +16,7 @@ register vector w with w[q] = a_p for each label p that reaches data state q
 of row i.  One suffix simulation of ``[I | all w]`` then gives S and every
 block entry, ``block[i, j] = (S w)[0]``.  Each entry goes through the same
 floating-point operations as in the dense columns, so the block is bit for
-bit the one ``extract_block(circuit_unitary(circuit, d))`` reads.
+bit the first d rows of ``circuit_unitary(circuit, d)``.
 
 The residual on that path is max(|a^H a - 1|, max |S^H S - I|).  The label
 map is a bijection, so it certifies the same orthonormality of the block
@@ -45,62 +45,42 @@ import numpy as np
 
 from .errors import BadInput, BadLayout, TooLarge
 from .ingest import SparseMatrix
-from .ir import (MAX_SIM_ENTRIES, Circuit, Gate, RegisterLayout, check_budget,
-                 circuit_unitary, finite_number, unitarity_residual)
+from .ir import (MAX_SIM_ENTRIES, Circuit, Gate, check_budget, circuit_unitary,
+                 finite_number, unitarity_residual)
 
 DEFAULT_TOL = 1e-9  # max |alpha*B - A| a passing circuit may reach
 UNITARITY_TOL = 1e-10
 
 
-def extract_block(u: np.ndarray, layout: RegisterLayout) -> np.ndarray:
-    """Submatrix at rows and columns where every flag qubit reads zero.
+def _split(circuit: Circuit) -> tuple[Circuit, tuple, Circuit] | None:
+    """(prefix, middle, suffix) of the circuit, or None if the middle holds
+    a rotation.
 
-    ``u`` is the unitary or any run of its leading columns that holds the
-    block's d columns, as ``circuit_unitary(circuit, d)`` returns.
+    The prefix is the longest leading run of gates on the data register
+    alone, controls included, and the suffix the longest trailing one after
+    it.  Both come lowered to circuits on the m data qubits, the suffix with
+    the global phase; the middle is the gates between them.
     """
-    d = layout.block_dim
-    if u.ndim != 2 or u.shape[0] != 1 << layout.total or u.shape[1] < d:
-        raise BadLayout(f"operator shape {u.shape} does not hold the block of "
-                        f"{layout.total} qubits")
-    return u[:d, :d]
+    gates, m, shift = circuit.gates, circuit.layout.m, circuit.layout.n + 1
+    flags = (1 << shift) - 1  # the delete and matrix bits of a label
 
+    def lowered(run):
+        for g in run:  # stops at the first gate off the data register
+            mask, value = g.controls
+            if g.target >= m or mask & flags:
+                return
+            yield Gate(g.kind, g.target, (mask >> shift, value >> shift), g.angle)
 
-def _on_data(gate: Gate, layout: RegisterLayout) -> bool:
-    """True if the gate acts on the data register alone, controls included."""
-    flags = (1 << layout.n + 1) - 1  # the delete and matrix bits of a label
-    return gate.target < layout.m and not gate.controls[0] & flags
-
-
-def _split(circuit: Circuit) -> tuple[tuple, tuple, tuple] | None:
-    """The (prefix, middle, suffix) gate runs of the circuit, or None if the
-    middle holds a rotation.
-
-    The prefix is the longest leading run of gates on the data register alone
-    and the suffix the longest trailing one after it.
-    """
-    layout = circuit.layout
-    gates = circuit.gates
-    start, stop = 0, len(gates)
-    while start < stop and _on_data(gates[start], layout):
-        start += 1
-    while stop > start and _on_data(gates[stop - 1], layout):
-        stop -= 1
-    middle = gates[start:stop]
+    prefix = tuple(lowered(gates))
+    suffix = tuple(lowered(reversed(gates[len(prefix):])))[::-1]
+    middle = gates[len(prefix):len(gates) - len(suffix)]
     if any(g.kind in ("ry", "phase") for g in middle):
         return None
-    return gates[:start], middle, gates[stop:]
+    return Circuit(m, prefix), middle, Circuit(m, suffix, global_phase=circuit.global_phase)
 
 
-def _data_circuit(gates, layout: RegisterLayout, global_phase: float = 0.0) -> Circuit:
-    """Gates on the data register alone, as a circuit on its m qubits."""
-    shift = layout.n + 1
-    return Circuit(layout.m, tuple(
-        Gate(g.kind, g.target, (g.controls[0] >> shift, g.controls[1] >> shift), g.angle)
-        for g in gates), global_phase=global_phase)
-
-
-def _structured_block(circuit: Circuit, prefix, middle,
-                      suffix) -> tuple[np.ndarray, np.ndarray, float]:
+def _structured_block(circuit: Circuit, prefix: Circuit, middle,
+                      suffix: Circuit) -> tuple[np.ndarray, np.ndarray, float]:
     """(keys, values, residual) from the prefix state, the label walk through
     the middle and one suffix simulation of ``[I | all w]``."""
     layout = circuit.layout
@@ -109,7 +89,7 @@ def _structured_block(circuit: Circuit, prefix, middle,
     # Two start columns, so that no rotation meets a one-entry view: numpy
     # rounds a complex product on one element apart from its vector loop,
     # and in the dense columns a data-register view spans the delete qubit.
-    a = circuit_unitary(_data_circuit(prefix, layout), min(2, size))[:, 0]
+    a = circuit_unitary(prefix, min(2, size))[:, 0]
     labels = (np.arange(size)[:, None] << n + 1 | np.arange(d)).ravel()
     top = layout.total - 1
     masked, hit = np.empty_like(labels), np.empty(labels.shape, dtype=bool)  # walk buffers
@@ -124,7 +104,7 @@ def _structured_block(circuit: Circuit, prefix, middle,
     start = np.zeros((size, size + len(keys)), dtype=complex)
     np.fill_diagonal(start, 1)
     start[final >> n + 1, size + fiber] = a[reached >> n]
-    out = circuit_unitary(_data_circuit(suffix, layout, circuit.global_phase), start)
+    out = circuit_unitary(suffix, start)
     residual = max(unitarity_residual(a[:, None]), unitarity_residual(out[:, :size]))
     return keys, out[0, size:].copy(), residual  # a copy frees the suffix array
 
@@ -153,10 +133,10 @@ def encoded_block(circuit: Circuit) -> tuple[np.ndarray, np.ndarray, float]:
     parts = _split(circuit)
     if parts is not None:
         return _structured_block(circuit, *parts)
-    columns = circuit_unitary(circuit, layout.block_dim)
-    block = extract_block(columns, layout)
-    keys = np.flatnonzero(block)
-    return keys, block.ravel()[keys], unitarity_residual(columns)
+    d = layout.block_dim
+    columns = circuit_unitary(circuit, d)
+    keys = np.flatnonzero(columns[:d])
+    return keys, columns[:d].ravel()[keys], unitarity_residual(columns)
 
 
 @dataclass

@@ -278,3 +278,33 @@ def test_solver_refuses_a_cost_that_is_not_square(cost):
 def test_solver_on_an_empty_matrix():
     assert solve_lsap([]) == ([], [], [])
     assert solve_lsap(np.zeros((0, 0), dtype=np.int64)) == ([], [], [])
+
+
+@pytest.mark.parametrize("cost", [
+    [[2**62, -2**62], [-2**62, 2**62]],  # range 2^63: the duals wrap
+    np.array([[2**63, 0], [0, 1]], dtype=np.uint64),  # past int64 before the cast
+    [[0, 2**62], [2**62, 0]],  # range 2^62: a slack could reach 2^63
+    [[-2**62 - 2, -3], [-3, -3]],  # range 2^62 - 1, but a v could fall below -2^63
+], ids=["range-2^63", "uint64-2^63", "range-2^62", "low-v"])
+def test_solver_refuses_costs_that_could_wrap_int64(cost):
+    with pytest.raises(BadInput, match="int64"):
+        solve_lsap(cost)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_solver_at_the_int64_bound_matches_brute_force(seed):
+    # entries span R = 2^62 - 1, the widest range accepted, from lo = -2^62
+    # or up to hi = 2^63 - 1: the lexicographic optimum over all permutations
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 4
+    spread = (1 << 62) - 1
+    lo = -(1 << 62) if seed % 2 else (1 << 63) - 1 - spread
+    cells = [int(c) for c in rng.integers(0, spread, size=n * n, endpoint=True)]
+    cells[:2] = [0, spread]  # both ends of the range
+    cost = [[lo + cells[j * n + k] for k in range(n)] for j in range(n)]
+    cols, u, v = solve_lsap(cost)
+    best = min(permutations(range(n)),
+               key=lambda p: (sum(cost[j][p[j]] for j in range(n)), p))
+    assert tuple(cols) == best
+    assert all(u[j] + v[k] <= cost[j][k] for j in range(n) for k in range(n))
+    assert all(u[j] + v[cols[j]] == cost[j][cols[j]] for j in range(n))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -398,3 +399,12 @@ def test_demo_over_budget_is_refused_before_the_matrix_is_built(monkeypatch, cap
     monkeypatch.setattr(cli, "demo_matrices", None)
     assert main(["demo", "tridiagonal", "--n", "18"]) == 2
     assert "n = 18" in capsys.readouterr().err
+
+
+def test_every_option_has_help():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, p in sub.choices.items():
+        for action in p._actions:
+            if "-h" not in action.option_strings:
+                assert action.help, (command, action.option_strings or action.dest)

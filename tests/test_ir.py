@@ -13,6 +13,7 @@ from blockenc.cli import main
 from blockenc.demo import tridiagonal
 from blockenc.errors import BadGate, BadInput, BlockencError, TooLarge
 from blockenc.ingest import save_matrix
+from blockenc.permute import route_permutation
 from blockenc.pipeline import compile_matrix
 from blockenc.verify import UNITARITY_TOL
 from blockenc.ir import (MAX_CIRCUIT_QUBITS, Circuit, Gate, RegisterLayout, circuit_unitary,
@@ -490,3 +491,15 @@ def test_residual_reads_any_input_layout(rng, layout, dim, columns):
     expected = reference_unitarity_residual(np.asarray(v, dtype=complex))
     assert expected > 1e-7
     assert abs(unitarity_residual(v) - expected) <= 1e-15
+
+
+@pytest.mark.parametrize("call", [
+    lambda: RegisterLayout(1.5, 2), lambda: RegisterLayout(True, 2),
+    lambda: RegisterLayout(2, "3"), lambda: circuit_unitary(Circuit(2), True),
+    lambda: circuit_unitary(Circuit(2), 1.5), lambda: circuit_unitary(Circuit(2), "a"),
+    lambda: route_permutation(((0, 1),), -1), lambda: route_permutation(((0, 1),), 1.5)],
+    ids=["layout-float", "layout-bool", "layout-str", "columns-bool", "columns-float",
+         "columns-str", "width-negative", "width-float"])
+def test_widths_and_counts_must_be_integers(call):
+    with pytest.raises(BadInput):
+        call()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from blockenc import SparseMatrix, compile_matrix, state_prep
-from blockenc.errors import EmptyData
+from blockenc.errors import BadInput, EmptyData
 from blockenc.ir import Circuit, circuit_unitary, inverse_circuit, unitarity_residual
 from blockenc.state_prep import _magnitude_tree, synthesize_prep, synthesize_unprep
 
@@ -123,3 +123,15 @@ def test_compile_builds_the_rotation_tree_once(monkeypatch):
 def test_empty_data_rejected():
     with pytest.raises(EmptyData):
         synthesize_prep((), ())
+
+
+@pytest.mark.parametrize("items, phases", [
+    ([1.0], []), ([1.0, 0.5], [1]), ([1.0, 0.5], [1, 1, -1]),
+    ([1.0, -0.5], [1, 1]), ([1.0, math.nan], [1, 1]), ([1.0, math.inf], [1, 1]),
+    ([True], [1]), ([1.0], [2.0]), ([1.0], ["a"]), ([1.0, 0.5], [1, 1 + 1e-9]),
+    ([1.0], [complex(math.nan, 0)])],
+    ids=["no-phase", "phase-missing", "phase-extra", "negative", "nan", "inf", "bool",
+         "phase-2", "phase-str", "phase-off-circle", "phase-nan"])
+def test_malformed_loader_input_is_refused(items, phases):
+    with pytest.raises(BadInput):
+        synthesize_prep(items, phases)

@@ -59,3 +59,19 @@ def test_verifier_imports_none_of_the_compiler_stages():
             names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
             for top in (name.split(".")[0] for name in names):
                 assert top == "numpy" or top in sys.stdlib_module_names, top
+
+
+def test_no_compiler_stage_names_the_simulator():
+    # the simulator serves the verifier alone, so it can move out of ir.py
+    # without a compiler stage noticing
+    simulator = {"circuit_unitary", "unitarity_residual", "check_budget", "MAX_SIM_ENTRIES"}
+    for stage in ("ingest", "state_prep", "assignment", "permute", "index_map", "pipeline"):
+        tree = ast.parse(Path(blockenc.__file__).with_name(f"{stage}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = {a.name for a in node.names}
+            elif isinstance(node, (ast.Attribute, ast.Name)):
+                names = {node.attr if isinstance(node, ast.Attribute) else node.id}
+            else:
+                continue
+            assert not names & simulator, (stage, names & simulator)

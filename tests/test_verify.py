@@ -13,28 +13,16 @@ from blockenc.errors import BadInput, BadLayout, TooLarge
 from blockenc.ingest import SparseMatrix
 from blockenc.ir import Circuit, RegisterLayout, circuit_unitary, mcx, phase, ry
 from blockenc.pipeline import CompileConfig, compile_matrix
-from blockenc.verify import (check_structured_budget, encoded_block, extract_block,
-                             verify_circuit)
+from blockenc.verify import check_structured_budget, encoded_block, verify_circuit
 
 from conftest import dense
-
-
-@pytest.mark.parametrize("columns", [16, 4])  # the unitary, or its block columns
-def test_extract_block_identity(columns):
-    lay = RegisterLayout(1, 2)
-    assert np.array_equal(extract_block(np.eye(16, columns), lay), np.eye(4))
-
-
-@pytest.mark.parametrize("shape", [(4, 4), (16, 2), (8, 4)])
-def test_extract_block_dimension_mismatch(shape):
-    with pytest.raises(BadLayout):
-        extract_block(np.eye(*shape), RegisterLayout(1, 2))
 
 
 def test_compiled_tridiagonal_block_matches(rng):
     m = random_tridiagonal(3, rng)
     enc = compile_matrix(m)
-    block = extract_block(circuit_unitary(enc.circuit), enc.layout)
+    d = enc.layout.block_dim
+    block = circuit_unitary(enc.circuit, d)[:d]
     assert np.abs(enc.alpha * block - dense(m)).max() <= 1e-9
 
 
@@ -71,8 +59,8 @@ def test_block_spectral_norm_bounded(rng):
     for seed in range(5):
         m = random_tridiagonal(2, np.random.default_rng(seed))
         enc = compile_matrix(m)
-        block = extract_block(circuit_unitary(enc.circuit), enc.layout)
-        assert np.linalg.norm(block, 2) <= 1 + 1e-12
+        d = enc.layout.block_dim
+        assert np.linalg.norm(circuit_unitary(enc.circuit, d)[:d], 2) <= 1 + 1e-12
 
 
 def test_eta_only_circuit_verifies_against_diagonal(rng):
@@ -138,10 +126,6 @@ def _tampered(circuit, gates, global_phase=None):
                    circuit.global_phase if global_phase is None else global_phase)
 
 
-def _dense_block(circuit):
-    return extract_block(circuit_unitary(circuit, circuit.layout.block_dim), circuit.layout)
-
-
 def _assert_structured_block_is_dense(circuit):
     # a compiled circuit with a data register has no global phase; give it one
     n, d = circuit.layout.n, circuit.layout.block_dim
@@ -150,7 +134,7 @@ def _assert_structured_block_is_dense(circuit):
         assert np.array_equal(keys, np.unique(keys))
         block = np.zeros((d, d), dtype=complex)
         block[keys >> n, keys & d - 1] = values
-        assert np.array_equal(block, _dense_block(c))
+        assert np.array_equal(block, circuit_unitary(c, d)[:d])
         assert residual <= 1e-12
 
 
