@@ -104,10 +104,10 @@ def linear_sum_assignment(cost) -> tuple[list[int], list[int], list[int]]:
     row's tight columns, and for the second phase each column's tight rows.
 
     The first phase is the Hungarian method.  v starts as the column minima
-    and u as the row minima of cost - v; a greedy pass gives each row the
-    first free tight column.  Each row left over grows a tree of tight edges
-    and matched ones, breadth first, until it reaches a free column, and the
-    matching is flipped along the path there.  When the tree stops short, u
+    and u as the row minima of cost - v.  Each row in turn grows a tree of
+    tight edges and matched ones, breadth first, until it reaches a free
+    column, its own first free tight column if it has one, and the matching
+    is flipped along the path there.  When the tree stops short, u
     rises on its rows and v falls on its columns by the least slack between
     its rows and the other columns: the tree and the matching stay tight and
     at least one edge out of the tree becomes tight.
@@ -153,17 +153,8 @@ def linear_sum_assignment(cost) -> tuple[list[int], list[int], list[int]]:
     tight = _bitmasks(slack == 0)  # current throughout: only a dual step changes slack
     cols = [-1] * n  # column of each row
     rows = [-1] * n  # row of each column
-    free = (1 << n) - 1  # columns no row holds
-    for j in range(n):
-        options = tight[j] & free
-        if options:
-            k = (options & -options).bit_length() - 1
-            cols[j], rows[k] = k, j
-            free ^= 1 << k
     via = [-1] * n  # tree row before each column
     for start in range(n):
-        if cols[start] >= 0:
-            continue
         tree, tree_cols, seen = [start], [], 0  # seen: tree_cols as a bitmask
         end = -1  # the free column the tree reaches
         while end < 0:
@@ -239,9 +230,7 @@ def solve_assignment(sources, targets, P: int) -> Pairs:
     common = sources & targets
     residual_s = sorted(sources - common)
     residual_t = sorted(targets - common)
-    pairs = [(s, s) for s in common]
-    if residual_s:
-        xor = np.array(residual_s, np.uint64)[:, None] ^ np.array(residual_t, np.uint64)
-        cols = linear_sum_assignment(np.bitwise_count(xor))[0]
-        pairs += [(src, residual_t[k]) for src, k in zip(residual_s, cols)]
+    xor = np.array(residual_s, np.uint64)[:, None] ^ np.array(residual_t, np.uint64)
+    cols = linear_sum_assignment(np.bitwise_count(xor))[0]
+    pairs = [(s, s) for s in common] + [(src, residual_t[k]) for src, k in zip(residual_s, cols)]
     return tuple(sorted(pairs))

@@ -33,8 +33,7 @@ gate's full width, once per cascade.  The disjoint cube cover
 one depth-first search per dimension carries each branch's cube prefix
 down, its mask as an argument and its value in the labels themselves, and
 takes every cube into the cover as it finds it.  Its cost follows the
-labels and their cubes; it holds neither a table of every sub-cube inside
-the set nor a list of one dimension's cubes.
+labels and their cubes.
 """
 
 from __future__ import annotations
@@ -134,19 +133,15 @@ def _greedy_cubes(labels, width: int) -> list[Cube]:
     """Disjoint cover of the labels by (mask, value) cubes, largest cube first.
 
     Each pick is the largest cube inside the uncovered labels, with the
-    smallest pattern on ties: from the top dimension down to 1, every cube
+    smallest pattern on ties: from the top dimension down to 0, every cube
     still wholly uncovered is taken in pattern order as ``_cubes_in`` finds
-    it.  The labels left after dimension 1 are the 0-cubes, in ascending
-    order.  The cost follows the labels and their cubes, not a table of
-    every sub-cube inside the set.
+    it, so the labels left for dimension 0 are taken in ascending order.
     """
     uncovered = set(labels)
     cover: list[Cube] = []
-    for dim in range(len(uncovered).bit_length() - 1, 0, -1):
+    for dim in range(len(uncovered).bit_length() - 1, -1, -1):
         if len(uncovered) >= 1 << dim:
             _cubes_in(set(uncovered), width, dim, 0, uncovered, cover, width)
-    full = (1 << width) - 1
-    cover += [(full, v) for v in sorted(uncovered)]
     return cover
 
 

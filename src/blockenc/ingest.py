@@ -272,10 +272,10 @@ def _apply_diagonal_strategy(groups: list[_Group],
     return rest, choice
 
 
-def _shift_for(group: _Group, dim: int, n: int) -> tuple[str | None, int]:
+def _shift_for(group: _Group, dim: int) -> tuple[str | None, int]:
     """Direction and amount moving the main diagonal onto this group's offset."""
     o = group.offset
-    if o == 0 or n == 0:
+    if o == 0:
         return None, 0
     wrapped = np.count_nonzero(group.rows >= dim - o)  # r + o >= dim, without overflow
     if not wrapped:           # every entry above the diagonal
@@ -313,7 +313,7 @@ def analyze(matrix: SparseMatrix, strategy: str | int = "auto") -> OperationPlan
     groups, chosen = _apply_diagonal_strategy(groups, strategy)
     records = []  # (sort key, PlanItem fields after the index)
     for g in groups:
-        direction, amount = _shift_for(g, dim, matrix.n)
+        direction, amount = _shift_for(g, dim)
         n_absent = dim - len(g.rows)
         if not n_absent:
             mode, delete_rows, insert_rows = "none", (), ()

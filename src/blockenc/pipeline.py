@@ -222,11 +222,10 @@ class _Assembler:
         """Single final permutation sending every item slot home (deferred mode).
 
         Items already home enter as identity pairs so the router treats their
-        slots as settled and never borrows them as intermediate states.
+        slots as settled and never borrows them as intermediate states; when
+        every item is home it routes no swap.
         """
         pairs = tuple(sorted((self.cur[it.index], it.index) for it in self.plan.items))
-        if all(a == b for a, b in pairs):
-            return
         circ = permute_circuit(pairs, self.layout.m)
         emitted = embed_gates(circ.gates, self.layout.total, self.layout.data_qubits)
         self._append(emitted, lambda: emitted, self.layout.data_qubits)

@@ -104,6 +104,7 @@ def test_identity_assignment():
     pairs = solve_assignment(s, s, 2)
     assert _cost(pairs) == 0
     assert all(a == b for a, b in pairs)
+    assert solve_assignment(set(), set(), 2) == ()  # the solver's 0 x 0 case
 
 
 def test_random_assignment_matches_brute_force(rng):

@@ -108,6 +108,9 @@ def test_stats_subcommand(tri_path, tmp_path, capsys):
     assert "alpha" in capsys.readouterr().out
     doc = json.loads(out.read_text())
     assert "mcx_width_histogram" in doc
+    # compile writes the same stats JSON, byte for byte
+    assert main(["compile", "--in", str(tri_path), "--out", str(tmp_path / "c.ir")]) == 0
+    assert (tmp_path / "c.ir.stats.json").read_bytes() == out.read_bytes()
 
 
 def test_demo_tridiagonal(capsys):

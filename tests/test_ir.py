@@ -216,6 +216,10 @@ def test_json_round_trip_identity():
 def test_import_rejects_garbage():
     with pytest.raises(BadInput):
         import_text("not a circuit\n")
+    with pytest.raises(BadInput, match="bad pattern 'x1' for width 2"):
+        import_json(_json_ir(2, gates=[{"kind": "mcx", "target": 1, "pattern": "x1"}]))
+    with pytest.raises(BadInput, match="control qubit q99 outside 2 qubits"):
+        import_text("blockenc-ir v1\nqubits 2\nmcx ctrl=q99:0 target=q1\n")
 
 
 @settings(max_examples=100, deadline=None)
