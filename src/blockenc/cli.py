@@ -93,7 +93,7 @@ def cmd_export(args) -> int:
 def cmd_demo(args) -> int:
     check_tolerance(args.tol)
     if args.seed < 0:
-        raise BlockencError(f"--seed must be non-negative, got {args.seed}")
+        raise BadInput(f"--seed must be non-negative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     if args.case == "tridiagonal":
         # at most six plan items (three bands, a real and an imaginary part
@@ -103,9 +103,9 @@ def cmd_demo(args) -> int:
             try:
                 vals = [float(v) for v in args.coeffs.split(",")]
             except ValueError:
-                raise BlockencError(f"bad --coeffs value {args.coeffs!r}") from None
+                raise BadInput(f"bad --coeffs value {args.coeffs!r}") from None
             if len(vals) != 6:
-                raise BlockencError("--coeffs needs six comma-separated values")
+                raise BadInput("--coeffs needs six comma-separated values")
             matrix = demo_matrices.tridiagonal(
                 args.n, complex(vals[0], vals[1]), complex(vals[2], vals[3]),
                 complex(vals[4], vals[5]))

@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .assignment import FixedIndexPolicy, build_target_set, mode_pattern, solve_assignment
-from .errors import BadInput, BadShift, NotPowerOfTwo
+from .errors import BadInput
 from .ir import Cube, Gate, RegisterLayout, embed_gates, mcx
 from .permute import basis_swap, route_permutation
 
@@ -55,7 +55,7 @@ def is_reducible(labels, P: int) -> Cube | None:
     """
     size = len(labels)
     if size & (size - 1):
-        raise NotPowerOfTwo(f"control set size {size} is not a power of two")
+        raise BadInput(f"control set size {size} is not a power of two")
     common, either = (1 << P) - 1, 0
     for v in labels:
         common &= v
@@ -72,7 +72,7 @@ def shift_cascade(data: Cube, direction: str, amount: int,
     """MCX cascade cyclically shifting the matrix register for the data cube."""
     n = layout.n
     if amount <= 0 or amount & (amount - 1) or amount >= (1 << n):
-        raise BadShift(f"shift amount {amount} invalid for n={n}")
+        raise BadInput(f"shift amount {amount} invalid for n={n}")
     if direction not in ("L", "R"):
         raise BadInput(f"direction must be L or R, got {direction!r}")
     k = amount.bit_length() - 1

@@ -5,7 +5,7 @@ A ``SparseMatrix`` holds its entries as three numpy arrays sorted by
 check on them (integer coordinates in range, finite values, at least one
 entry, no duplicates) runs on whole arrays.  The dimension 2**n must itself
 fit in an int64, so n is at most ``MAX_QUBITS`` = 62; a larger matrix is a
-``BadDimension``, never a wrapped label.
+``BadInput``, never a wrapped label.
 
 Entries are grouped by cyclic diagonal offset and by distinct complex value
 along each offset, with one lexsort and a split into runs.  Every distinct
@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadDimension, BadInput, EmptyMatrix
+from .errors import BadInput
 
 MAX_QUBITS = 62  # 2**62 is the largest power-of-two dimension an int64 holds
 
@@ -49,7 +49,7 @@ class SparseMatrix:
     def __post_init__(self):
         n = self.n
         if not _is_index(type(n)) or not 0 <= n <= MAX_QUBITS:
-            raise BadDimension(f"matrix qubit count {n!r} outside 0..{MAX_QUBITS}")
+            raise BadInput(f"matrix qubit count {n!r} outside 0..{MAX_QUBITS}")
         dim = 1 << int(n)
         rows, cols, values = (np.asarray(a) for a in (self.rows, self.cols, self.values))
         if not (rows.ndim == cols.ndim == values.ndim == 1
@@ -89,9 +89,13 @@ class SparseMatrix:
         """Matrix from ``(row, col, value)`` triples, e.g. ``((0, 0, 0.5 + 0j), ...)``.
 
         Coordinates must be integers (not bool) and values numbers; anything
-        else is a BadInput, as in the constructor.
+        else is a BadInput, as in the constructor, and so is an entry that
+        is not a triple.
         """
-        rows, cols, values = tuple(zip(*entries)) or ((), (), ())
+        try:  # an entry that is not iterable, or not of length three
+            rows, cols, values = tuple(zip(*entries, strict=True)) or ((), (), ())
+        except (TypeError, ValueError):
+            raise BadInput("matrix entries must be (row, col, value) triples") from None
         return cls(n, _array(rows, np.int64, _is_index, "row"),
                    _array(cols, np.int64, _is_index, "col"),
                    _array(values, complex, _is_number, "value"))
@@ -137,9 +141,9 @@ def matrix_from_dict(doc: dict) -> SparseMatrix:
         raise BadInput(f"matrix document must be an object, got {type(doc).__name__}")
     dim = doc.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1 or dim & (dim - 1):
-        raise BadDimension(f"dimension {dim!r} is not a power of two")
+        raise BadInput(f"dimension {dim!r} is not a power of two")
     if dim > 1 << MAX_QUBITS:
-        raise BadDimension(f"dimension {dim} is above 2**{MAX_QUBITS}, the int64 label limit")
+        raise BadInput(f"dimension {dim} is above 2**{MAX_QUBITS}, the int64 label limit")
     raw = doc.get("entries", [])
     if not isinstance(raw, list):
         raise BadInput("matrix entries must be a list")
@@ -226,7 +230,7 @@ def _collect_groups(matrix: SparseMatrix) -> list[_Group]:
     """
     nonzero = matrix.values != 0
     if not nonzero.any():
-        raise EmptyMatrix("matrix has no nonzero entries")
+        raise BadInput("matrix has no nonzero entries")
     rows, values = matrix.rows[nonzero], matrix.values[nonzero]
     off = (matrix.cols[nonzero] - rows) & (matrix.dim - 1)
     re, im = values.real + 0.0, values.imag + 0.0

@@ -164,9 +164,9 @@ class Circuit:
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
         if self.n_qubits < 0:
-            raise BadGate(f"negative qubit count {self.n_qubits}")
+            raise BadInput(f"negative qubit count {self.n_qubits}")
         if self.layout is not None and self.layout.total != self.n_qubits:
-            raise BadGate("layout does not match qubit count")
+            raise BadInput("layout does not match qubit count")
         for i, g in enumerate(self.gates):
             try:
                 validate_gate(g, self.n_qubits)
@@ -235,7 +235,7 @@ def circuit_unitary(circuit: Circuit, columns: int | np.ndarray | None = None) -
     most ``_CHUNK`` entries, so their temporaries stay cache-sized whatever
     the view's shape.  More than ``MAX_SIM_ENTRIES`` entries is
     ``TooLarge``, raised before any allocation; a ``columns`` that is not
-    None, an integer or a 2-D array is ``BadInput``.
+    None, an integer or a 2-D array of numbers is ``BadInput``.
     """
     width = circuit.n_qubits
     dim = 1 << width
@@ -243,6 +243,8 @@ def circuit_unitary(circuit: Circuit, columns: int | np.ndarray | None = None) -
         if columns.ndim != 2 or columns.shape[0] != dim or not columns.shape[1]:
             raise BadInput(f"start array of shape {columns.shape} does not fit "
                            f"a {width}-qubit circuit")
+        if columns.dtype.kind not in "biufc":
+            raise BadInput(f"start array entries must be numbers, got {columns.dtype}")
         check_budget(width, columns.shape[1])
         u = np.array(columns, dtype=complex, order="C")
     else:
@@ -431,8 +433,6 @@ def _read_circuit(width: int, gates: list[Gate], layout: RegisterLayout | None,
     try:
         return Circuit(width, tuple(gates), layout, gphase)
     except BadGate as exc:
-        if exc.index is None:
-            raise
         raise BadGate(f"{exc} in {where(exc.index)}") from None
 
 

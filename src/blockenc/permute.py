@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Container
 
-from .errors import BadInput, NotAdjacent
+from .errors import BadInput
 from .assignment import Pairs, hamming
 from .ir import Circuit, Gate, integer, mcx
 
@@ -21,7 +21,7 @@ def basis_swap(a: int, b: int, width: int) -> Gate:
     """Gate exchanging the amplitudes of two width-bit labels one bit apart."""
     diff = a ^ b
     if diff.bit_count() != 1 or (a | b) >> width:
-        raise NotAdjacent(f"{a} and {b} do not differ in exactly one of {width} bits")
+        raise BadInput(f"{a} and {b} do not differ in exactly one of {width} bits")
     return mcx((((1 << width) - 1) ^ diff, a & ~diff), width - diff.bit_length())
 
 

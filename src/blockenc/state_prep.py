@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .errors import BadInput, EmptyData
+from .errors import BadInput
 from .ir import Circuit, Gate, inverse_circuit, phase, ry, x
 
 
@@ -70,7 +70,7 @@ def synthesize_prep(items, phases) -> Circuit:
         raise BadInput("item phases must be numbers of modulus 1")
     alpha = float(sum(items))
     if alpha <= 0:  # also no items at all
-        raise EmptyData("no nonzero items to prepare")
+        raise BadInput("no nonzero items to prepare")
     if not math.isfinite(alpha):
         raise BadInput(f"item magnitudes sum to {alpha}, beyond the float range")
     m = (len(items) - 1).bit_length()

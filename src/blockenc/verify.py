@@ -43,7 +43,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import BadInput, BadLayout, TooLarge
+from .errors import BadInput, TooLarge
 from .ingest import SparseMatrix
 from .ir import (MAX_SIM_ENTRIES, Circuit, Gate, check_budget, circuit_unitary,
                  finite_number, unitarity_residual)
@@ -129,7 +129,7 @@ def encoded_block(circuit: Circuit) -> tuple[np.ndarray, np.ndarray, float]:
     """
     layout = circuit.layout
     if layout is None:
-        raise BadLayout("circuit has no register layout")
+        raise BadInput("circuit has no register layout")
     parts = _split(circuit)
     if parts is not None:
         return _structured_block(circuit, *parts)
@@ -174,7 +174,7 @@ def verify_circuit(matrix: SparseMatrix, circuit: Circuit, alpha: float,
     finite_number(alpha, "alpha")
     layout = circuit.layout
     if layout is None or layout.n != matrix.n:
-        raise BadLayout("circuit layout does not match the matrix dimension")
+        raise BadInput("circuit layout does not match the matrix dimension")
     keys, values, residual = encoded_block(circuit)
     n = layout.n
     # alpha*B - A on the union of the reached cells and the matrix entries:

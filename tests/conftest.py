@@ -12,7 +12,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from blockenc.assignment import hamming, submasks
-from blockenc.errors import BadDimension, BadInput, BlockencError, EmptyMatrix
+from blockenc.errors import BadInput, BlockencError
 from blockenc.index_map import is_reducible
 from blockenc.ingest import (OperationPlan, PlanItem, _alpha_weight, _components, _powers,
                              _signed_offset)
@@ -105,7 +105,7 @@ def reference_matrix_from_dict(doc: dict) -> ReferenceMatrix:
         raise BadInput(f"matrix document must be an object, got {type(doc).__name__}")
     dim = doc.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1 or dim & (dim - 1):
-        raise BadDimension(f"dimension {dim!r} is not a power of two")
+        raise BadInput(f"dimension {dim!r} is not a power of two")
     raw = doc.get("entries", [])
     if not isinstance(raw, list):
         raise BadInput("matrix entries must be a list")
@@ -141,7 +141,7 @@ def _reference_collect_groups(matrix: ReferenceMatrix) -> list[_ReferenceGroup]:
             continue
         by_key.setdefault(((c - r) % dim, v), []).append(r)
     if not by_key:
-        raise EmptyMatrix("matrix has no nonzero entries")
+        raise BadInput("matrix has no nonzero entries")
     return [_ReferenceGroup(off, val, rows) for (off, val), rows in by_key.items()]
 
 
@@ -204,7 +204,7 @@ def reference_analyze(matrix: ReferenceMatrix, strategy="auto") -> OperationPlan
                             delete_rows, insert_rows))
     records.sort(key=lambda rec: rec[0])
     if not records:
-        raise EmptyMatrix("matrix has no nonzero entries")
+        raise BadInput("matrix has no nonzero entries")
     items = tuple(
         PlanItem(index=p, magnitude=magnitude, phase=ph, offset=key[0],
                  direction=direction, amount=amount, powers=_powers(amount), mode=mode,

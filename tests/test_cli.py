@@ -12,7 +12,7 @@ import blockenc
 from blockenc import cli
 from blockenc.cli import main
 from blockenc.demo import tridiagonal
-from blockenc.errors import BlockencError
+from blockenc.errors import BadInput
 from blockenc.ingest import save_matrix
 from blockenc.ir import import_json, import_text
 
@@ -191,7 +191,7 @@ def test_export_rejects_swap_gates(tmp_path, capsys):
     doc = json.dumps({"format": "blockenc-ir", "version": 1, "qubits": 2,
                       "gates": [{"kind": "swap", "qubits": [0, 1]}]})
     for importer, body, suffix in ((import_text, text, ".ir"), (import_json, doc, ".json")):
-        with pytest.raises(BlockencError):
+        with pytest.raises(BadInput):
             importer(body)
         src = tmp_path / f"swap{suffix}"
         src.write_text(body)
@@ -242,7 +242,7 @@ def _ir_json(**fields) -> str:
     _ir_json(qubits=-10 ** 400, gates=[{"kind": "x", "target": 0}]),     # default pattern's length
 ])
 def test_export_rejects_malformed_json_ir(tmp_path, capsys, body):
-    with pytest.raises(BlockencError):
+    with pytest.raises(BadInput):
         import_json(body)
     src = tmp_path / "bad.json"
     src.write_text(body)
@@ -328,7 +328,7 @@ def _ir_text(*lines) -> str:
         "qubits-5000-digits", "x-target-5000-digits", "ctrl-qubit-5000-digits",
         "gate-before-qubits"])
 def test_export_rejects_malformed_text_ir(tmp_path, capsys, body):
-    with pytest.raises(BlockencError):
+    with pytest.raises(BadInput):
         import_text(body)
     src = tmp_path / "bad.ir"
     src.write_text(body)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockenc.assignment import build_target_set
-from blockenc.errors import BadInput, BadShift
+from blockenc.errors import BadInput
 from blockenc.index_map import (_greedy_cubes, delete_group, delete_rows_plan, insert_stage,
                                 shift_cascade, shift_group)
 from blockenc.ir import Circuit, RegisterLayout, circuit_unitary, select_pattern
@@ -89,9 +89,9 @@ def test_half_dimension_shift_single_gate():
 
 def test_shift_amount_out_of_range():
     lay = RegisterLayout(1, 2)
-    with pytest.raises(BadShift):
+    with pytest.raises(BadInput, match="shift amount 4 invalid for n=2"):
         shift_cascade((1, 0), "L", 4, lay)
-    with pytest.raises(BadShift):
+    with pytest.raises(BadInput, match="shift amount 3 invalid for n=2"):
         shift_cascade((1, 0), "L", 3, lay)  # not a power of two
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockenc.demo import structured32, tridiagonal
-from blockenc.errors import BadDimension, BadInput, BlockencError, EmptyMatrix
+from blockenc.errors import BadInput, BlockencError
 from blockenc.ingest import SparseMatrix, analyze, load_matrix, matrix_from_dict, save_matrix
 from blockenc.ir import export_text
 from blockenc.pipeline import compile_matrix
@@ -41,12 +41,12 @@ def test_structured32_has_fourteen_items(rng):
 
 def test_zero_valued_entries_rejected_as_empty():
     m = SparseMatrix.from_entries(1, ((0, 0, 0j),))
-    with pytest.raises(EmptyMatrix):
+    with pytest.raises(BadInput, match="matrix has no nonzero entries"):
         analyze(m)
 
 
 def test_bad_dimension_rejected():
-    with pytest.raises(BadDimension):
+    with pytest.raises(BadInput, match="dimension 3 is not a power of two"):
         matrix_from_dict({"dim": 3, "entries": [{"row": 0, "col": 0, "re": 1}]})
 
 
@@ -67,7 +67,11 @@ def test_duplicate_entries_rejected():
     lambda: SparseMatrix(1, [0], [0], [True]),  # bool values array
     lambda: SparseMatrix.from_entries(1, ((0, 0, np.True_),)),
     lambda: SparseMatrix.from_entries(1, ((0, 0, True),)),
-], ids=["lengths", "float-coords", "str-values", "bool-array", "numpy-bool", "bool"])
+    lambda: SparseMatrix.from_entries(1, ((0, 0, 1.0, 99), (1, 1, 2.0))),  # a fourth field
+    lambda: SparseMatrix.from_entries(1, ((0, 0, 1.0), (1, 1))),  # a pair among triples
+    lambda: SparseMatrix.from_entries(1, [5]),  # an entry that is no sequence
+], ids=["lengths", "float-coords", "str-values", "bool-array", "numpy-bool", "bool",
+        "quadruple", "pair", "scalar-entry"])
 def test_bad_entries_rejected(build):
     with pytest.raises(BadInput):
         build()
@@ -302,9 +306,9 @@ def test_dimension_limit_is_int64_labels():
     text = export_text(enc.circuit, {"alpha": enc.alpha})
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "da3d9e868d7f8ca1d2f0e83f073ab0a021a62b1007f2605b7709380be9df4f9c"
-    with pytest.raises(BadDimension):
+    with pytest.raises(BadInput, match=r"dimension 9223372036854775808 is above 2\*\*62"):
         matrix_from_dict({"dim": 2 * dim, "entries": [{"row": 0, "col": 0, "re": 1.0}]})
-    with pytest.raises(BadDimension):
+    with pytest.raises(BadInput, match=r"matrix qubit count 63 outside 0\.\.62"):
         SparseMatrix.from_entries(63, ((0, 0, 1 + 0j),))
 
 

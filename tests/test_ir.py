@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from blockenc.cli import main
 from blockenc.demo import tridiagonal
-from blockenc.errors import BadGate, BadInput, BlockencError, TooLarge
+from blockenc.errors import BadGate, BadInput, TooLarge
 from blockenc.ingest import save_matrix
 from blockenc.permute import route_permutation
 from blockenc.pipeline import compile_matrix
@@ -107,8 +107,10 @@ def test_bad_gates_rejected():
 
 
 def test_negative_qubit_count_rejected():
-    with pytest.raises(BadGate):
+    # no gate is refused here, so the error is BadInput, not BadGate
+    with pytest.raises(BadInput, match="negative qubit count -1") as info:
         Circuit(-1)
+    assert not isinstance(info.value, BadGate)
 
 
 def test_too_many_qubits_guard():
@@ -140,6 +142,10 @@ def test_start_array_entry(rng):
     for shape in ((4, 2), (8, 0), (8,)):
         with pytest.raises(BadInput):
             circuit_unitary(circ, np.zeros(shape))
+    # strings and objects are no numbers, even those that would parse as one
+    for bad in (np.array([["a"]] * 8), np.array([["1"]] * 8), np.full((8, 1), None)):
+        with pytest.raises(BadInput, match="start array entries must be numbers"):
+            circuit_unitary(circ, bad)
     with pytest.raises(TooLarge):
         circuit_unitary(Circuit(20), np.broadcast_to(0j, (1 << 20, 32)))
 
@@ -377,10 +383,10 @@ def fuzz_dir(tmp_path_factory):
 
 
 def _imports_or_fails_cleanly(fuzz_dir, importer, body: str, suffix: str) -> None:
-    """Only a BlockencError may escape the importer and ``blockenc verify``."""
+    """Only a BadInput may escape the importer; ``blockenc verify`` exits 0, 1 or 2."""
     try:
         importer(body)
-    except BlockencError:
+    except BadInput:
         pass
     src = fuzz_dir / f"ir{suffix}"
     src.write_text(body)

@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from blockenc.errors import NotPowerOfTwo
+from blockenc.errors import BadInput
 from blockenc.index_map import is_reducible
 from blockenc.ir import Circuit, circuit_unitary, mcx, select_pattern
 
@@ -38,7 +38,7 @@ def test_singleton_always_reduces():
 
 
 def test_size_not_power_of_two_rejected():
-    with pytest.raises(NotPowerOfTwo):
+    with pytest.raises(BadInput, match="control set size 3 is not a power of two"):
         is_reducible({0b00, 0b01, 0b10}, 2)
 
 

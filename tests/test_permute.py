@@ -3,7 +3,7 @@ import pytest
 
 from blockenc import permute
 from blockenc.assignment import solve_assignment, build_target_set, hamming, mode_pattern
-from blockenc.errors import BadInput, NotAdjacent
+from blockenc.errors import BadInput
 from blockenc.ir import Circuit, circuit_unitary
 from blockenc.permute import basis_swap, permute_circuit, route_permutation
 
@@ -52,7 +52,7 @@ def test_basis_swap_involution():
 
 
 def test_basis_swap_rejects_distant_states():
-    with pytest.raises(NotAdjacent):
+    with pytest.raises(BadInput, match="0 and 3 do not differ in exactly one of 2 bits"):
         basis_swap(0b00, 0b11, 2)
 
 

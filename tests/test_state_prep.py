@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from blockenc import SparseMatrix, compile_matrix, state_prep
-from blockenc.errors import BadInput, EmptyData
+from blockenc.errors import BadInput
 from blockenc.ir import Circuit, circuit_unitary, inverse_circuit, unitarity_residual
 from blockenc.state_prep import _magnitude_tree, synthesize_prep, synthesize_unprep
 
@@ -121,7 +121,7 @@ def test_compile_builds_the_rotation_tree_once(monkeypatch):
 
 
 def test_empty_data_rejected():
-    with pytest.raises(EmptyData):
+    with pytest.raises(BadInput, match="no nonzero items to prepare"):
         synthesize_prep((), ())
 
 

@@ -75,3 +75,20 @@ def test_no_compiler_stage_names_the_simulator():
             else:
                 continue
             assert not names & simulator, (stage, names & simulator)
+
+
+def test_errors_are_one_for_malformed_input_and_one_for_size():
+    # BadInput covers every malformed input, BadGate (a BadInput) names a
+    # refused gate, and TooLarge is valid input over the simulation budget
+    package = Path(blockenc.__file__).parent
+    tree = ast.parse((package / "errors.py").read_text())
+    classes = {node.name: [ast.unparse(b) for b in node.bases]
+               for node in tree.body if isinstance(node, ast.ClassDef)}
+    assert classes == {"BlockencError": ["Exception"], "BadInput": ["BlockencError"],
+                       "BadGate": ["BadInput"], "TooLarge": ["BlockencError"]}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                call = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                assert ast.unparse(call) in ("BadInput", "BadGate", "TooLarge"), \
+                    (path.name, node.lineno, ast.unparse(node))

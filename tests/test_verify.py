@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from blockenc import verify
 from blockenc.assignment import FixedIndexPolicy
 from blockenc.demo import random_tridiagonal, structured32, tridiagonal
-from blockenc.errors import BadInput, BadLayout, TooLarge
+from blockenc.errors import BadInput, TooLarge
 from blockenc.ingest import SparseMatrix
 from blockenc.ir import Circuit, RegisterLayout, circuit_unitary, mcx, phase, ry
 from blockenc.pipeline import CompileConfig, compile_matrix
@@ -83,7 +83,7 @@ def test_verify_rejects_non_finite_alpha(rng, alpha):
 def test_verify_rejects_layout_of_another_dimension(rng):
     m = random_tridiagonal(3, rng)
     enc = compile_matrix(random_tridiagonal(2, rng))
-    with pytest.raises(BadLayout):
+    with pytest.raises(BadInput, match="circuit layout does not match the matrix dimension"):
         verify_circuit(m, enc.circuit, enc.alpha)
 
 
@@ -250,7 +250,7 @@ def test_wide_suffix_array_verifies(rng):
 
 
 def test_encoded_block_needs_a_register_layout():
-    with pytest.raises(BadLayout):
+    with pytest.raises(BadInput, match="circuit has no register layout"):
         encoded_block(Circuit(2))
 
 
@@ -266,7 +266,7 @@ def test_refusals_are_those_of_the_arrays_each_path_builds():
         assert tracemalloc.get_traced_memory()[1] < 1 << 20
     finally:
         tracemalloc.stop()
-    with pytest.raises(BadLayout):
+    with pytest.raises(BadInput, match="circuit layout does not match the matrix dimension"):
         verify_circuit(m, Circuit(26), 1.0)
 
 
