@@ -22,8 +22,13 @@ it is a ``(mask, value)`` cube: the labels agree on the mask bits and
 enumerate every combination of the others (``is_reducible``).  A fusion plan
 fuses such a set directly, and otherwise wraps the gate in a coherent
 permutation that relocates the labels onto a cube first (``_emit_plan``).
-``shift_cascade`` and ``delete_flip`` are the per-item gates, which the
-unfused baseline uses directly.
+A padded set that is not a cube is priced before it is solved: each routed
+swap brings at most one member one mask bit nearer the target cube, so the
+plan costs at least its core plus two gates per such bit, and when that
+bound is strictly more than the cube cover's count the cover is taken with
+no assignment solved (ties still prefer padding).  ``shift_cascade`` and
+``delete_flip`` are the per-item gates, which the unfused baseline uses
+directly.
 
 Item labels and row indices are ints, a label set is a list of distinct ints
 with its width alongside, and every control set, in a plan or on a gate, is
@@ -185,6 +190,15 @@ def plan_fusion(labels: list[int], P: int, *, zero_slots: tuple[int, ...] = (),
     the next power of two or fall back to a disjoint cube cover, whichever
     costs fewer gates (ties prefer padding); no ``zero_slots`` means no
     padding.  The cover's cost follows the labels and their cubes.
+
+    A padded set that is not a cube is routed onto the cube ``(mask, value)``
+    of ``_permute_subgroup``, which is known before any solve.  Every routed
+    swap exchanges two labels one bit apart, so it brings at most one member
+    one mask bit nearer the cube, and the route takes at least
+    D = sum(popcount((v ^ value) & mask)) swaps over the members, pads
+    included.  The padded plan costs at least ``core_cost + 2 * D``; when
+    that is strictly more than the cover's count, the cover is returned
+    without solving the assignment or routing it.
     """
     labels = sorted(labels)
     size = len(labels)
@@ -204,7 +218,14 @@ def plan_fusion(labels: list[int], P: int, *, zero_slots: tuple[int, ...] = (),
     if len(zero_slots) < need:
         return partition
     pads = tuple(sorted(zero_slots)[:need])
-    padded = direct_or_permute(sorted(labels + list(pads)), "padded", "padded-permute", pads)
+    members = sorted(labels + list(pads))
+    if is_reducible(members, P) is None:
+        mask = policy.resolve(P, len(members))
+        value = mode_pattern(members, mask)
+        distance = sum(((v ^ value) & mask).bit_count() for v in members)
+        if core_cost + 2 * distance > partition.total_count(core_cost):
+            return partition
+    padded = direct_or_permute(members, "padded", "padded-permute", pads)
     cheaper = padded.total_count(core_cost) <= partition.total_count(core_cost)
     return padded if cheaper else partition
 

@@ -136,20 +136,30 @@ def phase(angle: float, target: int, controls: Cube = (0, 0)) -> Gate:
 
 
 def validate_gate(gate: Gate, width: int) -> None:
-    """Raise BadGate if the gate cannot act on a width-qubit circuit."""
+    """Raise BadGate if the gate cannot act on a width-qubit circuit.
+
+    A field of the wrong type (a target or control that is not an int, an
+    angle that is not a number) fails one of the checks with a TypeError,
+    ValueError or OverflowError, which is refused as a malformed gate.
+    """
+    if not isinstance(gate, Gate):
+        raise BadGate(f"{gate!r} is not a Gate")
     if gate.kind not in GATE_KINDS:
         raise BadGate(f"unknown gate kind {gate.kind!r}")
-    if not 0 <= gate.target < width:
-        raise BadGate(f"target {gate.target} out of range for width {width}")
-    mask, value = gate.controls
-    if mask >> width or value & ~mask:
-        raise BadGate(f"bad controls {gate.controls} for width {width}")
-    if mask >> (width - 1 - gate.target) & 1:
-        raise BadGate("target qubit must be free of controls")
-    if gate.kind == "x" and mask:
-        raise BadGate("an x gate takes no controls")
-    if gate.kind in ("ry", "phase") and not math.isfinite(gate.angle):
-        raise BadGate(f"non-finite angle {gate.angle}")
+    try:
+        if not 0 <= gate.target < width:
+            raise BadGate(f"target {gate.target} out of range for width {width}")
+        mask, value = gate.controls
+        if mask >> width or value & ~mask:
+            raise BadGate(f"bad controls {gate.controls} for width {width}")
+        if mask >> (width - 1 - gate.target) & 1:
+            raise BadGate("target qubit must be free of controls")
+        if gate.kind == "x" and mask:
+            raise BadGate("an x gate takes no controls")
+        if gate.kind in ("ry", "phase") and not math.isfinite(gate.angle):
+            raise BadGate(f"non-finite angle {gate.angle}")
+    except (TypeError, ValueError, OverflowError):
+        raise BadGate(f"malformed gate {gate!r}") from None
 
 
 @dataclass(frozen=True)
@@ -163,10 +173,14 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
-        if self.n_qubits < 0:
+        if integer(self.n_qubits, "qubit count") < 0:
             raise BadInput(f"negative qubit count {self.n_qubits}")
-        if self.layout is not None and self.layout.total != self.n_qubits:
-            raise BadInput("layout does not match qubit count")
+        finite_number(self.global_phase, "global_phase")
+        if self.layout is not None:
+            if not isinstance(self.layout, RegisterLayout):
+                raise BadInput(f"layout must be a RegisterLayout, got {self.layout!r}")
+            if self.layout.total != self.n_qubits:
+                raise BadInput("layout does not match qubit count")
         for i, g in enumerate(self.gates):
             try:
                 validate_gate(g, self.n_qubits)

@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from blockenc.assignment import hamming, submasks
+from blockenc.assignment import FixedIndexPolicy, hamming, submasks
+from blockenc import index_map
 from blockenc.errors import BadInput, BlockencError
-from blockenc.index_map import is_reducible
+from blockenc.index_map import (FusionPlan, SubFusion, _greedy_cubes, _permute_subgroup,
+                                is_reducible)
 from blockenc.ingest import (OperationPlan, PlanItem, _alpha_weight, _components, _powers,
                              _signed_offset)
 from blockenc.ir import Circuit, Cube, Gate, circuit_unitary, mcx, x
@@ -539,6 +541,34 @@ def reference_route_permutation(pairs, width: int) -> ReferenceRoutingPlan:
     return plan
 
 
+def reference_plan_fusion(labels, P: int, zero_slots=(), policy=FixedIndexPolicy.RIGHT_ENDED,
+                          core_cost: int = 1) -> FusionPlan:
+    """``plan_fusion`` that solves and routes every padded plan before pricing it.
+
+    Power-of-two sets fuse directly or permute; other sizes take the padded
+    plan when it costs no more than the cube cover, and the cover otherwise.
+    """
+    labels = sorted(labels)
+    size = len(labels)
+
+    def direct_or_permute(members, mode_direct, mode_perm, pads=()):
+        cube = is_reducible(members, P)
+        if cube is not None:
+            return FusionPlan(mode_direct, [SubFusion(cube)], pads)
+        return FusionPlan(mode_perm, [_permute_subgroup(members, P, policy)], pads)
+
+    if size & (size - 1) == 0:
+        return direct_or_permute(labels, "direct", "permute")
+    partition = FusionPlan("partition", [SubFusion(c) for c in _greedy_cubes(labels, P)])
+    need = (1 << size.bit_length()) - size
+    if len(zero_slots) < need:
+        return partition
+    pads = tuple(sorted(zero_slots)[:need])
+    padded = direct_or_permute(sorted(labels + list(pads)), "padded", "padded-permute", pads)
+    cheaper = padded.total_count(core_cost) <= partition.total_count(core_cost)
+    return padded if cheaper else partition
+
+
 def random_labels(rng: np.random.Generator, P: int, size: int) -> frozenset[int]:
     """``size`` distinct P-bit labels."""
     return frozenset(int(v) for v in rng.choice(1 << P, size=size, replace=False))
@@ -598,3 +628,17 @@ def assert_permutation_matrix(u: np.ndarray):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The arguments of every ``index_map.solve_assignment`` call, in order."""
+    calls = []
+    solve = index_map.solve_assignment
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(index_map, "solve_assignment", counted)
+    return calls

@@ -5,7 +5,8 @@ op; here every recorded seed, 0 to 9, is recompiled under the benchmark's
 own configs and matrix documents, and each op's digest must match.  The
 compile statistics are not in the goldens, so one digest per config pins
 the sorted stats JSON and the ``format_stats`` report of every distinct
-seed-0 matrix.
+seed-0 matrix.  The assignments a random-sparse pass solves are pinned as a
+count, so padded plans that the swap-count bound rules out stay unsolved.
 """
 
 import hashlib
@@ -65,3 +66,13 @@ def test_stats_pinned(config):
         h.update(json.dumps(enc.stats, indent=2, sort_keys=True).encode())
         h.update(format_stats(enc).encode())
     assert h.hexdigest() == STATS_DIGESTS[config]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_random_sparse_pass_solves_four_assignments(seed, solves):
+    # 25 before the bound: 21 solves priced padded plans that the partition beat
+    ops = workloads.build("random-sparse", seed)
+    assert len(ops) == 4
+    for op in ops:
+        _compile(op)
+    assert len(solves) == 4

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blockenc.assignment import build_target_set
+from blockenc.assignment import FixedIndexPolicy, build_target_set
 from blockenc.errors import BadInput
-from blockenc.index_map import (_greedy_cubes, delete_group, delete_rows_plan, insert_stage,
-                                shift_cascade, shift_group)
+from blockenc.index_map import (_greedy_cubes, _permute_subgroup, delete_group, delete_rows_plan,
+                                insert_stage, plan_fusion, shift_cascade, shift_group)
 from blockenc.ir import Circuit, RegisterLayout, circuit_unitary, select_pattern
 
-from conftest import assert_permutation_matrix, reference_greedy_cubes
+from conftest import assert_permutation_matrix, reference_greedy_cubes, reference_plan_fusion
 
 
 def _unitary(gates, layout):
@@ -323,3 +323,74 @@ def test_cube_cover_cost_follows_the_set():
     members = [v for cube in cover for v in build_target_set(*cube, width)]
     assert sorted(members) == list(labels)  # exact and disjoint
     assert peak < 32 * 2 ** 20
+
+
+@st.composite
+def _power_of_two_sets(draw):
+    width = draw(st.integers(1, 7))
+    size = 1 << draw(st.integers(0, width))
+    labels = draw(st.sets(st.integers(0, (1 << width) - 1), min_size=size, max_size=size))
+    return sorted(labels), width
+
+
+def _cube_distance(labels, cube):
+    """Mask bits summed over the labels on which each differs from the cube."""
+    mask, value = cube
+    return sum(bin((v ^ value) & mask).count("1") for v in labels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_power_of_two_sets(), st.sampled_from(FixedIndexPolicy))
+def test_routed_swaps_are_at_least_the_cube_distance(drawn, policy):
+    # each swap is one bit wide, so it brings at most one member one mask
+    # bit nearer the cube: the bound plan_fusion prices padded sets by
+    labels, width = drawn
+    sub = _permute_subgroup(labels, width, policy)
+    assert _cube_distance(labels, sub.cube) <= len(sub.swaps)
+
+
+@st.composite
+def _fusion_inputs(draw):
+    width = draw(st.integers(1, 7))
+    full = 1 << width
+    labels = draw(st.sets(st.integers(0, full - 1), min_size=1, max_size=full))
+    rest = sorted(set(range(full)) - labels)
+    zero_slots = draw(st.sets(st.sampled_from(rest))) if rest else set()
+    return sorted(labels), width, tuple(sorted(zero_slots))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fusion_inputs(), st.sampled_from(FixedIndexPolicy), st.integers(1, 8))
+def test_plan_fusion_matches_the_unpruned_reference(drawn, policy, core_cost):
+    labels, width, zero_slots = drawn
+    plan = plan_fusion(labels, width, zero_slots=zero_slots, policy=policy, core_cost=core_cost)
+    assert plan == reference_plan_fusion(labels, width, zero_slots, policy, core_cost)
+
+
+def test_pruned_padded_plans_match_the_reference_and_skip_their_solves(solves):
+    # non-power-of-two sets of 3 to 7 bits beside any number of zero slots:
+    # the skip must fire, a padded permute must still win sometimes, and
+    # every plan must be the one the unpruned reference picks
+    rng = np.random.default_rng(2024)
+    modes, skipped = set(), 0
+    for _ in range(400):
+        width = int(rng.integers(3, 8))
+        size = int(rng.integers(3, (1 << width) - 1))
+        if size & (size - 1) == 0:
+            continue
+        cells = [int(v) for v in rng.permutation(1 << width)]
+        labels, spare = sorted(cells[:size]), cells[size:]
+        zero_slots = tuple(sorted(spare[:int(rng.integers(0, len(spare) + 1))]))
+        policy = FixedIndexPolicy(str(rng.choice(["left", "right"])))
+        core_cost = int(rng.integers(1, 9))
+        solves.clear()
+        plan = plan_fusion(labels, width, zero_slots=zero_slots, policy=policy,
+                           core_cost=core_cost)
+        pruned = len(solves)
+        solves.clear()
+        assert plan == reference_plan_fusion(labels, width, zero_slots, policy, core_cost)
+        assert pruned <= len(solves)
+        skipped += len(solves) - pruned
+        modes.add(plan.mode)
+    assert skipped > 0
+    assert {"partition", "padded", "padded-permute"} <= modes

@@ -113,6 +113,51 @@ def test_negative_qubit_count_rejected():
     assert not isinstance(info.value, BadGate)
 
 
+@pytest.mark.parametrize("n_qubits", ["a", 1.5, 2.0, True, None])
+def test_qubit_count_must_be_an_int(n_qubits):
+    with pytest.raises(BadInput, match="qubit count must be an integer") as info:
+        Circuit(n_qubits)
+    assert not isinstance(info.value, BadGate)
+
+
+@pytest.mark.parametrize("gate", [5, "x", None, ("x", 0)])
+def test_gate_that_is_not_a_gate_refused(gate):
+    with pytest.raises(BadGate, match="is not a Gate") as info:
+        Circuit(2, (x(0), gate))
+    assert info.value.index == 1
+
+
+@pytest.mark.parametrize("gate", [Gate("x", target="a"), Gate("x", target=1.5),
+                                  Gate("mcx", target=0, controls=(1.0, 0)),
+                                  Gate("mcx", target=0, controls=(1, 1, 1)),
+                                  Gate("ry", target=0, angle="a"),
+                                  Gate("phase", target=0, angle=10 ** 400)])
+def test_gate_with_mistyped_field_refused(gate):
+    with pytest.raises(BadGate, match="malformed gate") as info:
+        Circuit(2, (gate,))
+    assert info.value.index == 0
+
+
+@pytest.mark.parametrize("layout", ["x", (1, 0), 2])
+def test_layout_that_is_not_a_layout_refused(layout):
+    with pytest.raises(BadInput, match="layout must be a RegisterLayout"):
+        Circuit(2, layout=layout)
+
+
+@pytest.mark.parametrize("gphase", [float("nan"), float("inf"), -float("inf"), "x", 1j,
+                                    None, True, 10 ** 400])
+def test_global_phase_must_be_a_finite_real(gphase):
+    # a NaN phase once built a circuit whose unitary was all NaN, and whose
+    # text form carried a gphase line the reader refuses
+    with pytest.raises(BadInput, match="global_phase must be a finite number"):
+        Circuit(1, global_phase=gphase)
+
+
+def test_numpy_scalars_are_accepted_as_count_and_phase():
+    circ = Circuit(np.int64(1), (x(0),), global_phase=np.float64(0.5))
+    assert np.allclose(circuit_unitary(circ), np.exp(0.5j) * np.array([[0, 1], [1, 0]]))
+
+
 def test_too_many_qubits_guard():
     # the full 13-qubit unitary and 32 columns of a 20-qubit one are over the
     # 2^24-entry budget, and both are refused before any buffer is allocated

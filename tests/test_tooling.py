@@ -92,3 +92,20 @@ def test_errors_are_one_for_malformed_input_and_one_for_size():
                 call = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 assert ast.unparse(call) in ("BadInput", "BadGate", "TooLarge"), \
                     (path.name, node.lineno, ast.unparse(node))
+
+
+def test_assignments_are_solved_only_behind_the_swap_count_bound():
+    # plan_fusion prices a padded plan by its swap-count bound before it calls
+    # _permute_subgroup, the one function that solves and routes; any other
+    # reference to them in index_map would solve outside that check
+    tree = ast.parse(Path(blockenc.index_map.__file__).read_text())
+    watched = {"solve_assignment", "route_permutation", "_permute_subgroup"}
+    users = {name: set() for name in watched}
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id in watched:
+                users[node.id].add(owner)
+    assert users == {"solve_assignment": {"_permute_subgroup"},
+                     "route_permutation": {"_permute_subgroup"},
+                     "_permute_subgroup": {"plan_fusion"}}
