@@ -22,11 +22,9 @@ it is a ``(mask, value)`` cube: the labels agree on the mask bits and
 enumerate every combination of the others (``is_reducible``).  A fusion plan
 fuses such a set directly, and otherwise wraps the gate in a coherent
 permutation that relocates the labels onto a cube first (``_emit_plan``).
-A padded set that is not a cube is priced before it is solved: each routed
-swap brings at most one member one mask bit nearer the target cube, so the
-plan costs at least its core plus two gates per such bit, and when that
-bound is strictly more than the cube cover's count the cover is taken with
-no assignment solved (ties still prefer padding).  ``shift_cascade`` and
+A padded set that is not a cube is priced by a swap-count bound before it
+is solved; ``plan_fusion`` states the bound and decides the one target cube
+that both the bound and the route use.  ``shift_cascade`` and
 ``delete_flip`` are the per-item gates, which the unfused baseline uses
 directly.
 
@@ -59,7 +57,7 @@ def is_reducible(labels, P: int) -> Cube | None:
     the empty cube (0, 0), an unconditional X.
     """
     size = len(labels)
-    if size & (size - 1):
+    if not size or size & (size - 1):
         raise BadInput(f"control set size {size} is not a power of two")
     common, either = (1 << P) - 1, 0
     for v in labels:
@@ -171,13 +169,10 @@ class FusionPlan:
         return core_cost * len(self.subgroups) + 2 * sum(len(g.swaps) for g in self.subgroups)
 
 
-def _permute_subgroup(labels: list[int], P: int,
-                      policy: FixedIndexPolicy) -> SubFusion:
-    """Route the labels onto the cube sharing their most frequent fixed value."""
-    mask = policy.resolve(P, len(labels))
-    value = mode_pattern(labels, mask)
-    pairs = solve_assignment(labels, build_target_set(mask, value, P), P)
-    return SubFusion((mask, value), tuple(route_permutation(pairs, P)))
+def _permute_subgroup(labels: list[int], P: int, cube: Cube) -> SubFusion:
+    """Route the labels onto the given (mask, value) cube, of their own size."""
+    pairs = solve_assignment(labels, build_target_set(*cube, P), P)
+    return SubFusion(cube, tuple(route_permutation(pairs, P)))
 
 
 def plan_fusion(labels: list[int], P: int, *, zero_slots: tuple[int, ...] = (),
@@ -191,43 +186,41 @@ def plan_fusion(labels: list[int], P: int, *, zero_slots: tuple[int, ...] = (),
     costs fewer gates (ties prefer padding); no ``zero_slots`` means no
     padding.  The cover's cost follows the labels and their cubes.
 
-    A padded set that is not a cube is routed onto the cube ``(mask, value)``
-    of ``_permute_subgroup``, which is known before any solve.  Every routed
-    swap exchanges two labels one bit apart, so it brings at most one member
-    one mask bit nearer the cube, and the route takes at least
-    D = sum(popcount((v ^ value) & mask)) swaps over the members, pads
-    included.  The padded plan costs at least ``core_cost + 2 * D``; when
-    that is strictly more than the cover's count, the cover is returned
-    without solving the assignment or routing it.
+    The member set, pads included, is tested for a cube once.  A set that is
+    not a cube is routed onto the target cube ``(mask, value)``: the
+    policy's fixed bits, holding the members' most frequent value there.  The
+    cube is decided here, once, for both the bound and the route.  Every
+    routed swap exchanges two labels one bit apart, so it brings at most one
+    member one mask bit nearer the cube, and the route takes at least
+    D = sum(popcount((v ^ value) & mask)) swaps over the members.  A padded
+    plan therefore costs at least ``core_cost + 2 * D``; when that is
+    strictly more than the cover's count, the cover is returned without
+    solving the assignment or routing it.
     """
     labels = sorted(labels)
     size = len(labels)
-
-    def direct_or_permute(members: list[int], mode_direct: str, mode_perm: str,
-                          pads: tuple[int, ...] = ()) -> FusionPlan:
-        cube = is_reducible(members, P)
-        if cube is not None:
-            return FusionPlan(mode_direct, [SubFusion(cube)], pads)
-        return FusionPlan(mode_perm, [_permute_subgroup(members, P, policy)], pads)
-
-    if size & (size - 1) == 0:
-        return direct_or_permute(labels, "direct", "permute")
-
-    partition = FusionPlan("partition", [SubFusion(c) for c in _greedy_cubes(labels, P)])
-    need = (1 << size.bit_length()) - size
-    if len(zero_slots) < need:
-        return partition
-    pads = tuple(sorted(zero_slots)[:need])
-    members = sorted(labels + list(pads))
-    if is_reducible(members, P) is None:
-        mask = policy.resolve(P, len(members))
-        value = mode_pattern(members, mask)
-        distance = sum(((v ^ value) & mask).bit_count() for v in members)
+    pads: tuple[int, ...] = ()
+    if size & (size - 1):
+        partition = FusionPlan("partition", [SubFusion(c) for c in _greedy_cubes(labels, P)])
+        need = (1 << size.bit_length()) - size
+        if len(zero_slots) < need:
+            return partition
+        pads = tuple(sorted(zero_slots)[:need])
+        labels = sorted(labels + list(pads))
+    cube = is_reducible(labels, P)
+    if cube is not None:  # a padded cube is one gate, below any cover of two or more
+        return FusionPlan("padded" if pads else "direct", [SubFusion(cube)], pads)
+    mask = policy.resolve(P, len(labels))
+    value = mode_pattern(labels, mask)
+    if pads:
+        distance = sum(((v ^ value) & mask).bit_count() for v in labels)
         if core_cost + 2 * distance > partition.total_count(core_cost):
             return partition
-    padded = direct_or_permute(members, "padded", "padded-permute", pads)
-    cheaper = padded.total_count(core_cost) <= partition.total_count(core_cost)
-    return padded if cheaper else partition
+    plan = FusionPlan("padded-permute" if pads else "permute",
+                      [_permute_subgroup(labels, P, (mask, value))], pads)
+    if pads and plan.total_count(core_cost) > partition.total_count(core_cost):
+        return partition
+    return plan
 
 
 def _emit_plan(plan: FusionPlan, core, width: int, qubits: tuple[int, ...],

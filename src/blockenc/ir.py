@@ -172,7 +172,10 @@ class Circuit:
     global_phase: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
+        try:
+            object.__setattr__(self, "gates", tuple(self.gates))
+        except TypeError:
+            raise BadInput(f"gates must be an iterable of gates, got {self.gates!r}") from None
         if integer(self.n_qubits, "qubit count") < 0:
             raise BadInput(f"negative qubit count {self.n_qubits}")
         finite_number(self.global_phase, "global_phase")
@@ -338,6 +341,7 @@ def _gate_line(g: Gate, width: int) -> str:
 
 def export_text(circuit: Circuit, metadata: dict | None = None) -> str:
     """Deterministic line-per-gate text form; round-trips through import_text."""
+    _checked_width(circuit.n_qubits)
     metadata = _checked_metadata(metadata or {})
     lines = [FORMAT_HEADER]
     if circuit.layout is not None:
@@ -467,6 +471,8 @@ def _text_gate(match: re.Match, width: int, ln: str) -> Gate:
 
 
 def export_json(circuit: Circuit, metadata: dict | None = None) -> str:
+    """The JSON form; round-trips through import_json."""
+    _checked_width(circuit.n_qubits)
     metadata = _checked_metadata(metadata or {})
     doc = {
         "format": "blockenc-ir",

@@ -24,7 +24,8 @@ columns that max |V^H V - I| of the d dense columns V does.  A circuit whose
 middle holds a ry or phase gate is simulated densely on its d block columns,
 and its residual is that of the columns.  Each path checks the arrays it
 builds against ``ir.MAX_SIM_ENTRIES``: the structured one its 2^m x d labels
-and its ``[I | all w]``, the dense one its d columns.
+and its ``[I | all w]`` (the least one, for a single reached cell, before
+the walk), the dense one its d columns.
 ``check_structured_budget(m, n)`` bounds ``[I | all w]`` from m and n alone,
 before a circuit exists; it caps ``blockenc demo tridiagonal --n``.
 
@@ -86,6 +87,7 @@ def _structured_block(circuit: Circuit, prefix: Circuit, middle,
     layout = circuit.layout
     m, n, d, size = layout.m, layout.n, layout.block_dim, 1 << layout.m
     check_budget(m, d)  # the labels
+    check_budget(m, size + 1)  # the least [I | all w], one reached cell, before the walk
     # Two start columns, so that no rotation meets a one-entry view: numpy
     # rounds a complex product on one element apart from its vector loop,
     # and in the dense columns a data-register view spans the delete qubit.

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from blockenc.assignment import FixedIndexPolicy, hamming, submasks
+from blockenc.assignment import FixedIndexPolicy, hamming, mode_pattern, submasks
 from blockenc import index_map
 from blockenc.errors import BadInput, BlockencError
 from blockenc.index_map import (FusionPlan, SubFusion, _greedy_cubes, _permute_subgroup,
@@ -555,7 +555,9 @@ def reference_plan_fusion(labels, P: int, zero_slots=(), policy=FixedIndexPolicy
         cube = is_reducible(members, P)
         if cube is not None:
             return FusionPlan(mode_direct, [SubFusion(cube)], pads)
-        return FusionPlan(mode_perm, [_permute_subgroup(members, P, policy)], pads)
+        mask = policy.resolve(P, len(members))
+        cube = mask, mode_pattern(members, mask)
+        return FusionPlan(mode_perm, [_permute_subgroup(members, P, cube)], pads)
 
     if size & (size - 1) == 0:
         return direct_or_permute(labels, "direct", "permute")

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from blockenc.assignment import FixedIndexPolicy, build_target_set
 from blockenc.errors import BadInput
-from blockenc.index_map import (_greedy_cubes, _permute_subgroup, delete_group, delete_rows_plan,
-                                insert_stage, plan_fusion, shift_cascade, shift_group)
+from blockenc.index_map import (_greedy_cubes, delete_group, delete_rows_plan, insert_stage,
+                                plan_fusion, shift_cascade, shift_group)
 from blockenc.ir import Circuit, RegisterLayout, circuit_unitary, select_pattern
 
 from conftest import assert_permutation_matrix, reference_greedy_cubes, reference_plan_fusion
@@ -343,9 +343,12 @@ def _cube_distance(labels, cube):
 @given(_power_of_two_sets(), st.sampled_from(FixedIndexPolicy))
 def test_routed_swaps_are_at_least_the_cube_distance(drawn, policy):
     # each swap is one bit wide, so it brings at most one member one mask
-    # bit nearer the cube: the bound plan_fusion prices padded sets by
+    # bit nearer the cube: the bound plan_fusion prices padded sets by,
+    # checked against the cube the plan actually routes onto
     labels, width = drawn
-    sub = _permute_subgroup(labels, width, policy)
+    plan = plan_fusion(labels, width, policy=policy)
+    assert plan.mode in ("direct", "permute")
+    (sub,) = plan.subgroups
     assert _cube_distance(labels, sub.cube) <= len(sub.swaps)
 
 

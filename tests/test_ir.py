@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from blockenc.cli import main
 from blockenc.demo import tridiagonal
 from blockenc.errors import BadGate, BadInput, TooLarge
+from blockenc.index_map import is_reducible
 from blockenc.ingest import save_matrix
 from blockenc.permute import route_permutation
 from blockenc.pipeline import compile_matrix
@@ -125,6 +126,17 @@ def test_gate_that_is_not_a_gate_refused(gate):
     with pytest.raises(BadGate, match="is not a Gate") as info:
         Circuit(2, (x(0), gate))
     assert info.value.index == 1
+
+
+@pytest.mark.parametrize("call", [lambda: Circuit(2, 5), lambda: Circuit(2, None),
+                                  lambda: is_reducible([], 3)],
+                         ids=["Circuit-gates-5", "Circuit-gates-None", "is_reducible-empty"])
+def test_malformed_library_arguments_are_bad_input(call):
+    # a gates argument that is not iterable, and an empty control set, which
+    # has no power-of-two size
+    with pytest.raises(BadInput) as info:
+        call()
+    assert not isinstance(info.value, BadGate)
 
 
 @pytest.mark.parametrize("gate", [Gate("x", target="a"), Gate("x", target=1.5),
@@ -392,6 +404,17 @@ def test_width_at_the_cap_parses():
     gate = {"kind": "mcx", "target": 1, "pattern": "1" + "X" * (width - 1)}
     circ, _ = import_json(_json_ir(width, gates=[gate]))
     assert circ.n_qubits == width and circ.gates[0].controls == (1 << width - 1,) * 2
+
+
+def test_exporters_write_only_widths_the_readers_accept():
+    wide = Circuit(MAX_CIRCUIT_QUBITS + 1, (x(MAX_CIRCUIT_QUBITS),))
+    for export in (export_text, export_json):
+        with pytest.raises(BadInput, match=f"wider than {MAX_CIRCUIT_QUBITS}"):
+            export(wide)
+    top = 1 << MAX_CIRCUIT_QUBITS - 1  # a control on q0
+    at_cap = Circuit(MAX_CIRCUIT_QUBITS, (x(MAX_CIRCUIT_QUBITS - 1), mcx((top, top), 1)))
+    for export, read in ((export_text, import_text), (export_json, import_json)):
+        assert read(export(at_cap)) == (at_cap, {})
 
 
 def test_metadata_outside_the_text_form_rejected():

@@ -109,3 +109,19 @@ def test_assignments_are_solved_only_behind_the_swap_count_bound():
     assert users == {"solve_assignment": {"_permute_subgroup"},
                      "route_permutation": {"_permute_subgroup"},
                      "_permute_subgroup": {"plan_fusion"}}
+
+
+def test_the_target_cube_is_decided_only_in_plan_fusion():
+    # the swap-count bound and the route must use one cube, so index_map
+    # computes it in one place: the fixed bits (policy.resolve) and their
+    # value (mode_pattern) are read only inside plan_fusion
+    tree = ast.parse(Path(blockenc.index_map.__file__).read_text())
+    users = {"mode_pattern": set(), "resolve": set()}
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id == "mode_pattern":
+                users["mode_pattern"].add(owner)
+            elif isinstance(node, ast.Attribute) and node.attr == "resolve":
+                users["resolve"].add(owner)
+    assert users == {"mode_pattern": {"plan_fusion"}, "resolve": {"plan_fusion"}}

@@ -254,7 +254,7 @@ def test_encoded_block_needs_a_register_layout():
         encoded_block(Circuit(2))
 
 
-def test_refusals_are_those_of_the_arrays_each_path_builds():
+def test_refusals_are_those_of_the_arrays_each_path_builds(monkeypatch):
     # 2^3 data states by 2^22 block columns is 2^25 labels, over the
     # 2^24-entry budget, refused before they are allocated although the
     # circuit holds no gate
@@ -268,6 +268,16 @@ def test_refusals_are_those_of_the_arrays_each_path_builds():
         tracemalloc.stop()
     with pytest.raises(BadInput, match="circuit layout does not match the matrix dimension"):
         verify_circuit(m, Circuit(26), 1.0)
+    # 2^12 data states: the least [I | all w], the identity and one reached
+    # cell, is 2^12 x (2^12 + 1) entries, over the budget, so the structured
+    # path refuses it before it simulates the prefix or walks the labels
+    calls = []
+    real = verify.circuit_unitary
+    monkeypatch.setattr(verify, "circuit_unitary", lambda *a: calls.append(a) or real(*a))
+    with pytest.raises(TooLarge):
+        verify_circuit(SparseMatrix.from_entries(2, ((0, 0, 1.0),)),
+                       Circuit(15, (), RegisterLayout(12, 2)), 1.0)
+    assert calls == []
 
 
 def test_dropped_insert_flip_reports_the_unreached_entries(rng):
