@@ -70,6 +70,8 @@ def mode_pattern(labels, mask: int) -> int:
     counts: dict[int, int] = {}
     for v in labels:
         counts[v & mask] = counts.get(v & mask, 0) + 1
+    if not counts:
+        raise BadInput("labels must hold at least one label")
     best = max(counts.values())
     return min(k for k, c in counts.items() if c == best)
 

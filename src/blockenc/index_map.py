@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 from .assignment import FixedIndexPolicy, build_target_set, mode_pattern, solve_assignment
 from .errors import BadInput
-from .ir import Cube, Gate, RegisterLayout, embed_gates, mcx
+from .ir import Cube, Gate, RegisterLayout, embed_gates, integer, mcx
 from .permute import basis_swap, route_permutation
 
 
@@ -56,6 +56,8 @@ def is_reducible(labels, P: int) -> Cube | None:
     set size must be a power of two; the full set of 2^P labels reduces to
     the empty cube (0, 0), an unconditional X.
     """
+    if integer(P, "label width P") < 0:
+        raise BadInput(f"label width P must be >= 0, got {P}")
     size = len(labels)
     if not size or size & (size - 1):
         raise BadInput(f"control set size {size} is not a power of two")

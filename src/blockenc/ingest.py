@@ -27,6 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadInput
+from .ir import instance
 
 MAX_QUBITS = 62  # 2**62 is the largest power-of-two dimension an int64 holds
 
@@ -310,6 +311,7 @@ def analyze(matrix: SparseMatrix, strategy: str | int = "auto") -> OperationPlan
     ``strategy`` is ``"auto"`` or one of the integers 1, 2, 3 (see
     ``_apply_diagonal_strategy``); anything else is ``BadInput``.
     """
+    instance(matrix, SparseMatrix, "matrix")
     if type(strategy) not in (str, int) or strategy not in ("auto", 1, 2, 3):
         raise BadInput(f"strategy must be 'auto', 1, 2 or 3, got {strategy!r}")
     dim = matrix.dim

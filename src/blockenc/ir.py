@@ -23,19 +23,18 @@ the basis index of ``|0>_data |0>_del |j>`` equals ``j``, which places the
 encoded block in the top-left corner of the unitary.
 
 The simulator, ``circuit_unitary``, acts on the rows of the identity's first
-``columns`` columns and so returns those columns of the unitary; given a
-start array instead, it returns the unitary times that array.  Every gate
-acts in place on two basic-slicing views of the rows, those where its
-controls hold and its target reads 0 or 1: phase scales the second, and
-x/mcx (a swap) and ry (a rotation) update the pair chunk by chunk.  The
-gates work on one dim x columns complex buffer, the identity's columns or
-a copy of the start array, and a start array stays alive beside its copy;
-the entry budget ``MAX_SIM_ENTRIES``, dim x columns <= 2^24, holds each
-such array to 256 MiB, the size of a full 12-qubit unitary.  The verifier
-simulates only the data register of a compiled circuit, on m qubits, and
-walks its x/mcx gates as integer labels; it holds each array it builds,
-labels included, to the same budget through ``check_budget`` (see
-``verify``).
+``columns`` columns and so returns those columns of the unitary.  Its one
+gate kernel, ``apply_gates``, acts in place on any ``(2,) * width + (k,)``
+array, complex or integer: every gate takes two basic-slicing views of the
+rows, those where its controls hold and its target reads 0 or 1; phase
+scales the second, and x/mcx (a swap) and ry (a rotation) update the pair,
+chunk by chunk where it is wide.  The gates work on one dim x columns
+complex buffer; the entry budget ``MAX_SIM_ENTRIES``, dim x columns <=
+2^24, holds it to 256 MiB, the size of a full 12-qubit unitary.  The
+verifier simulates only the data register of a compiled circuit, on m
+qubits, and runs its x/mcx gates through ``apply_gates`` on an integer
+array of label positions; it holds each array it builds, positions
+included, to the same budget through ``check_budget`` (see ``verify``).
 
 ``unitarity_residual(v)`` is max |v^H v - I| of a dim x k input, one dense
 k x k product in complex128 whatever the input's dtype or layout.  On the
@@ -180,9 +179,7 @@ class Circuit:
             raise BadInput(f"negative qubit count {self.n_qubits}")
         finite_number(self.global_phase, "global_phase")
         if self.layout is not None:
-            if not isinstance(self.layout, RegisterLayout):
-                raise BadInput(f"layout must be a RegisterLayout, got {self.layout!r}")
-            if self.layout.total != self.n_qubits:
+            if instance(self.layout, RegisterLayout, "layout").total != self.n_qubits:
                 raise BadInput("layout does not match qubit count")
         for i, g in enumerate(self.gates):
             try:
@@ -218,17 +215,7 @@ def _controlled_qubits(controls: Cube, width: int):
         mask ^= 1 << b
 
 
-def _rows_where(gate: Gate, width: int, bit: int) -> tuple:
-    """Basic-slicing index, into a ``(2,) * width + (cols,)`` view of rows, of
-    the rows where every control of ``gate`` holds and its target reads ``bit``."""
-    idx = [slice(None)] * width
-    for q, v in _controlled_qubits(gate.controls, width):
-        idx[q] = v
-    idx[gate.target] = bit
-    return tuple(idx)
-
-
-_CHUNK = 1 << 14  # complex entries per cache-sized chunk of a gate's row views
+_CHUNK = 1 << 14  # entries per cache-sized chunk of a gate's row views
 
 
 def check_budget(width: int, columns: int) -> None:
@@ -239,44 +226,33 @@ def check_budget(width: int, columns: int) -> None:
                        f"{MAX_SIM_ENTRIES}-entry simulation budget")
 
 
-def circuit_unitary(circuit: Circuit, columns: int | np.ndarray | None = None) -> np.ndarray:
-    """The first ``columns`` columns of the unitary (all of them by default),
-    first gate applied first (rightmost in the matrix product).
+def apply_gates(gates, rows: np.ndarray) -> None:
+    """Apply the gates in place, first gate first, to the rows of a
+    ``(2,) * width + (k,)`` array, complex or integer.
 
-    ``columns`` may instead be a 2**width x k start array; the result is then
-    the unitary times that array, which is left as it was.  The gates act in
-    place on the rows of the identity's first columns or of a copy of the
-    start array, and the caller's start array stays alive beside the copy.
-    Each gate takes the two row views ``_rows_where`` names; phase scales
-    the upper one, and x/mcx swap and ry rotate the pair in 1-D chunks of at
-    most ``_CHUNK`` entries, so their temporaries stay cache-sized whatever
-    the view's shape.  More than ``MAX_SIM_ENTRIES`` entries is
-    ``TooLarge``, raised before any allocation; a ``columns`` that is not
-    None, an integer or a 2-D array of numbers is ``BadInput``.
+    Each gate takes two basic-slicing views of the rows, those where its
+    controls hold and its target reads 0 or 1, built from one pass over the
+    controls.  Phase scales the second view; x/mcx swap the pair, whole up
+    to ``_CHUNK`` entries, and x/mcx beyond that and ry (a rotation) update
+    it in 1-D chunks of at most ``_CHUNK`` entries, so their temporaries
+    stay cache-sized whatever the view's shape.  The trailing axis keeps
+    every view an array, never a scalar copy.
     """
-    width = circuit.n_qubits
-    dim = 1 << width
-    if isinstance(columns, np.ndarray):
-        if columns.ndim != 2 or columns.shape[0] != dim or not columns.shape[1]:
-            raise BadInput(f"start array of shape {columns.shape} does not fit "
-                           f"a {width}-qubit circuit")
-        if columns.dtype.kind not in "biufc":
-            raise BadInput(f"start array entries must be numbers, got {columns.dtype}")
-        check_budget(width, columns.shape[1])
-        u = np.array(columns, dtype=complex, order="C")
-    else:
-        columns = dim if columns is None else integer(columns, "columns")
-        if not 1 <= columns <= dim:
-            raise BadInput(f"cannot simulate {columns} columns of a {width}-qubit unitary")
-        check_budget(width, columns)
-        u = np.eye(dim, columns, dtype=complex)
-    t = u.reshape((2,) * width + (-1,))
-    for g in circuit.gates:
-        hi = t[_rows_where(g, width, 1)]
+    width = rows.ndim - 1
+    for g in gates:
+        idx = [slice(None)] * width
+        for q, v in _controlled_qubits(g.controls, width):
+            idx[q] = v
+        idx[g.target] = 1
+        hi = rows[tuple(idx)]
         if g.kind == "phase":
             hi *= np.exp(1j * g.angle)
             continue
-        lo = t[_rows_where(g, width, 0)]
+        idx[g.target] = 0
+        lo = rows[tuple(idx)]
+        if g.kind != "ry" and lo.size <= _CHUNK:
+            lo[...], hi[...] = hi.copy(), lo.copy()
+            continue
         c, s = math.cos(g.angle / 2), math.sin(g.angle / 2)
         # matching 1-D chunks of the two views, whatever their shape; the
         # iterator writes a buffered chunk back before it yields the next
@@ -290,9 +266,27 @@ def circuit_unitary(circuit: Circuit, columns: int | np.ndarray | None = None) -
                     b *= c
                     b += sa
                 else:  # x, mcx
-                    a_old = a.copy()
-                    a[...] = b
-                    b[...] = a_old
+                    a[...], b[...] = b.copy(), a.copy()
+
+
+def circuit_unitary(circuit: Circuit, columns: int | None = None) -> np.ndarray:
+    """The first ``columns`` columns of the unitary (all of them by default),
+    first gate applied first (rightmost in the matrix product).
+
+    ``apply_gates`` runs the circuit in place on the identity's first
+    columns, and the global phase scales the result.  More than
+    ``MAX_SIM_ENTRIES`` entries is ``TooLarge``, raised before any
+    allocation; a ``columns`` that is not None or an integer in 1..2**width
+    is ``BadInput``.
+    """
+    width = instance(circuit, Circuit, "circuit").n_qubits
+    dim = 1 << width
+    columns = dim if columns is None else integer(columns, "columns")
+    if not 1 <= columns <= dim:
+        raise BadInput(f"cannot simulate {columns} columns of a {width}-qubit unitary")
+    check_budget(width, columns)
+    u = np.eye(dim, columns, dtype=complex)
+    apply_gates(circuit.gates, u.reshape((2,) * width + (-1,)))
     if circuit.global_phase:
         u *= np.exp(1j * circuit.global_phase)
     return u
@@ -341,7 +335,7 @@ def _gate_line(g: Gate, width: int) -> str:
 
 def export_text(circuit: Circuit, metadata: dict | None = None) -> str:
     """Deterministic line-per-gate text form; round-trips through import_text."""
-    _checked_width(circuit.n_qubits)
+    _checked_width(instance(circuit, Circuit, "circuit").n_qubits)
     metadata = _checked_metadata(metadata or {})
     lines = [FORMAT_HEADER]
     if circuit.layout is not None:
@@ -409,7 +403,7 @@ def import_text(text: str) -> tuple[Circuit, dict]:
     (one of them, before any gate), ``alpha`` and ``gphase(...)`` at most
     once each, and gate lines.  Any other line raises BadInput naming it.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in instance(text, str, "IR text").splitlines() if ln.strip()]
     if not lines or lines[0] != FORMAT_HEADER:
         raise BadInput("missing format header")
     layout = width = gphase = None
@@ -472,7 +466,7 @@ def _text_gate(match: re.Match, width: int, ln: str) -> Gate:
 
 def export_json(circuit: Circuit, metadata: dict | None = None) -> str:
     """The JSON form; round-trips through import_json."""
-    _checked_width(circuit.n_qubits)
+    _checked_width(instance(circuit, Circuit, "circuit").n_qubits)
     metadata = _checked_metadata(metadata or {})
     doc = {
         "format": "blockenc-ir",
@@ -501,6 +495,13 @@ def integer(value, what: str) -> int:
     a bool is not a number here."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise BadInput(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def instance(value, cls: type, what: str):
+    """``value`` itself, or BadInput naming ``what`` unless it is a ``cls``."""
+    if not isinstance(value, cls):
+        raise BadInput(f"{what} must be a {cls.__name__}, got {value!r}")
     return value
 
 
@@ -535,7 +536,7 @@ def _json_gate(d, width: int) -> Gate:
 
 def import_json(text: str) -> tuple[Circuit, dict]:
     try:
-        doc = json.loads(text)
+        doc = json.loads(instance(text, str, "circuit JSON"))
     except ValueError as exc:
         raise BadInput(f"invalid circuit JSON: {exc}") from None
     if not isinstance(doc, dict) or (doc.get("format"), doc.get("version")) != ("blockenc-ir", 1):

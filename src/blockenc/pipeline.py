@@ -25,7 +25,7 @@ from .assignment import FixedIndexPolicy
 from .errors import BadInput
 from .index_map import delete_flip, delete_group, insert_stage, shift_cascade, shift_group
 from .ingest import OperationPlan, SparseMatrix, analyze
-from .ir import Circuit, Gate, RegisterLayout, embed_gates
+from .ir import Circuit, Gate, RegisterLayout, embed_gates, instance
 from .permute import permute_circuit
 from .state_prep import synthesize_prep, synthesize_unprep
 
@@ -233,7 +233,7 @@ class _Assembler:
 
 def compile_matrix(matrix: SparseMatrix, config: CompileConfig | None = None) -> EncodedCircuit:
     """Compile a sparse matrix into a gate-level block-encoding circuit."""
-    config = config or CompileConfig()
+    config = instance(CompileConfig() if config is None else config, CompileConfig, "config")
     plan = analyze(matrix, config.strategy)
     items = [it.magnitude for it in plan.items]
     prep = synthesize_prep(items, [it.phase for it in plan.items])

@@ -9,23 +9,28 @@ only, then UNPREP on the data qubits, and ``encoded_block`` builds the block
 from that shape.  The leading gates that act on the data register alone (the
 prefix) prepare one m-qubit state a from |0>; the trailing ones (the suffix)
 form one m-qubit unitary S.  The x/mcx gates between them map basis labels to
-labels, so the start labels ``p << n+1 | j`` of every data state p and block
-column j are pushed through them as integers.  The labels that land with the
-delete bit clear fall into fibers, one per (column j, row i): the data
-register vector w with w[q] = a_p for each label p that reaches data state q
-of row i.  One suffix simulation of ``[I | all w]`` then gives S and every
-block entry, ``block[i, j] = (S w)[0]``.  Each entry goes through the same
-floating-point operations as in the dense columns, so the block is bit for
-bit the first d rows of ``circuit_unitary(circuit, d)``.
+labels, so ``ir.apply_gates`` runs them on an int32 array over all basis
+positions that holds, at the position of each start label ``p << n+1 | j``
+of a data state p and block column j, that label's index, and -1 at every
+position with the delete bit set.  Each gate swaps two views of the
+positions, as in the simulator.  The positions with the delete bit clear
+then name the start label each one holds, and those fall into fibers, one
+per (column j, row i): the data register vector w with w[q] = a_p for each
+label p that reaches data state q of row i.  One suffix run of
+``apply_gates`` in place on ``[I | all w]``, its global phase after it,
+then gives S and every block entry, ``block[i, j] = (S w)[0]``.  Each entry
+goes through the same floating-point operations as in the dense columns, so
+the block is bit for bit the first d rows of ``circuit_unitary(circuit, d)``.
 
 The residual on that path is max(|a^H a - 1|, max |S^H S - I|).  The label
 map is a bijection, so it certifies the same orthonormality of the block
 columns that max |V^H V - I| of the d dense columns V does.  A circuit whose
 middle holds a ry or phase gate is simulated densely on its d block columns,
 and its residual is that of the columns.  Each path checks the arrays it
-builds against ``ir.MAX_SIM_ENTRIES``: the structured one its 2^m x d labels
-and its ``[I | all w]`` (the least one, for a single reached cell, before
-the walk), the dense one its d columns.
+builds against ``ir.MAX_SIM_ENTRIES``: the structured one its 2^m x d labels,
+whose 2 x 2^m x d int32 positions take the bytes of 2^m x d int64, and its
+``[I | all w]`` (the least one, for a single reached cell, before the walk),
+the dense one its d columns.
 ``check_structured_budget(m, n)`` bounds ``[I | all w]`` from m and n alone,
 before a circuit exists; it caps ``blockenc demo tridiagonal --n``.
 
@@ -46,8 +51,8 @@ import numpy as np
 
 from .errors import BadInput, TooLarge
 from .ingest import SparseMatrix
-from .ir import (MAX_SIM_ENTRIES, Circuit, Gate, check_budget, circuit_unitary,
-                 finite_number, unitarity_residual)
+from .ir import (MAX_SIM_ENTRIES, Circuit, Gate, apply_gates, check_budget,
+                 circuit_unitary, finite_number, instance, unitarity_residual)
 
 DEFAULT_TOL = 1e-9  # max |alpha*B - A| a passing circuit may reach
 UNITARITY_TOL = 1e-10
@@ -82,33 +87,34 @@ def _split(circuit: Circuit) -> tuple[Circuit, tuple, Circuit] | None:
 
 def _structured_block(circuit: Circuit, prefix: Circuit, middle,
                       suffix: Circuit) -> tuple[np.ndarray, np.ndarray, float]:
-    """(keys, values, residual) from the prefix state, the label walk through
-    the middle and one suffix simulation of ``[I | all w]``."""
+    """(keys, values, residual) from the prefix state, the position walk
+    through the middle and one suffix run in place on ``[I | all w]``."""
     layout = circuit.layout
     m, n, d, size = layout.m, layout.n, layout.block_dim, 1 << layout.m
-    check_budget(m, d)  # the labels
-    check_budget(m, size + 1)  # the least [I | all w], one reached cell, before the walk
+    # before the walk: the 2^m x d labels, whose 2^m x 2 x d int32 positions
+    # take the bytes of 2^m x d int64, and the least [I | all w], one reached cell
+    check_budget(m, max(d, size + 1))
     # Two start columns, so that no rotation meets a one-entry view: numpy
     # rounds a complex product on one element apart from its vector loop,
     # and in the dense columns a data-register view spans the delete qubit.
     a = circuit_unitary(prefix, min(2, size))[:, 0]
-    labels = (np.arange(size)[:, None] << n + 1 | np.arange(d)).ravel()
-    top = layout.total - 1
-    masked, hit = np.empty_like(labels), np.empty(labels.shape, dtype=bool)  # walk buffers
-    for g in middle:
-        mask, value = g.controls
-        np.equal(np.bitwise_and(labels, mask, out=masked), value, out=hit)
-        np.bitwise_xor(labels, 1 << top - g.target, out=labels, where=hit)
-    reached = np.flatnonzero(labels & d == 0)  # delete bit clear
-    final = labels[reached]
+    # the index p * d + j of each start label p << n+1 | j at its position,
+    # -1 where the delete bit is set; the middle permutes the positions
+    at = np.full((size, 2, d), -1, dtype=np.int32)
+    at[:, 0] = np.arange(size * d, dtype=np.int32).reshape(size, d)
+    apply_gates(middle, at.reshape((2,) * layout.total + (1,)))
+    held = at[:, 0] >= 0  # a label at position q * d + i, delete bit clear
+    final, reached = np.flatnonzero(held), at[:, 0][held]
     keys, fiber = np.unique((final & d - 1) << n | reached & d - 1, return_inverse=True)
     check_budget(m, size + len(keys))  # [I | all w]
     start = np.zeros((size, size + len(keys)), dtype=complex)
     np.fill_diagonal(start, 1)
-    start[final >> n + 1, size + fiber] = a[reached >> n]
-    out = circuit_unitary(suffix, start)
-    residual = max(unitarity_residual(a[:, None]), unitarity_residual(out[:, :size]))
-    return keys, out[0, size:].copy(), residual  # a copy frees the suffix array
+    start[final >> n, size + fiber] = a[reached >> n]
+    apply_gates(suffix.gates, start.reshape((2,) * m + (-1,)))
+    if suffix.global_phase:
+        start *= np.exp(1j * suffix.global_phase)
+    residual = max(unitarity_residual(a[:, None]), unitarity_residual(start[:, :size]))
+    return keys, start[0, size:].copy(), residual  # a copy frees the suffix array
 
 
 def check_structured_budget(m: int, n: int) -> None:
@@ -129,7 +135,7 @@ def encoded_block(circuit: Circuit) -> tuple[np.ndarray, np.ndarray, float]:
     and suffix are x/mcx only (the reached cells), else from the d dense
     block columns (their nonzero entries).
     """
-    layout = circuit.layout
+    layout = instance(circuit, Circuit, "circuit").layout
     if layout is None:
         raise BadInput("circuit has no register layout")
     parts = _split(circuit)
@@ -174,7 +180,8 @@ def verify_circuit(matrix: SparseMatrix, circuit: Circuit, alpha: float,
     """Compare alpha times the extracted block against the matrix entrywise."""
     check_tolerance(tol)
     finite_number(alpha, "alpha")
-    layout = circuit.layout
+    instance(matrix, SparseMatrix, "matrix")
+    layout = instance(circuit, Circuit, "circuit").layout
     if layout is None or layout.n != matrix.n:
         raise BadInput("circuit layout does not match the matrix dimension")
     keys, values, residual = encoded_block(circuit)

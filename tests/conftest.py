@@ -12,13 +12,14 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from blockenc.assignment import FixedIndexPolicy, hamming, mode_pattern, submasks
-from blockenc import index_map
+from blockenc import index_map, verify
 from blockenc.errors import BadInput, BlockencError
 from blockenc.index_map import (FusionPlan, SubFusion, _greedy_cubes, _permute_subgroup,
                                 is_reducible)
 from blockenc.ingest import (OperationPlan, PlanItem, _alpha_weight, _components, _powers,
                              _signed_offset)
-from blockenc.ir import Circuit, Cube, Gate, circuit_unitary, mcx, x
+from blockenc.ir import (Circuit, Cube, Gate, apply_gates, circuit_unitary, mcx,
+                         unitarity_residual, x)
 
 
 def reference_apply_gate(state: np.ndarray, gate: Gate, width: int) -> None:
@@ -54,6 +55,36 @@ def reference_circuit_unitary(circuit: Circuit) -> np.ndarray:
     if circuit.global_phase:
         u = u * np.exp(1j * circuit.global_phase)
     return u
+
+
+def reference_label_walk(circuit: Circuit) -> tuple[np.ndarray, np.ndarray, float]:
+    """(keys, values, residual) of the structured block, its middle walked as
+    integer labels: each x/mcx gate flips its target bit in every label whose
+    controls hold.
+
+    The start labels ``p << n+1 | j``, the fibers of the labels that end with
+    the delete bit clear and the suffix run on ``[I | all w]`` are those of
+    ``verify._structured_block``; the walk shares no code with its positions.
+    """
+    prefix, middle, suffix = verify._split(circuit)
+    layout = circuit.layout
+    m, n, d, size = layout.m, layout.n, layout.block_dim, 1 << layout.m
+    a = circuit_unitary(prefix, min(2, size))[:, 0]
+    labels = (np.arange(size)[:, None] << n + 1 | np.arange(d)).ravel()
+    for g in middle:
+        mask, value = g.controls
+        labels[labels & mask == value] ^= 1 << layout.total - 1 - g.target
+    reached = np.flatnonzero(labels & d == 0)  # delete bit clear
+    final = labels[reached]
+    keys, fiber = np.unique((final & d - 1) << n | reached & d - 1, return_inverse=True)
+    start = np.zeros((size, size + len(keys)), dtype=complex)
+    np.fill_diagonal(start, 1)
+    start[final >> n + 1, size + fiber] = a[reached >> n]
+    apply_gates(suffix.gates, start.reshape((2,) * m + (-1,)))
+    if suffix.global_phase:
+        start *= np.exp(1j * suffix.global_phase)
+    residual = max(unitarity_residual(a[:, None]), unitarity_residual(start[:, :size]))
+    return keys, start[0, size:], residual
 
 
 def reference_unitarity_residual(u: np.ndarray) -> float:

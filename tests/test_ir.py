@@ -9,16 +9,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from blockenc.assignment import mode_pattern
 from blockenc.cli import main
 from blockenc.demo import tridiagonal
 from blockenc.errors import BadGate, BadInput, TooLarge
 from blockenc.index_map import is_reducible
-from blockenc.ingest import save_matrix
+from blockenc.ingest import SparseMatrix, analyze, save_matrix
 from blockenc.permute import route_permutation
 from blockenc.pipeline import compile_matrix
-from blockenc.verify import UNITARITY_TOL
-from blockenc.ir import (MAX_CIRCUIT_QUBITS, Circuit, Gate, RegisterLayout, circuit_unitary,
-                         export_json, export_text, import_json, import_text,
+from blockenc.verify import UNITARITY_TOL, encoded_block, verify_circuit
+from blockenc.ir import (MAX_CIRCUIT_QUBITS, Circuit, Gate, RegisterLayout, apply_gates,
+                         circuit_unitary, export_json, export_text, import_json, import_text,
                          inverse_circuit, mcx, pattern_select, phase, ry, select_pattern,
                          unitarity_residual, x)
 from conftest import (reference_apply_gate, reference_circuit_unitary,
@@ -128,13 +129,35 @@ def test_gate_that_is_not_a_gate_refused(gate):
     assert info.value.index == 1
 
 
-@pytest.mark.parametrize("call", [lambda: Circuit(2, 5), lambda: Circuit(2, None),
-                                  lambda: is_reducible([], 3)],
-                         ids=["Circuit-gates-5", "Circuit-gates-None", "is_reducible-empty"])
-def test_malformed_library_arguments_are_bad_input(call):
-    # a gates argument that is not iterable, and an empty control set, which
-    # has no power-of-two size
-    with pytest.raises(BadInput) as info:
+def _one_entry():
+    return SparseMatrix.from_entries(1, ((0, 0, 1.0),))
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: Circuit(2, 5), "gates"), (lambda: Circuit(2, None), "gates"),
+    (lambda: is_reducible([], 3), "control set size"),
+    (lambda: is_reducible([0, 1], -1), "label width P"),
+    (lambda: mode_pattern([], 1), "labels"),
+    (lambda: compile_matrix("x"), "matrix"),
+    (lambda: compile_matrix(_one_entry(), "x"), "config"),
+    (lambda: analyze("x"), "matrix"),
+    (lambda: verify_circuit("x", compile_matrix(_one_entry()).circuit, 1.0), "matrix"),
+    (lambda: verify_circuit(_one_entry(), "x", 1.0), "circuit"),
+    (lambda: encoded_block("x"), "circuit"),
+    (lambda: circuit_unitary("x"), "circuit"), (lambda: export_text("x"), "circuit"),
+    (lambda: export_json("x"), "circuit"), (lambda: import_text(5), "IR text"),
+    (lambda: import_json(5), "circuit JSON"),
+], ids=["Circuit-gates-5", "Circuit-gates-None", "is_reducible-empty",
+        "is_reducible-negative-width", "mode_pattern-empty", "compile_matrix-matrix",
+        "compile_matrix-config", "analyze-matrix", "verify_circuit-matrix",
+        "verify_circuit-circuit", "encoded_block-circuit", "circuit_unitary-circuit",
+        "export_text-circuit", "export_json-circuit", "import_text-text",
+        "import_json-text"])
+def test_malformed_library_arguments_are_bad_input(call, named):
+    # a gates argument that is not iterable, an empty control set, which has
+    # no power-of-two size, and arguments of the wrong type, each refused
+    # under the argument's name
+    with pytest.raises(BadInput, match=named) as info:
         call()
     assert not isinstance(info.value, BadGate)
 
@@ -186,36 +209,43 @@ def test_too_many_qubits_guard():
             circuit_unitary(Circuit(3), columns)
 
 
-def test_start_array_entry(rng):
+def test_gates_act_in_place_on_complex_and_integer_rows(rng):
     circ = Circuit(3, (ry(0.4, 0), mcx((0b011, 0b001), 0), phase(0.9, 2, (0b100, 0b100)),
                        x(1)), global_phase=0.25)
-    start = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
-    kept = start.copy()
-    out = circuit_unitary(circ, np.asfortranarray(start))
-    assert np.array_equal(start, kept)
-    assert np.abs(out - circuit_unitary(circ) @ start).max() <= 1e-14
-    # the identity's first columns as a start array are the int entry
-    assert np.array_equal(circuit_unitary(circ, np.eye(8, 3)), circuit_unitary(circ, 3))
-    for shape in ((4, 2), (8, 0), (8,)):
-        with pytest.raises(BadInput):
-            circuit_unitary(circ, np.zeros(shape))
-    # strings and objects are no numbers, even those that would parse as one
-    for bad in (np.array([["a"]] * 8), np.array([["1"]] * 8), np.full((8, 1), None)):
-        with pytest.raises(BadInput, match="start array entries must be numbers"):
-            circuit_unitary(circ, bad)
-    with pytest.raises(TooLarge):
-        circuit_unitary(Circuit(20), np.broadcast_to(0j, (1 << 20, 32)))
+    rows = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
+    want = circuit_unitary(circ) @ rows * np.exp(-0.25j)  # apply_gates leaves the phase
+    apply_gates(circ.gates, rows.reshape((2,) * 3 + (5,)))
+    assert np.abs(rows - want).max() <= 1e-14
+    # the identity's first columns are circuit_unitary's columns, but for the phase
+    rows = np.eye(8, 3, dtype=complex)
+    apply_gates(circ.gates, rows.reshape((2,) * 3 + (3,)))
+    assert np.array_equal(rows * np.exp(0.25j), circuit_unitary(circ, 3))
+    # x/mcx move integer entries exactly as the reference's row swaps do
+    perm = (x(2), mcx((0b011, 0b001), 0), mcx((0b100, 0b000), 1), x(0))
+    rows = np.arange(16, dtype=np.int32).reshape(8, 2)
+    want = rows.copy()
+    for g in perm:
+        reference_apply_gate(want, g, 3)
+    apply_gates(perm, rows.reshape((2,) * 3 + (2,)))
+    assert rows.dtype == np.int32 and np.array_equal(rows, want)
 
 
-# around and past the 2^14-entry chunk: a row view one chunk wide, and wider
+# around and past the 2^14-entry chunk: an mcx view swapped whole or chunk by
+# chunk, and x and ry views always wider than one chunk
 @pytest.mark.parametrize("columns", [(1 << 14) - 1, 1 << 14, (1 << 14) + 1, 40_000])
-@pytest.mark.parametrize("gate", [ry(1.0, 0), x(1), mcx((0b10, 0b10), 1)],
-                         ids=["ry", "x", "mcx"])
-def test_gates_on_wide_start_arrays(rng, gate, columns):
-    start = rng.standard_normal((4, columns)) + 1j * rng.standard_normal((4, columns))
-    want = start.copy()
+@pytest.mark.parametrize("gate, dtype", [(ry(1.0, 0), complex), (x(1), complex),
+                                         (mcx((0b10, 0b10), 1), complex), (x(1), np.int32),
+                                         (mcx((0b10, 0b10), 1), np.int32)],
+                         ids=["ry", "x", "mcx", "x-int32", "mcx-int32"])
+def test_gates_on_wide_rows(rng, gate, dtype, columns):
+    if dtype is complex:
+        rows = rng.standard_normal((4, columns)) + 1j * rng.standard_normal((4, columns))
+    else:
+        rows = rng.integers(-1 << 31, 1 << 31, (4, columns), dtype=dtype)
+    want = rows.copy()
     reference_apply_gate(want, gate, 2)
-    assert np.array_equal(circuit_unitary(Circuit(2, (gate,)), start), want)
+    apply_gates((gate,), rows.reshape(2, 2, columns))
+    assert np.array_equal(rows, want)
 
 
 def test_simulation_keeps_one_buffer():

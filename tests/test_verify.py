@@ -11,11 +11,11 @@ from blockenc.assignment import FixedIndexPolicy
 from blockenc.demo import random_tridiagonal, structured32, tridiagonal
 from blockenc.errors import BadInput, TooLarge
 from blockenc.ingest import SparseMatrix
-from blockenc.ir import Circuit, RegisterLayout, circuit_unitary, mcx, phase, ry
+from blockenc.ir import Circuit, Gate, RegisterLayout, circuit_unitary, mcx, phase, ry, x
 from blockenc.pipeline import CompileConfig, compile_matrix
 from blockenc.verify import check_structured_budget, encoded_block, verify_circuit
 
-from conftest import dense
+from conftest import dense, reference_label_walk
 
 
 def test_compiled_tridiagonal_block_matches(rng):
@@ -182,6 +182,52 @@ def test_structured_block_is_the_dense_block_on_random_matrices(m, strategy, zer
     _assert_structured_block_is_dense(compile_matrix(m, cfg).circuit)
 
 
+@st.composite
+def _random_structured_circuits(draw):
+    """A random layout; x/ry/phase gates on the data register before and after
+    random x/mcx gates on any qubit, data targets under matrix controls
+    included; a global phase."""
+    m, n = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    layout = RegisterLayout(m, n)
+    angle = st.floats(-7, 7, allow_nan=False)
+
+    def cube(width, target):  # controls on the width qubits but the target
+        free = (1 << width) - 1 ^ 1 << width - 1 - target
+        mask = draw(st.integers(0, free)) & free
+        return mask, draw(st.integers(0, mask)) & mask
+
+    def data_gate():
+        target, kind = draw(st.integers(0, m - 1)), draw(st.sampled_from(("x", "ry", "phase")))
+        if kind == "x":
+            return x(target)
+        mask, value = cube(m, target)
+        return Gate(kind, target, layout.controls(data=(mask, value)), draw(angle))
+
+    def middle_gate():
+        target = draw(st.integers(0, layout.total - 1))
+        controls = cube(layout.total, target)
+        return mcx(controls, target) if controls[0] or draw(st.booleans()) else x(target)
+
+    runs = [[data_gate() for _ in range(draw(st.integers(0, 4 if m else 0)))],
+            [middle_gate() for _ in range(draw(st.integers(0, 12)))],
+            [data_gate() for _ in range(draw(st.integers(0, 4 if m else 0)))]]
+    return Circuit(layout.total, tuple(g for run in runs for g in run), layout, draw(angle))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_random_structured_circuits())
+def test_position_walk_is_the_label_walk_on_random_circuits(circuit):
+    # circuits the compiler never emits: a middle gate may flip a data qubit
+    n, d = circuit.layout.n, circuit.layout.block_dim
+    keys, values, residual = verify._structured_block(circuit, *verify._split(circuit))
+    ref_keys, ref_values, ref_residual = reference_label_walk(circuit)
+    assert keys.dtype == ref_keys.dtype and np.array_equal(keys, ref_keys)
+    assert np.array_equal(values, ref_values) and residual == ref_residual
+    block = np.zeros((d, d), dtype=complex)
+    block[keys >> n, keys & d - 1] = values
+    assert np.array_equal(block, circuit_unitary(circuit, d)[:d])
+
+
 def _spy_widths(monkeypatch):
     """The widths of the circuits verify simulates, from now on."""
     widths = []
@@ -270,10 +316,11 @@ def test_refusals_are_those_of_the_arrays_each_path_builds(monkeypatch):
         verify_circuit(m, Circuit(26), 1.0)
     # 2^12 data states: the least [I | all w], the identity and one reached
     # cell, is 2^12 x (2^12 + 1) entries, over the budget, so the structured
-    # path refuses it before it simulates the prefix or walks the labels
+    # path refuses it before it simulates the prefix or walks the positions
     calls = []
-    real = verify.circuit_unitary
-    monkeypatch.setattr(verify, "circuit_unitary", lambda *a: calls.append(a) or real(*a))
+    for name in ("circuit_unitary", "apply_gates"):
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *a, real=real: calls.append(a) or real(*a))
     with pytest.raises(TooLarge):
         verify_circuit(SparseMatrix.from_entries(2, ((0, 0, 1.0),)),
                        Circuit(15, (), RegisterLayout(12, 2)), 1.0)
@@ -310,7 +357,10 @@ def test_dropped_insert_flip_reports_the_unreached_entries(rng):
     (lambda: tridiagonal(16, 0.5 - 0.25j, 0.75 + 0.125j, -0.5j), 20),
     (lambda: SparseMatrix.from_entries(16, ((12345, 54321, 0.5 - 0.5j),)), 18),
     (lambda: SparseMatrix.from_entries(20, ((1 << 19, 7, -0.75j),)), 21),
-], ids=["tridiagonal-n10", "tridiagonal-n16", "single-entry-n16", "single-entry-n20"])
+    # the cell of the bench's single_entry(22, 0): 2^23 walked positions
+    (lambda: SparseMatrix.from_entries(22, ((2006863, 268264, 0.125 - 0.875j),)), 24),
+], ids=["tridiagonal-n10", "tridiagonal-n16", "single-entry-n16", "single-entry-n20",
+        "single-entry-n22"])
 def test_verify_stays_small(matrix, qubits):
     m = matrix()
     enc = compile_matrix(m)
@@ -323,6 +373,19 @@ def test_verify_stays_small(matrix, qubits):
         tracemalloc.stop()
     assert report.passed
     assert peak < 128 << 20
+
+
+def test_random_matrix_of_512_cells_verifies():
+    # m = 10 data qubits and 9,290 gates: 2^19 walked labels through thousands
+    # of middle gates, each gate moving only the positions its controls select
+    rng = np.random.default_rng(0)
+    cells = rng.choice(512 * 512, size=512, replace=False)
+    values = rng.normal(size=512) + 1j * rng.normal(size=512)
+    m = SparseMatrix.from_entries(9, tuple((int(c) // 512, int(c) % 512, v)
+                                           for c, v in zip(cells, values)))
+    enc = compile_matrix(m)
+    assert enc.layout == RegisterLayout(10, 9)
+    assert verify_circuit(m, enc.circuit, enc.alpha).passed
 
 
 # Prefixes whose phases, simulated on one start column alone, round apart
