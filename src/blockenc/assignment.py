@@ -22,6 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import BadInput
+from .ir import integer
 
 Pairs = tuple[tuple[int, int], ...]  # (source, target), sorted by source
 _BITS = 1 << np.arange(62, dtype=np.int64)  # the columns one int64 word of a bitmask holds
@@ -39,7 +40,7 @@ def submasks(mask: int):
 
 def hamming(a: int, b: int) -> int:
     """Number of differing bits between two basis labels."""
-    return (a ^ b).bit_count()
+    return (integer(a, "label") ^ integer(b, "label")).bit_count()
 
 
 class FixedIndexPolicy(Enum):
@@ -67,9 +68,11 @@ class FixedIndexPolicy(Enum):
 
 def mode_pattern(labels, mask: int) -> int:
     """Most frequent value of ``label & mask`` over the labels, smallest on ties."""
+    integer(mask, "mask")
     counts: dict[int, int] = {}
     for v in labels:
-        counts[v & mask] = counts.get(v & mask, 0) + 1
+        key = integer(v, "label") & mask
+        counts[key] = counts.get(key, 0) + 1
     if not counts:
         raise BadInput("labels must hold at least one label")
     best = max(counts.values())
@@ -78,8 +81,8 @@ def mode_pattern(labels, mask: int) -> int:
 
 def build_target_set(mask: int, value: int, P: int) -> list[int]:
     """The P-bit labels of the cube (mask, value), ascending; always reducible."""
-    full = (1 << P) - 1
-    if mask & ~full or value & ~mask:
+    full = (1 << integer(P, "label width P")) - 1
+    if integer(mask, "mask") & ~full or integer(value, "value") & ~mask:
         raise BadInput(f"value {value} must lie inside the mask {mask} of {P} bits")
     return [value | sub for sub in submasks(full ^ mask)]
 
@@ -226,7 +229,8 @@ def solve_assignment(sources, targets, P: int) -> Pairs:
     lexicographic ordering of (source, target) pairs is returned.
     """
     sources, targets = set(sources), set(targets)
-    if P > 64 or len(sources) != len(targets) or any(v >> P for v in sources | targets):
+    if integer(P, "label width P") > 64 or len(sources) != len(targets) or any(
+            integer(v, "label") >> P for v in sources | targets):
         raise BadInput(f"source and target sets must have equal size and {P}-bit labels, "
                        "at most 64 bits")
     common = sources & targets

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 from .assignment import FixedIndexPolicy, build_target_set, mode_pattern, solve_assignment
 from .errors import BadInput
-from .ir import Cube, Gate, RegisterLayout, embed_gates, integer, mcx
+from .ir import Cube, Gate, RegisterLayout, embed_gates, instance, integer, mcx
 from .permute import basis_swap, route_permutation
 
 
@@ -75,7 +75,7 @@ def is_reducible(labels, P: int) -> Cube | None:
 def shift_cascade(data: Cube, direction: str, amount: int,
                   layout: RegisterLayout) -> list[Gate]:
     """MCX cascade cyclically shifting the matrix register for the data cube."""
-    n = layout.n
+    n = instance(layout, RegisterLayout, "layout").n
     if amount <= 0 or amount & (amount - 1) or amount >= (1 << n):
         raise BadInput(f"shift amount {amount} invalid for n={n}")
     if direction not in ("L", "R"):
@@ -254,6 +254,7 @@ def shift_group(labels: list[int], direction: str, amount: int, layout: Register
     member, including the borrowed zero slots in ``plan.pads`` (unless the
     restore is deferred, which leaves the data register permuted).
     """
+    instance(layout, RegisterLayout, "layout")
     plan = plan_fusion(labels, layout.m, zero_slots=zero_slots, policy=policy,
                        core_cost=layout.n - (amount.bit_length() - 1))
     core = lambda cube: shift_cascade(cube, direction, amount, layout)
@@ -263,6 +264,7 @@ def shift_group(labels: list[int], direction: str, amount: int, layout: Register
 def delete_rows_plan(rows, layout: RegisterLayout,
                      policy: FixedIndexPolicy = FixedIndexPolicy.LEFT_ENDED) -> FusionPlan:
     """Fusion plan over row indices on the matrix register."""
+    instance(layout, RegisterLayout, "layout")
     rows = sorted(set(rows))
     if any(not 0 <= r < 1 << layout.n for r in rows):
         raise BadInput("row index outside the matrix register")

@@ -163,6 +163,7 @@ def matrix_from_dict(doc: dict) -> SparseMatrix:
 
 
 def matrix_to_dict(matrix: SparseMatrix) -> dict:
+    instance(matrix, SparseMatrix, "matrix")
     fields = (matrix.rows.tolist(), matrix.cols.tolist(),
               matrix.values.real.tolist(), matrix.values.imag.tolist())
     return {

@@ -36,6 +36,15 @@ qubits, and runs its x/mcx gates through ``apply_gates`` on an integer
 array of label positions; it holds each array it builds, positions
 included, to the same budget through ``check_budget`` (see ``verify``).
 
+The text form spells a control on qubit q with value v as the token
+``q{q}:{v}``.  ``export_text`` and ``import_text`` share one control-token
+table per width, ``_control_tokens``: the writer looks each control's token
+up, and the reader sums the mask and value bits of a line's tokens, so a
+gate line costs about the same whatever its control count.  A token off the
+table (a leading zero, a qubit at or past the width) or a repeated one
+sends its line to the per-control reader ``_text_gate``, which accepts it
+or raises.
+
 ``unitarity_residual(v)`` is max |v^H v - I| of a dim x k input, one dense
 k x k product in complex128 whatever the input's dtype or layout.  On the
 block columns it says those columns are orthonormal; unitarity of the whole
@@ -44,6 +53,7 @@ circuit follows from its gate kinds, since every validated gate is unitary.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -206,15 +216,6 @@ def select_pattern(mask: int, value: int, width: int) -> str:
                    for b in range(width - 1, -1, -1))
 
 
-def _controlled_qubits(controls: Cube, width: int):
-    """(qubit, value) of each control, lowest qubit first; one step per control."""
-    mask, value = controls
-    while mask:
-        b = mask.bit_length() - 1
-        yield width - 1 - b, value >> b & 1
-        mask ^= 1 << b
-
-
 _CHUNK = 1 << 14  # entries per cache-sized chunk of a gate's row views
 
 
@@ -232,41 +233,61 @@ def apply_gates(gates, rows: np.ndarray) -> None:
 
     Each gate takes two basic-slicing views of the rows, those where its
     controls hold and its target reads 0 or 1, built from one pass over the
-    controls.  Phase scales the second view; x/mcx swap the pair, whole up
-    to ``_CHUNK`` entries, and x/mcx beyond that and ry (a rotation) update
-    it in 1-D chunks of at most ``_CHUNK`` entries, so their temporaries
-    stay cache-sized whatever the view's shape.  The trailing axis keeps
-    every view an array, never a scalar copy.
+    controls.  Phase scales the second view.  A pair of views of at most
+    ``_CHUNK`` entries is updated whole: x/mcx swap it through one copy,
+    and ry (a rotation) works on C-order copies written back.  Wider pairs
+    are updated in 1-D chunks of at most ``_CHUNK`` entries, so their
+    temporaries stay cache-sized whatever the view's shape.  Every path
+    applies the same elementwise operations, so the results are the same
+    bits.  The trailing axis keeps every view an array, never a scalar copy.
     """
-    width = rows.ndim - 1
+    top = rows.ndim - 2  # the qubit of bit 0
+    free = [slice(None)] * (top + 1)
     for g in gates:
-        idx = [slice(None)] * width
-        for q, v in _controlled_qubits(g.controls, width):
-            idx[q] = v
+        idx = free.copy()
+        mask, value = g.controls
+        while mask:
+            bit = mask.bit_length() - 1
+            idx[top - bit] = value >> bit & 1
+            mask ^= 1 << bit
         idx[g.target] = 1
         hi = rows[tuple(idx)]
-        if g.kind == "phase":
+        kind = g.kind
+        if kind == "phase":
             hi *= np.exp(1j * g.angle)
             continue
         idx[g.target] = 0
         lo = rows[tuple(idx)]
-        if g.kind != "ry" and lo.size <= _CHUNK:
-            lo[...], hi[...] = hi.copy(), lo.copy()
+        if lo.size <= _CHUNK:
+            if kind == "ry":
+                a, b = lo.flatten(), hi.flatten()
+                _rotate(a, b, g.angle)
+                lo[...] = a.reshape(lo.shape)
+                hi[...] = b.reshape(hi.shape)
+            else:  # x, mcx
+                tmp = lo.copy()
+                lo[...] = hi
+                hi[...] = tmp
             continue
-        c, s = math.cos(g.angle / 2), math.sin(g.angle / 2)
         # matching 1-D chunks of the two views, whatever their shape; the
         # iterator writes a buffered chunk back before it yields the next
         with np.nditer([lo, hi], ["external_loop", "buffered"], [["readwrite"]] * 2,
                        buffersize=_CHUNK) as pairs:
             for a, b in pairs:
-                if g.kind == "ry":
-                    sa, sb = a * s, b * s
-                    a *= c
-                    a -= sb
-                    b *= c
-                    b += sa
+                if kind == "ry":
+                    _rotate(a, b, g.angle)
                 else:  # x, mcx
                     a[...], b[...] = b.copy(), a.copy()
+
+
+def _rotate(a: np.ndarray, b: np.ndarray, angle: float) -> None:
+    """(a, b) becomes (c a - s b, s a + c b) in place, c and s of angle / 2."""
+    c, s = math.cos(angle / 2), math.sin(angle / 2)
+    sa, sb = a * s, b * s
+    a *= c
+    a -= sb
+    b *= c
+    b += sa
 
 
 def circuit_unitary(circuit: Circuit, columns: int | None = None) -> np.ndarray:
@@ -326,27 +347,41 @@ def embed_gates(gates, width: int, qubits: tuple[int, ...]) -> list[Gate]:
 FORMAT_HEADER = "blockenc-ir v1"
 
 
-def _gate_line(g: Gate, width: int) -> str:
-    head = f"{g.kind}({g.angle!r})" if g.kind in ("ry", "phase") else g.kind
-    ctrl = ",".join(f"q{q}:{v}" for q, v in _controlled_qubits(g.controls, width))
-    target = f"target=q{g.target}" if g.kind == "mcx" else f"q{g.target}"
-    return f"{head} ctrl={ctrl} {target}" if ctrl else f"{head} {target}"
+def _gate_line(g: Gate, tokens: tuple[tuple[str, str], ...]) -> str:
+    """The text line of a gate; ``tokens[b][v]`` spells control value v on bit b."""
+    kind = g.kind
+    head = f"{kind}({g.angle!r})" if kind == "ry" or kind == "phase" else kind
+    target = f"target=q{g.target}" if kind == "mcx" else f"q{g.target}"
+    mask, value = g.controls
+    if not mask:
+        return f"{head} {target}"
+    ctrl = []
+    while mask:  # lowest qubit, the highest bit, first
+        b = mask.bit_length() - 1
+        ctrl.append(tokens[b][value >> b & 1])
+        mask ^= 1 << b
+    return f"{head} ctrl={','.join(ctrl)} {target}"
 
 
 def export_text(circuit: Circuit, metadata: dict | None = None) -> str:
-    """Deterministic line-per-gate text form; round-trips through import_text."""
-    _checked_width(instance(circuit, Circuit, "circuit").n_qubits)
+    """Deterministic line-per-gate text form; round-trips through import_text.
+
+    A gate's controls are spelled from the width's control-token table, so
+    writing a control costs a table lookup.
+    """
+    width = _checked_width(instance(circuit, Circuit, "circuit").n_qubits)
     metadata = _checked_metadata(metadata or {})
     lines = [FORMAT_HEADER]
     if circuit.layout is not None:
         lines.append(f"layout m={circuit.layout.m} n={circuit.layout.n}")
     else:
-        lines.append(f"qubits {circuit.n_qubits}")
+        lines.append(f"qubits {width}")
     for key in sorted(metadata):
         lines.append(f"{key} {metadata[key]!r}")
     if circuit.global_phase:
         lines.append(f"gphase({circuit.global_phase!r})")
-    lines.extend(_gate_line(g, circuit.n_qubits) for g in circuit.gates)
+    tokens = _control_tokens(width)[2]
+    lines.extend(_gate_line(g, tokens) for g in circuit.gates)
     return "\n".join(lines) + "\n"
 
 
@@ -367,16 +402,42 @@ def _checked_metadata(metadata) -> dict:
 # One pattern per text line kind; \s is any whitespace, as str.split() reads it.
 _NUMBER = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"  # the decimals repr writes
 _CONTROL = re.compile(r"q([0-9]+):([01])")  # in the gate pattern and the scan of its ctrl= list
-_LINE_KINDS = {kind: re.compile(rf"\s*{pattern}\s*") for kind, pattern in (
-    # disjoint patterns, so the order sets only the cost: the most frequent kind first
-    ("gate", rf"(?:(?P<kind>x|(?P<mcx>mcx))|(?P<rot>ry|phase)\((?P<angle>{_NUMBER})\))"
-             rf"(?:\s+ctrl=(?P<ctrl>{_CONTROL.pattern}(?:,{_CONTROL.pattern})*))?"
-             r"\s+(?(mcx)target=)q(?P<target>[0-9]+)"),  # target= on an mcx alone
+_GATE_LINE = re.compile(  # the most frequent kind, tried first
+    rf"\s*(?:(?P<kind>x|(?P<mcx>mcx))|(?P<rot>ry|phase)\((?P<angle>{_NUMBER})\))"
+    rf"(?:\s+ctrl=(?P<ctrl>{_CONTROL.pattern}(?:,{_CONTROL.pattern})*))?"
+    r"\s+(?(mcx)target=)q(?P<target>[0-9]+)\s*")  # target= on an mcx alone
+_HEADER_KINDS = {kind: re.compile(rf"\s*{pattern}\s*") for kind, pattern in (
     ("layout", r"layout\s+m=([0-9]+)\s+n=([0-9]+)"),
     ("qubits", r"qubits\s+([0-9]+)"),
     ("alpha", rf"alpha\s+({_NUMBER})"),
     ("gphase", rf"gphase\(({_NUMBER})\)"),
 )}
+
+
+class _TokenBits(dict):
+    """Control token -> its mask bit; a token off the table reads 0."""
+
+    def __missing__(self, token: str) -> int:
+        return 0
+
+
+@functools.cache
+def _control_tokens(width: int) -> tuple[_TokenBits, dict, tuple[tuple[str, str], ...]]:
+    """The control-token table of a width-qubit circuit: each token
+    ``q{q}:{v}`` mapped to its mask bit and to its value bit, and the two
+    tokens of each bit b, ``tokens[b][v]``.
+
+    Only the spelling the writer uses is in the table: a token with a
+    leading zero or a qubit past the width is off it.  The cached tables
+    are shared by every caller and never changed.
+    """
+    bits, values, tokens = _TokenBits(), {}, []
+    for b in range(width):
+        pair = (f"q{width - 1 - b}:0", f"q{width - 1 - b}:1")
+        bits[pair[0]] = bits[pair[1]] = 1 << b
+        values[pair[0]], values[pair[1]] = 0, 1 << b
+        tokens.append(pair)
+    return bits, values, tuple(tokens)
 
 
 def _index(digits: str, ln: str) -> int:
@@ -398,20 +459,43 @@ def _checked_width(width: int) -> int:
 def import_text(text: str) -> tuple[Circuit, dict]:
     """Parse the text form back into (Circuit, metadata).
 
-    After the exact header line, each non-blank line is of one kind and
-    matches its pattern in ``_LINE_KINDS`` whole: ``layout``/``qubits``
+    After the exact header line, each non-blank line is a gate line, which
+    matches ``_GATE_LINE`` whole, or a header line of one kind, which
+    matches its pattern in ``_HEADER_KINDS`` whole: ``layout``/``qubits``
     (one of them, before any gate), ``alpha`` and ``gphase(...)`` at most
-    once each, and gate lines.  Any other line raises BadInput naming it.
+    once each.  Any other line raises BadInput naming it.
+
+    A gate's controls are read through the width's control-token table:
+    their mask is the sum of the tokens' bits, which has one bit per token
+    exactly when every token is on the table and none repeats, so a gate
+    takes no Python step per control.  A line with a token off the table
+    or a repeat goes to the per-control reader ``_text_gate``, which
+    accepts it or raises.
     """
     lines = [ln for ln in instance(text, str, "IR text").splitlines() if ln.strip()]
     if not lines or lines[0] != FORMAT_HEADER:
         raise BadInput("missing format header")
-    layout = width = gphase = None
+    layout = width = gphase = bit_of = value_of = None
     meta: dict = {}
     gates: list[Gate] = []
     sources: list[str] = []  # the line of each gate
+    read_gate = _GATE_LINE.fullmatch
     for ln in lines[1:]:
-        for kind, pattern in _LINE_KINDS.items():
+        if match := read_gate(ln):
+            if width is None:
+                raise BadInput(f"gate line {ln!r} before qubit count")
+            kind, rot, ctrl, target, angle = match.group("kind", "rot", "ctrl", "target",
+                                                         "angle")
+            toks = ctrl.split(",") if ctrl else ()
+            mask = sum(map(bit_of, toks))
+            if mask.bit_count() == len(toks):
+                gates.append(Gate(kind or rot, _index(target, ln),
+                                  (mask, sum(map(value_of, toks))), float(angle or 0)))
+            else:  # a token off the table, or a repeat
+                gates.append(_text_gate(match, width, ln))
+            sources.append(ln)
+            continue
+        for kind, pattern in _HEADER_KINDS.items():
             if match := pattern.fullmatch(ln):
                 break
         else:
@@ -419,20 +503,18 @@ def import_text(text: str) -> tuple[Circuit, dict]:
         if (kind in ("layout", "qubits") and width is not None or kind in meta
                 or kind == "gphase" and gphase is not None):
             raise BadInput(f"repeated header line {ln!r}")
-        if kind == "layout":
-            layout = RegisterLayout(_index(match[1], ln), _index(match[2], ln))
-            width = _checked_width(layout.total)
-        elif kind == "qubits":
-            width = _checked_width(_index(match[1], ln))
-        elif kind == "alpha":
+        if kind == "alpha":
             meta[kind] = finite_number(float(match[1]), kind)
         elif kind == "gphase":
             gphase = finite_number(float(match[1]), kind)
-        elif width is None:
-            raise BadInput(f"gate line {ln!r} before qubit count")
         else:
-            gates.append(_text_gate(match, width, ln))
-            sources.append(ln)
+            if kind == "layout":
+                layout = RegisterLayout(_index(match[1], ln), _index(match[2], ln))
+                width = _checked_width(layout.total)
+            else:
+                width = _checked_width(_index(match[1], ln))
+            bits, values, _ = _control_tokens(width)
+            bit_of, value_of = bits.__getitem__, values.__getitem__
     if width is None:
         raise BadInput("missing qubit count")
     return _read_circuit(width, gates, layout, 0.0 if gphase is None else gphase,
@@ -449,7 +531,8 @@ def _read_circuit(width: int, gates: list[Gate], layout: RegisterLayout | None,
 
 
 def _text_gate(match: re.Match, width: int, ln: str) -> Gate:
-    """The gate of a matched gate line; each control is on a distinct qubit."""
+    """The gate of a matched gate line, read control by control; each
+    control is on a distinct qubit below the width."""
     kind = match["kind"] or match["rot"]
     mask = value = 0
     for q, v in _CONTROL.findall(match["ctrl"] or ""):
@@ -493,6 +576,8 @@ def _gate_dict(g: Gate, width: int) -> dict:
 def integer(value, what: str) -> int:
     """``value`` itself, or BadInput naming ``what`` unless it is an integer;
     a bool is not a number here."""
+    if type(value) is int:  # the common case, before the slower ABC check
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise BadInput(f"{what} must be an integer, got {value!r}")
     return value

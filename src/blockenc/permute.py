@@ -10,11 +10,11 @@ turns it into gates.
 
 from __future__ import annotations
 
-from collections.abc import Container
+from collections.abc import Collection, Container
 
 from .errors import BadInput
 from .assignment import Pairs, hamming
-from .ir import Circuit, Gate, integer, mcx
+from .ir import Circuit, Gate, instance, integer, mcx
 
 
 def basis_swap(a: int, b: int, width: int) -> Gate:
@@ -87,16 +87,17 @@ def route_permutation(pairs: Pairs, width: int) -> list[tuple[int, int]]:
     track the pending amplitudes both ways, ``pos`` from each source to the
     label its amplitude sits on and ``at`` back, so a swap looks up the
     sources on its two labels and the labels holding a pending amplitude
-    are the keys of ``at``.  A width that is not an integer >= 0, labels
-    outside ``0 .. 2**width - 1`` and repeated sources or targets are
-    ``BadInput``.
+    are the keys of ``at``.  A width that is not an integer >= 0, pairs
+    that are not a collection, labels that are not integers in
+    ``0 .. 2**width - 1`` and repeated sources or targets are ``BadInput``.
     """
     if integer(width, "width") < 0:
         raise BadInput(f"width must be >= 0, got {width}")
+    instance(pairs, Collection, "pairs")
     sources, targets = {s for s, _ in pairs}, {t for _, t in pairs}
     # a label outside the width, negative ones included, shifts to nonzero
     if not len(sources) == len(targets) == len(pairs) or any(
-            x >> width for x in sources | targets):
+            integer(x, "pair label") >> width for x in sources | targets):
         raise BadInput(f"pairs must match distinct sources to distinct targets, "
                        f"all labels of {width} bits")
     moves = {s: t for s, t in pairs if s != t}

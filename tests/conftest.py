@@ -87,6 +87,23 @@ def reference_label_walk(circuit: Circuit) -> tuple[np.ndarray, np.ndarray, floa
     return keys, start[0, size:], residual
 
 
+def _reference_controlled_qubits(controls: Cube, width: int):
+    """(qubit, value) of each control, lowest qubit first; one step per control."""
+    mask, value = controls
+    while mask:
+        b = mask.bit_length() - 1
+        yield width - 1 - b, value >> b & 1
+        mask ^= 1 << b
+
+
+def reference_gate_line(g: Gate, width: int) -> str:
+    """The text IR line of a gate, each control spelled by an f-string."""
+    head = f"{g.kind}({g.angle!r})" if g.kind in ("ry", "phase") else g.kind
+    ctrl = ",".join(f"q{q}:{v}" for q, v in _reference_controlled_qubits(g.controls, width))
+    target = f"target=q{g.target}" if g.kind == "mcx" else f"q{g.target}"
+    return f"{head} ctrl={ctrl} {target}" if ctrl else f"{head} {target}"
+
+
 def reference_unitarity_residual(u: np.ndarray) -> float:
     """max |u^H u - I| of a dim x k input from the full complex product."""
     return float(np.abs(u.conj().T @ u - np.eye(u.shape[1])).max())

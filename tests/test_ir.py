@@ -9,20 +9,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blockenc.assignment import mode_pattern
+from blockenc.assignment import build_target_set, hamming, mode_pattern, solve_assignment
 from blockenc.cli import main
 from blockenc.demo import tridiagonal
 from blockenc.errors import BadGate, BadInput, TooLarge
-from blockenc.index_map import is_reducible
+from blockenc.index_map import delete_group, is_reducible, shift_cascade, shift_group
 from blockenc.ingest import SparseMatrix, analyze, save_matrix
 from blockenc.permute import route_permutation
 from blockenc.pipeline import compile_matrix
 from blockenc.verify import UNITARITY_TOL, encoded_block, verify_circuit
-from blockenc.ir import (MAX_CIRCUIT_QUBITS, Circuit, Gate, RegisterLayout, apply_gates,
-                         circuit_unitary, export_json, export_text, import_json, import_text,
-                         inverse_circuit, mcx, pattern_select, phase, ry, select_pattern,
-                         unitarity_residual, x)
-from conftest import (reference_apply_gate, reference_circuit_unitary,
+from blockenc.ir import (_GATE_LINE, MAX_CIRCUIT_QUBITS, Circuit, Gate, RegisterLayout,
+                         _read_circuit, _text_gate, apply_gates, circuit_unitary, export_json,
+                         export_text, import_json, import_text, inverse_circuit, mcx,
+                         pattern_select, phase, ry, select_pattern, unitarity_residual, x)
+from conftest import (reference_apply_gate, reference_circuit_unitary, reference_gate_line,
                       reference_unitarity_residual)
 
 
@@ -147,19 +147,32 @@ def _one_entry():
     (lambda: circuit_unitary("x"), "circuit"), (lambda: export_text("x"), "circuit"),
     (lambda: export_json("x"), "circuit"), (lambda: import_text(5), "IR text"),
     (lambda: import_json(5), "circuit JSON"),
+    (lambda: shift_group([1], "L", 1, "x"), "layout"),
+    (lambda: delete_group([0], [1], "x"), "layout"),
+    (lambda: shift_cascade((0, 0), "L", 1, "x"), "layout"),
+    (lambda: save_matrix("x", "never-written.json"), "matrix"),
+    (lambda: hamming("a", 1), "label"), (lambda: mode_pattern(["a"], 1), "label"),
+    (lambda: build_target_set("x", 0, 3), "mask"),
+    (lambda: solve_assignment([1], [2], "x"), "label width P"),
+    (lambda: route_permutation(5, 2), "pairs"),
 ], ids=["Circuit-gates-5", "Circuit-gates-None", "is_reducible-empty",
         "is_reducible-negative-width", "mode_pattern-empty", "compile_matrix-matrix",
         "compile_matrix-config", "analyze-matrix", "verify_circuit-matrix",
         "verify_circuit-circuit", "encoded_block-circuit", "circuit_unitary-circuit",
         "export_text-circuit", "export_json-circuit", "import_text-text",
-        "import_json-text"])
-def test_malformed_library_arguments_are_bad_input(call, named):
+        "import_json-text", "shift_group-layout", "delete_group-layout",
+        "shift_cascade-layout", "save_matrix-matrix", "hamming-label",
+        "mode_pattern-label", "build_target_set-mask", "solve_assignment-width",
+        "route_permutation-pairs"])
+def test_malformed_library_arguments_are_bad_input(call, named, tmp_path, monkeypatch):
     # a gates argument that is not iterable, an empty control set, which has
     # no power-of-two size, and arguments of the wrong type, each refused
     # under the argument's name
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(BadInput, match=named) as info:
         call()
     assert not isinstance(info.value, BadGate)
+    assert not list(tmp_path.iterdir())  # nothing written for a refused matrix
 
 
 @pytest.mark.parametrize("gate", [Gate("x", target="a"), Gate("x", target=1.5),
@@ -230,9 +243,11 @@ def test_gates_act_in_place_on_complex_and_integer_rows(rng):
     assert rows.dtype == np.int32 and np.array_equal(rows, want)
 
 
-# around and past the 2^14-entry chunk: an mcx view swapped whole or chunk by
-# chunk, and x and ry views always wider than one chunk
-@pytest.mark.parametrize("columns", [(1 << 14) - 1, 1 << 14, (1 << 14) + 1, 40_000])
+# around and past the 2^14-entry chunk: a view updated whole or chunk by
+# chunk; the x and ry views span two rows, so 2^13 - 1 .. 2^13 + 1 columns
+# put them on either side of the chunk, and the mcx views one row
+@pytest.mark.parametrize("columns", [(1 << 13) - 1, 1 << 13, (1 << 13) + 1, (1 << 14) - 1,
+                                     1 << 14, (1 << 14) + 1, 40_000])
 @pytest.mark.parametrize("gate, dtype", [(ry(1.0, 0), complex), (x(1), complex),
                                          (mcx((0b10, 0b10), 1), complex), (x(1), np.int32),
                                          (mcx((0b10, 0b10), 1), np.int32)],
@@ -331,8 +346,8 @@ def test_select_pattern_round_trip(cube):
 
 
 @st.composite
-def _random_circuits(draw):
-    width = draw(st.integers(1, 7))
+def _random_circuits(draw, max_width=7):
+    width = draw(st.integers(1, max_width))
     gates = []
     for _ in range(draw(st.integers(0, 24))):
         kind = draw(st.sampled_from(["x", "mcx", "ry", "phase"]))
@@ -396,6 +411,55 @@ def test_export_both_ways_is_byte_identical(doc):
     text, js = export_text(*doc), export_json(*doc)
     assert export_text(*import_json(export_json(*import_text(text)))) == text
     assert export_json(*import_text(export_text(*import_json(js)))) == js
+
+
+@settings(max_examples=150, deadline=None)
+@given(_random_circuits(MAX_CIRCUIT_QUBITS))
+def test_export_text_spells_gates_as_the_reference_writer(circ):
+    # the writer spells controls from the width's token table; the reference
+    # spells each control with an f-string
+    lines = [reference_gate_line(g, circ.n_qubits) + "\n" for g in circ.gates]
+    assert export_text(circ) == export_text(replace(circ, gates=())) + "".join(lines)
+    assert import_text(export_text(circ)) == (circ, {})
+
+
+@st.composite
+def _gate_lines(draw):
+    """(width, one gate line) whose control tokens may carry leading zeros,
+    repeat a qubit, name one at or past the width or have 5,000 digits."""
+    width = draw(st.one_of(st.integers(0, 8), st.integers(0, MAX_CIRCUIT_QUBITS)))
+
+    def index() -> str:
+        q = draw(st.integers(0, width + 2))
+        return draw(st.sampled_from([str(q)] * 4 + [f"00{q}", "9" * 5000]))
+
+    qubits: list[str] = []
+    for _ in range(draw(st.integers(0, 6))):
+        repeat = qubits and draw(st.integers(0, 3)) == 0
+        qubits.append(draw(st.sampled_from(qubits)) if repeat else index())
+    ctrl = ",".join(f"q{q}:{draw(st.sampled_from('01'))}" for q in qubits)
+    kind = draw(st.sampled_from(["x", "mcx", "ry", "phase"]))
+    head = f"{kind}({draw(st.floats(-7.0, 7.0))!r})" if kind in ("ry", "phase") else kind
+    target = f"target=q{index()}" if kind == "mcx" else f"q{index()}"
+    return width, f"{head} ctrl={ctrl} {target}" if ctrl else f"{head} {target}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gate_lines())
+def test_text_gate_is_read_as_the_per_control_reader_reads_it(case):
+    # a line with any token off the width's table, or a repeat, goes to the
+    # per-control reader; either way the gate or the error is the same
+    width, line = case
+    text = f"blockenc-ir v1\nqubits {width}\n{line}\n"
+    try:
+        gate = _text_gate(_GATE_LINE.fullmatch(line), width, line)
+        want = _read_circuit(width, [gate], None, 0.0, lambda i: f"IR line {line!r}")
+    except BadInput as exc:
+        with pytest.raises(BadInput) as info:
+            import_text(text)
+        assert type(info.value) is type(exc) and str(info.value) == str(exc)
+    else:
+        assert import_text(text) == (want, {})
 
 
 def _json_ir(qubits: int, layout=None, gates=()) -> str:
