@@ -221,6 +221,14 @@ def linear_sum_assignment(cost) -> tuple[list[int], list[int], list[int]]:
     return cols, u.tolist(), v.tolist()
 
 
+def _label_set(labels, what: str) -> set:
+    """The labels as a set, or BadInput naming ``what`` unless they are iterable."""
+    try:
+        return set(labels)
+    except TypeError:
+        raise BadInput(f"{what} must be an iterable of integer labels, got {labels!r}") from None
+
+
 def solve_assignment(sources, targets, P: int) -> Pairs:
     """Minimum-Hamming-cost matching of the P-bit sources onto the targets.
 
@@ -228,7 +236,7 @@ def solve_assignment(sources, targets, P: int) -> Pairs:
     assignment problem.  Among cost-optimal solutions the one minimal under
     lexicographic ordering of (source, target) pairs is returned.
     """
-    sources, targets = set(sources), set(targets)
+    sources, targets = _label_set(sources, "sources"), _label_set(targets, "targets")
     if integer(P, "label width P") > 64 or len(sources) != len(targets) or any(
             integer(v, "label") >> P for v in sources | targets):
         raise BadInput(f"source and target sets must have equal size and {P}-bit labels, "

@@ -33,17 +33,23 @@ with its width alongside, and every control set, in a plan or on a gate, is
 a cube (see ``ir``).  ``RegisterLayout.controls`` lifts register cubes to a
 gate's full width, once per cascade.  The disjoint cube cover
 (``_greedy_cubes``) searches the labels for their largest cubes directly:
-one depth-first search per dimension carries each branch's cube prefix
-down, its mask as an argument and its value in the labels themselves, and
-takes every cube into the cover as it finds it.  Its cost follows the
-labels and their cubes.
+one depth-first search per dimension splits the labels on their highest
+differing bit, carries the free bits chosen so far down, and takes every
+wholly uncovered cube into the cover as it finds it.  It holds a label set
+as bitmaps, one per window of the labels' low w bits, with w the widest
+window that keeps the bitmaps within 64 bits per label
+(``_window_width``): a set in one window splits by a mask, a shift and an
+AND, and a set over several windows splits its windows first.  Its memory
+follows the labels at every width up to 62, and no table grows with
+2**width.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .assignment import FixedIndexPolicy, build_target_set, mode_pattern, solve_assignment
+from .assignment import (FixedIndexPolicy, build_target_set, mode_pattern, solve_assignment,
+                         submasks)
 from .errors import BadInput
 from .ir import Cube, Gate, RegisterLayout, embed_gates, instance, integer, mcx
 from .permute import basis_swap, route_permutation
@@ -58,13 +64,16 @@ def is_reducible(labels, P: int) -> Cube | None:
     """
     if integer(P, "label width P") < 0:
         raise BadInput(f"label width P must be >= 0, got {P}")
-    size = len(labels)
+    try:
+        size = len(labels)
+        common, either = (1 << P) - 1, 0
+        for v in labels:
+            common &= v
+            either |= v
+    except TypeError:
+        raise BadInput(f"labels must be a collection of integers, got {labels!r}") from None
     if not size or size & (size - 1):
         raise BadInput(f"control set size {size} is not a power of two")
-    common, either = (1 << P) - 1, 0
-    for v in labels:
-        common &= v
-        either |= v
     mask = ((1 << P) - 1) & ~(common ^ either)
     # distinct labels agreeing on P - n fixed bits enumerate the other n
     if mask.bit_count() != P - (size.bit_length() - 1):
@@ -76,7 +85,7 @@ def shift_cascade(data: Cube, direction: str, amount: int,
                   layout: RegisterLayout) -> list[Gate]:
     """MCX cascade cyclically shifting the matrix register for the data cube."""
     n = instance(layout, RegisterLayout, "layout").n
-    if amount <= 0 or amount & (amount - 1) or amount >= (1 << n):
+    if integer(amount, "shift amount") <= 0 or amount & (amount - 1) or amount >= (1 << n):
         raise BadInput(f"shift amount {amount} invalid for n={n}")
     if direction not in ("L", "R"):
         raise BadInput(f"direction must be L or R, got {direction!r}")
@@ -90,48 +99,172 @@ def shift_cascade(data: Cube, direction: str, amount: int,
     return gates
 
 
+def _sorted_labels(labels, width: int, what: str) -> list[int]:
+    """The labels as ints, ascending, or BadInput naming ``what`` unless they
+    are integers in 0 .. 2**width - 1."""
+    try:
+        labels = sorted(labels)
+    except TypeError:
+        raise BadInput(f"{what} must be an iterable of integers, got {labels!r}") from None
+    labels = [int(integer(v, what)) for v in labels]
+    if labels and (labels[0] < 0 or labels[-1] >> width):
+        raise BadInput(f"{what} must lie in 0 .. 2**{width} - 1")
+    return labels
+
+
 def delete_flip(layout: RegisterLayout, data: Cube, matrix: Cube = (0, 0)) -> Gate:
     """Flip the delete qubit under data (and optionally matrix) cube controls."""
     return mcx(layout.controls(data, matrix), layout.del_qubit)
 
 
-def _cubes_in(labels: set[int], bit: int, dim: int, mask: int,
-              uncovered: set[int], cover: list[Cube], width: int) -> None:
-    """Take into ``cover`` each dim-cube inside the labels still uncovered, in pattern order.
+def _window_width(labels: list[int], width: int) -> int:
+    """Bits of the windows a cover keeps its label bitmaps in, for sorted labels.
 
-    The labels are full-width values that agree on the ``mask`` bits and
-    hold 0 on the other bits above ``bit``, the free bits chosen so far, so
-    each stands for the cube over those free bits.  Pattern order compares
-    from q0, the top bit, with '0' < '1' < 'X'.  The bits all the labels
-    agree on join the mask at once; the labels then split on the highest bit
-    they differ on into ``low``, ``high`` and the ``low`` labels whose
-    ``high`` twin is there (that bit free), searched in that order, and a
-    branch with fewer than 2**dim labels is never entered.  A cube found is
-    taken at once if all its members are in ``uncovered``: the branch sets
-    are not updated as cubes are taken, so that check catches a cube that
-    overlaps one taken before it.
+    The largest w <= width for which the windows ``label >> w`` that hold a
+    label, at 2**w bits each, take at most 64 bits per label.  The labels
+    fill one window more than there are neighbouring labels whose highest
+    differing bit is w or above, so one pass over the neighbours counts the
+    windows at every w.
     """
-    if not dim:  # the labels themselves, in ascending order
-        mask |= (1 << bit) - 1
-        for v in sorted(labels):
-            members = build_target_set(mask, v, width)
-            if uncovered.issuperset(members):
-                uncovered.difference_update(members)
-                cover.append((mask, v))
-        return
-    vary = (min(labels) ^ max(labels)).bit_length()  # the labels agree above bit vary - 1
-    mask |= (1 << bit) - (1 << vary)
-    top = 1 << vary - 1
-    high = {v for v in labels if v & top}
-    low = labels - high
-    size = 1 << dim
-    if len(low) >= size:
-        _cubes_in(low, vary - 1, dim, mask | top, uncovered, cover, width)
-    if len(high) >= size:
-        _cubes_in(high, vary - 1, dim, mask | top, uncovered, cover, width)
-    both = low.intersection([v ^ top for v in high])
-    if len(both) >= size >> 1:
-        _cubes_in(both, vary - 1, dim - 1, mask, uncovered, cover, width)
+    budget = 64 * len(labels)
+    if 1 << width <= budget:
+        return width
+    differ = [0] * (width + 1)  # differ[b]: neighbours whose highest differing bit is b - 1
+    for a, b in zip(labels, labels[1:]):
+        differ[(a ^ b).bit_length()] += 1
+    w, windows = width, 1
+    while windows << w > budget:
+        windows += differ[w]
+        w -= 1
+    return w
+
+
+class _CoverSearch:
+    """The state of one disjoint cube cover: its uncovered labels and its cubes.
+
+    A label set is a dict from window (``label >> w``) to a bitmap of the
+    window's low w bits, bit i for label ``window << w | i``, with the
+    windows ascending and none empty; ``w`` is ``_window_width``, so the
+    bitmaps take at most 64 bits per label at any width.  Each step of the
+    search is a few operations on whole bitmaps.
+    """
+
+    def __init__(self, labels: list[int], width: int):
+        self.w = _window_width(labels, width)
+        self.inside = (1 << self.w) - 1  # a label's bits inside its window
+        self.full = (1 << width) - 1
+        self.uncovered: dict[int, int] = {}
+        for v in labels:
+            key = v >> self.w
+            self.uncovered[key] = self.uncovered.get(key, 0) | 1 << (v & self.inside)
+        self.left = len(labels)
+        self.cover: list[Cube] = []
+
+    def windows(self, node: dict[int, int], dim: int, free: int) -> None:
+        """Take each dim-cube inside a label set, in pattern order.
+
+        The labels agree on every bit above the highest one their windows
+        differ on, and hold 0 on the ``free`` bits chosen so far, so each
+        stands for the cube over them.  Pattern order compares from q0, the
+        top bit, with '0' < '1' < 'X'.  The set splits on that highest bit
+        into ``low``, ``high`` and the ``low`` labels whose ``high`` twin is
+        there (that bit free), searched in that order, and a branch with
+        fewer than 2**dim labels is never entered.  A set in one window goes
+        on in ``bits``; at dimension 0 its labels are the cubes, for ``take``.
+        """
+        if not dim:
+            for key, labels in node.items():
+                self.take(key, 0, labels, free)
+            return
+        if len(node) == 1:
+            ((key, labels),) = node.items()
+            self.bits(key, 0, labels, dim, free)
+            return
+        top = 1 << (next(iter(node)) ^ next(reversed(node))).bit_length() - 1
+        low = {k: b for k, b in node.items() if not k & top}
+        high = {k: b for k, b in node.items() if k & top}
+        both = {k: twins for k, b in low.items() if (twins := b & node.get(k | top, 0))}
+        size = 1 << dim
+        if _count(low) >= size:
+            self.windows(low, dim, free)
+        if _count(high) >= size:
+            self.windows(high, dim, free)
+        if _count(both) >= size >> 1:
+            self.windows(both, dim - 1, free | top << self.w)
+
+    def bits(self, key: int, base: int, labels: int, dim: int, free: int) -> None:
+        """``windows`` inside one window: bit i of ``labels`` is label ``base | i``.
+
+        The labels agree above the highest bit their lowest and highest
+        differ on; that prefix joins ``base``, and the bitmap splits on that
+        bit by a mask, a shift and an AND.
+        """
+        first = (labels & -labels).bit_length() - 1
+        vary = (first ^ labels.bit_length() - 1).bit_length()
+        prefix = first >> vary << vary
+        labels >>= prefix
+        base |= prefix
+        half = 1 << vary - 1
+        low, high = labels & (1 << half) - 1, labels >> half
+        size = 1 << dim
+        if low.bit_count() >= size:
+            self.bits(key, base, low, dim, free)
+        if high.bit_count() >= size:
+            self.bits(key, base | half, high, dim, free)
+        both = low & high
+        if dim == 1:
+            if both:
+                self.take(key, base, both, free | half)
+        elif both.bit_count() >= size >> 1:
+            self.bits(key, base, both, dim - 1, free | half)
+
+    def take(self, key: int, base: int, labels: int, free: int) -> None:
+        """Take, ascending, every cube (``full ^ free``, label) wholly uncovered.
+
+        The cubes of one call are disjoint, since their labels differ off
+        the free bits, so they are tested and taken together: an uncovered
+        bitmap ANDed with itself shifted by each free bit inside the window,
+        over the windows the free bits above it reach.  The branch sets are
+        not updated as cubes are taken, so this test catches a cube that
+        overlaps one taken before it.
+        """
+        inside = free & self.inside
+        steps = []  # the free bits inside the window, as bitmap shifts
+        while inside:
+            steps.append(inside & -inside)
+            inside &= inside - 1
+        if free > self.inside:
+            keys = [key | sub for sub in submasks(free >> self.w)]
+            fit = -1
+            for k in keys:
+                fit &= self.uncovered.get(k, 0)
+        else:
+            keys, fit = (key,), self.uncovered.get(key, 0)
+        fit = fit >> base & (1 << labels.bit_length() + (free & self.inside)) - 1
+        for step in steps:
+            fit &= fit >> step
+        taken = labels & fit
+        if not taken:
+            return
+        cubes = taken
+        for step in steps:
+            cubes |= cubes << step
+        cubes <<= base
+        for k in keys:
+            self.uncovered[k] ^= cubes
+            if not self.uncovered[k]:
+                del self.uncovered[k]
+        self.left -= cubes.bit_count() * len(keys)
+        mask, value = self.full ^ free, key << self.w | base
+        while taken:
+            low = taken & -taken
+            self.cover.append((mask, value | low.bit_length() - 1))
+            taken ^= low
+
+
+def _count(node: dict[int, int]) -> int:
+    """Labels in a windowed label set."""
+    return sum(labels.bit_count() for labels in node.values())
 
 
 def _greedy_cubes(labels, width: int) -> list[Cube]:
@@ -139,15 +272,20 @@ def _greedy_cubes(labels, width: int) -> list[Cube]:
 
     Each pick is the largest cube inside the uncovered labels, with the
     smallest pattern on ties: from the top dimension down to 0, every cube
-    still wholly uncovered is taken in pattern order as ``_cubes_in`` finds
-    it, so the labels left for dimension 0 are taken in ascending order.
+    still wholly uncovered is taken in pattern order as ``_CoverSearch``
+    finds it, so the labels left for dimension 0 are taken in ascending
+    order.  The search holds the labels as bitmaps over windows of
+    ``_window_width`` bits, at most 64 bits per label, so its memory
+    follows the labels at every width.
     """
-    uncovered = set(labels)
-    cover: list[Cube] = []
-    for dim in range(len(uncovered).bit_length() - 1, -1, -1):
-        if len(uncovered) >= 1 << dim:
-            _cubes_in(set(uncovered), width, dim, 0, uncovered, cover, width)
-    return cover
+    labels = sorted(set(labels))
+    if not labels:
+        return []
+    search = _CoverSearch(labels, width)
+    for dim in range(len(labels).bit_length() - 1, -1, -1):
+        if search.left >= 1 << dim:
+            search.windows(dict(search.uncovered), dim, 0)
+    return search.cover
 
 
 @dataclass
@@ -199,7 +337,7 @@ def plan_fusion(labels: list[int], P: int, *, zero_slots: tuple[int, ...] = (),
     strictly more than the cover's count, the cover is returned without
     solving the assignment or routing it.
     """
-    labels = sorted(labels)
+    labels = _sorted_labels(labels, P, "labels")
     size = len(labels)
     pads: tuple[int, ...] = ()
     if size & (size - 1):
@@ -256,7 +394,7 @@ def shift_group(labels: list[int], direction: str, amount: int, layout: Register
     """
     instance(layout, RegisterLayout, "layout")
     plan = plan_fusion(labels, layout.m, zero_slots=zero_slots, policy=policy,
-                       core_cost=layout.n - (amount.bit_length() - 1))
+                       core_cost=layout.n - (integer(amount, "shift amount").bit_length() - 1))
     core = lambda cube: shift_cascade(cube, direction, amount, layout)
     return plan, _emit_plan(plan, core, layout.total, layout.data_qubits, defer_restore)
 
@@ -265,10 +403,7 @@ def delete_rows_plan(rows, layout: RegisterLayout,
                      policy: FixedIndexPolicy = FixedIndexPolicy.LEFT_ENDED) -> FusionPlan:
     """Fusion plan over row indices on the matrix register."""
     instance(layout, RegisterLayout, "layout")
-    rows = sorted(set(rows))
-    if any(not 0 <= r < 1 << layout.n for r in rows):
-        raise BadInput("row index outside the matrix register")
-    return plan_fusion(rows, layout.n, policy=policy)
+    return plan_fusion(set(_sorted_labels(rows, layout.n, "rows")), layout.n, policy=policy)
 
 
 def delete_group(labels: list[int], rows, layout: RegisterLayout,
@@ -283,7 +418,7 @@ def delete_group(labels: list[int], rows, layout: RegisterLayout,
     """
     plan = delete_rows_plan(rows, layout, policy)
     gates: list[Gate] = []
-    for cube in _greedy_cubes(labels, layout.m):
+    for cube in _greedy_cubes(_sorted_labels(labels, layout.m, "labels"), layout.m):
         gates += _emit_plan(plan, lambda rows_cube, c=cube: [delete_flip(layout, c, rows_cube)],
                             layout.total, layout.matrix_qubits)
     return plan, gates
@@ -299,7 +434,12 @@ def insert_stage(row_groups: list[tuple[tuple[int, ...], list[int]]],
     cube of all the labels; each row group's delete flips it back on its
     rows.
     """
-    labels = [v for _, members in row_groups for v in members]
+    instance(layout, RegisterLayout, "layout")
+    try:
+        labels = [v for _, members in row_groups for v in members]
+    except (TypeError, ValueError):
+        raise BadInput(f"row_groups must be (rows, labels) pairs, got {row_groups!r}") from None
+    labels = _sorted_labels(labels, layout.m, "labels")
     gates = [delete_flip(layout, cube) for cube in _greedy_cubes(labels, layout.m)]
     for rows, members in row_groups:
         gates += delete_group(members, rows, layout, policy)[1]

@@ -111,8 +111,13 @@ class RegisterLayout:
 
         The delete qubit is never a control.
         """
-        (dm, dv), (jm, jv) = data, matrix
-        if (dm | dv) >> self.m or (jm | jv) >> self.n:
+        try:
+            (dm, dv), (jm, jv) = data, matrix
+            wide = (dm | dv) >> self.m or (jm | jv) >> self.n
+        except (TypeError, ValueError):
+            raise BadInput(f"register cubes must be (mask, value) pairs of integers, "
+                           f"got data {data!r} and matrix {matrix!r}") from None
+        if wide:
             raise BadInput("register cube wider than its register")
         shift = self.n + 1
         return dm << shift | jm, dv << shift | jv

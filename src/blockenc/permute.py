@@ -19,8 +19,14 @@ from .ir import Circuit, Gate, instance, integer, mcx
 
 def basis_swap(a: int, b: int, width: int) -> Gate:
     """Gate exchanging the amplitudes of two width-bit labels one bit apart."""
-    diff = a ^ b
-    if diff.bit_count() != 1 or (a | b) >> width:
+    try:
+        diff = a ^ b
+        apart = diff.bit_count() != 1 or (a | b) >> width
+    except (TypeError, AttributeError):
+        for value, what in ((a, "label a"), (b, "label b"), (width, "width")):
+            integer(value, what)
+        raise
+    if apart:
         raise BadInput(f"{a} and {b} do not differ in exactly one of {width} bits")
     return mcx((((1 << width) - 1) ^ diff, a & ~diff), width - diff.bit_length())
 
@@ -94,7 +100,10 @@ def route_permutation(pairs: Pairs, width: int) -> list[tuple[int, int]]:
     if integer(width, "width") < 0:
         raise BadInput(f"width must be >= 0, got {width}")
     instance(pairs, Collection, "pairs")
-    sources, targets = {s for s, _ in pairs}, {t for _, t in pairs}
+    try:
+        sources, targets = {s for s, _ in pairs}, {t for _, t in pairs}
+    except (TypeError, ValueError):
+        raise BadInput(f"pairs must be (source, target) pairs, got {pairs!r}") from None
     # a label outside the width, negative ones included, shifts to nonzero
     if not len(sources) == len(targets) == len(pairs) or any(
             integer(x, "pair label") >> width for x in sources | targets):

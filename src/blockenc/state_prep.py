@@ -11,28 +11,30 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from collections.abc import Sized
 
 import numpy as np
 
 from .errors import BadInput
-from .ir import Circuit, Gate, inverse_circuit, phase, ry, x
+from .ir import Circuit, Gate, instance, inverse_circuit, phase, ry, x
 
 
 def _magnitude_tree(mags: np.ndarray, m: int) -> list[Gate]:
-    """Multiplexed rotations sending |0..0> to the nonnegative amplitude vector."""
+    """Multiplexed rotations sending |0..0> to the nonnegative amplitude vector.
+
+    At each level, one reshape sums the squared magnitudes under both
+    halves of every node.
+    """
     gates: list[Gate] = []
     weights = mags.astype(float) ** 2
     for level in range(m):
-        block = 1 << (m - level)  # states per node at this level
-        for node in range(1 << level):
-            seg = weights[node * block:(node + 1) * block]
-            left = math.sqrt(seg[: block // 2].sum())
-            right = math.sqrt(seg[block // 2:].sum())
+        halves = np.sqrt(weights.reshape(1 << level, 2, -1).sum(axis=2))
+        free = m - level
+        for node, (left, right) in enumerate(halves.tolist()):
             angle = 2.0 * math.atan2(right, left)
             if angle == 0.0:
                 continue
             # controlled on the node's path: qubits 0 .. level-1
-            free = m - level
             gates.append(ry(angle, level, (((1 << level) - 1) << free, node << free)))
     return gates
 
@@ -60,7 +62,7 @@ def synthesize_prep(items, phases) -> Circuit:
     Each item is a finite nonnegative magnitude with one phase, a number of
     modulus 1 to within 1e-12; anything else is ``BadInput``.
     """
-    if len(phases) != len(items):
+    if len(instance(phases, Sized, "phases")) != len(instance(items, Sized, "items")):
         raise BadInput(f"{len(phases)} phases for {len(items)} items")
     magnitudes, units = np.asarray(items), np.asarray(phases)
     if magnitudes.dtype.kind not in "iuf" or not np.all(
@@ -84,5 +86,5 @@ def synthesize_prep(items, phases) -> Circuit:
 def synthesize_unprep(prep: Circuit) -> Circuit:
     """Adjoint of the unsigned loader V = ``prep``'s ry gates (its phase layer
     is x and phase gates only), so that UNPREP^dag |0..0> = V|0..0>."""
-    tree = tuple(g for g in prep.gates if g.kind == "ry")
+    tree = tuple(g for g in instance(prep, Circuit, "prep").gates if g.kind == "ry")
     return inverse_circuit(Circuit(prep.n_qubits, tree))

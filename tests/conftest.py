@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from blockenc.assignment import FixedIndexPolicy, hamming, mode_pattern, submasks
+from blockenc.assignment import (FixedIndexPolicy, build_target_set, hamming, mode_pattern,
+                                 submasks)
 from blockenc import index_map, verify
 from blockenc.errors import BadInput, BlockencError
 from blockenc.index_map import (FusionPlan, SubFusion, _greedy_cubes, _permute_subgroup,
@@ -320,15 +321,19 @@ def reference_greedy_cubes(strings: list[str]) -> list[str]:
     For each free-position combination the remaining strings are grouped by
     their pattern with X on those positions.  The smallest pattern of a full
     group (2**f strings) at the largest f is taken and its strings dropped.
+    A free position of a full group holds two of its strings that differ
+    there alone, so only such positions are combined.
     """
     remaining = set(strings)
     width = len(strings[0])
     out = []
     while remaining:
+        alone = sorted({diff[0] for s, t in combinations(remaining, 2)
+                        if len(diff := [i for i in range(width) if s[i] != t[i]]) == 1})
         found = None
-        for f in range(min(len(remaining).bit_length() - 1, width), -1, -1):
+        for f in range(min(len(remaining).bit_length() - 1, len(alone)), -1, -1):
             cands = []
-            for free in combinations(range(width), f):
+            for free in combinations(alone, f):
                 groups: dict[str, int] = {}
                 for s in remaining:
                     key = "".join("X" if i in free else c for i, c in enumerate(s))
@@ -341,6 +346,59 @@ def reference_greedy_cubes(strings: list[str]) -> list[str]:
         remaining -= {s for s in remaining
                       if all(p in ("X", c) for c, p in zip(s, found))}
     return out
+
+
+def _reference_cubes_in(labels: set[int], bit: int, dim: int, mask: int,
+                        uncovered: set[int], cover: list[Cube], width: int) -> None:
+    """Take into ``cover`` each dim-cube inside the labels still uncovered, in pattern order.
+
+    The labels are full-width values that agree on the ``mask`` bits and
+    hold 0 on the other bits above ``bit``, the free bits chosen so far, so
+    each stands for the cube over those free bits.  Pattern order compares
+    from q0, the top bit, with '0' < '1' < 'X'.  The bits all the labels
+    agree on join the mask at once; the labels then split on the highest bit
+    they differ on into ``low``, ``high`` and the ``low`` labels whose
+    ``high`` twin is there (that bit free), searched in that order, and a
+    branch with fewer than 2**dim labels is never entered.  A cube found is
+    taken at once if all its members are in ``uncovered``.
+    """
+    if not dim:  # the labels themselves, in ascending order
+        mask |= (1 << bit) - 1
+        for v in sorted(labels):
+            members = build_target_set(mask, v, width)
+            if uncovered.issuperset(members):
+                uncovered.difference_update(members)
+                cover.append((mask, v))
+        return
+    vary = (min(labels) ^ max(labels)).bit_length()  # the labels agree above bit vary - 1
+    mask |= (1 << bit) - (1 << vary)
+    top = 1 << vary - 1
+    high = {v for v in labels if v & top}
+    low = labels - high
+    size = 1 << dim
+    if len(low) >= size:
+        _reference_cubes_in(low, vary - 1, dim, mask | top, uncovered, cover, width)
+    if len(high) >= size:
+        _reference_cubes_in(high, vary - 1, dim, mask | top, uncovered, cover, width)
+    both = low.intersection([v ^ top for v in high])
+    if len(both) >= size >> 1:
+        _reference_cubes_in(both, vary - 1, dim - 1, mask, uncovered, cover, width)
+
+
+def reference_cube_search(labels, width: int) -> list[Cube]:
+    """``_greedy_cubes`` on Python sets, one set operation per label.
+
+    From the top dimension down to 0, every cube still wholly uncovered is
+    taken in pattern order as ``_reference_cubes_in`` finds it.  Its cost
+    follows the labels, so it checks the cover on sets far beyond the
+    string reference.
+    """
+    uncovered = set(labels)
+    cover: list[Cube] = []
+    for dim in range(len(uncovered).bit_length() - 1, -1, -1):
+        if len(uncovered) >= 1 << dim:
+            _reference_cubes_in(set(uncovered), width, dim, 0, uncovered, cover, width)
+    return cover
 
 
 def reference_tie_break(cost: np.ndarray) -> list[int]:

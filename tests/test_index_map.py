@@ -1,5 +1,6 @@
+import time
 import tracemalloc
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -7,12 +8,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockenc.assignment import FixedIndexPolicy, build_target_set
+from blockenc import index_map
 from blockenc.errors import BadInput
 from blockenc.index_map import (_greedy_cubes, delete_group, delete_rows_plan, insert_stage,
                                 plan_fusion, shift_cascade, shift_group)
+from blockenc.ingest import SparseMatrix
 from blockenc.ir import Circuit, RegisterLayout, circuit_unitary, select_pattern
+from blockenc.pipeline import compile_matrix
 
-from conftest import assert_permutation_matrix, reference_greedy_cubes, reference_plan_fusion
+from conftest import (as_strings, assert_permutation_matrix, reference_cube_search,
+                      reference_greedy_cubes, reference_plan_fusion)
 
 
 def _unitary(gates, layout):
@@ -323,6 +328,82 @@ def test_cube_cover_cost_follows_the_set():
     members = [v for cube in cover for v in build_target_set(*cube, width)]
     assert sorted(members) == list(labels)  # exact and disjoint
     assert peak < 32 * 2 ** 20
+
+
+@st.composite
+def _wide_sets(draw):
+    # 1 to 8 labels at any width the compiler takes: labels near a base
+    # label, off it on a few bits, so that the set holds cubes, and labels
+    # anywhere
+    width = draw(st.integers(1, 62))
+    full = (1 << width) - 1
+    base = draw(st.integers(0, full))
+    bits = draw(st.lists(st.integers(0, width - 1), max_size=3, unique=True))
+    near = sorted({base ^ sum(1 << b for b in chosen)
+                   for k in range(len(bits) + 1) for chosen in combinations(bits, k)})
+    label = st.one_of(st.sampled_from(near), st.integers(0, full))
+    return draw(st.sets(label, min_size=1, max_size=8)), width
+
+
+@settings(max_examples=150, deadline=None)
+@given(_wide_sets())
+def test_cube_cover_at_every_width_matches_the_references(drawn):
+    labels, width = drawn
+    cover = _greedy_cubes(labels, width)
+    strings = sorted(as_strings(labels, width))
+    assert [select_pattern(*cube, width) for cube in cover] == reference_greedy_cubes(strings)
+    assert cover == reference_cube_search(labels, width)
+
+
+def test_cover_memory_follows_the_labels_at_wide_widths(monkeypatch):
+    # one bitmap over the whole register would take 2**40 bits (128 GiB) for
+    # this matrix's cover of its three rows, at width n = 40
+    matrix = SparseMatrix.from_entries(40, [(5, 9, .5), (2 ** 30, 2 ** 30 + 4, .5),
+                                            (123456789, 123456793, .5)])
+    sets = {width: {0, 1, 2, 3, 12345, 5 << width - 5, 1 << width - 1, (1 << width) - 1}
+            for width in (40, 62)}
+    covers = {}
+    calls = []
+
+    def spy(labels, width):
+        calls.append((sorted(labels), width))
+        return _greedy_cubes(labels, width)
+
+    monkeypatch.setattr(index_map, "_greedy_cubes", spy)
+    tracemalloc.start()
+    try:
+        compile_matrix(matrix)
+        peaks = [tracemalloc.get_traced_memory()[1]]
+        for width, labels in sets.items():
+            tracemalloc.reset_peak()
+            covers[width] = _greedy_cubes(labels, width)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < 1 << 20
+    assert ([5, 123456789, 2 ** 30], 40) in calls
+    for width, labels in sets.items():
+        assert covers[width] == reference_cube_search(labels, width)
+        assert covers[width][0] == (((1 << width) - 1) ^ 0b11, 0)  # the 2-cube 0..3
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cube_cover_of_two_thousand_labels_matches_the_set_search(seed):
+    # the size of a random n13 matrix's shift groups (about 3,760 labels at
+    # width 14): random cubes of 2 to 64 labels, then single labels
+    rng = np.random.default_rng(seed)
+    width = 14
+    labels: set[int] = set()
+    while len(labels) < 2000:
+        dim = int(rng.integers(1, 7)) if len(labels) < 1000 else 0
+        free = sum(1 << int(b) for b in rng.choice(width, size=dim, replace=False))
+        labels.update(build_target_set(((1 << width) - 1) ^ free,
+                                       int(rng.integers(0, 1 << width)) & ~free, width))
+    start = time.perf_counter()
+    cover = _greedy_cubes(labels, width)
+    elapsed = time.perf_counter() - start
+    assert cover == reference_cube_search(labels, width)
+    assert elapsed < 1.0
 
 
 @st.composite

@@ -13,10 +13,12 @@ from blockenc.assignment import build_target_set, hamming, mode_pattern, solve_a
 from blockenc.cli import main
 from blockenc.demo import tridiagonal
 from blockenc.errors import BadGate, BadInput, TooLarge
-from blockenc.index_map import delete_group, is_reducible, shift_cascade, shift_group
+from blockenc.index_map import (delete_flip, delete_group, insert_stage, is_reducible,
+                                shift_cascade, shift_group)
 from blockenc.ingest import SparseMatrix, analyze, save_matrix
-from blockenc.permute import route_permutation
+from blockenc.permute import basis_swap, route_permutation
 from blockenc.pipeline import compile_matrix
+from blockenc.state_prep import synthesize_prep, synthesize_unprep
 from blockenc.verify import UNITARITY_TOL, encoded_block, verify_circuit
 from blockenc.ir import (_GATE_LINE, MAX_CIRCUIT_QUBITS, Circuit, Gate, RegisterLayout,
                          _read_circuit, _text_gate, apply_gates, circuit_unitary, export_json,
@@ -129,6 +131,9 @@ def test_gate_that_is_not_a_gate_refused(gate):
     assert info.value.index == 1
 
 
+_LAYOUT = RegisterLayout(2, 2)
+
+
 def _one_entry():
     return SparseMatrix.from_entries(1, ((0, 0, 1.0),))
 
@@ -155,6 +160,21 @@ def _one_entry():
     (lambda: build_target_set("x", 0, 3), "mask"),
     (lambda: solve_assignment([1], [2], "x"), "label width P"),
     (lambda: route_permutation(5, 2), "pairs"),
+    (lambda: route_permutation((5,), 2), "pairs"),
+    (lambda: route_permutation(((1,),), 2), "pairs"),
+    (lambda: shift_cascade((0, 0), "L", "x", _LAYOUT), "shift amount"),
+    (lambda: shift_cascade("x", "L", 1, _LAYOUT), "data 'x'"),
+    (lambda: shift_group([1], "L", "x", _LAYOUT), "shift amount"),
+    (lambda: shift_group(5, "L", 1, _LAYOUT), "labels"),
+    (lambda: delete_group([0], 5, _LAYOUT), "rows"),
+    (lambda: delete_group(["a"], [0], _LAYOUT), "labels"),
+    (lambda: solve_assignment(5, [1], 2), "sources"),
+    (lambda: delete_flip(_LAYOUT, "x"), "data 'x'"),
+    (lambda: insert_stage(5, _LAYOUT), "row_groups"),
+    (lambda: is_reducible(5, 2), "labels"),
+    (lambda: basis_swap("a", 1, 2), "label a"),
+    (lambda: synthesize_prep(5, [1]), "items"),
+    (lambda: synthesize_unprep(5), "prep"),
 ], ids=["Circuit-gates-5", "Circuit-gates-None", "is_reducible-empty",
         "is_reducible-negative-width", "mode_pattern-empty", "compile_matrix-matrix",
         "compile_matrix-config", "analyze-matrix", "verify_circuit-matrix",
@@ -163,7 +183,12 @@ def _one_entry():
         "import_json-text", "shift_group-layout", "delete_group-layout",
         "shift_cascade-layout", "save_matrix-matrix", "hamming-label",
         "mode_pattern-label", "build_target_set-mask", "solve_assignment-width",
-        "route_permutation-pairs"])
+        "route_permutation-pairs", "route_permutation-pair-int",
+        "route_permutation-pair-short", "shift_cascade-amount", "shift_cascade-data",
+        "shift_group-amount", "shift_group-labels", "delete_group-rows",
+        "delete_group-labels", "solve_assignment-sources", "delete_flip-data",
+        "insert_stage-row_groups", "is_reducible-labels", "basis_swap-label",
+        "synthesize_prep-items", "synthesize_unprep-prep"])
 def test_malformed_library_arguments_are_bad_input(call, named, tmp_path, monkeypatch):
     # a gates argument that is not iterable, an empty control set, which has
     # no power-of-two size, and arguments of the wrong type, each refused
