@@ -62,7 +62,8 @@ def is_reducible(labels, P: int) -> Cube | None:
     set size must be a power of two; the full set of 2^P labels reduces to
     the empty cube (0, 0), an unconditional X.
     """
-    if integer(P, "label width P") < 0:
+    P = integer(P, "label width P")
+    if P < 0:
         raise BadInput(f"label width P must be >= 0, got {P}")
     try:
         size = len(labels)
@@ -85,7 +86,8 @@ def shift_cascade(data: Cube, direction: str, amount: int,
                   layout: RegisterLayout) -> list[Gate]:
     """MCX cascade cyclically shifting the matrix register for the data cube."""
     n = instance(layout, RegisterLayout, "layout").n
-    if integer(amount, "shift amount") <= 0 or amount & (amount - 1) or amount >= (1 << n):
+    amount = integer(amount, "shift amount")
+    if amount <= 0 or amount & (amount - 1) or amount >= (1 << n):
         raise BadInput(f"shift amount {amount} invalid for n={n}")
     if direction not in ("L", "R"):
         raise BadInput(f"direction must be L or R, got {direction!r}")
@@ -101,14 +103,17 @@ def shift_cascade(data: Cube, direction: str, amount: int,
 
 def _sorted_labels(labels, width: int, what: str) -> list[int]:
     """The labels as ints, ascending, or BadInput naming ``what`` unless they
-    are integers in 0 .. 2**width - 1."""
+    are distinct integers in 0 .. 2**width - 1."""
     try:
         labels = sorted(labels)
     except TypeError:
         raise BadInput(f"{what} must be an iterable of integers, got {labels!r}") from None
-    labels = [int(integer(v, what)) for v in labels]
+    labels = [integer(v, what) for v in labels]
     if labels and (labels[0] < 0 or labels[-1] >> width):
         raise BadInput(f"{what} must lie in 0 .. 2**{width} - 1")
+    if len(set(labels)) < len(labels):
+        again = next(a for a, b in zip(labels, labels[1:]) if a == b)
+        raise BadInput(f"{what} must be distinct, but {again} repeats")
     return labels
 
 
@@ -336,8 +341,14 @@ def plan_fusion(labels: list[int], P: int, *, zero_slots: tuple[int, ...] = (),
     plan therefore costs at least ``core_cost + 2 * D``; when that is
     strictly more than the cover's count, the cover is returned without
     solving the assignment or routing it.
+
+    Repeated labels, and zero slots that repeat or hold a label, are
+    ``BadInput``: every member is one distinct basis label.
     """
     labels = _sorted_labels(labels, P, "labels")
+    zero_slots = _sorted_labels(zero_slots, P, "zero_slots")
+    if not set(zero_slots).isdisjoint(labels):
+        raise BadInput("zero_slots must not hold a label")
     size = len(labels)
     pads: tuple[int, ...] = ()
     if size & (size - 1):
@@ -345,7 +356,7 @@ def plan_fusion(labels: list[int], P: int, *, zero_slots: tuple[int, ...] = (),
         need = (1 << size.bit_length()) - size
         if len(zero_slots) < need:
             return partition
-        pads = tuple(sorted(zero_slots)[:need])
+        pads = tuple(zero_slots[:need])
         labels = sorted(labels + list(pads))
     cube = is_reducible(labels, P)
     if cube is not None:  # a padded cube is one gate, below any cover of two or more
@@ -403,7 +414,7 @@ def delete_rows_plan(rows, layout: RegisterLayout,
                      policy: FixedIndexPolicy = FixedIndexPolicy.LEFT_ENDED) -> FusionPlan:
     """Fusion plan over row indices on the matrix register."""
     instance(layout, RegisterLayout, "layout")
-    return plan_fusion(set(_sorted_labels(rows, layout.n, "rows")), layout.n, policy=policy)
+    return plan_fusion(_sorted_labels(rows, layout.n, "rows"), layout.n, policy=policy)
 
 
 def delete_group(labels: list[int], rows, layout: RegisterLayout,

@@ -188,8 +188,7 @@ def save_matrix(matrix: SparseMatrix, path: str | Path) -> None:
         raise BadInput(f"cannot write matrix file {path}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class PlanItem:
+class PlanItem(NamedTuple):
     """Shift / delete / insert schedule for one data item."""
 
     index: int                 # also the m-bit label of the item slot

@@ -18,6 +18,13 @@ Conventions (used everywhere in the package, documented only here):
 - ``Circuit.gates`` is ordered with the leftmost (first-applied) gate first,
   so the circuit unitary is ``G_last @ ... @ G_first``.
 
+A ``Gate`` is an immutable record, a ``typing.NamedTuple``, as is
+``ingest.PlanItem``: a compile builds one or more gates per emitted gate, and
+a tuple is built in under half the time of a frozen dataclass.  Being a
+tuple, a gate is iterable and equals a plain tuple of its fields, so
+``validate_gate`` checks the type to refuse that plain tuple, and
+``Circuit`` refuses a lone gate as its ``gates``.
+
 For a register layout of m data qubits, one delete qubit and n matrix qubits,
 the basis index of ``|0>_data |0>_del |j>`` equals ``j``, which places the
 encoded block in the top-left corner of the unitary.
@@ -59,7 +66,8 @@ import math
 import numbers
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,8 +91,11 @@ class RegisterLayout:
     n: int
 
     def __post_init__(self):
-        if integer(self.m, "layout m") < 0 or integer(self.n, "layout n") < 0:
+        m, n = integer(self.m, "layout m"), integer(self.n, "layout n")
+        if m < 0 or n < 0:
             raise BadInput(f"invalid layout m={self.m} n={self.n}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
 
     @property
     def total(self) -> int:
@@ -123,9 +134,14 @@ class RegisterLayout:
         return dm << shift | jm, dv << shift | jv
 
 
-@dataclass(frozen=True)
-class Gate:
-    """One primitive gate; construct via the mcx/x/ry/phase helpers."""
+class Gate(NamedTuple):
+    """One primitive gate; construct via the mcx/x/ry/phase helpers.
+
+    A NamedTuple, not a dataclass: a compile builds more gates than it
+    emits, and a tuple is built in under half the time.  Being a tuple, a
+    gate equals any plain tuple of its fields, so ``validate_gate`` checks
+    the type, not the fields, to tell the two apart.
+    """
 
     kind: str
     target: int = -1
@@ -186,13 +202,17 @@ class Circuit:
     global_phase: float = 0.0
 
     def __post_init__(self):
+        # a lone gate is itself a tuple, of its fields, so it is refused by type
+        gates = None if isinstance(self.gates, Gate) else self.gates
         try:
-            object.__setattr__(self, "gates", tuple(self.gates))
+            object.__setattr__(self, "gates", tuple(gates))
         except TypeError:
             raise BadInput(f"gates must be an iterable of gates, got {self.gates!r}") from None
-        if integer(self.n_qubits, "qubit count") < 0:
-            raise BadInput(f"negative qubit count {self.n_qubits}")
-        finite_number(self.global_phase, "global_phase")
+        n_qubits = integer(self.n_qubits, "qubit count")
+        if n_qubits < 0:
+            raise BadInput(f"negative qubit count {n_qubits}")
+        object.__setattr__(self, "n_qubits", n_qubits)
+        object.__setattr__(self, "global_phase", finite_number(self.global_phase, "global_phase"))
         if self.layout is not None:
             if instance(self.layout, RegisterLayout, "layout").total != self.n_qubits:
                 raise BadInput("layout does not match qubit count")
@@ -328,8 +348,8 @@ def unitarity_residual(v: np.ndarray) -> float:
 
 def inverse_circuit(circuit: Circuit) -> Circuit:
     # x / mcx are self-inverse; ry / phase invert by negating their angle
-    gates = tuple(replace(g, angle=-g.angle) if g.kind in ("ry", "phase") else g
-                  for g in reversed(circuit.gates))
+    gates = tuple(Gate(g.kind, g.target, g.controls, -g.angle) if g.kind in ("ry", "phase")
+                  else g for g in reversed(circuit.gates))
     return Circuit(circuit.n_qubits, gates, circuit.layout, -circuit.global_phase)
 
 
@@ -579,13 +599,14 @@ def _gate_dict(g: Gate, width: int) -> dict:
 
 
 def integer(value, what: str) -> int:
-    """``value`` itself, or BadInput naming ``what`` unless it is an integer;
-    a bool is not a number here."""
+    """``value`` as an int, or BadInput naming ``what`` unless it is an
+    integer; a bool is not a number here.  A numpy integer becomes an int,
+    so it never reaches a gate or a label set."""
     if type(value) is int:  # the common case, before the slower ABC check
         return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise BadInput(f"{what} must be an integer, got {value!r}")
-    return value
+    return int(value)
 
 
 def instance(value, cls: type, what: str):

@@ -19,14 +19,9 @@ from .ir import Circuit, Gate, instance, integer, mcx
 
 def basis_swap(a: int, b: int, width: int) -> Gate:
     """Gate exchanging the amplitudes of two width-bit labels one bit apart."""
-    try:
-        diff = a ^ b
-        apart = diff.bit_count() != 1 or (a | b) >> width
-    except (TypeError, AttributeError):
-        for value, what in ((a, "label a"), (b, "label b"), (width, "width")):
-            integer(value, what)
-        raise
-    if apart:
+    a, b, width = integer(a, "label a"), integer(b, "label b"), integer(width, "width")
+    diff = a ^ b
+    if width < 0 or diff.bit_count() != 1 or (a | b) >> width:
         raise BadInput(f"{a} and {b} do not differ in exactly one of {width} bits")
     return mcx((((1 << width) - 1) ^ diff, a & ~diff), width - diff.bit_length())
 

@@ -14,6 +14,7 @@ from blockenc.index_map import (_greedy_cubes, delete_group, delete_rows_plan, i
                                 plan_fusion, shift_cascade, shift_group)
 from blockenc.ingest import SparseMatrix
 from blockenc.ir import Circuit, RegisterLayout, circuit_unitary, select_pattern
+from blockenc.permute import basis_swap
 from blockenc.pipeline import compile_matrix
 
 from conftest import (as_strings, assert_permutation_matrix, reference_cube_search,
@@ -106,6 +107,36 @@ def test_shift_direction_and_delete_rows_checked():
         shift_cascade((1, 0), "U", 1, lay)
     with pytest.raises(BadInput):
         delete_rows_plan([4], lay)  # row 2^n is outside the matrix register
+
+
+def test_numpy_integers_become_ints_in_gates_and_pads():
+    lay = RegisterLayout(np.int64(2), np.int64(2))
+    plan, gates = shift_group(np.array([1, 2, 3]), "L", np.int64(1), lay,
+                              zero_slots=(np.int64(0),))
+    assert plan.pads == (0,) and all(type(p) is int for p in plan.pads)
+    gates += delete_group(np.array([1, 2]), np.array([0, 3]), lay)[1]
+    gates += insert_stage([(np.array([1, 2]), np.array([3]))], lay)
+    gates.append(basis_swap(np.int64(1), np.int64(3), np.int64(2)))
+    for g in gates:
+        assert type(g.target) is int and [type(v) for v in g.controls] == [int, int]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: plan_fusion([1, 1, 2], 2),
+    lambda: plan_fusion([1, 2, 3], 2, zero_slots=(0, 0)),
+    lambda: plan_fusion([1, 2, 3], 2, zero_slots=(3,)),
+    lambda: shift_group([1, 1, 2], "L", 1, RegisterLayout(2, 2)),
+    lambda: shift_group([1, 2, 3], "L", 1, RegisterLayout(2, 2), zero_slots=(0, 0)),
+    lambda: delete_group([1, 1], [0], RegisterLayout(2, 2)),
+    lambda: delete_group([1], [0, 2, 2], RegisterLayout(2, 2)),
+    lambda: insert_stage([((0,), [1]), ((2,), [1, 3])], RegisterLayout(2, 2)),
+], ids=["plan_fusion-labels", "plan_fusion-zero_slots", "plan_fusion-slot-is-label",
+        "shift_group-labels", "shift_group-zero_slots", "delete_group-labels",
+        "delete_group-rows", "insert_stage-labels"])
+def test_repeated_labels_are_bad_input(call):
+    # a repeat once vanished into a set, so a group lost a member's gates
+    with pytest.raises(BadInput, match="must be distinct|must not hold a label"):
+        call()
 
 
 def _del_flips(gates, layout):

@@ -124,8 +124,9 @@ def test_qubit_count_must_be_an_int(n_qubits):
     assert not isinstance(info.value, BadGate)
 
 
-@pytest.mark.parametrize("gate", [5, "x", None, ("x", 0)])
+@pytest.mark.parametrize("gate", [5, "x", None, ("x", 0), ("x", 0, (0, 0), 0.0)])
 def test_gate_that_is_not_a_gate_refused(gate):
+    # the last is a plain tuple of a gate's fields, which equals Gate("x", 0)
     with pytest.raises(BadGate, match="is not a Gate") as info:
         Circuit(2, (x(0), gate))
     assert info.value.index == 1
@@ -140,6 +141,7 @@ def _one_entry():
 
 @pytest.mark.parametrize("call, named", [
     (lambda: Circuit(2, 5), "gates"), (lambda: Circuit(2, None), "gates"),
+    (lambda: Circuit(2, Gate("x", 1)), r"iterable of gates, got Gate\(kind='x'"),
     (lambda: is_reducible([], 3), "control set size"),
     (lambda: is_reducible([0, 1], -1), "label width P"),
     (lambda: mode_pattern([], 1), "labels"),
@@ -173,9 +175,10 @@ def _one_entry():
     (lambda: insert_stage(5, _LAYOUT), "row_groups"),
     (lambda: is_reducible(5, 2), "labels"),
     (lambda: basis_swap("a", 1, 2), "label a"),
+    (lambda: basis_swap(0, 1, -1), "exactly one of -1 bits"),
     (lambda: synthesize_prep(5, [1]), "items"),
     (lambda: synthesize_unprep(5), "prep"),
-], ids=["Circuit-gates-5", "Circuit-gates-None", "is_reducible-empty",
+], ids=["Circuit-gates-5", "Circuit-gates-None", "Circuit-gates-Gate", "is_reducible-empty",
         "is_reducible-negative-width", "mode_pattern-empty", "compile_matrix-matrix",
         "compile_matrix-config", "analyze-matrix", "verify_circuit-matrix",
         "verify_circuit-circuit", "encoded_block-circuit", "circuit_unitary-circuit",
@@ -188,7 +191,7 @@ def _one_entry():
         "shift_group-amount", "shift_group-labels", "delete_group-rows",
         "delete_group-labels", "solve_assignment-sources", "delete_flip-data",
         "insert_stage-row_groups", "is_reducible-labels", "basis_swap-label",
-        "synthesize_prep-items", "synthesize_unprep-prep"])
+        "basis_swap-negative-width", "synthesize_prep-items", "synthesize_unprep-prep"])
 def test_malformed_library_arguments_are_bad_input(call, named, tmp_path, monkeypatch):
     # a gates argument that is not iterable, an empty control set, which has
     # no power-of-two size, and arguments of the wrong type, each refused
@@ -229,6 +232,9 @@ def test_global_phase_must_be_a_finite_real(gphase):
 def test_numpy_scalars_are_accepted_as_count_and_phase():
     circ = Circuit(np.int64(1), (x(0),), global_phase=np.float64(0.5))
     assert np.allclose(circuit_unitary(circ), np.exp(0.5j) * np.array([[0, 1], [1, 0]]))
+    # stored as Python numbers, so the text form is one its reader takes back
+    assert type(circ.n_qubits) is int and type(circ.global_phase) is float
+    assert import_text(export_text(circ))[0] == circ
 
 
 def test_too_many_qubits_guard():
@@ -405,6 +411,36 @@ def test_simulation_matches_reference(circ, data):
     for g in circ.gates:
         one = Circuit(circ.n_qubits, (g,))
         assert np.array_equal(circuit_unitary(one), reference_circuit_unitary(one))
+
+
+def test_gates_and_plan_items_are_immutable_records():
+    gate = Gate("mcx", 2, (3, 1))
+    item = analyze(SparseMatrix.from_entries(2, [(0, 1, 0.5), (1, 2, 0.5)])).items[0]
+    for record, field in ((gate, "target"), (item, "index")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 5)
+    assert repr(gate) == "Gate(kind='mcx', target=2, controls=(3, 1), angle=0.0)"
+    assert repr(item) == ("PlanItem(index=0, magnitude=0.5, phase=(1+0j), offset=1, "
+                          "direction='R', amount=1, powers=(1,), mode='insert', "
+                          "delete_rows=(), insert_rows=(0, 1))")
+    # a gate equals the plain tuple of its fields, so only its type tells them apart
+    assert gate == ("mcx", 2, (3, 1), 0.0)
+    with pytest.raises(BadGate, match="is not a Gate"):
+        Circuit(3, (("mcx", 0, (3, 1), 0.0),))
+
+
+def _exact(circ: Circuit):
+    """A circuit's fields with every float by its repr, so -0.0 differs from 0.0."""
+    return (circ.n_qubits, circ.layout, repr(circ.global_phase),
+            [(type(g), g.kind, g.target, g.controls, repr(g.angle)) for g in circ.gates])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_random_circuits(), st.one_of(st.just(0.0), st.just(-0.0), st.floats(-6.0, 6.0)))
+def test_inverse_of_the_inverse_is_the_circuit_exactly(circ, gphase):
+    circ = replace(circ, global_phase=gphase)
+    assert inverse_circuit(inverse_circuit(circ)) == circ
+    assert _exact(inverse_circuit(inverse_circuit(circ))) == _exact(circ)
 
 
 @st.composite
