@@ -31,11 +31,19 @@ directly.
 Item labels and row indices are ints, a label set is a list of distinct ints
 with its width alongside, and every control set, in a plan or on a gate, is
 a cube (see ``ir``).  ``RegisterLayout.controls`` lifts register cubes to a
-gate's full width, once per cascade.  The disjoint cube cover
-(``_greedy_cubes``) searches the labels for their largest cubes directly:
-one depth-first search per dimension splits the labels on their highest
-differing bit, carries the free bits chosen so far down, and takes every
-wholly uncovered cube into the cover as it finds it.  It holds a label set
+gate's full width, once per cascade.  A group's shift is checked once, not
+once per cascade, and a subgroup without swaps is its core gates alone, with
+no embedding.  The gates are built unchecked: the compiled circuit checks
+each one (see ``ir``).
+
+The disjoint cube cover (``_greedy_cubes``) returns a set that is itself a
+cube as its own cover, without a search: the largest cube inside a cube is
+that cube, so the short path is exact.  Many of a random matrix's covers are
+such sets: the two items, real and imaginary, of one complex value.  Any
+other set it searches for its largest cubes directly: one depth-first search
+per dimension splits the labels on their highest differing bit, carries the
+free bits chosen so far down, and takes every wholly uncovered cube into the
+cover as it finds it.  It holds a label set
 as bitmaps, one per window of the labels' low w bits, with w the widest
 window that keeps the bitmaps within 64 bits per label
 (``_window_width``): a set in one window splits by a mask, a shift and an
@@ -47,11 +55,13 @@ follows the labels at every width up to 62, and no table grows with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 
 from .assignment import (FixedIndexPolicy, build_target_set, mode_pattern, solve_assignment,
                          submasks)
 from .errors import BadInput
-from .ir import Cube, Gate, RegisterLayout, embed_gates, instance, integer, mcx
+from .ir import Cube, Gate, RegisterLayout, embed_gates, gate_of, instance, integer, mcx
 from .permute import basis_swap, route_permutation
 
 
@@ -67,17 +77,24 @@ def is_reducible(labels, P: int) -> Cube | None:
         raise BadInput(f"label width P must be >= 0, got {P}")
     try:
         size = len(labels)
-        common, either = (1 << P) - 1, 0
-        for v in labels:
-            common &= v
-            either |= v
+        cube = _cube_of(labels, P) if size and not size & (size - 1) else None
     except TypeError:
         raise BadInput(f"labels must be a collection of integers, got {labels!r}") from None
     if not size or size & (size - 1):
         raise BadInput(f"control set size {size} is not a power of two")
-    mask = ((1 << P) - 1) & ~(common ^ either)
+    return cube
+
+
+def _cube_of(labels, P: int) -> Cube | None:
+    """The cube equal to a power-of-two collection of distinct P-bit labels, or None.
+
+    The mask holds the bits on which every label agrees (AND equals OR).
+    """
+    full = (1 << P) - 1
+    common, either = reduce(and_, labels, full), reduce(or_, labels, 0)
+    mask = full & ~(common ^ either)
     # distinct labels agreeing on P - n fixed bits enumerate the other n
-    if mask.bit_count() != P - (size.bit_length() - 1):
+    if mask.bit_count() != P - (len(labels).bit_length() - 1):
         return None
     return mask, common
 
@@ -85,20 +102,32 @@ def is_reducible(labels, P: int) -> Cube | None:
 def shift_cascade(data: Cube, direction: str, amount: int,
                   layout: RegisterLayout) -> list[Gate]:
     """MCX cascade cyclically shifting the matrix register for the data cube."""
+    k = _shift_bit(direction, amount, layout)
+    return _cascade(layout.controls(data), direction == "L", k, layout)
+
+
+def _shift_bit(direction: str, amount: int, layout: RegisterLayout) -> int:
+    """k of a shift by amount = 2**k on the layout's matrix register, or
+    BadInput unless the shift is one."""
     n = instance(layout, RegisterLayout, "layout").n
     amount = integer(amount, "shift amount")
     if amount <= 0 or amount & (amount - 1) or amount >= (1 << n):
         raise BadInput(f"shift amount {amount} invalid for n={n}")
     if direction not in ("L", "R"):
         raise BadInput(f"direction must be L or R, got {direction!r}")
-    k = amount.bit_length() - 1
-    mask, value = layout.controls(data)
+    return amount.bit_length() - 1
+
+
+def _cascade(controls: Cube, up: bool, k: int, layout: RegisterLayout) -> list[Gate]:
+    """The cascade of a checked shift by 2**k, left if ``up``, under full-width controls.
+
+    Matrix bit b sits on qubit total-1-b; its gate, highest b first, is
+    controlled on bits k .. b-1, at 1 for a left shift and at 0 for a right one.
+    """
+    mask, value = controls
     last = layout.total - 1
-    gates = []
-    for b in range(n - 1, k - 1, -1):  # matrix bit b on qubit total-1-b, highest first
-        carry = (1 << b) - (1 << k)  # controls on bits k .. b-1
-        gates.append(mcx((mask | carry, value | (carry if direction == "L" else 0)), last - b))
-    return gates
+    return [gate_of(("mcx", last - b, (mask | carry, value | carry if up else value), 0.0))
+            for b in range(layout.n - 1, k - 1, -1) for carry in ((1 << b) - (1 << k),)]
 
 
 def _sorted_labels(labels, width: int, what: str) -> list[int]:
@@ -108,7 +137,10 @@ def _sorted_labels(labels, width: int, what: str) -> list[int]:
         labels = sorted(labels)
     except TypeError:
         raise BadInput(f"{what} must be an iterable of integers, got {labels!r}") from None
-    labels = [integer(v, what) for v in labels]
+    for v in labels:
+        if type(v) is not int:  # numpy integers, or not integers at all
+            labels = [integer(v, what) for v in labels]
+            break
     if labels and (labels[0] < 0 or labels[-1] >> width):
         raise BadInput(f"{what} must lie in 0 .. 2**{width} - 1")
     if len(set(labels)) < len(labels):
@@ -281,11 +313,15 @@ def _greedy_cubes(labels, width: int) -> list[Cube]:
     finds it, so the labels left for dimension 0 are taken in ascending
     order.  The search holds the labels as bitmaps over windows of
     ``_window_width`` bits, at most 64 bits per label, so its memory
-    follows the labels at every width.
+    follows the labels at every width.  A set that is a cube needs no
+    search: it is its own cover.
     """
     labels = sorted(set(labels))
     if not labels:
         return []
+    size = len(labels)
+    if not size & (size - 1) and (cube := _cube_of(labels, width)) is not None:
+        return [cube]  # the largest cube inside a cube is the cube itself
     search = _CoverSearch(labels, width)
     for dim in range(len(labels).bit_length() - 1, -1, -1):
         if search.left >= 1 << dim:
@@ -343,13 +379,19 @@ def plan_fusion(labels: list[int], P: int, *, zero_slots: tuple[int, ...] = (),
     solving the assignment or routing it.
 
     Repeated labels, and zero slots that repeat or hold a label, are
-    ``BadInput``: every member is one distinct basis label.
+    ``BadInput``: every member is one distinct basis label.  The labels are
+    checked here once, so the cube test below takes them as they are.
     """
+    P = integer(P, "label width P")
+    if P < 0:
+        raise BadInput(f"label width P must be >= 0, got {P}")
     labels = _sorted_labels(labels, P, "labels")
     zero_slots = _sorted_labels(zero_slots, P, "zero_slots")
     if not set(zero_slots).isdisjoint(labels):
         raise BadInput("zero_slots must not hold a label")
     size = len(labels)
+    if not size:
+        raise BadInput("control set size 0 is not a power of two")
     pads: tuple[int, ...] = ()
     if size & (size - 1):
         partition = FusionPlan("partition", [SubFusion(c) for c in _greedy_cubes(labels, P)])
@@ -358,7 +400,7 @@ def plan_fusion(labels: list[int], P: int, *, zero_slots: tuple[int, ...] = (),
             return partition
         pads = tuple(zero_slots[:need])
         labels = sorted(labels + list(pads))
-    cube = is_reducible(labels, P)
+    cube = _cube_of(labels, P)
     if cube is not None:  # a padded cube is one gate, below any cover of two or more
         return FusionPlan("padded" if pads else "direct", [SubFusion(cube)], pads)
     mask = policy.resolve(P, len(labels))
@@ -385,6 +427,9 @@ def _emit_plan(plan: FusionPlan, core, width: int, qubits: tuple[int, ...],
     """
     gates: list[Gate] = []
     for sub in plan.subgroups:
+        if not sub.swaps:  # a cube: its core alone
+            gates += core(sub.cube)
+            continue
         fwd = embed_gates([basis_swap(a, b, len(qubits)) for a, b in sub.swaps], width, qubits)
         gates += fwd
         gates += core(sub.cube)
@@ -403,10 +448,11 @@ def shift_group(labels: list[int], direction: str, amount: int, layout: Register
     member, including the borrowed zero slots in ``plan.pads`` (unless the
     restore is deferred, which leaves the data register permuted).
     """
-    instance(layout, RegisterLayout, "layout")
+    k = _shift_bit(direction, amount, layout)  # checked once, for every cascade
     plan = plan_fusion(labels, layout.m, zero_slots=zero_slots, policy=policy,
-                       core_cost=layout.n - (integer(amount, "shift amount").bit_length() - 1))
-    core = lambda cube: shift_cascade(cube, direction, amount, layout)
+                       core_cost=layout.n - k)
+    up = direction == "L"
+    core = lambda cube: _cascade(layout.controls(cube), up, k, layout)
     return plan, _emit_plan(plan, core, layout.total, layout.data_qubits, defer_restore)
 
 

@@ -216,6 +216,8 @@ class _Group(NamedTuple):
     offset: int
     value: complex
     rows: np.ndarray  # ascending int64, never empty
+    first: int  # rows[0]
+    wrapped: int  # rows r with r + offset >= dim; 0 on the main diagonal
 
 
 def _signed_offset(cyclic: int, dim: int) -> int:
@@ -228,6 +230,11 @@ def _collect_groups(matrix: SparseMatrix) -> list[_Group]:
     One lexsort on (offset, re, im, row) puts each group's rows together in
     ascending order; ``+ 0.0`` folds -0.0 into 0.0, so values equal as
     complex numbers share a group.  A group keeps the value at its first row.
+    The first rows and the wrapped counts of all groups are taken at once,
+    not by numpy calls per group: a group's rows ascend, so the rows that
+    wrap (r + offset >= dim) are a suffix of them, all of them when the first
+    row wraps and none unless the last does.  Only a group that straddles
+    the edge is searched, as a band does; a random matrix has none.
     """
     nonzero = matrix.values != 0
     if not nonzero.any():
@@ -240,9 +247,15 @@ def _collect_groups(matrix: SparseMatrix) -> list[_Group]:
     new = np.ones(len(rows), dtype=bool)
     new[1:] = (off[1:] != off[:-1]) | (re[1:] != re[:-1]) | (im[1:] != im[:-1])
     starts = np.flatnonzero(new)
-    bounds = [*starts.tolist(), len(rows)]
-    return [_Group(o, v, rows[a:b]) for o, v, a, b in
-            zip(off[starts].tolist(), values[starts].tolist(), bounds, bounds[1:])]
+    ends = np.append(starts[1:], len(rows))
+    first, edge = rows[starts], matrix.dim - off[starts]  # rows from edge on wrap
+    wrapped = np.where(first >= edge, ends - starts, 0)
+    for i in np.flatnonzero((first < edge) & (rows[ends - 1] >= edge)).tolist():
+        a, b = starts[i], ends[i]
+        wrapped[i] = b - a - np.searchsorted(rows[a:b], edge[i])
+    return [_Group(o, v, rows[a:b], r, w) for o, v, r, w, a, b in
+            zip(off[starts].tolist(), values[starts].tolist(), first.tolist(),
+                wrapped.tolist(), starts.tolist(), ends.tolist())]
 
 
 def _alpha_weight(value: complex) -> float:
@@ -257,7 +270,7 @@ def _apply_diagonal_strategy(groups: list[_Group],
     encode one difference plus the value covering the union of rows.  The one
     minimizing the summed magnitude contribution wins, earliest on ties.
     """
-    diag = sorted((g for g in groups if g.offset == 0), key=lambda g: g.rows[0])
+    diag = sorted((g for g in groups if g.offset == 0), key=lambda g: g.first)
     if len(diag) != 2:
         return groups, None
     g1, g2 = diag
@@ -273,16 +286,15 @@ def _apply_diagonal_strategy(groups: list[_Group],
     else:
         choice = strategy
     rest = [g for g in groups if g.offset != 0]
-    rest.extend(_Group(0, v, rows) for v, rows in candidates[choice] if v != 0)
+    rest.extend(_Group(0, v, rows, int(rows[0]), 0) for v, rows in candidates[choice] if v != 0)
     return rest, choice
 
 
 def _shift_for(group: _Group, dim: int) -> tuple[str | None, int]:
     """Direction and amount moving the main diagonal onto this group's offset."""
-    o = group.offset
+    o, wrapped = group.offset, group.wrapped
     if o == 0:
         return None, 0
-    wrapped = np.count_nonzero(group.rows >= dim - o)  # r + o >= dim, without overflow
     if not wrapped:           # every entry above the diagonal
         return "R", o
     if wrapped == len(group.rows):  # every entry below the diagonal
@@ -332,7 +344,7 @@ def analyze(matrix: SparseMatrix, strategy: str | int = "auto") -> OperationPlan
             mode, insert_rows = "delete", ()
         offset, powers = _signed_offset(g.offset, dim), _powers(amount)
         for magnitude, ph, rank in _components(g.value):
-            records.append(((offset, int(g.rows[0]), rank),
+            records.append(((offset, g.first, rank),
                             (magnitude, ph, offset, direction, amount, powers, mode,
                              delete_rows, insert_rows)))
     records.sort(key=itemgetter(0))  # stable: equal keys keep group order

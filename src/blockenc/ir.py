@@ -23,7 +23,17 @@ A ``Gate`` is an immutable record, a ``typing.NamedTuple``, as is
 a tuple is built in under half the time of a frozen dataclass.  Being a
 tuple, a gate is iterable and equals a plain tuple of its fields, so
 ``validate_gate`` checks the type to refuse that plain tuple, and
-``Circuit`` refuses a lone gate as its ``gates``.
+``Circuit`` refuses a lone gate as its ``gates``.  The compiler makes its
+gates from all four fields through ``gate_of``, which skips the NamedTuple's
+Python-level constructor.
+
+Each gate is checked once, by ``validate_gate`` as the ``Circuit`` that holds
+it is built.  The compiler's stages build gates unchecked, and the full
+circuit checks every one of them; the prep and unprep circuits that state
+preparation returns are the only other circuits a compile builds, and each
+checks its own gates once.  A gate's target, mask and value must be ``int``s:
+numpy integers are converted where they enter (``integer``,
+``RegisterLayout.controls``), and a gate that still holds one is refused.
 
 For a register layout of m data qubits, one delete qubit and n matrix qubits,
 the basis index of ``|0>_data |0>_del |j>`` equals ``j``, which places the
@@ -124,6 +134,8 @@ class RegisterLayout:
         """
         try:
             (dm, dv), (jm, jv) = data, matrix
+            if not type(dm) is type(dv) is type(jm) is type(jv) is int:  # numpy ints
+                dm, dv, jm, jv = (integer(v, "register cube") for v in (dm, dv, jm, jv))
             wide = (dm | dv) >> self.m or (jm | jv) >> self.n
         except (TypeError, ValueError):
             raise BadInput(f"register cubes must be (mask, value) pairs of integers, "
@@ -135,7 +147,7 @@ class RegisterLayout:
 
 
 class Gate(NamedTuple):
-    """One primitive gate; construct via the mcx/x/ry/phase helpers.
+    """One primitive gate; construct via the mcx/x/ry/phase helpers or ``gate_of``.
 
     A NamedTuple, not a dataclass: a compile builds more gates than it
     emits, and a tuple is built in under half the time.  Being a tuple, a
@@ -149,47 +161,62 @@ class Gate(NamedTuple):
     angle: float = 0.0
 
 
+# The gate of a tuple of all four fields, as ``Gate._make`` builds it but
+# without a Python-level call: ``Gate(...)`` runs the NamedTuple's generated
+# ``__new__``, which costs about 60% more.  The helpers below, and every
+# compiler stage that builds gates in bulk, make their gates through it.
+gate_of = functools.partial(tuple.__new__, Gate)
+
+
 def mcx(controls: Cube, target: int) -> Gate:
-    return Gate("mcx", target=target, controls=controls)
+    return gate_of(("mcx", target, controls, 0.0))
 
 
 def x(target: int) -> Gate:
-    return Gate("x", target=target)
+    return gate_of(("x", target, (0, 0), 0.0))
 
 
 def ry(angle: float, target: int, controls: Cube = (0, 0)) -> Gate:
-    return Gate("ry", target=target, controls=controls, angle=float(angle))
+    return gate_of(("ry", target, controls, float(angle)))
 
 
 def phase(angle: float, target: int, controls: Cube = (0, 0)) -> Gate:
-    return Gate("phase", target=target, controls=controls, angle=float(angle))
+    return gate_of(("phase", target, controls, float(angle)))
 
 
 def validate_gate(gate: Gate, width: int) -> None:
     """Raise BadGate if the gate cannot act on a width-qubit circuit.
 
-    A field of the wrong type (a target or control that is not an int, an
-    angle that is not a number) fails one of the checks with a TypeError,
-    ValueError or OverflowError, which is refused as a malformed gate.
+    The gate's fields are unpacked once.  Its target, mask and value must
+    be ``int``s, not bools or numpy integers, which the writer and the
+    simulator cannot take; controls that are not a pair and an angle that
+    is not a number are refused as a malformed gate too.
     """
     if not isinstance(gate, Gate):
         raise BadGate(f"{gate!r} is not a Gate")
-    if gate.kind not in GATE_KINDS:
-        raise BadGate(f"unknown gate kind {gate.kind!r}")
     try:
-        if not 0 <= gate.target < width:
-            raise BadGate(f"target {gate.target} out of range for width {width}")
-        mask, value = gate.controls
-        if mask >> width or value & ~mask:
-            raise BadGate(f"bad controls {gate.controls} for width {width}")
-        if mask >> (width - 1 - gate.target) & 1:
-            raise BadGate("target qubit must be free of controls")
-        if gate.kind == "x" and mask:
-            raise BadGate("an x gate takes no controls")
-        if gate.kind in ("ry", "phase") and not math.isfinite(gate.angle):
-            raise BadGate(f"non-finite angle {gate.angle}")
-    except (TypeError, ValueError, OverflowError):
+        kind, target, (mask, value), angle = gate
+    except (TypeError, ValueError):  # controls that are not a pair
         raise BadGate(f"malformed gate {gate!r}") from None
+    if kind not in GATE_KINDS:
+        raise BadGate(f"unknown gate kind {kind!r}")
+    if not type(target) is type(mask) is type(value) is int:
+        raise BadGate(f"malformed gate {gate!r}: target and controls must be ints")
+    if not 0 <= target < width:
+        raise BadGate(f"target {target} out of range for width {width}")
+    if mask >> width or value & ~mask:
+        raise BadGate(f"bad controls {(mask, value)} for width {width}")
+    if mask >> (width - 1 - target) & 1:
+        raise BadGate("target qubit must be free of controls")
+    if kind == "x":
+        if mask:
+            raise BadGate("an x gate takes no controls")
+    elif kind != "mcx":  # ry, phase
+        try:
+            if not math.isfinite(angle):
+                raise BadGate(f"non-finite angle {angle}")
+        except (TypeError, OverflowError):
+            raise BadGate(f"malformed gate {gate!r}") from None
 
 
 @dataclass(frozen=True)
@@ -218,7 +245,7 @@ class Circuit:
                 raise BadInput("layout does not match qubit count")
         for i, g in enumerate(self.gates):
             try:
-                validate_gate(g, self.n_qubits)
+                validate_gate(g, n_qubits)
             except BadGate as exc:
                 exc.index = i
                 raise
@@ -268,25 +295,23 @@ def apply_gates(gates, rows: np.ndarray) -> None:
     """
     top = rows.ndim - 2  # the qubit of bit 0
     free = [slice(None)] * (top + 1)
-    for g in gates:
+    for kind, target, (mask, value), angle in gates:
         idx = free.copy()
-        mask, value = g.controls
         while mask:
             bit = mask.bit_length() - 1
             idx[top - bit] = value >> bit & 1
             mask ^= 1 << bit
-        idx[g.target] = 1
+        idx[target] = 1
         hi = rows[tuple(idx)]
-        kind = g.kind
         if kind == "phase":
-            hi *= np.exp(1j * g.angle)
+            hi *= np.exp(1j * angle)
             continue
-        idx[g.target] = 0
+        idx[target] = 0
         lo = rows[tuple(idx)]
         if lo.size <= _CHUNK:
             if kind == "ry":
                 a, b = lo.flatten(), hi.flatten()
-                _rotate(a, b, g.angle)
+                _rotate(a, b, angle)
                 lo[...] = a.reshape(lo.shape)
                 hi[...] = b.reshape(hi.shape)
             else:  # x, mcx
@@ -300,7 +325,7 @@ def apply_gates(gates, rows: np.ndarray) -> None:
                        buffersize=_CHUNK) as pairs:
             for a, b in pairs:
                 if kind == "ry":
-                    _rotate(a, b, g.angle)
+                    _rotate(a, b, angle)
                 else:  # x, mcx
                     a[...], b[...] = b.copy(), a.copy()
 
@@ -348,7 +373,7 @@ def unitarity_residual(v: np.ndarray) -> float:
 
 def inverse_circuit(circuit: Circuit) -> Circuit:
     # x / mcx are self-inverse; ry / phase invert by negating their angle
-    gates = tuple(Gate(g.kind, g.target, g.controls, -g.angle) if g.kind in ("ry", "phase")
+    gates = tuple(gate_of((g.kind, g.target, g.controls, -g.angle)) if g.kind in ("ry", "phase")
                   else g for g in reversed(circuit.gates))
     return Circuit(circuit.n_qubits, gates, circuit.layout, -circuit.global_phase)
 
@@ -357,14 +382,14 @@ def embed_gates(gates, width: int, qubits: tuple[int, ...]) -> list[Gate]:
     """Move gates from a contiguous subregister into a wider circuit.
 
     ``qubits`` are the ascending global indices of the subregister's qubits,
-    so local qubit i is global qubit ``qubits[0] + i``.
+    so local qubit i is global qubit ``qubits[0] + i``.  The embedded gates
+    are not validated here: the circuit they end up in checks each one.
     """
-    out = []
-    for g in gates:
-        shift = width - qubits[0] - len(qubits)
-        mask, value = g.controls
-        out.append(Gate(g.kind, g.target + qubits[0], (mask << shift, value << shift), g.angle))
-    return out
+    if not qubits:  # no qubit, so no gate: a 0-qubit circuit has none
+        return list(gates)
+    first, shift = qubits[0], width - qubits[0] - len(qubits)
+    return [gate_of((kind, target + first, (mask << shift, value << shift), angle))
+            for kind, target, (mask, value), angle in gates]
 
 
 # --- serialization ---------------------------------------------------------
@@ -374,10 +399,9 @@ FORMAT_HEADER = "blockenc-ir v1"
 
 def _gate_line(g: Gate, tokens: tuple[tuple[str, str], ...]) -> str:
     """The text line of a gate; ``tokens[b][v]`` spells control value v on bit b."""
-    kind = g.kind
-    head = f"{kind}({g.angle!r})" if kind == "ry" or kind == "phase" else kind
-    target = f"target=q{g.target}" if kind == "mcx" else f"q{g.target}"
-    mask, value = g.controls
+    kind, target, (mask, value), angle = g
+    head = f"{kind}({angle!r})" if kind == "ry" or kind == "phase" else kind
+    target = f"target=q{target}" if kind == "mcx" else f"q{target}"
     if not mask:
         return f"{head} {target}"
     ctrl = []
@@ -514,8 +538,8 @@ def import_text(text: str) -> tuple[Circuit, dict]:
             toks = ctrl.split(",") if ctrl else ()
             mask = sum(map(bit_of, toks))
             if mask.bit_count() == len(toks):
-                gates.append(Gate(kind or rot, _index(target, ln),
-                                  (mask, sum(map(value_of, toks))), float(angle or 0)))
+                gates.append(gate_of((kind or rot, _index(target, ln),
+                                      (mask, sum(map(value_of, toks))), float(angle or 0))))
             else:  # a token off the table, or a repeat
                 gates.append(_text_gate(match, width, ln))
             sources.append(ln)
@@ -569,7 +593,7 @@ def _text_gate(match: re.Match, width: int, ln: str) -> Gate:
             raise BadInput(f"control qubit q{q} repeated in IR line {ln!r}")
         mask |= bit
         value |= bit if v == "1" else 0
-    return Gate(kind, _index(match["target"], ln), (mask, value), float(match["angle"] or 0))
+    return gate_of((kind, _index(match["target"], ln), (mask, value), float(match["angle"] or 0)))
 
 
 def export_json(circuit: Circuit, metadata: dict | None = None) -> str:

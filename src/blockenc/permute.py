@@ -90,18 +90,20 @@ def route_permutation(pairs: Pairs, width: int) -> list[tuple[int, int]]:
     sources on its two labels and the labels holding a pending amplitude
     are the keys of ``at``.  A width that is not an integer >= 0, pairs
     that are not a collection, labels that are not integers in
-    ``0 .. 2**width - 1`` and repeated sources or targets are ``BadInput``.
+    ``0 .. 2**width - 1`` and repeated sources or targets are ``BadInput``;
+    numpy integer labels are taken as ints.
     """
     if integer(width, "width") < 0:
         raise BadInput(f"width must be >= 0, got {width}")
     instance(pairs, Collection, "pairs")
-    try:
-        sources, targets = {s for s, _ in pairs}, {t for _, t in pairs}
+    try:  # numpy integers become ints, so no swap carries one
+        pairs = [(integer(s, "pair label"), integer(t, "pair label")) for s, t in pairs]
     except (TypeError, ValueError):
         raise BadInput(f"pairs must be (source, target) pairs, got {pairs!r}") from None
+    sources, targets = {s for s, _ in pairs}, {t for _, t in pairs}
     # a label outside the width, negative ones included, shifts to nonzero
     if not len(sources) == len(targets) == len(pairs) or any(
-            integer(x, "pair label") >> width for x in sources | targets):
+            x >> width for x in sources | targets):
         raise BadInput(f"pairs must match distinct sources to distinct targets, "
                        f"all labels of {width} bits")
     moves = {s: t for s, t in pairs if s != t}

@@ -16,7 +16,7 @@ from collections.abc import Sized
 import numpy as np
 
 from .errors import BadInput
-from .ir import Circuit, Gate, instance, inverse_circuit, phase, ry, x
+from .ir import Circuit, Gate, gate_of, instance, phase, ry, x
 
 
 def _magnitude_tree(mags: np.ndarray, m: int) -> list[Gate]:
@@ -85,6 +85,12 @@ def synthesize_prep(items, phases) -> Circuit:
 
 def synthesize_unprep(prep: Circuit) -> Circuit:
     """Adjoint of the unsigned loader V = ``prep``'s ry gates (its phase layer
-    is x and phase gates only), so that UNPREP^dag |0..0> = V|0..0>."""
-    tree = tuple(g for g in instance(prep, Circuit, "prep").gates if g.kind == "ry")
-    return inverse_circuit(Circuit(prep.n_qubits, tree))
+    is x and phase gates only), so that UNPREP^dag |0..0> = V|0..0>.
+
+    The adjoint is built directly, the ry gates in reverse with negated
+    angles, so the returned circuit is the only one that checks them.
+    """
+    gates = instance(prep, Circuit, "prep").gates
+    return Circuit(prep.n_qubits, tuple(gate_of(("ry", target, controls, -angle))
+                                        for kind, target, controls, angle in reversed(gates)
+                                        if kind == "ry"))

@@ -51,8 +51,8 @@ import numpy as np
 
 from .errors import BadInput, TooLarge
 from .ingest import SparseMatrix
-from .ir import (MAX_SIM_ENTRIES, Circuit, Gate, apply_gates, check_budget,
-                 circuit_unitary, finite_number, instance, unitarity_residual)
+from .ir import (MAX_SIM_ENTRIES, Circuit, apply_gates, check_budget,
+                 circuit_unitary, finite_number, gate_of, instance, unitarity_residual)
 
 DEFAULT_TOL = 1e-9  # max |alpha*B - A| a passing circuit may reach
 UNITARITY_TOL = 1e-10
@@ -75,7 +75,7 @@ def _split(circuit: Circuit) -> tuple[Circuit, tuple, Circuit] | None:
             mask, value = g.controls
             if g.target >= m or mask & flags:
                 return
-            yield Gate(g.kind, g.target, (mask >> shift, value >> shift), g.angle)
+            yield gate_of((g.kind, g.target, (mask >> shift, value >> shift), g.angle))
 
     prefix = tuple(lowered(gates))
     suffix = tuple(lowered(reversed(gates[len(prefix):])))[::-1]

@@ -509,3 +509,38 @@ def test_pruned_padded_plans_match_the_reference_and_skip_their_solves(solves):
         modes.add(plan.mode)
     assert skipped > 0
     assert {"partition", "padded", "padded-permute"} <= modes
+
+
+@st.composite
+def _near_cubes(draw):
+    # a cube of up to 32 labels at widths 1 to 14, as it is, with one label
+    # removed or with one label outside it added; dimension 0 is one label
+    width = draw(st.integers(1, 14))
+    full = (1 << width) - 1
+    bits = draw(st.lists(st.integers(0, width - 1), max_size=min(width, 5), unique=True))
+    free = sum(1 << b for b in bits)
+    mask = full ^ free
+    labels = set(build_target_set(mask, draw(st.integers(0, full)) & mask, width))
+    change = draw(st.sampled_from(["cube", "less", "more"]))
+    if change == "less" and len(labels) > 1:
+        labels.discard(draw(st.sampled_from(sorted(labels))))
+    elif change == "more" and mask:
+        v = draw(st.integers(0, full))
+        labels.add(v ^ (mask & -mask) if v in labels else v)  # off a fixed bit: outside
+    return labels, width
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_cubes())
+@example(({0}, 1))
+@example(({0, 1}, 1))
+@example(({5, 7}, 3))
+def test_cube_short_path_matches_the_references(drawn):
+    labels, width = drawn
+    cover = _greedy_cubes(labels, width)
+    assert cover == reference_cube_search(labels, width)
+    strings = sorted(as_strings(labels, width))
+    assert [select_pattern(*cube, width) for cube in cover] == reference_greedy_cubes(strings)
+    size = len(labels)
+    if not size & (size - 1) and index_map.is_reducible(labels, width):
+        assert len(cover) == 1

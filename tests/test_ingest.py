@@ -407,6 +407,39 @@ def test_columnar_ingest_matches_per_entry_reference(doc):
         _ingest(reference_matrix_from_dict, reference_analyze, doc)
 
 
+def _band_doc(n: int, offset: int, rows) -> dict:
+    """A band at a cyclic offset on the given rows, with the main diagonal's
+    other rows at a second value, so that every strategy has two values."""
+    dim = 1 << n
+    entries = [{"row": r, "col": (r + offset) % dim, "re": 0.5, "im": -0.25} for r in rows]
+    if offset == 0:
+        entries += [{"row": r, "col": r, "re": 0.0, "im": 0.75}
+                    for r in range(dim) if r not in rows]
+    else:
+        entries += [{"row": r, "col": r, "re": 0.25 if r < dim // 2 else -1.0}
+                    for r in range(dim)]
+    return {"dim": dim, "entries": entries}
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_band_groups_match_reference_at_every_offset(n):
+    # the wrapped counts are taken for all groups at once; bands whose rows
+    # wrap past the last column on none, some or all of their rows
+    dim = 1 << n
+    for offset in range(dim):
+        edge = dim - offset  # rows from here on wrap
+        row_sets = {"none": range(edge), "all": range(edge, dim), "some": range(dim),
+                    "straddle": range(max(edge - 2, 0), min(edge + 1, dim))}
+        if offset == 0:  # the main diagonal wraps nowhere; half of it, beside a second value
+            row_sets = {"none": range(dim // 2)}
+        for name, rows in row_sets.items():
+            if not rows:
+                continue
+            doc = _band_doc(n, offset, rows)
+            assert _ingest(matrix_from_dict, analyze, doc) == \
+                _ingest(reference_matrix_from_dict, reference_analyze, doc), (offset, name)
+
+
 @pytest.mark.parametrize("defect", _DEFECTS)
 def test_malformed_document_fails_as_in_reference(defect):
     entries = [{"row": r, "col": (r + 1) % 4, "re": 0.5, "im": -0.0} for r in range(4)]

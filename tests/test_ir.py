@@ -237,6 +237,26 @@ def test_numpy_scalars_are_accepted_as_count_and_phase():
     assert import_text(export_text(circ))[0] == circ
 
 
+def test_numpy_cube_values_become_ints_in_a_delete_flip():
+    # the layout's controls once passed numpy values through, so the circuit
+    # built and its writer then failed on numpy.int64.bit_length
+    gate = delete_flip(RegisterLayout(2, 2), (np.int64(3), np.int64(1)))
+    assert type(gate.target) is int and [type(v) for v in gate.controls] == [int, int]
+    circ = Circuit(5, (gate,))
+    assert import_text(export_text(circ))[0] == circ
+
+
+@pytest.mark.parametrize("gate", [Gate("x", np.int64(1)),
+                                  Gate("mcx", 0, (np.int64(1), 0)),
+                                  Gate("mcx", 0, (1, np.int64(1))),
+                                  Gate("x", True)],
+                         ids=["target", "mask", "value", "bool-target"])
+def test_gate_fields_must_be_ints(gate):
+    with pytest.raises(BadGate, match="target and controls must be ints") as info:
+        Circuit(2, (gate,))
+    assert info.value.index == 0
+
+
 def test_too_many_qubits_guard():
     # the full 13-qubit unitary and 32 columns of a 20-qubit one are over the
     # 2^24-entry budget, and both are refused before any buffer is allocated

@@ -170,3 +170,9 @@ def test_router_refuses_malformed_pairs(pairs):
         route_permutation(pairs, 2)
     with pytest.raises(BadInput):
         permute_circuit(pairs, 2)
+
+
+def test_router_swaps_are_ints_for_numpy_labels():
+    swaps = route_permutation([(np.int64(0), np.int64(3))], np.int64(2))
+    assert swaps == [(0, 2), (2, 3)]  # the higher bit first
+    assert all(type(v) is int for swap in swaps for v in swap)

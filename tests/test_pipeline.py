@@ -13,11 +13,17 @@ from hypothesis import strategies as st
 from blockenc.assignment import FixedIndexPolicy
 from blockenc.demo import random_tridiagonal, structured32, tridiagonal
 from blockenc.errors import BadInput
+from blockenc import ingest, ir, pipeline
 from blockenc.ingest import SparseMatrix
 from blockenc.ir import circuit_unitary, export_text, unitarity_residual
 from blockenc.pipeline import CompileConfig, compile_matrix, format_stats
 from blockenc.state_prep import synthesize_prep
 from blockenc.verify import verify_circuit
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import harness  # noqa: E402
+import workloads  # noqa: E402
 
 
 def test_tridiagonal_structure_and_block(rng):
@@ -397,6 +403,61 @@ def test_two_band_ir_is_pinned_and_compiles_fast():
         text = export_text(enc.circuit, {"alpha": enc.alpha})
         assert hashlib.sha256(text.encode()).hexdigest() == digest
         assert elapsed < 1.0
+
+
+def _ci_random(n: int, nnz: int) -> SparseMatrix:
+    """The random matrices of the CI steps: nnz cells drawn by default_rng(0),
+    then one complex normal value per cell."""
+    r = np.random.default_rng(0)
+    dim = 1 << n
+    cells = r.choice(dim * dim, size=nnz, replace=False)
+    values = r.normal(size=nnz) + 1j * r.normal(size=nnz)
+    return SparseMatrix(n, cells // dim, cells % dim, values)
+
+
+# IR of the default compile, past the largest random bench op (n7); recorded
+# before the compiler's per-gate costs were cut
+_RANDOM_DIGESTS = {
+    (10, 1024): "2e5aa9d5798f70525d32abbc961cdf83e59b5f67d6996c8db0256bd5096fdccc",
+    (11, 2048): "971d96f3b3f38a256ddb2788bcc62eaf495405594c3eb211f49c3273460c7d48",
+    (12, 4096): "8de3f1a3e6af6d64961817c1809fd446ffab23679fc9e0515187dea5469c9c2c",
+}
+
+
+@pytest.mark.parametrize("n, nnz", sorted(_RANDOM_DIGESTS))
+def test_random_ir_at_scale_is_pinned(n, nnz):
+    enc = compile_matrix(_ci_random(n, nnz))
+    text = export_text(enc.circuit, {"alpha": enc.alpha})
+    assert hashlib.sha256(text.encode()).hexdigest() == _RANDOM_DIGESTS[n, nnz]
+
+
+def test_each_gate_is_validated_once(monkeypatch):
+    # every gate of the compiled circuit once, and every gate of the prep and
+    # unprep circuits once more as those circuits are built: no other pass
+    calls = [0]
+    returned = []
+    validate = ir.validate_gate
+
+    def counted(gate, width):
+        calls[0] += 1
+        validate(gate, width)
+
+    def keep(synthesize):
+        def wrapped(*args):
+            returned.append(synthesize(*args))
+            return returned[-1]
+        return wrapped
+
+    monkeypatch.setattr(ir, "validate_gate", counted)
+    monkeypatch.setattr(pipeline, "synthesize_prep", keep(pipeline.synthesize_prep))
+    monkeypatch.setattr(pipeline, "synthesize_unprep", keep(pipeline.synthesize_unprep))
+    for workload in workloads.WORKLOADS:
+        for op in workloads.build(workload, 0):
+            calls[0] = 0
+            returned.clear()
+            enc = compile_matrix(ingest.matrix_from_dict(op.doc), harness.CONFIGS[op.config])
+            prep, unprep = returned
+            assert calls[0] == len(enc.circuit) + len(prep) + len(unprep), op.key
 
 
 def test_compile_and_verify_load_no_scipy():
