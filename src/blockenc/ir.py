@@ -42,10 +42,11 @@ encoded block in the top-left corner of the unitary.
 The simulator, ``circuit_unitary``, acts on the rows of the identity's first
 ``columns`` columns and so returns those columns of the unitary.  Its one
 gate kernel, ``apply_gates``, acts in place on any ``(2,) * width + (k,)``
-array, complex or integer: every gate takes two basic-slicing views of the
-rows, those where its controls hold and its target reads 0 or 1; phase
-scales the second, and x/mcx (a swap) and ry (a rotation) update the pair,
-chunk by chunk where it is wide.  The gates work on one dim x columns
+array, complex or integer: every gate takes basic-slicing views of the
+rows where its controls hold; phase scales the one where its target reads
+1, x/mcx exchange the halves of the one with the target's axis whole, and
+ry rotates the two where the target reads 0 and 1 in place, chunk by chunk
+where they are wide.  The gates work on one dim x columns
 complex buffer; the entry budget ``MAX_SIM_ENTRIES``, dim x columns <=
 2^24, holds it to 256 MiB, the size of a full 12-qubit unitary.  The
 verifier simulates only the data register of a compiled circuit, on m
@@ -56,11 +57,11 @@ included, to the same budget through ``check_budget`` (see ``verify``).
 The text form spells a control on qubit q with value v as the token
 ``q{q}:{v}``.  ``export_text`` and ``import_text`` share one control-token
 table per width, ``_control_tokens``: the writer looks each control's token
-up, and the reader sums the mask and value bits of a line's tokens, so a
-gate line costs about the same whatever its control count.  A token off the
-table (a leading zero, a qubit at or past the width) or a repeated one
-sends its line to the per-control reader ``_text_gate``, which accepts it
-or raises.
+up, and the reader sums one code per token, which holds the token's mask
+bit and its value bit, so a gate line costs about the same whatever its
+control count.  A token off the table (a leading zero, a qubit at or past
+the width, a malformed ctrl= list) or a repeated one sends its line to the
+per-control reader ``_text_gate``, which accepts it or raises.
 
 ``unitarity_residual(v)`` is max |v^H v - I| of a dim x k input, one dense
 k x k product in complex128 whatever the input's dtype or layout.  On the
@@ -269,6 +270,7 @@ def select_pattern(mask: int, value: int, width: int) -> str:
 
 
 _CHUNK = 1 << 14  # entries per cache-sized chunk of a gate's row views
+_REVERSED = slice(None, None, -1)  # an axis read backwards: a swap's two halves exchanged
 
 
 def check_budget(width: int, columns: int) -> None:
@@ -283,15 +285,19 @@ def apply_gates(gates, rows: np.ndarray) -> None:
     """Apply the gates in place, first gate first, to the rows of a
     ``(2,) * width + (k,)`` array, complex or integer.
 
-    Each gate takes two basic-slicing views of the rows, those where its
-    controls hold and its target reads 0 or 1, built from one pass over the
-    controls.  Phase scales the second view.  A pair of views of at most
-    ``_CHUNK`` entries is updated whole: x/mcx swap it through one copy,
-    and ry (a rotation) works on C-order copies written back.  Wider pairs
-    are updated in 1-D chunks of at most ``_CHUNK`` entries, so their
-    temporaries stay cache-sized whatever the view's shape.  Every path
-    applies the same elementwise operations, so the results are the same
-    bits.  The trailing axis keeps every view an array, never a scalar copy.
+    Each gate takes basic-slicing views of the rows where its controls
+    hold, built from one pass over the controls.  Phase scales the view
+    where the target reads 1.  An x/mcx of at most ``2 * _CHUNK`` entries
+    is one assignment: the view with the target's axis whole takes the same
+    view read backwards along that axis, which numpy copies first because
+    the two overlap.  A ry of at most ``_CHUNK`` entries per view is
+    rotated in place on the two views where the target reads 0 and 1, with
+    no copy.  Wider pairs are updated in 1-D chunks of at most ``_CHUNK``
+    entries, so their temporaries stay cache-sized whatever the view's
+    shape.  A rotation rounds each step once per component, a complex times
+    a real scalar and then an add or a subtract, so every path gives the
+    same bits whatever the memory layout.  The trailing axis keeps every
+    view an array, never a scalar copy.
     """
     top = rows.ndim - 2  # the qubit of bit 0
     free = [slice(None)] * (top + 1)
@@ -301,6 +307,12 @@ def apply_gates(gates, rows: np.ndarray) -> None:
             bit = mask.bit_length() - 1
             idx[top - bit] = value >> bit & 1
             mask ^= 1 << bit
+        if kind == "x" or kind == "mcx":
+            both = rows[tuple(idx)]  # the target's axis whole
+            if both.size <= 2 * _CHUNK:
+                idx[target] = _REVERSED
+                both[...] = rows[tuple(idx)]  # numpy copies an overlapping source first
+                continue
         idx[target] = 1
         hi = rows[tuple(idx)]
         if kind == "phase":
@@ -308,16 +320,8 @@ def apply_gates(gates, rows: np.ndarray) -> None:
             continue
         idx[target] = 0
         lo = rows[tuple(idx)]
-        if lo.size <= _CHUNK:
-            if kind == "ry":
-                a, b = lo.flatten(), hi.flatten()
-                _rotate(a, b, angle)
-                lo[...] = a.reshape(lo.shape)
-                hi[...] = b.reshape(hi.shape)
-            else:  # x, mcx
-                tmp = lo.copy()
-                lo[...] = hi
-                hi[...] = tmp
+        if lo.size <= _CHUNK:  # ry
+            _rotate(lo, hi, angle)
             continue
         # matching 1-D chunks of the two views, whatever their shape; the
         # iterator writes a buffered chunk back before it yields the next
@@ -429,7 +433,7 @@ def export_text(circuit: Circuit, metadata: dict | None = None) -> str:
         lines.append(f"{key} {metadata[key]!r}")
     if circuit.global_phase:
         lines.append(f"gphase({circuit.global_phase!r})")
-    tokens = _control_tokens(width)[2]
+    tokens = _control_tokens(width)[1]
     lines.extend(_gate_line(g, tokens) for g in circuit.gates)
     return "\n".join(lines) + "\n"
 
@@ -450,10 +454,14 @@ def _checked_metadata(metadata) -> dict:
 
 # One pattern per text line kind; \s is any whitespace, as str.split() reads it.
 _NUMBER = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"  # the decimals repr writes
-_CONTROL = re.compile(r"q([0-9]+):([01])")  # in the gate pattern and the scan of its ctrl= list
+_CONTROL = re.compile(r"q([0-9]+):([01])")  # the per-control reader's scan of a ctrl= list
+_CONTROLS = re.compile(rf"{_CONTROL.pattern}(?:,{_CONTROL.pattern})*")  # a ctrl= list's grammar
+# The gate pattern takes any ctrl= list of the token characters: a list of
+# tokens on the width's table is well formed, and any other goes to
+# ``_text_gate``, which holds it to ``_CONTROLS``.
 _GATE_LINE = re.compile(  # the most frequent kind, tried first
     rf"\s*(?:(?P<kind>x|(?P<mcx>mcx))|(?P<rot>ry|phase)\((?P<angle>{_NUMBER})\))"
-    rf"(?:\s+ctrl=(?P<ctrl>{_CONTROL.pattern}(?:,{_CONTROL.pattern})*))?"
+    r"(?:\s+ctrl=(?P<ctrl>[q0-9:,]+))?"
     r"\s+(?(mcx)target=)q(?P<target>[0-9]+)\s*")  # target= on an mcx alone
 _HEADER_KINDS = {kind: re.compile(rf"\s*{pattern}\s*") for kind, pattern in (
     ("layout", r"layout\s+m=([0-9]+)\s+n=([0-9]+)"),
@@ -463,30 +471,38 @@ _HEADER_KINDS = {kind: re.compile(rf"\s*{pattern}\s*") for kind, pattern in (
 )}
 
 
-class _TokenBits(dict):
-    """Control token -> its mask bit; a token off the table reads 0."""
+class _TokenCodes(dict):
+    """Control token -> its code; a token off the table reads 0."""
 
     def __missing__(self, token: str) -> int:
         return 0
 
 
 @functools.cache
-def _control_tokens(width: int) -> tuple[_TokenBits, dict, tuple[tuple[str, str], ...]]:
+def _control_tokens(width: int) -> tuple[_TokenCodes, tuple[tuple[str, str], ...]]:
     """The control-token table of a width-qubit circuit: each token
-    ``q{q}:{v}`` mapped to its mask bit and to its value bit, and the two
-    tokens of each bit b, ``tokens[b][v]``.
+    ``q{q}:{v}`` of bit b mapped to its code ``1 << b | v << b + width``,
+    its mask bit with its value bit above the width, and the two tokens of
+    each bit b, ``tokens[b][v]``.
+
+    The sum of a line's codes holds its mask in the low width bits and its
+    value above them.  Those low bits hold one bit per token exactly when
+    every token is on the table and none repeats: a code off the table adds
+    nothing, and a repeat carries, which leaves fewer bits than tokens
+    however far it carries.  So no gap between the mask and the value is
+    needed; a line that passes that count has a mask below ``1 << width``
+    and its value is exact.
 
     Only the spelling the writer uses is in the table: a token with a
     leading zero or a qubit past the width is off it.  The cached tables
     are shared by every caller and never changed.
     """
-    bits, values, tokens = _TokenBits(), {}, []
+    codes, tokens = _TokenCodes(), []
     for b in range(width):
         pair = (f"q{width - 1 - b}:0", f"q{width - 1 - b}:1")
-        bits[pair[0]] = bits[pair[1]] = 1 << b
-        values[pair[0]], values[pair[1]] = 0, 1 << b
+        codes[pair[0]], codes[pair[1]] = 1 << b, 1 << b | 1 << b + width
         tokens.append(pair)
-    return bits, values, tuple(tokens)
+    return codes, tuple(tokens)
 
 
 def _index(digits: str, ln: str) -> int:
@@ -514,35 +530,37 @@ def import_text(text: str) -> tuple[Circuit, dict]:
     (one of them, before any gate), ``alpha`` and ``gphase(...)`` at most
     once each.  Any other line raises BadInput naming it.
 
-    A gate's controls are read through the width's control-token table:
-    their mask is the sum of the tokens' bits, which has one bit per token
+    A gate's controls cost one sum of lookups in the width's control-token
+    table: the low width bits of the sum of the tokens' codes are the mask
+    and the bits above are the value, and the mask has one bit per token
     exactly when every token is on the table and none repeats, so a gate
-    takes no Python step per control.  A line with a token off the table
-    or a repeat goes to the per-control reader ``_text_gate``, which
-    accepts it or raises.
+    takes no Python step per control.  A line with a token off the table or
+    a repeat goes to the per-control reader ``_text_gate``, which holds its
+    ctrl= list to the grammar ``_CONTROLS`` that the line pattern leaves
+    loose, then accepts it or raises.  An x or mcx has no angle to convert.  The circuit checks
+    every gate as it is built, and a refused gate's line is found again by
+    its index among the gate lines, on that error path alone.
     """
-    lines = [ln for ln in instance(text, str, "IR text").splitlines() if ln.strip()]
+    lines = list(filter(str.strip, instance(text, str, "IR text").splitlines()))
     if not lines or lines[0] != FORMAT_HEADER:
         raise BadInput("missing format header")
-    layout = width = gphase = bit_of = value_of = None
+    layout = width = gphase = code_of = low = None
     meta: dict = {}
     gates: list[Gate] = []
-    sources: list[str] = []  # the line of each gate
     read_gate = _GATE_LINE.fullmatch
     for ln in lines[1:]:
         if match := read_gate(ln):
             if width is None:
+                _checked_controls(match, ln)
                 raise BadInput(f"gate line {ln!r} before qubit count")
-            kind, rot, ctrl, target, angle = match.group("kind", "rot", "ctrl", "target",
-                                                         "angle")
+            kind, _, rot, angle, ctrl, target = match.groups()  # in pattern order
             toks = ctrl.split(",") if ctrl else ()
-            mask = sum(map(bit_of, toks))
-            if mask.bit_count() == len(toks):
-                gates.append(gate_of((kind or rot, _index(target, ln),
-                                      (mask, sum(map(value_of, toks))), float(angle or 0))))
+            code = sum(map(code_of, toks))
+            if (mask := code & low).bit_count() == len(toks):
+                gates.append(gate_of((kind or rot, _index(target, ln), (mask, code >> width),
+                                      0.0 if kind else float(angle))))
             else:  # a token off the table, or a repeat
                 gates.append(_text_gate(match, width, ln))
-            sources.append(ln)
             continue
         for kind, pattern in _HEADER_KINDS.items():
             if match := pattern.fullmatch(ln):
@@ -562,12 +580,11 @@ def import_text(text: str) -> tuple[Circuit, dict]:
                 width = _checked_width(layout.total)
             else:
                 width = _checked_width(_index(match[1], ln))
-            bits, values, _ = _control_tokens(width)
-            bit_of, value_of = bits.__getitem__, values.__getitem__
+            code_of, low = _control_tokens(width)[0].__getitem__, (1 << width) - 1
     if width is None:
         raise BadInput("missing qubit count")
     return _read_circuit(width, gates, layout, 0.0 if gphase is None else gphase,
-                         lambda i: f"IR line {sources[i]!r}"), meta
+                         lambda i: f"IR line {[ln for ln in lines if read_gate(ln)][i]!r}"), meta
 
 
 def _read_circuit(width: int, gates: list[Gate], layout: RegisterLayout | None,
@@ -579,12 +596,21 @@ def _read_circuit(width: int, gates: list[Gate], layout: RegisterLayout | None,
         raise BadGate(f"{exc} in {where(exc.index)}") from None
 
 
+def _checked_controls(match: re.Match, ln: str) -> str:
+    """The ctrl= list of a matched gate line, if it is tokens joined by commas."""
+    ctrl = match["ctrl"] or ""
+    if ctrl and not _CONTROLS.fullmatch(ctrl):
+        raise BadInput(f"cannot parse IR line {ln!r}")
+    return ctrl
+
+
 def _text_gate(match: re.Match, width: int, ln: str) -> Gate:
-    """The gate of a matched gate line, read control by control; each
-    control is on a distinct qubit below the width."""
+    """The gate of a matched gate line, read control by control; its ctrl=
+    list is well formed and each control is on a distinct qubit below the
+    width."""
     kind = match["kind"] or match["rot"]
     mask = value = 0
-    for q, v in _CONTROL.findall(match["ctrl"] or ""):
+    for q, v in _CONTROL.findall(_checked_controls(match, ln)):
         qubit = _index(q, ln)
         if qubit >= width:
             raise BadInput(f"control qubit q{q} outside {width} qubits in IR line {ln!r}")

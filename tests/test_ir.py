@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from blockenc import ir
 from blockenc.assignment import build_target_set, hamming, mode_pattern, solve_assignment
 from blockenc.cli import main
 from blockenc.demo import tridiagonal
@@ -314,6 +315,54 @@ def test_gates_on_wide_rows(rng, gate, dtype, columns):
     assert np.array_equal(rows, want)
 
 
+@st.composite
+def _kernel_cases(draw):
+    """(gate, w, rows): one gate of any kind on ``2^w x k`` rows, w in 1..8 and
+    k in 1..5; int32 rows for some x/mcx gates, else complex rows in which
+    about a fifth of the components are signed zeros."""
+    w, k = draw(st.integers(1, 8)), draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["x", "mcx", "ry", "phase"]))
+    target = draw(st.integers(0, w - 1))
+    mask = 0 if kind == "x" else draw(st.integers(0, (1 << w) - 1)) & ~(1 << w - 1 - target)
+    value = draw(st.integers(0, (1 << w) - 1)) & mask
+    angle = draw(st.floats(-7.0, 7.0)) if kind in ("ry", "phase") else 0.0
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind in ("x", "mcx") and draw(st.booleans()):
+        rows = rng.integers(-1 << 31, 1 << 31, (1 << w, k), dtype=np.int32)
+    else:
+        parts = rng.standard_normal((1 << w, 2 * k))
+        parts[rng.random(parts.shape) < 0.2] = 0.0
+        parts[rng.random(parts.shape) < 0.5] *= -1  # -0.0 among the zeros
+        rows = parts.view(complex)
+    return Gate(kind, target, (mask, value), angle), w, rows
+
+
+# The default chunk updates every view here whole; a 2-entry chunk sends
+# every view of more than two entries through the chunked path.
+@pytest.mark.parametrize("chunk", [None, 2], ids=["whole", "chunked"])
+@settings(max_examples=300, deadline=None)
+@given(_kernel_cases())
+def test_kernel_matches_the_reference_bit_for_bit(chunk, case):
+    gate, w, rows = case
+    want = rows.copy()
+    reference_apply_gate(want, gate, w)
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk is not None:
+            patch.setattr(ir, "_CHUNK", chunk)
+        apply_gates((gate,), rows.reshape((2,) * w + (-1,)))
+    if gate.kind == "phase":
+        # numpy rounds a complex product on a one-element array apart from
+        # its vector loop, so a phase on a single entry may move the last bit
+        assert np.abs(rows - want).max() <= 1e-15
+    elif rows.dtype == np.int32:
+        assert np.array_equal(rows, want)
+    else:
+        # the float64 components compared as bit patterns, so that a signed
+        # zero counts, which a float comparison takes as equal to +0.0
+        assert np.array_equal(rows.view(np.float64).view(np.uint64),
+                              want.view(np.float64).view(np.uint64))
+
+
 def test_simulation_keeps_one_buffer():
     m = tridiagonal(8, 0.5 - 0.25j, 0.75 + 0.125j, -0.5j)
     circuit = compile_matrix(m).circuit
@@ -494,14 +543,24 @@ def test_export_both_ways_is_byte_identical(doc):
     assert export_json(*import_text(export_text(*import_json(js)))) == js
 
 
+def _all_controls(width: int) -> Circuit:
+    """mcx gates with a control on every qubit but the target, at both ends."""
+    full = (1 << width) - 1
+    return Circuit(width, tuple(mcx((full ^ 1 << width - 1 - t, value & ~(1 << width - 1 - t)), t)
+                                for t in (0, width - 1) for value in (0, full)))
+
+
 @settings(max_examples=150, deadline=None)
 @given(_random_circuits(MAX_CIRCUIT_QUBITS))
+@example(_all_controls(MAX_CIRCUIT_QUBITS))
 def test_export_text_spells_gates_as_the_reference_writer(circ):
     # the writer spells controls from the width's token table; the reference
     # spells each control with an f-string
     lines = [reference_gate_line(g, circ.n_qubits) + "\n" for g in circ.gates]
     assert export_text(circ) == export_text(replace(circ, gates=())) + "".join(lines)
-    assert import_text(export_text(circ)) == (circ, {})
+    # the reader's widest code table holds 128 value bits above 128 mask bits
+    got, meta = import_text(export_text(circ))
+    assert (got, meta) == (circ, {}) and _exact(got) == _exact(circ)
 
 
 @st.composite
@@ -541,6 +600,71 @@ def test_text_gate_is_read_as_the_per_control_reader_reads_it(case):
         assert type(info.value) is type(exc) and str(info.value) == str(exc)
     else:
         assert import_text(text) == (want, {})
+
+
+@pytest.mark.parametrize("width", [1, 2, 5])
+def test_repeated_tokens_are_never_read_as_a_mask(width):
+    # however far the codes of repeated tokens carry, the line goes to the
+    # per-control reader, which names the repeat
+    for count in range(2, 4 * width + 2):
+        for v in "01":
+            line = f"mcx ctrl={','.join([f'q0:{v}'] * count)} target=q{width - 1}"
+            with pytest.raises(BadInput, match=r"control qubit q0 repeated in IR line"):
+                import_text(f"blockenc-ir v1\nqubits {width}\n{line}\n")
+
+
+@pytest.mark.parametrize("ctrl", ["q0:1,", ",q0:1", "q0:1,,q1:0", "q0", "q0:", ":1", "0:1",
+                                  "q0:1q1:0", "q0:2", "qq0:1", "q0::1", "q0:1,q1"])
+@pytest.mark.parametrize("before", [False, True], ids=["after-width", "before-width"])
+def test_a_malformed_control_list_is_not_a_gate_line(ctrl, before):
+    # the gate pattern takes any list of the token characters, and the
+    # reader holds one off the token table to the ctrl= grammar
+    line = f"mcx ctrl={ctrl} target=q2"
+    body = [line, "qubits 3"] if before else ["qubits 3", line]
+    with pytest.raises(BadInput) as info:
+        import_text("\n".join(["blockenc-ir v1", *body]) + "\n")
+    assert str(info.value) == f"cannot parse IR line {line!r}"
+
+
+_REFUSED_LINES = [  # (defect, line, its error type and message before the IR line)
+    ("target among its controls", "mcx ctrl=q2:1,q7:0 target=q7", BadGate,
+     "target qubit must be free of controls"),
+    ("controlled x", "x ctrl=q3:1 q5", BadGate, "an x gate takes no controls"),
+    ("infinite angle", "ry(1e999) q4", BadGate, "non-finite angle inf"),
+    ("repeated control", "mcx ctrl=q1:1,q1:0 target=q2", BadInput,
+     "control qubit q1 repeated"),
+    ("off-table token", "mcx ctrl=q01:1 target=q1", BadGate,
+     "target qubit must be free of controls"),
+]
+
+
+@pytest.fixture(scope="module")
+def long_text():
+    """A 2,000-gate text on 10 qubits, and the index of each gate line."""
+    rng = np.random.default_rng(5)
+    gates = []
+    for i in range(2000):
+        target = int(rng.integers(10))
+        mask = int(rng.integers(1 << 10)) & ~(1 << 9 - target)
+        controls = (mask, int(rng.integers(1 << 10)) & mask)
+        gates.append((x(target), mcx(controls, target), ry(float(rng.normal()), target, controls),
+                      phase(float(rng.normal()), target, controls))[i % 4])
+    lines = export_text(Circuit(10, tuple(gates)), {"alpha": 2.0}).splitlines()
+    return lines, [i for i, ln in enumerate(lines) if _GATE_LINE.fullmatch(ln)]
+
+
+@pytest.mark.parametrize("at", ["first", "middle", "last"])
+@pytest.mark.parametrize("defect, line, error, reason", _REFUSED_LINES,
+                         ids=[case[0] for case in _REFUSED_LINES])
+def test_a_refused_gate_line_is_named(long_text, at, defect, line, error, reason):
+    lines, gate_lines = long_text
+    assert len(gate_lines) == 2000
+    lines = lines.copy()
+    lines[gate_lines[{"first": 0, "middle": 1000, "last": -1}[at]]] = line
+    with pytest.raises(error) as info:
+        import_text("\n".join(lines) + "\n")
+    assert type(info.value) is error
+    assert str(info.value) == f"{reason} in IR line {line!r}"
 
 
 def _json_ir(qubits: int, layout=None, gates=()) -> str:

@@ -1,5 +1,7 @@
 import json
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,12 +12,18 @@ from blockenc import verify
 from blockenc.assignment import FixedIndexPolicy
 from blockenc.demo import random_tridiagonal, structured32, tridiagonal
 from blockenc.errors import BadInput, TooLarge
-from blockenc.ingest import SparseMatrix
-from blockenc.ir import Circuit, Gate, RegisterLayout, circuit_unitary, mcx, phase, ry, x
+from blockenc.ingest import SparseMatrix, matrix_from_dict
+from blockenc.ir import (Circuit, Gate, RegisterLayout, circuit_unitary, export_text,
+                         import_text, mcx, phase, ry, x)
 from blockenc.pipeline import CompileConfig, compile_matrix
 from blockenc.verify import check_structured_budget, encoded_block, verify_circuit
 
 from conftest import dense, reference_label_walk
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import harness  # noqa: E402
+import workloads  # noqa: E402
 
 
 def test_compiled_tridiagonal_block_matches(rng):
@@ -144,6 +152,24 @@ def _assert_structured_block_is_dense(circuit):
 def test_structured_block_is_the_dense_block(rng, n, config):
     m = structured32(rng) if n is None else random_tridiagonal(n, rng)
     _assert_structured_block_is_dense(compile_matrix(m, _CONFIGS[config]).circuit)
+
+
+_VERIFY_DENSE = workloads.build("verify-dense", 0)
+
+
+@pytest.mark.parametrize("op", _VERIFY_DENSE, ids=[op.key for op in _VERIFY_DENSE])
+def test_bench_verify_dense_blocks_are_the_dense_blocks(op):
+    # every circuit the benchmark verifies densely, read back as it reads it
+    enc = compile_matrix(matrix_from_dict(op.doc), harness.CONFIGS[op.config])
+    circuit, _ = import_text(export_text(enc.circuit, {"alpha": enc.alpha}))
+    assert circuit == enc.circuit and circuit.n_qubits <= workloads.VERIFY_QUBITS["verify-dense"]
+    _assert_structured_block_is_dense(circuit)
+    d = circuit.layout.block_dim
+    keys, values, _ = encoded_block(circuit)
+    block = circuit_unitary(circuit, d)[:d].ravel()
+    # the reached cells bit for bit, signed zeros included, and zeros elsewhere
+    assert np.array_equal(values.view(np.uint64), block[keys].view(np.uint64))
+    assert not np.delete(block, keys).any()
 
 
 def test_structured_block_without_index_map(rng):
