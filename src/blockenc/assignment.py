@@ -7,7 +7,9 @@ targets with minimum total Hamming distance (a linear assignment problem).
 All tie-breaking is deterministic and lexicographic.
 
 Labels are ints and a label set is any iterable of distinct ints with its
-width P passed alongside; a matching is a sorted tuple of (source, target)
+width P passed alongside; ``sorted_labels`` is the one rule for both, which
+every entry of the fusion layer that takes labels or a label width applies
+(see its docstring).  A matching is a sorted tuple of (source, target)
 pairs.  The Hamming cost matrix is the popcount of their XOR, taken by
 numpy on the labels as uint64, so P is at most 64.  One exact integer
 solver, ``linear_sum_assignment``, returns the lexicographically smallest
@@ -36,6 +38,38 @@ def submasks(mask: int):
         if sub == mask:
             return
         sub = (sub - mask) & mask
+
+
+def label_width(width, what: str = "label width P") -> int:
+    """``width`` as an int, or BadInput naming ``what`` unless it is an integer >= 0."""
+    width = integer(width, what)
+    if width < 0:
+        raise BadInput(f"{what} must be >= 0, got {width}")
+    return width
+
+
+def sorted_labels(labels, width, what: str) -> list[int]:
+    """The labels as ints, ascending: the one rule for a label set.
+
+    The width must be an integer >= 0 (``label_width``), and the labels
+    distinct integers in 0 .. 2**width - 1, bools refused and numpy integers
+    taken as ints; anything else is BadInput naming ``what``.
+    """
+    width = label_width(width)
+    try:
+        labels = sorted(labels)
+    except (TypeError, ValueError):
+        raise BadInput(f"{what} must be an iterable of integers, got {labels!r}") from None
+    for v in labels:
+        if type(v) is not int:  # numpy integers, or not integers at all
+            labels = [integer(v, what) for v in labels]
+            break
+    if labels and (labels[0] < 0 or labels[-1] >> width):
+        raise BadInput(f"{what} must lie in 0 .. 2**{width} - 1")
+    if len(set(labels)) < len(labels):
+        again = next(a for a, b in zip(labels, labels[1:]) if a == b)
+        raise BadInput(f"{what} must be distinct, but {again} repeats")
+    return labels
 
 
 def hamming(a: int, b: int) -> int:
@@ -81,7 +115,7 @@ def mode_pattern(labels, mask: int) -> int:
 
 def build_target_set(mask: int, value: int, P: int) -> list[int]:
     """The P-bit labels of the cube (mask, value), ascending; always reducible."""
-    full = (1 << integer(P, "label width P")) - 1
+    full = (1 << label_width(P)) - 1
     if integer(mask, "mask") & ~full or integer(value, "value") & ~mask:
         raise BadInput(f"value {value} must lie inside the mask {mask} of {P} bits")
     return [value | sub for sub in submasks(full ^ mask)]
@@ -221,14 +255,6 @@ def linear_sum_assignment(cost) -> tuple[list[int], list[int], list[int]]:
     return cols, u.tolist(), v.tolist()
 
 
-def _label_set(labels, what: str) -> set:
-    """The labels as a set, or BadInput naming ``what`` unless they are iterable."""
-    try:
-        return set(labels)
-    except TypeError:
-        raise BadInput(f"{what} must be an iterable of integer labels, got {labels!r}") from None
-
-
 def solve_assignment(sources, targets, P: int) -> Pairs:
     """Minimum-Hamming-cost matching of the P-bit sources onto the targets.
 
@@ -236,14 +262,13 @@ def solve_assignment(sources, targets, P: int) -> Pairs:
     assignment problem.  Among cost-optimal solutions the one minimal under
     lexicographic ordering of (source, target) pairs is returned.
     """
-    sources, targets = _label_set(sources, "sources"), _label_set(targets, "targets")
-    if integer(P, "label width P") > 64 or len(sources) != len(targets) or any(
-            integer(v, "label") >> P for v in sources | targets):
-        raise BadInput(f"source and target sets must have equal size and {P}-bit labels, "
-                       "at most 64 bits")
-    common = sources & targets
-    residual_s = sorted(sources - common)
-    residual_t = sorted(targets - common)
+    sources, targets = sorted_labels(sources, P, "sources"), sorted_labels(targets, P, "targets")
+    if P > 64 or len(sources) != len(targets):
+        raise BadInput(f"sources and targets must be equally many labels of at most 64 bits, "
+                       f"got {len(sources)} and {len(targets)} of {P} bits")
+    common = set(sources).intersection(targets)
+    residual_s = [v for v in sources if v not in common]
+    residual_t = [v for v in targets if v not in common]
     xor = np.array(residual_s, np.uint64)[:, None] ^ np.array(residual_t, np.uint64)
     cols = linear_sum_assignment(np.bitwise_count(xor))[0]
     pairs = [(s, s) for s in common] + [(src, residual_t[k]) for src, k in zip(residual_s, cols)]

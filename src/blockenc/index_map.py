@@ -29,8 +29,9 @@ that both the bound and the route use.  ``shift_cascade`` and
 directly.
 
 Item labels and row indices are ints, a label set is a list of distinct ints
-with its width alongside, and every control set, in a plan or on a gate, is
-a cube (see ``ir``).  ``RegisterLayout.controls`` lifts register cubes to a
+with its width alongside, checked at each entry by the one label rule,
+``assignment.sorted_labels``, and every control set, in a plan or on a gate,
+is a cube (see ``ir``).  ``RegisterLayout.controls`` lifts register cubes to a
 gate's full width, once per cascade.  A group's shift is checked once, not
 once per cascade, and a subgroup without swaps is its core gates alone, with
 no embedding.  The gates are built unchecked: the compiled circuit checks
@@ -58,8 +59,8 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
 
-from .assignment import (FixedIndexPolicy, build_target_set, mode_pattern, solve_assignment,
-                         submasks)
+from .assignment import (FixedIndexPolicy, build_target_set, label_width, mode_pattern,
+                         solve_assignment, sorted_labels, submasks)
 from .errors import BadInput
 from .ir import Cube, Gate, RegisterLayout, embed_gates, gate_of, instance, integer, mcx
 from .permute import basis_swap, route_permutation
@@ -72,17 +73,12 @@ def is_reducible(labels, P: int) -> Cube | None:
     set size must be a power of two; the full set of 2^P labels reduces to
     the empty cube (0, 0), an unconditional X.
     """
-    P = integer(P, "label width P")
-    if P < 0:
-        raise BadInput(f"label width P must be >= 0, got {P}")
-    try:
-        size = len(labels)
-        cube = _cube_of(labels, P) if size and not size & (size - 1) else None
-    except TypeError:
-        raise BadInput(f"labels must be a collection of integers, got {labels!r}") from None
+    P = label_width(P)
+    labels = sorted_labels(labels, P, "labels")
+    size = len(labels)
     if not size or size & (size - 1):
-        raise BadInput(f"control set size {size} is not a power of two")
-    return cube
+        raise BadInput(f"labels: control set size {size} is not a power of two")
+    return _cube_of(labels, P)
 
 
 def _cube_of(labels, P: int) -> Cube | None:
@@ -128,25 +124,6 @@ def _cascade(controls: Cube, up: bool, k: int, layout: RegisterLayout) -> list[G
     last = layout.total - 1
     return [gate_of(("mcx", last - b, (mask | carry, value | carry if up else value), 0.0))
             for b in range(layout.n - 1, k - 1, -1) for carry in ((1 << b) - (1 << k),)]
-
-
-def _sorted_labels(labels, width: int, what: str) -> list[int]:
-    """The labels as ints, ascending, or BadInput naming ``what`` unless they
-    are distinct integers in 0 .. 2**width - 1."""
-    try:
-        labels = sorted(labels)
-    except TypeError:
-        raise BadInput(f"{what} must be an iterable of integers, got {labels!r}") from None
-    for v in labels:
-        if type(v) is not int:  # numpy integers, or not integers at all
-            labels = [integer(v, what) for v in labels]
-            break
-    if labels and (labels[0] < 0 or labels[-1] >> width):
-        raise BadInput(f"{what} must lie in 0 .. 2**{width} - 1")
-    if len(set(labels)) < len(labels):
-        again = next(a for a, b in zip(labels, labels[1:]) if a == b)
-        raise BadInput(f"{what} must be distinct, but {again} repeats")
-    return labels
 
 
 def delete_flip(layout: RegisterLayout, data: Cube, matrix: Cube = (0, 0)) -> Gate:
@@ -382,16 +359,14 @@ def plan_fusion(labels: list[int], P: int, *, zero_slots: tuple[int, ...] = (),
     ``BadInput``: every member is one distinct basis label.  The labels are
     checked here once, so the cube test below takes them as they are.
     """
-    P = integer(P, "label width P")
-    if P < 0:
-        raise BadInput(f"label width P must be >= 0, got {P}")
-    labels = _sorted_labels(labels, P, "labels")
-    zero_slots = _sorted_labels(zero_slots, P, "zero_slots")
+    P = label_width(P)
+    labels = sorted_labels(labels, P, "labels")
+    zero_slots = sorted_labels(zero_slots, P, "zero_slots")
     if not set(zero_slots).isdisjoint(labels):
         raise BadInput("zero_slots must not hold a label")
     size = len(labels)
     if not size:
-        raise BadInput("control set size 0 is not a power of two")
+        raise BadInput("labels: control set size 0 is not a power of two")
     pads: tuple[int, ...] = ()
     if size & (size - 1):
         partition = FusionPlan("partition", [SubFusion(c) for c in _greedy_cubes(labels, P)])
@@ -460,7 +435,7 @@ def delete_rows_plan(rows, layout: RegisterLayout,
                      policy: FixedIndexPolicy = FixedIndexPolicy.LEFT_ENDED) -> FusionPlan:
     """Fusion plan over row indices on the matrix register."""
     instance(layout, RegisterLayout, "layout")
-    return plan_fusion(_sorted_labels(rows, layout.n, "rows"), layout.n, policy=policy)
+    return plan_fusion(sorted_labels(rows, layout.n, "rows"), layout.n, policy=policy)
 
 
 def delete_group(labels: list[int], rows, layout: RegisterLayout,
@@ -475,7 +450,7 @@ def delete_group(labels: list[int], rows, layout: RegisterLayout,
     """
     plan = delete_rows_plan(rows, layout, policy)
     gates: list[Gate] = []
-    for cube in _greedy_cubes(_sorted_labels(labels, layout.m, "labels"), layout.m):
+    for cube in _greedy_cubes(sorted_labels(labels, layout.m, "labels"), layout.m):
         gates += _emit_plan(plan, lambda rows_cube, c=cube: [delete_flip(layout, c, rows_cube)],
                             layout.total, layout.matrix_qubits)
     return plan, gates
@@ -496,7 +471,7 @@ def insert_stage(row_groups: list[tuple[tuple[int, ...], list[int]]],
         labels = [v for _, members in row_groups for v in members]
     except (TypeError, ValueError):
         raise BadInput(f"row_groups must be (rows, labels) pairs, got {row_groups!r}") from None
-    labels = _sorted_labels(labels, layout.m, "labels")
+    labels = sorted_labels(labels, layout.m, "labels")
     gates = [delete_flip(layout, cube) for cube in _greedy_cubes(labels, layout.m)]
     for rows, members in row_groups:
         gates += delete_group(members, rows, layout, policy)[1]

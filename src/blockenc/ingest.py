@@ -217,7 +217,7 @@ class _Group(NamedTuple):
     value: complex
     rows: np.ndarray  # ascending int64, never empty
     first: int  # rows[0]
-    wrapped: int  # rows r with r + offset >= dim; 0 on the main diagonal
+    last: int  # rows[-1]
 
 
 def _signed_offset(cyclic: int, dim: int) -> int:
@@ -230,11 +230,8 @@ def _collect_groups(matrix: SparseMatrix) -> list[_Group]:
     One lexsort on (offset, re, im, row) puts each group's rows together in
     ascending order; ``+ 0.0`` folds -0.0 into 0.0, so values equal as
     complex numbers share a group.  A group keeps the value at its first row.
-    The first rows and the wrapped counts of all groups are taken at once,
-    not by numpy calls per group: a group's rows ascend, so the rows that
-    wrap (r + offset >= dim) are a suffix of them, all of them when the first
-    row wraps and none unless the last does.  Only a group that straddles
-    the edge is searched, as a band does; a random matrix has none.
+    The first and last rows of all groups are taken at once, not by numpy
+    calls per group.
     """
     nonzero = matrix.values != 0
     if not nonzero.any():
@@ -248,14 +245,9 @@ def _collect_groups(matrix: SparseMatrix) -> list[_Group]:
     new[1:] = (off[1:] != off[:-1]) | (re[1:] != re[:-1]) | (im[1:] != im[:-1])
     starts = np.flatnonzero(new)
     ends = np.append(starts[1:], len(rows))
-    first, edge = rows[starts], matrix.dim - off[starts]  # rows from edge on wrap
-    wrapped = np.where(first >= edge, ends - starts, 0)
-    for i in np.flatnonzero((first < edge) & (rows[ends - 1] >= edge)).tolist():
-        a, b = starts[i], ends[i]
-        wrapped[i] = b - a - np.searchsorted(rows[a:b], edge[i])
-    return [_Group(o, v, rows[a:b], r, w) for o, v, r, w, a, b in
-            zip(off[starts].tolist(), values[starts].tolist(), first.tolist(),
-                wrapped.tolist(), starts.tolist(), ends.tolist())]
+    return [_Group(o, v, rows[a:b], first, last) for o, v, first, last, a, b in
+            zip(off[starts].tolist(), values[starts].tolist(), rows[starts].tolist(),
+                rows[ends - 1].tolist(), starts.tolist(), ends.tolist())]
 
 
 def _alpha_weight(value: complex) -> float:
@@ -286,18 +278,23 @@ def _apply_diagonal_strategy(groups: list[_Group],
     else:
         choice = strategy
     rest = [g for g in groups if g.offset != 0]
-    rest.extend(_Group(0, v, rows, int(rows[0]), 0) for v, rows in candidates[choice] if v != 0)
+    rest.extend(_Group(0, v, rows, int(rows[0]), int(rows[-1]))
+                for v, rows in candidates[choice] if v != 0)
     return rest, choice
 
 
 def _shift_for(group: _Group, dim: int) -> tuple[str | None, int]:
-    """Direction and amount moving the main diagonal onto this group's offset."""
-    o, wrapped = group.offset, group.wrapped
+    """Direction and amount moving the main diagonal onto this group's offset.
+
+    The rows r with r + offset >= dim wrap past the last column; the rows
+    ascend, so none wrap unless the last does, and all do if the first does.
+    """
+    o = group.offset
     if o == 0:
         return None, 0
-    if not wrapped:           # every entry above the diagonal
+    if group.last < dim - o:  # every entry above the diagonal
         return "R", o
-    if wrapped == len(group.rows):  # every entry below the diagonal
+    if group.first >= dim - o:  # every entry below the diagonal
         return "L", dim - o
     # genuinely cyclic band: shorter direction, left on ties
     return ("L", dim - o) if dim - o <= o else ("R", o)

@@ -131,18 +131,20 @@ class RegisterLayout:
     def controls(self, data: Cube = (0, 0), matrix: Cube = (0, 0)) -> Cube:
         """Full-width gate controls from cubes on the data and matrix registers.
 
-        The delete qubit is never a control.
+        The delete qubit is never a control.  A cube wider than its
+        register, or whose value has a bit outside its mask, is BadInput.
         """
         try:
             (dm, dv), (jm, jv) = data, matrix
             if not type(dm) is type(dv) is type(jm) is type(jv) is int:  # numpy ints
                 dm, dv, jm, jv = (integer(v, "register cube") for v in (dm, dv, jm, jv))
-            wide = (dm | dv) >> self.m or (jm | jv) >> self.n
+            wide = dm >> self.m or jm >> self.n
         except (TypeError, ValueError):
             raise BadInput(f"register cubes must be (mask, value) pairs of integers, "
                            f"got data {data!r} and matrix {matrix!r}") from None
-        if wide:
-            raise BadInput("register cube wider than its register")
+        if wide or dv & ~dm or jv & ~jm:
+            raise BadInput(f"register cubes must be (mask, value) pairs with the value inside "
+                           f"the mask and the register, got data {data!r} and matrix {matrix!r}")
         shift = self.n + 1
         return dm << shift | jm, dv << shift | jv
 
@@ -373,13 +375,6 @@ def unitarity_residual(v: np.ndarray) -> float:
     gram = v.conj().T @ v
     gram.reshape(-1)[::gram.shape[0] + 1] -= 1
     return float(np.abs(gram).max())
-
-
-def inverse_circuit(circuit: Circuit) -> Circuit:
-    # x / mcx are self-inverse; ry / phase invert by negating their angle
-    gates = tuple(gate_of((g.kind, g.target, g.controls, -g.angle)) if g.kind in ("ry", "phase")
-                  else g for g in reversed(circuit.gates))
-    return Circuit(circuit.n_qubits, gates, circuit.layout, -circuit.global_phase)
 
 
 def embed_gates(gates, width: int, qubits: tuple[int, ...]) -> list[Gate]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Collection, Container
 
 from .errors import BadInput
-from .assignment import Pairs, hamming
+from .assignment import Pairs, hamming, label_width, sorted_labels
 from .ir import Circuit, Gate, instance, integer, mcx
 
 
@@ -88,24 +88,19 @@ def route_permutation(pairs: Pairs, width: int) -> list[tuple[int, int]]:
     track the pending amplitudes both ways, ``pos`` from each source to the
     label its amplitude sits on and ``at`` back, so a swap looks up the
     sources on its two labels and the labels holding a pending amplitude
-    are the keys of ``at``.  A width that is not an integer >= 0, pairs
-    that are not a collection, labels that are not integers in
-    ``0 .. 2**width - 1`` and repeated sources or targets are ``BadInput``;
-    numpy integer labels are taken as ints.
+    are the keys of ``at``.  Pairs that are not a collection of pairs are
+    ``BadInput``, and so are sources or targets that break the label rule
+    of ``sorted_labels``, under the width; numpy integer labels are taken
+    as ints.
     """
-    if integer(width, "width") < 0:
-        raise BadInput(f"width must be >= 0, got {width}")
+    width = label_width(width, "width")
     instance(pairs, Collection, "pairs")
     try:  # numpy integers become ints, so no swap carries one
         pairs = [(integer(s, "pair label"), integer(t, "pair label")) for s, t in pairs]
     except (TypeError, ValueError):
         raise BadInput(f"pairs must be (source, target) pairs, got {pairs!r}") from None
-    sources, targets = {s for s, _ in pairs}, {t for _, t in pairs}
-    # a label outside the width, negative ones included, shifts to nonzero
-    if not len(sources) == len(targets) == len(pairs) or any(
-            x >> width for x in sources | targets):
-        raise BadInput(f"pairs must match distinct sources to distinct targets, "
-                       f"all labels of {width} bits")
+    sorted_labels([s for s, _ in pairs], width, "pair sources")
+    sorted_labels([t for _, t in pairs], width, "pair targets")
     moves = {s: t for s, t in pairs if s != t}
     settled = {s for s, t in pairs if s == t}
     pos = {s: s for s in moves}  # source -> label its amplitude sits on

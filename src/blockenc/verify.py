@@ -58,14 +58,17 @@ DEFAULT_TOL = 1e-9  # max |alpha*B - A| a passing circuit may reach
 UNITARITY_TOL = 1e-10
 
 
-def _split(circuit: Circuit) -> tuple[Circuit, tuple, Circuit] | None:
+def _split(circuit: Circuit) -> tuple[Circuit, tuple, tuple] | None:
     """(prefix, middle, suffix) of the circuit, or None if the middle holds
     a rotation.
 
     The prefix is the longest leading run of gates on the data register
     alone, controls included, and the suffix the longest trailing one after
-    it.  Both come lowered to circuits on the m data qubits, the suffix with
-    the global phase; the middle is the gates between them.
+    it.  Both come lowered to the m data qubits: the prefix as a circuit,
+    which ``circuit_unitary`` runs, and the suffix as its gates, which
+    ``apply_gates`` runs and no one checks again, since the circuit's own
+    gates are checked; the circuit's global phase goes after the suffix.
+    The middle is the gates between them.
     """
     gates, m, shift = circuit.gates, circuit.layout.m, circuit.layout.n + 1
     flags = (1 << shift) - 1  # the delete and matrix bits of a label
@@ -82,11 +85,11 @@ def _split(circuit: Circuit) -> tuple[Circuit, tuple, Circuit] | None:
     middle = gates[len(prefix):len(gates) - len(suffix)]
     if any(g.kind in ("ry", "phase") for g in middle):
         return None
-    return Circuit(m, prefix), middle, Circuit(m, suffix, global_phase=circuit.global_phase)
+    return Circuit(m, prefix), middle, suffix
 
 
 def _structured_block(circuit: Circuit, prefix: Circuit, middle,
-                      suffix: Circuit) -> tuple[np.ndarray, np.ndarray, float]:
+                      suffix: tuple) -> tuple[np.ndarray, np.ndarray, float]:
     """(keys, values, residual) from the prefix state, the position walk
     through the middle and one suffix run in place on ``[I | all w]``."""
     layout = circuit.layout
@@ -110,9 +113,9 @@ def _structured_block(circuit: Circuit, prefix: Circuit, middle,
     start = np.zeros((size, size + len(keys)), dtype=complex)
     np.fill_diagonal(start, 1)
     start[final >> n, size + fiber] = a[reached >> n]
-    apply_gates(suffix.gates, start.reshape((2,) * m + (-1,)))
-    if suffix.global_phase:
-        start *= np.exp(1j * suffix.global_phase)
+    apply_gates(suffix, start.reshape((2,) * m + (-1,)))
+    if circuit.global_phase:
+        start *= np.exp(1j * circuit.global_phase)
     residual = max(unitarity_residual(a[:, None]), unitarity_residual(start[:, :size]))
     return keys, start[0, size:].copy(), residual  # a copy frees the suffix array
 

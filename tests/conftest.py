@@ -58,6 +58,16 @@ def reference_circuit_unitary(circuit: Circuit) -> np.ndarray:
     return u
 
 
+def reference_inverse_circuit(circuit: Circuit) -> Circuit:
+    """The adjoint circuit: the gates reversed, each rotation and phase angle
+    and the global phase negated; x and mcx are their own inverses."""
+    gates = []
+    for g in reversed(circuit.gates):
+        angle = -g.angle if g.kind in ("ry", "phase") else g.angle
+        gates.append(Gate(g.kind, g.target, g.controls, angle))
+    return Circuit(circuit.n_qubits, tuple(gates), circuit.layout, -circuit.global_phase)
+
+
 def reference_label_walk(circuit: Circuit) -> tuple[np.ndarray, np.ndarray, float]:
     """(keys, values, residual) of the structured block, its middle walked as
     integer labels: each x/mcx gate flips its target bit in every label whose
@@ -81,9 +91,9 @@ def reference_label_walk(circuit: Circuit) -> tuple[np.ndarray, np.ndarray, floa
     start = np.zeros((size, size + len(keys)), dtype=complex)
     np.fill_diagonal(start, 1)
     start[final >> n + 1, size + fiber] = a[reached >> n]
-    apply_gates(suffix.gates, start.reshape((2,) * m + (-1,)))
-    if suffix.global_phase:
-        start *= np.exp(1j * suffix.global_phase)
+    apply_gates(suffix, start.reshape((2,) * m + (-1,)))
+    if circuit.global_phase:
+        start *= np.exp(1j * circuit.global_phase)
     residual = max(unitarity_residual(a[:, None]), unitarity_residual(start[:, :size]))
     return keys, start[0, size:], residual
 

@@ -10,7 +10,10 @@ from blockenc.assignment import (FixedIndexPolicy, build_target_set, hamming,
                                  linear_sum_assignment as solve_lsap, mode_pattern,
                                  solve_assignment)
 from blockenc.errors import BadInput
-from blockenc.index_map import is_reducible
+from blockenc.index_map import (delete_group, delete_rows_plan, insert_stage, is_reducible,
+                                plan_fusion)
+from blockenc.ir import RegisterLayout
+from blockenc.permute import route_permutation
 
 from conftest import (as_strings, brute_force_assignment, brute_force_unrestricted,
                       random_labels, reference_assignment, reference_tie_break)
@@ -309,3 +312,53 @@ def test_solver_at_the_int64_bound_matches_brute_force(seed):
     assert tuple(cols) == best
     assert all(u[j] + v[k] <= cost[j][k] for j in range(n) for k in range(n))
     assert all(u[j] + v[cols[j]] == cost[j][cols[j]] for j in range(n))
+
+
+# labels that break the label rule as often as they keep it: negatives, bools,
+# numpy integers, repeats from a small range, and labels at or past the width
+_LABELS = st.lists(st.one_of(st.integers(-2, 9), st.booleans(),
+                             st.integers(0, 9).map(np.int64), st.integers(0, 300)),
+                   max_size=8)
+
+
+def _obeys_label_rule(labels, width) -> bool:
+    """The label rule, spelled out: an integer width >= 0, and distinct
+    integer labels, bools excluded, in 0 .. 2**width - 1."""
+    return (width >= 0 and not any(isinstance(v, bool) for v in labels)
+            and all(0 <= v < 1 << width for v in labels)
+            and len({int(v) for v in labels}) == len(labels))
+
+
+def _returns_only_under_the_rule(call, obeyed: bool) -> None:
+    try:
+        call()
+    except BadInput:
+        return
+    assert obeyed
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LABELS, _LABELS, st.integers(-3, 8), st.integers(0, 4), st.integers(0, 4),
+       st.integers(0, 255), st.integers(0, 255))
+def test_every_label_entry_returns_only_under_the_label_rule(labels, others, width, m, n,
+                                                             mask, value):
+    # each entry either returns, on labels and widths the rule allows, or
+    # raises BadInput; any other exception fails the test
+    ok = _obeys_label_rule(labels, width)
+    both = ok and _obeys_label_rule(others, width)
+    _returns_only_under_the_rule(lambda: is_reducible(labels, width), ok)
+    _returns_only_under_the_rule(lambda: plan_fusion(labels, width), ok)
+    _returns_only_under_the_rule(lambda: plan_fusion(labels, width, zero_slots=others), both)
+    _returns_only_under_the_rule(lambda: solve_assignment(labels, others, width), both)
+    k = min(len(labels), len(others))
+    _returns_only_under_the_rule(
+        lambda: route_permutation(list(zip(labels, others)), width),
+        _obeys_label_rule(labels[:k], width) and _obeys_label_rule(others[:k], width))
+    _returns_only_under_the_rule(lambda: build_target_set(mask, value, width), width >= 0)
+    layout = RegisterLayout(m, n)
+    rows_ok = _obeys_label_rule(others, n)
+    _returns_only_under_the_rule(lambda: delete_rows_plan(others, layout), rows_ok)
+    _returns_only_under_the_rule(lambda: delete_group(labels, others, layout),
+                                 _obeys_label_rule(labels, m) and rows_ok)
+    _returns_only_under_the_rule(lambda: insert_stage([(others, labels)], layout),
+                                 _obeys_label_rule(labels, m) and rows_ok)

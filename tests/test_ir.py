@@ -15,7 +15,7 @@ from blockenc.cli import main
 from blockenc.demo import tridiagonal
 from blockenc.errors import BadGate, BadInput, TooLarge
 from blockenc.index_map import (delete_flip, delete_group, insert_stage, is_reducible,
-                                shift_cascade, shift_group)
+                                plan_fusion, shift_cascade, shift_group)
 from blockenc.ingest import SparseMatrix, analyze, save_matrix
 from blockenc.permute import basis_swap, route_permutation
 from blockenc.pipeline import compile_matrix
@@ -23,7 +23,7 @@ from blockenc.state_prep import synthesize_prep, synthesize_unprep
 from blockenc.verify import UNITARITY_TOL, encoded_block, verify_circuit
 from blockenc.ir import (_GATE_LINE, MAX_CIRCUIT_QUBITS, Circuit, Gate, RegisterLayout,
                          _read_circuit, _text_gate, apply_gates, circuit_unitary, export_json,
-                         export_text, import_json, import_text, inverse_circuit, mcx,
+                         export_text, import_json, import_text, mcx,
                          pattern_select, phase, ry, select_pattern, unitarity_residual, x)
 from conftest import (reference_apply_gate, reference_circuit_unitary, reference_gate_line,
                       reference_unitarity_residual)
@@ -85,13 +85,6 @@ def test_every_gate_kind_unitary(rng):
              mcx((0b0110, 0b0100), 0), x(2)]
     c = Circuit(4, tuple(gates))
     assert unitarity_residual(circuit_unitary(c)) <= 1e-12
-
-
-def test_inverse_circuit_composes_to_identity():
-    c = Circuit(2, (ry(0.4, 0), mcx((0b10, 0b10), 1), phase(0.9, 1, (0b10, 0))),
-                global_phase=0.3)
-    u = circuit_unitary(c) @ circuit_unitary(inverse_circuit(c))
-    assert np.allclose(u, np.eye(4), atol=1e-14)
 
 
 def test_bad_gates_rejected():
@@ -179,6 +172,16 @@ def _one_entry():
     (lambda: basis_swap(0, 1, -1), "exactly one of -1 bits"),
     (lambda: synthesize_prep(5, [1]), "items"),
     (lambda: synthesize_unprep(5), "prep"),
+    (lambda: solve_assignment([0], [1], -1), "label width P"),
+    (lambda: build_target_set(0, 0, -1), "label width P"),
+    (lambda: solve_assignment([1, 1, 2], [0, 1, 1], 2), "sources must be distinct"),
+    (lambda: is_reducible([-1, 0], 1), "labels must lie in"),
+    (lambda: is_reducible([True, False], 1), "labels must be an integer"),
+    (lambda: is_reducible([0, 1, 2, 3], 1), "labels must lie in"),
+    (lambda: plan_fusion([], 3), "labels: control set size 0"),
+    (lambda: plan_fusion([1], -1), "label width P"),
+    (lambda: delete_flip(_LAYOUT, (1, 2)), r"data \(1, 2\)"),
+    (lambda: shift_cascade((1, 2), "L", 1, _LAYOUT), r"data \(1, 2\)"),
 ], ids=["Circuit-gates-5", "Circuit-gates-None", "Circuit-gates-Gate", "is_reducible-empty",
         "is_reducible-negative-width", "mode_pattern-empty", "compile_matrix-matrix",
         "compile_matrix-config", "analyze-matrix", "verify_circuit-matrix",
@@ -192,11 +195,17 @@ def _one_entry():
         "shift_group-amount", "shift_group-labels", "delete_group-rows",
         "delete_group-labels", "solve_assignment-sources", "delete_flip-data",
         "insert_stage-row_groups", "is_reducible-labels", "basis_swap-label",
-        "basis_swap-negative-width", "synthesize_prep-items", "synthesize_unprep-prep"])
+        "basis_swap-negative-width", "synthesize_prep-items", "synthesize_unprep-prep",
+        "solve_assignment-negative-width", "build_target_set-negative-width",
+        "solve_assignment-repeated-sources", "is_reducible-negative-label",
+        "is_reducible-bool-labels", "is_reducible-labels-past-width", "plan_fusion-empty",
+        "plan_fusion-negative-width", "delete_flip-value-outside-mask",
+        "shift_cascade-value-outside-mask"])
 def test_malformed_library_arguments_are_bad_input(call, named, tmp_path, monkeypatch):
     # a gates argument that is not iterable, an empty control set, which has
-    # no power-of-two size, and arguments of the wrong type, each refused
-    # under the argument's name
+    # no power-of-two size, arguments of the wrong type, label sets and widths
+    # that break the label rule and cubes whose value leaves the mask, each
+    # refused under the argument's name
     monkeypatch.chdir(tmp_path)
     with pytest.raises(BadInput, match=named) as info:
         call()
@@ -502,14 +511,6 @@ def _exact(circ: Circuit):
     """A circuit's fields with every float by its repr, so -0.0 differs from 0.0."""
     return (circ.n_qubits, circ.layout, repr(circ.global_phase),
             [(type(g), g.kind, g.target, g.controls, repr(g.angle)) for g in circ.gates])
-
-
-@settings(max_examples=150, deadline=None)
-@given(_random_circuits(), st.one_of(st.just(0.0), st.just(-0.0), st.floats(-6.0, 6.0)))
-def test_inverse_of_the_inverse_is_the_circuit_exactly(circ, gphase):
-    circ = replace(circ, global_phase=gphase)
-    assert inverse_circuit(inverse_circuit(circ)) == circ
-    assert _exact(inverse_circuit(inverse_circuit(circ))) == _exact(circ)
 
 
 @st.composite

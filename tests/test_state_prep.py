@@ -5,10 +5,10 @@ import pytest
 
 from blockenc import SparseMatrix, compile_matrix, state_prep
 from blockenc.errors import BadInput
-from blockenc.ir import Circuit, circuit_unitary, inverse_circuit, unitarity_residual
+from blockenc.ir import Circuit, circuit_unitary, unitarity_residual
 from blockenc.state_prep import _magnitude_tree, synthesize_prep, synthesize_unprep
 
-from conftest import prep_target
+from conftest import prep_target, reference_inverse_circuit
 
 
 def _state(circuit):
@@ -87,7 +87,7 @@ def test_unprep_is_inverse_of_prep_rotation_tree(rng, size):
         prep = synthesize_prep(items, phases)
         unprep = synthesize_unprep(prep)
         tree = Circuit(prep.n_qubits, tuple(g for g in prep.gates if g.kind == "ry"))
-        assert unprep == inverse_circuit(tree)
+        assert unprep == reference_inverse_circuit(tree)
         u = circuit_unitary(unprep)
         assert np.abs(u.conj().T[:, 0] - _unsigned_target(items)).max() <= 1e-10
 

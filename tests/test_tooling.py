@@ -126,3 +126,27 @@ def test_the_target_cube_is_decided_only_in_plan_fusion():
             elif isinstance(node, ast.Attribute) and node.attr == "resolve":
                 users["resolve"].add(owner)
     assert users == {"mode_pattern": {"plan_fusion"}, "resolve": {"plan_fusion"}}
+
+
+def test_the_label_rule_is_defined_once_and_every_label_entry_applies_it():
+    # one checker decides what a label set and a label width are; each entry
+    # of the fusion layer that takes labels or a width calls it
+    package = Path(blockenc.__file__).parent
+    defined, calls = {}, {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                defined.setdefault(node.name, []).append(path.stem)
+                calls[path.stem, node.name] = {
+                    call.func.id for call in ast.walk(node)
+                    if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
+    assert defined["sorted_labels"] == defined["label_width"] == ["assignment"]
+    assert "_sorted_labels" not in defined and "_label_set" not in defined
+    assert "label_width" in calls["assignment", "sorted_labels"]
+    entries = [("index_map", "is_reducible"), ("index_map", "plan_fusion"),
+               ("index_map", "delete_rows_plan"), ("index_map", "delete_group"),
+               ("index_map", "insert_stage"), ("assignment", "solve_assignment"),
+               ("permute", "route_permutation")]
+    for entry in entries:
+        assert "sorted_labels" in calls[entry], entry
+    assert "label_width" in calls["assignment", "build_target_set"]
