@@ -11,20 +11,22 @@ width P passed alongside; ``sorted_labels`` is the one rule for both, which
 every entry of the fusion layer that takes labels or a label width applies
 (see its docstring).  A matching is a sorted tuple of (source, target)
 pairs.  The Hamming cost matrix is the popcount of their XOR, taken by
-numpy on the labels as uint64, so P is at most 64.  One exact integer
-solver, ``linear_sum_assignment``, returns the lexicographically smallest
-optimal matching with the integer dual potentials that prove it optimal;
-its docstring describes both of its phases.
+numpy on the labels as uint64, so ``label_width`` holds every width to 64.
+One exact integer solver, ``linear_sum_assignment``, returns the
+lexicographically smallest optimal matching with the integer dual
+potentials that prove it optimal; its docstring describes both of its
+phases.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from enum import Enum
 
 import numpy as np
 
 from .errors import BadInput
-from .ir import integer
+from .ir import instance, integer
 
 Pairs = tuple[tuple[int, int], ...]  # (source, target), sorted by source
 _BITS = 1 << np.arange(62, dtype=np.int64)  # the columns one int64 word of a bitmask holds
@@ -41,17 +43,19 @@ def submasks(mask: int):
 
 
 def label_width(width, what: str = "label width P") -> int:
-    """``width`` as an int, or BadInput naming ``what`` unless it is an integer >= 0."""
+    """``width`` as an int, or BadInput naming ``what`` unless it is an integer
+    from 0 to 64: a label is at most 64 bits, as the Hamming cost takes the
+    labels as uint64."""
     width = integer(width, what)
-    if width < 0:
-        raise BadInput(f"{what} must be >= 0, got {width}")
+    if not 0 <= width <= 64:
+        raise BadInput(f"{what} must be in 0 .. 64, got {width}")
     return width
 
 
 def sorted_labels(labels, width, what: str) -> list[int]:
     """The labels as ints, ascending: the one rule for a label set.
 
-    The width must be an integer >= 0 (``label_width``), and the labels
+    The width must be an integer from 0 to 64 (``label_width``), and the labels
     distinct integers in 0 .. 2**width - 1, bools refused and numpy integers
     taken as ints; anything else is BadInput naming ``what``.
     """
@@ -89,6 +93,7 @@ class FixedIndexPolicy(Enum):
 
     def resolve(self, P: int, set_size: int) -> int:
         """Mask of the bits to hold fixed for a size-2^n set over P bits."""
+        P, set_size = label_width(P), integer(set_size, "set size")
         if set_size & (set_size - 1) or set_size == 0:
             raise BadInput(f"set size {set_size} is not a power of two")
         n_free = set_size.bit_length() - 1
@@ -100,11 +105,25 @@ class FixedIndexPolicy(Enum):
         return ((1 << count) - 1) << n_free
 
 
+def fixed_policy(policy, what: str = "policy") -> FixedIndexPolicy:
+    """``policy`` as a ``FixedIndexPolicy``, from a member or its word, right or
+    left; anything else is BadInput naming ``what``."""
+    try:
+        return FixedIndexPolicy(policy)
+    except ValueError:
+        raise BadInput(f"{what} must be right or left, got {policy!r}") from None
+
+
 def mode_pattern(labels, mask: int) -> int:
-    """Most frequent value of ``label & mask`` over the labels, smallest on ties."""
-    integer(mask, "mask")
+    """Most frequent value of ``label & mask`` over the labels, smallest on ties.
+
+    The mask is an integer >= 0 and the labels an iterable of integers;
+    anything else is BadInput naming the argument.
+    """
+    if integer(mask, "mask") < 0:
+        raise BadInput(f"mask must be >= 0, got {mask}")
     counts: dict[int, int] = {}
-    for v in labels:
+    for v in instance(labels, Iterable, "labels"):
         key = integer(v, "label") & mask
         counts[key] = counts.get(key, 0) + 1
     if not counts:
@@ -263,9 +282,8 @@ def solve_assignment(sources, targets, P: int) -> Pairs:
     lexicographic ordering of (source, target) pairs is returned.
     """
     sources, targets = sorted_labels(sources, P, "sources"), sorted_labels(targets, P, "targets")
-    if P > 64 or len(sources) != len(targets):
-        raise BadInput(f"sources and targets must be equally many labels of at most 64 bits, "
-                       f"got {len(sources)} and {len(targets)} of {P} bits")
+    if len(sources) != len(targets):
+        raise BadInput(f"{len(sources)} sources for {len(targets)} targets")
     common = set(sources).intersection(targets)
     residual_s = [v for v in sources if v not in common]
     residual_t = [v for v in targets if v not in common]

@@ -11,7 +11,7 @@ This module is the one place that turns a group of item labels into gates,
 for the compiler and the tests alike:
 
 - ``shift_group``: ``plan_fusion`` over the items sharing one shift, then one
-  cascade per fused subgroup;
+  cascade per cube of the plan;
 - ``delete_group``: a cube cover of the items' data labels, times the
   ``delete_rows_plan`` of their shared row set;
 - ``insert_stage``: one delete-qubit flip per cube of every inserted label,
@@ -20,10 +20,15 @@ for the compiler and the tests alike:
 A set of control labels sharing a target collapses to one gate exactly when
 it is a ``(mask, value)`` cube: the labels agree on the mask bits and
 enumerate every combination of the others (``is_reducible``).  A fusion plan
-fuses such a set directly, and otherwise wraps the gate in a coherent
-permutation that relocates the labels onto a cube first (``_emit_plan``).
-A padded set that is not a cube is priced by a swap-count bound before it
-is solved; ``plan_fusion`` states the bound and decides the one target cube
+(``FusionPlan``) is its cubes, one route and its pads, and its mode is read
+off them.  A cube fuses directly, as the plan's one cube.  A power-of-two set
+that is not a cube is one cube and a route: a coherent permutation, the
+basis swaps that relocate the labels onto the cube, wraps the gate.  Any
+other set is covered by several cubes and no route, unless borrowed zero
+slots pad it to a power of two.  ``_emit_plan`` turns a plan into gates, and
+``permute.swap_gates`` is the one step from a route to gates.  A padded set
+that is not a cube is priced by a swap-count bound before it is
+solved; ``plan_fusion`` states the bound and decides the one target cube
 that both the bound and the route use.  ``shift_cascade`` and
 ``delete_flip`` are the per-item gates, which the unfused baseline uses
 directly.
@@ -33,7 +38,7 @@ with its width alongside, checked at each entry by the one label rule,
 ``assignment.sorted_labels``, and every control set, in a plan or on a gate,
 is a cube (see ``ir``).  ``RegisterLayout.controls`` lifts register cubes to a
 gate's full width, once per cascade.  A group's shift is checked once, not
-once per cascade, and a subgroup without swaps is its core gates alone, with
+once per cascade, and a plan without swaps is its core gates alone, with
 no embedding.  The gates are built unchecked: the compiled circuit checks
 each one (see ``ir``).
 
@@ -59,11 +64,11 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
 
-from .assignment import (FixedIndexPolicy, build_target_set, label_width, mode_pattern,
-                         solve_assignment, sorted_labels, submasks)
+from .assignment import (FixedIndexPolicy, build_target_set, fixed_policy, label_width,
+                         mode_pattern, solve_assignment, sorted_labels, submasks)
 from .errors import BadInput
-from .ir import Cube, Gate, RegisterLayout, embed_gates, gate_of, instance, integer, mcx
-from .permute import basis_swap, route_permutation
+from .ir import Cube, Gate, RegisterLayout, gate_of, instance, integer, mcx
+from .permute import route_permutation, swap_gates
 
 
 def is_reducible(labels, P: int) -> Cube | None:
@@ -128,7 +133,7 @@ def _cascade(controls: Cube, up: bool, k: int, layout: RegisterLayout) -> list[G
 
 def delete_flip(layout: RegisterLayout, data: Cube, matrix: Cube = (0, 0)) -> Gate:
     """Flip the delete qubit under data (and optionally matrix) cube controls."""
-    return mcx(layout.controls(data, matrix), layout.del_qubit)
+    return mcx(instance(layout, RegisterLayout, "layout").controls(data, matrix), layout.del_qubit)
 
 
 def _window_width(labels: list[int], width: int) -> int:
@@ -292,8 +297,10 @@ def _greedy_cubes(labels, width: int) -> list[Cube]:
     ``_window_width`` bits, at most 64 bits per label, so its memory
     follows the labels at every width.  A set that is a cube needs no
     search: it is its own cover.
+
+    The labels are a checked label set, ascending and distinct, as
+    ``sorted_labels`` returns it; every caller has one.
     """
-    labels = sorted(set(labels))
     if not labels:
         return []
     size = len(labels)
@@ -307,30 +314,36 @@ def _greedy_cubes(labels, width: int) -> list[Cube]:
 
 
 @dataclass
-class SubFusion:
-    """One fused gate group: a control cube, optionally permute-wrapped."""
-
-    cube: Cube                           # register-local (mask, value)
-    swaps: tuple[tuple[int, int], ...] = ()  # register-local routed label swaps
-
-
-@dataclass
 class FusionPlan:
-    """How a set of register labels is realized as fused gates."""
+    """How a set of register labels is realized as fused gates.
 
-    mode: str                            # direct | permute | partition | padded | padded-permute
-    subgroups: list[SubFusion]
+    One core per cube of ``cubes``; a plan of one cube that is not the
+    members' own also holds the route of basis swaps that moves the members
+    onto it, and a padded plan the zero slots it borrowed.
+    """
+
+    cubes: list[Cube]                        # register-local (mask, value)
+    swaps: tuple[tuple[int, int], ...] = ()  # register-local routed label swaps
     pads: tuple[int, ...] = ()
 
+    @property
+    def mode(self) -> str:
+        """partition, direct, permute, padded or padded-permute."""
+        if len(self.cubes) > 1:
+            return "partition"
+        if self.pads:
+            return "padded-permute" if self.swaps else "padded"
+        return "permute" if self.swaps else "direct"
+
     def total_count(self, core_cost: int) -> int:
-        """Gates when every subgroup's core is restored after its permutation."""
-        return core_cost * len(self.subgroups) + 2 * sum(len(g.swaps) for g in self.subgroups)
+        """Gates when the core of each cube costs ``core_cost`` and the route is restored."""
+        return core_cost * len(self.cubes) + 2 * len(self.swaps)
 
 
-def _permute_subgroup(labels: list[int], P: int, cube: Cube) -> SubFusion:
-    """Route the labels onto the given (mask, value) cube, of their own size."""
+def _permute_subgroup(labels: list[int], P: int, cube: Cube) -> tuple[tuple[int, int], ...]:
+    """The route of the labels onto the given (mask, value) cube, of their own size."""
     pairs = solve_assignment(labels, build_target_set(*cube, P), P)
-    return SubFusion(cube, tuple(route_permutation(pairs, P)))
+    return tuple(route_permutation(pairs, P))
 
 
 def plan_fusion(labels: list[int], P: int, *, zero_slots: tuple[int, ...] = (),
@@ -357,8 +370,11 @@ def plan_fusion(labels: list[int], P: int, *, zero_slots: tuple[int, ...] = (),
 
     Repeated labels, and zero slots that repeat or hold a label, are
     ``BadInput``: every member is one distinct basis label.  The labels are
-    checked here once, so the cube test below takes them as they are.
+    checked here once, so the cube test below takes them as they are.  The
+    policy is a ``FixedIndexPolicy`` member or its word (``fixed_policy``),
+    converted here once for every caller that passes it through.
     """
+    policy = fixed_policy(policy)
     P = label_width(P)
     labels = sorted_labels(labels, P, "labels")
     zero_slots = sorted_labels(zero_slots, P, "zero_slots")
@@ -369,7 +385,7 @@ def plan_fusion(labels: list[int], P: int, *, zero_slots: tuple[int, ...] = (),
         raise BadInput("labels: control set size 0 is not a power of two")
     pads: tuple[int, ...] = ()
     if size & (size - 1):
-        partition = FusionPlan("partition", [SubFusion(c) for c in _greedy_cubes(labels, P)])
+        partition = FusionPlan(_greedy_cubes(labels, P))
         need = (1 << size.bit_length()) - size
         if len(zero_slots) < need:
             return partition
@@ -377,15 +393,14 @@ def plan_fusion(labels: list[int], P: int, *, zero_slots: tuple[int, ...] = (),
         labels = sorted(labels + list(pads))
     cube = _cube_of(labels, P)
     if cube is not None:  # a padded cube is one gate, below any cover of two or more
-        return FusionPlan("padded" if pads else "direct", [SubFusion(cube)], pads)
+        return FusionPlan([cube], (), pads)
     mask = policy.resolve(P, len(labels))
     value = mode_pattern(labels, mask)
     if pads:
         distance = sum(((v ^ value) & mask).bit_count() for v in labels)
         if core_cost + 2 * distance > partition.total_count(core_cost):
             return partition
-    plan = FusionPlan("padded-permute" if pads else "permute",
-                      [_permute_subgroup(labels, P, (mask, value))], pads)
+    plan = FusionPlan([(mask, value)], _permute_subgroup(labels, P, (mask, value)), pads)
     if pads and plan.total_count(core_cost) > partition.total_count(core_cost):
         return partition
     return plan
@@ -393,23 +408,18 @@ def plan_fusion(labels: list[int], P: int, *, zero_slots: tuple[int, ...] = (),
 
 def _emit_plan(plan: FusionPlan, core, width: int, qubits: tuple[int, ...],
                defer_restore: bool = False) -> list[Gate]:
-    """Gates of a fusion plan: per subgroup, permutation, core, inverse.
+    """Gates of a fusion plan: the route, the core of each cube, the route reversed.
 
-    ``core(cube)`` builds a subgroup's fused gates, and the swaps act on the
-    register ``qubits`` of a width-qubit circuit.  The inverse permutation is
-    the forward swaps in reverse order; with ``defer_restore`` it is left out
-    and the caller tracks where the swaps moved the data labels.
+    ``core(cube)`` builds a cube's fused gates, and the swaps act on the
+    register ``qubits`` of a width-qubit circuit (``swap_gates``).  The
+    inverse permutation is the forward swaps in reverse order; with
+    ``defer_restore`` it is left out and the caller tracks where the swaps
+    moved the data labels.  A plan without swaps is its cores alone.
     """
-    gates: list[Gate] = []
-    for sub in plan.subgroups:
-        if not sub.swaps:  # a cube: its core alone
-            gates += core(sub.cube)
-            continue
-        fwd = embed_gates([basis_swap(a, b, len(qubits)) for a, b in sub.swaps], width, qubits)
-        gates += fwd
-        gates += core(sub.cube)
-        if not defer_restore:
-            gates += fwd[::-1]
+    gates = [g for cube in plan.cubes for g in core(cube)]
+    if plan.swaps:
+        fwd = swap_gates(plan.swaps, width, qubits)
+        gates = fwd + gates + ([] if defer_restore else fwd[::-1])
     return gates
 
 

@@ -4,8 +4,9 @@ A single fully-controlled X exchanges exactly two basis labels that differ in
 one bit.  Chaining such swaps realizes an arbitrary bijection between two
 sets of basis states while leaving every amplitude a pure relocation: the
 resulting circuit is always a 0/1 permutation matrix.  ``route_permutation``
-plans the chain as a list of ``(a, b)`` label swaps; ``permute_circuit``
-turns it into gates.
+plans the chain as a list of ``(a, b)`` label swaps; ``swap_gates`` is the
+one step from such a route to gates, which the fusion plans, the deferred
+restore and ``permute_circuit`` all take.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from collections.abc import Collection, Container
 
 from .errors import BadInput
 from .assignment import Pairs, hamming, label_width, sorted_labels
-from .ir import Circuit, Gate, instance, integer, mcx
+from .ir import Circuit, Gate, embed_gates, instance, integer, mcx
 
 
 def basis_swap(a: int, b: int, width: int) -> Gate:
@@ -24,6 +25,12 @@ def basis_swap(a: int, b: int, width: int) -> Gate:
     if width < 0 or diff.bit_count() != 1 or (a | b) >> width:
         raise BadInput(f"{a} and {b} do not differ in exactly one of {width} bits")
     return mcx((((1 << width) - 1) ^ diff, a & ~diff), width - diff.bit_length())
+
+
+def swap_gates(swaps, width: int, qubits: tuple[int, ...]) -> list[Gate]:
+    """A route's ``basis_swap`` gates, in order, on the register ``qubits`` of
+    a width-qubit circuit; the circuit they end up in checks them."""
+    return embed_gates([basis_swap(a, b, len(qubits)) for a, b in swaps], width, qubits)
 
 
 def _bfs_path(start: int, goal: int, blocked: set[int], bits: list[int]) -> list[int] | None:
@@ -129,4 +136,4 @@ def permute_circuit(pairs: Pairs, width: int) -> Circuit:
     outside the sources are permuted among the leftover positions.
     """
     swaps = route_permutation(pairs, width)
-    return Circuit(width, tuple(basis_swap(a, b, width) for a, b in swaps))
+    return Circuit(width, tuple(swap_gates(swaps, width, tuple(range(width)))))

@@ -22,12 +22,12 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .assignment import FixedIndexPolicy
+from .assignment import FixedIndexPolicy, fixed_policy
 from .errors import BadInput
 from .index_map import delete_flip, delete_group, insert_stage, shift_cascade, shift_group
 from .ingest import OperationPlan, SparseMatrix, analyze
 from .ir import Circuit, Gate, RegisterLayout, embed_gates, instance
-from .permute import basis_swap, route_permutation
+from .permute import route_permutation, swap_gates
 from .state_prep import synthesize_prep, synthesize_unprep
 
 log = logging.getLogger("blockenc.pipeline")
@@ -48,12 +48,7 @@ class CompileConfig:
         and each flag a ``bool``.  ``naive`` emits no permutation, so it turns
         ``defer_restore`` off.  ``analyze`` checks ``strategy``."""
         for name in ("data_policy", "matrix_policy"):
-            try:
-                policy = FixedIndexPolicy(getattr(self, name))
-            except ValueError:
-                raise BadInput(f"bad fixed-index policy {getattr(self, name)!r}; "
-                               "expected right or left") from None
-            object.__setattr__(self, name, policy)
+            object.__setattr__(self, name, fixed_policy(getattr(self, name), name))
         for name in ("zero_pad", "skip_index_map", "defer_restore", "naive"):
             if not isinstance(getattr(self, name), bool):
                 raise BadInput(f"{name} must be a bool, not {getattr(self, name)!r}")
@@ -165,8 +160,7 @@ class _Assembler:
                                                         self.layout), self.layout.data_qubits)
             pads = [self.inv[p] for p in fp.pads]  # before this group's permutation
             if self.config.defer_restore:
-                for sub in fp.subgroups:
-                    self._apply_swaps(sub.swaps)
+                self._apply_swaps(fp.swaps)
             log.debug("shift %s%d: %d members, %s, %d gates",
                       direction, power, len(labels) + len(fp.pads), fp.mode, len(gates))
             self.shift_groups.append({
@@ -176,7 +170,7 @@ class _Assembler:
                 "mode": fp.mode,
                 "fused_mcx": len(gates),
                 "naive_mcx": len(naive_members) * (n - k),
-                "fused_data_width": max(sub.cube[0].bit_count() for sub in fp.subgroups),
+                "fused_data_width": max(mask.bit_count() for mask, _ in fp.cubes),
                 "naive_data_width": m,
             })
 
@@ -225,15 +219,13 @@ class _Assembler:
 
         Items already home enter as identity pairs so the router treats their
         slots as settled and never borrows them as intermediate states; when
-        every item is home it routes no swap.  The swap gates are built on
-        the data register and embedded, as a fusion plan's are, and the full
-        circuit is the one that checks them.
+        every item is home it routes no swap.  ``swap_gates`` puts the route
+        on the data register, and the full circuit is the one that checks it.
         """
-        m = self.layout.m
+        layout = self.layout
         pairs = tuple(sorted((self.cur[it.index], it.index) for it in self.plan.items))
-        swaps = [basis_swap(a, b, m) for a, b in route_permutation(pairs, m)]
-        emitted = embed_gates(swaps, self.layout.total, self.layout.data_qubits)
-        self._append(emitted, lambda: emitted, self.layout.data_qubits)
+        emitted = swap_gates(route_permutation(pairs, layout.m), layout.total, layout.data_qubits)
+        self._append(emitted, lambda: emitted, layout.data_qubits)
 
 
 def compile_matrix(matrix: SparseMatrix, config: CompileConfig | None = None) -> EncodedCircuit:

@@ -59,17 +59,19 @@ def _phase_layer(phases, m: int) -> list[Gate]:
 def synthesize_prep(items, phases) -> Circuit:
     """Circuit C with C|0..0> = sum_p phase_p sqrt(item_p / alpha) |p>, alpha = sum(items).
 
-    Each item is a finite nonnegative magnitude with one phase, a number of
-    modulus 1 to within 1e-12; anything else is ``BadInput``.
+    ``items`` and ``phases`` are flat sequences of equal length: each item is
+    a finite nonnegative magnitude with one phase, a number of modulus 1 to
+    within 1e-12; anything else is ``BadInput`` naming the argument.
     """
     if len(instance(phases, Sized, "phases")) != len(instance(items, Sized, "items")):
         raise BadInput(f"{len(phases)} phases for {len(items)} items")
     magnitudes, units = np.asarray(items), np.asarray(phases)
-    if magnitudes.dtype.kind not in "iuf" or not np.all(
+    if magnitudes.ndim != 1 or magnitudes.dtype.kind not in "iuf" or not np.all(
             (magnitudes >= 0) & (magnitudes <= sys.float_info.max)):
-        raise BadInput("item magnitudes must be finite nonnegative numbers")
-    if units.dtype.kind not in "iufc" or not np.all(np.abs(np.abs(units) - 1) <= 1e-12):
-        raise BadInput("item phases must be numbers of modulus 1")
+        raise BadInput("items must be a 1-D sequence of finite nonnegative magnitudes")
+    if units.ndim != 1 or units.dtype.kind not in "iufc" or not np.all(
+            np.abs(np.abs(units) - 1) <= 1e-12):
+        raise BadInput("phases must be a 1-D sequence of numbers of modulus 1")
     alpha = float(sum(items))
     if alpha <= 0:  # also no items at all
         raise BadInput("no nonzero items to prepare")

@@ -15,8 +15,7 @@ from blockenc.assignment import (FixedIndexPolicy, build_target_set, hamming, mo
                                  submasks)
 from blockenc import index_map, verify
 from blockenc.errors import BadInput, BlockencError
-from blockenc.index_map import (FusionPlan, SubFusion, _greedy_cubes, _permute_subgroup,
-                                is_reducible)
+from blockenc.index_map import FusionPlan, _greedy_cubes, _permute_subgroup, is_reducible
 from blockenc.ingest import (OperationPlan, PlanItem, _alpha_weight, _components, _powers,
                              _signed_offset)
 from blockenc.ir import (Circuit, Cube, Gate, apply_gates, circuit_unitary, mcx,
@@ -658,11 +657,13 @@ def reference_route_permutation(pairs, width: int) -> ReferenceRoutingPlan:
 
 
 def reference_plan_fusion(labels, P: int, zero_slots=(), policy=FixedIndexPolicy.RIGHT_ENDED,
-                          core_cost: int = 1) -> FusionPlan:
+                          core_cost: int = 1) -> tuple[FusionPlan, str]:
     """``plan_fusion`` that solves and routes every padded plan before pricing it.
 
     Power-of-two sets fuse directly or permute; other sizes take the padded
     plan when it costs no more than the cube cover, and the cover otherwise.
+    The mode is named here as each plan is chosen, not read off the plan, so
+    it checks the mode ``FusionPlan`` derives from its fields.
     """
     labels = sorted(labels)
     size = len(labels)
@@ -670,20 +671,20 @@ def reference_plan_fusion(labels, P: int, zero_slots=(), policy=FixedIndexPolicy
     def direct_or_permute(members, mode_direct, mode_perm, pads=()):
         cube = is_reducible(members, P)
         if cube is not None:
-            return FusionPlan(mode_direct, [SubFusion(cube)], pads)
+            return FusionPlan([cube], (), pads), mode_direct
         mask = policy.resolve(P, len(members))
         cube = mask, mode_pattern(members, mask)
-        return FusionPlan(mode_perm, [_permute_subgroup(members, P, cube)], pads)
+        return FusionPlan([cube], _permute_subgroup(members, P, cube), pads), mode_perm
 
     if size & (size - 1) == 0:
         return direct_or_permute(labels, "direct", "permute")
-    partition = FusionPlan("partition", [SubFusion(c) for c in _greedy_cubes(labels, P)])
+    partition = FusionPlan(_greedy_cubes(labels, P)), "partition"
     need = (1 << size.bit_length()) - size
     if len(zero_slots) < need:
         return partition
     pads = tuple(sorted(zero_slots)[:need])
     padded = direct_or_permute(sorted(labels + list(pads)), "padded", "padded-permute", pads)
-    cheaper = padded.total_count(core_cost) <= partition.total_count(core_cost)
+    cheaper = padded[0].total_count(core_cost) <= partition[0].total_count(core_cost)
     return padded if cheaper else partition
 
 

@@ -339,7 +339,7 @@ def test_cube_cover_matches_reference_at_compiler_sizes(seed):
         cube = build_target_set(((1 << width) - 1) ^ free, value, width)
         labels.update(cube[:size - len(labels)])
     strings = [format(v, f"0{width}b") for v in sorted(labels)]
-    cover = _greedy_cubes(labels, width)
+    cover = _greedy_cubes(sorted(labels), width)
     assert [select_pattern(*cube, width) for cube in cover] == reference_greedy_cubes(strings)
 
 
@@ -347,7 +347,7 @@ def test_cube_cover_cost_follows_the_set():
     # a half-register row range: one 12-cube and a few smaller ones, inside a
     # set that holds about 3**13 sub-cubes
     width = 14
-    labels = range(2 ** 13 + 3, 2 ** 14)
+    labels = list(range(2 ** 13 + 3, 2 ** 14))
     tracemalloc.start()
     try:
         cover = _greedy_cubes(labels, width)
@@ -357,7 +357,7 @@ def test_cube_cover_cost_follows_the_set():
     sizes = [1 << (width - mask.bit_count()) for mask, _ in cover]
     assert sizes == sorted(sizes, reverse=True)
     members = [v for cube in cover for v in build_target_set(*cube, width)]
-    assert sorted(members) == list(labels)  # exact and disjoint
+    assert sorted(members) == labels  # exact and disjoint
     assert peak < 32 * 2 ** 20
 
 
@@ -380,7 +380,7 @@ def _wide_sets(draw):
 @given(_wide_sets())
 def test_cube_cover_at_every_width_matches_the_references(drawn):
     labels, width = drawn
-    cover = _greedy_cubes(labels, width)
+    cover = _greedy_cubes(sorted(labels), width)
     strings = sorted(as_strings(labels, width))
     assert [select_pattern(*cube, width) for cube in cover] == reference_greedy_cubes(strings)
     assert cover == reference_cube_search(labels, width)
@@ -407,7 +407,7 @@ def test_cover_memory_follows_the_labels_at_wide_widths(monkeypatch):
         peaks = [tracemalloc.get_traced_memory()[1]]
         for width, labels in sets.items():
             tracemalloc.reset_peak()
-            covers[width] = _greedy_cubes(labels, width)
+            covers[width] = _greedy_cubes(sorted(labels), width)
             peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
@@ -431,7 +431,7 @@ def test_cube_cover_of_two_thousand_labels_matches_the_set_search(seed):
         labels.update(build_target_set(((1 << width) - 1) ^ free,
                                        int(rng.integers(0, 1 << width)) & ~free, width))
     start = time.perf_counter()
-    cover = _greedy_cubes(labels, width)
+    cover = _greedy_cubes(sorted(labels), width)
     elapsed = time.perf_counter() - start
     assert cover == reference_cube_search(labels, width)
     assert elapsed < 1.0
@@ -460,13 +460,13 @@ def test_routed_swaps_are_at_least_the_cube_distance(drawn, policy):
     labels, width = drawn
     plan = plan_fusion(labels, width, policy=policy)
     assert plan.mode in ("direct", "permute")
-    (sub,) = plan.subgroups
-    assert _cube_distance(labels, sub.cube) <= len(sub.swaps)
+    (cube,) = plan.cubes
+    assert _cube_distance(labels, cube) <= len(plan.swaps)
 
 
 @st.composite
-def _fusion_inputs(draw):
-    width = draw(st.integers(1, 7))
+def _fusion_inputs(draw, width=None):
+    width = draw(st.integers(1, 7)) if width is None else width
     full = 1 << width
     labels = draw(st.sets(st.integers(0, full - 1), min_size=1, max_size=full))
     rest = sorted(set(range(full)) - labels)
@@ -479,7 +479,41 @@ def _fusion_inputs(draw):
 def test_plan_fusion_matches_the_unpruned_reference(drawn, policy, core_cost):
     labels, width, zero_slots = drawn
     plan = plan_fusion(labels, width, zero_slots=zero_slots, policy=policy, core_cost=core_cost)
-    assert plan == reference_plan_fusion(labels, width, zero_slots, policy, core_cost)
+    assert (plan, plan.mode) == reference_plan_fusion(labels, width, zero_slots, policy,
+                                                      core_cost)
+    assert not plan.swaps or len(plan.cubes) == 1
+
+
+@st.composite
+def _shift_inputs(draw):
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    labels, _, zero_slots = draw(_fusion_inputs(width=m))
+    return labels, zero_slots, RegisterLayout(m, n), draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shift_inputs(), st.sampled_from(FixedIndexPolicy), st.sampled_from("LR"),
+       st.booleans())
+def test_a_shift_group_emits_its_plans_total_count(drawn, policy, direction, defer_restore):
+    # total_count is the cost model plan_fusion compares plans and prices its
+    # swap-count bound by, so it must be the number of gates the plan emits:
+    # n - k per cascade, and each swap twice, or once when the restore is deferred
+    labels, zero_slots, layout, k = drawn
+    plan, gates = shift_group(labels, direction, 1 << k, layout, zero_slots=zero_slots,
+                              policy=policy, defer_restore=defer_restore)
+    restore = 0 if defer_restore else len(plan.swaps)
+    assert len(gates) == plan.total_count(layout.n - k) - len(plan.swaps) + restore
+    assert not plan.swaps or len(plan.cubes) == 1  # a route only onto one cube
+
+
+def test_a_policy_word_plans_as_its_member():
+    lay = RegisterLayout(2, 3)
+    for word in ("left", "right"):
+        member = FixedIndexPolicy(word)
+        assert plan_fusion([0, 3], 2, policy=word) == plan_fusion([0, 3], 2, policy=member)
+        assert delete_group([1], [0, 3], lay, word) == delete_group([1], [0, 3], lay, member)
+        assert (insert_stage([((0, 3), [1])], lay, word)
+                == insert_stage([((0, 3), [1])], lay, member))
 
 
 def test_pruned_padded_plans_match_the_reference_and_skip_their_solves(solves):
@@ -503,7 +537,8 @@ def test_pruned_padded_plans_match_the_reference_and_skip_their_solves(solves):
                            core_cost=core_cost)
         pruned = len(solves)
         solves.clear()
-        assert plan == reference_plan_fusion(labels, width, zero_slots, policy, core_cost)
+        assert (plan, plan.mode) == reference_plan_fusion(labels, width, zero_slots, policy,
+                                                          core_cost)
         assert pruned <= len(solves)
         skipped += len(solves) - pruned
         modes.add(plan.mode)
@@ -537,7 +572,7 @@ def _near_cubes(draw):
 @example(({5, 7}, 3))
 def test_cube_short_path_matches_the_references(drawn):
     labels, width = drawn
-    cover = _greedy_cubes(labels, width)
+    cover = _greedy_cubes(sorted(labels), width)
     assert cover == reference_cube_search(labels, width)
     strings = sorted(as_strings(labels, width))
     assert [select_pattern(*cube, width) for cube in cover] == reference_greedy_cubes(strings)

@@ -10,15 +10,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockenc import ir
-from blockenc.assignment import build_target_set, hamming, mode_pattern, solve_assignment
+from blockenc.assignment import (FixedIndexPolicy, build_target_set, hamming, mode_pattern,
+                                 solve_assignment)
 from blockenc.cli import main
 from blockenc.demo import tridiagonal
 from blockenc.errors import BadGate, BadInput, TooLarge
-from blockenc.index_map import (delete_flip, delete_group, insert_stage, is_reducible,
-                                plan_fusion, shift_cascade, shift_group)
+from blockenc.index_map import (delete_flip, delete_group, delete_rows_plan, insert_stage,
+                                is_reducible, plan_fusion, shift_cascade, shift_group)
 from blockenc.ingest import SparseMatrix, analyze, save_matrix
 from blockenc.permute import basis_swap, route_permutation
-from blockenc.pipeline import compile_matrix
+from blockenc.pipeline import CompileConfig, compile_matrix
 from blockenc.state_prep import synthesize_prep, synthesize_unprep
 from blockenc.verify import UNITARITY_TOL, encoded_block, verify_circuit
 from blockenc.ir import (_GATE_LINE, MAX_CIRCUIT_QUBITS, Circuit, Gate, RegisterLayout,
@@ -182,6 +183,24 @@ def _one_entry():
     (lambda: plan_fusion([1], -1), "label width P"),
     (lambda: delete_flip(_LAYOUT, (1, 2)), r"data \(1, 2\)"),
     (lambda: shift_cascade((1, 2), "L", 1, _LAYOUT), r"data \(1, 2\)"),
+    (lambda: plan_fusion([0, 3], 2, policy="up"), "policy must be right or left"),
+    (lambda: shift_group([0, 3], "L", 1, _LAYOUT, policy=None), "policy"),
+    (lambda: delete_group([0], [0, 3], _LAYOUT, 7), "policy"),
+    (lambda: delete_rows_plan([0, 3], _LAYOUT, None), "policy"),
+    (lambda: insert_stage([((0, 3), [1])], _LAYOUT, 5), "policy"),
+    (lambda: CompileConfig(data_policy="LEFT"), "data_policy"),
+    (lambda: FixedIndexPolicy.RIGHT_ENDED.resolve(2.5, 2), "label width P"),
+    (lambda: FixedIndexPolicy.RIGHT_ENDED.resolve(3, "2"), "set size"),
+    (lambda: FixedIndexPolicy.RIGHT_ENDED.resolve(3, 2.0), "set size"),
+    (lambda: FixedIndexPolicy.LEFT_ENDED.resolve(True, 2), "label width P"),
+    (lambda: route_permutation([(0, 1)], 10 ** 6), "width must be in 0 .. 64"),
+    (lambda: solve_assignment([0], [1], 65), "label width P must be in 0 .. 64"),
+    (lambda: is_reducible([0, 1], 65), "label width P must be in 0 .. 64"),
+    (lambda: delete_flip(None, (0, 0)), "layout"),
+    (lambda: synthesize_prep([[1]], [1]), "items"),
+    (lambda: synthesize_prep([1], [[1]]), "phases"),
+    (lambda: mode_pattern(5, 1), "labels"),
+    (lambda: mode_pattern([1, 2], -1), "mask"),
 ], ids=["Circuit-gates-5", "Circuit-gates-None", "Circuit-gates-Gate", "is_reducible-empty",
         "is_reducible-negative-width", "mode_pattern-empty", "compile_matrix-matrix",
         "compile_matrix-config", "analyze-matrix", "verify_circuit-matrix",
@@ -200,7 +219,13 @@ def _one_entry():
         "solve_assignment-repeated-sources", "is_reducible-negative-label",
         "is_reducible-bool-labels", "is_reducible-labels-past-width", "plan_fusion-empty",
         "plan_fusion-negative-width", "delete_flip-value-outside-mask",
-        "shift_cascade-value-outside-mask"])
+        "shift_cascade-value-outside-mask", "plan_fusion-policy", "shift_group-policy",
+        "delete_group-policy", "delete_rows_plan-policy", "insert_stage-policy",
+        "CompileConfig-policy-word", "resolve-float-width", "resolve-str-size",
+        "resolve-float-size", "resolve-bool-width", "route_permutation-huge-width",
+        "solve_assignment-width-65", "is_reducible-width-65", "delete_flip-layout",
+        "synthesize_prep-2d-items", "synthesize_prep-2d-phases", "mode_pattern-labels",
+        "mode_pattern-negative-mask"])
 def test_malformed_library_arguments_are_bad_input(call, named, tmp_path, monkeypatch):
     # a gates argument that is not iterable, an empty control set, which has
     # no power-of-two size, arguments of the wrong type, label sets and widths

@@ -150,3 +150,22 @@ def test_the_label_rule_is_defined_once_and_every_label_entry_applies_it():
     for entry in entries:
         assert "sorted_labels" in calls[entry], entry
     assert "label_width" in calls["assignment", "build_target_set"]
+
+
+def test_a_route_becomes_gates_only_in_swap_gates():
+    # one function turns a route of basis swaps into gates on a register, for
+    # the fusion plans, the deferred restore and permute_circuit alike, and a
+    # fusion plan is its cubes and one route, with no per-subgroup record
+    package = Path(blockenc.__file__).parent
+    callers, classes = set(), set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        classes.update(node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef))
+        for top in tree.body:
+            owner = (path.stem, getattr(top, "name", None))
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and ast.unparse(node.func).split(".")[-1] == "basis_swap"):
+                    callers.add(owner)
+    assert callers == {("permute", "swap_gates")}
+    assert "FusionPlan" in classes and "SubFusion" not in classes
